@@ -7,13 +7,12 @@
 //! and writes `BENCH_explore.json` recording per-phase wall-clock times,
 //! per-iteration LP solve times and pivot counts, the refinement-cache hit
 //! rate, per-case parallel speedups, a warm-start comparison (cold vs.
-//! cut-loop warm vs. cut-loop + node warm starts, with pivot-reduction
-//! ratios), a metrics block (counters and histograms from the observability
-//! registry), and the measured `NoopSink` overhead ratio. CI runs this as a
-//! smoke check that every thread count reproduces the serial optimum bit
-//! for bit and that warm starts actually save pivots; the speedup figures
-//! are only meaningful on a multi-core runner, so the core count is
-//! recorded next to them.
+//! warm-started, with the pivot-reduction ratio), a metrics block (counters
+//! and histograms from the observability registry), and the measured
+//! `NoopSink` overhead ratio. CI runs this as a smoke check that every
+//! thread count reproduces the serial optimum bit for bit and that warm
+//! starts actually save pivots; the speedup figures are only meaningful on
+//! a multi-core runner, so the core count is recorded next to them.
 //!
 //! A third, symmetric stress case — three identical parallel RPL lines —
 //! runs with symmetry reduction off and on and records the orbit counters
@@ -50,13 +49,12 @@ const THREAD_POINTS: [usize; 3] = [1, 2, 0];
 /// Warm-start configurations the serial comparison runs under.
 #[derive(Clone, Copy, PartialEq)]
 enum WarmMode {
-    /// All warm starts off.
+    /// Warm starts off — the default configuration.
     Cold,
-    /// Cut-loop (root relaxation) warm starts — the default configuration.
+    /// Warm starts on ([`contrarc_milp::SolveOptions::warm_start`]): the
+    /// cut loop's root relaxation and every branch-and-bound child start
+    /// from a previous optimal basis.
     Warm,
-    /// Cut-loop plus branch-and-bound node warm starts
-    /// ([`contrarc_milp::SolveOptions::node_warm_start`]).
-    Deep,
 }
 
 impl WarmMode {
@@ -64,7 +62,6 @@ impl WarmMode {
         match self {
             WarmMode::Cold => "cold",
             WarmMode::Warm => "warm",
-            WarmMode::Deep => "deep",
         }
     }
 }
@@ -112,11 +109,7 @@ fn run_once(problem: &Problem, threads: usize, mode: WarmMode, symmetry: Symmetr
         ..ExplorerConfig::complete()
     };
     cfg.solve_options.budget = budget.clone();
-    match mode {
-        WarmMode::Cold => cfg.solve_options.warm_start = false,
-        WarmMode::Warm => {}
-        WarmMode::Deep => cfg.solve_options.node_warm_start = true,
-    }
+    cfg.solve_options.warm_start = mode == WarmMode::Warm;
 
     // Step the exploration by hand so each iteration's LP time and pivot
     // count can be sampled at the boundary (deltas of the cumulative
@@ -214,39 +207,20 @@ fn json_run(r: &Run) -> String {
     )
 }
 
-/// Serial runs under every warm mode: cold and cut-loop-warm must be
-/// bit-identical (warm starting is an accelerator, not a semantic knob),
-/// node warm starts must reach an equally-optimal answer, and the pivot
-/// savings are recorded as reduction ratios against the cold baseline.
+/// Serial runs cold and warm-started: warm starts must reach an
+/// equally-optimal answer, and their pivot savings are recorded as a
+/// reduction ratio against the cold baseline.
 fn warm_comparison(case: &Case) -> String {
-    let runs: Vec<(WarmMode, Run)> = [WarmMode::Cold, WarmMode::Warm, WarmMode::Deep]
-        .into_iter()
-        .map(|m| (m, run_once(&case.problem, 1, m, SymmetryConfig::default())))
-        .collect();
-    let cold = &runs[0].1;
-    for (mode, run) in &runs {
-        match mode {
-            WarmMode::Deep => assert!(
-                (run.cost - cold.cost).abs() < 1e-9,
-                "case {}: node-warm optimum {} differs from cold {}",
-                case.name,
-                run.cost,
-                cold.cost,
-            ),
-            _ => {
-                assert_eq!(
-                    cold.cost.to_bits(),
-                    run.cost.to_bits(),
-                    "case {}: {} optimum must be bit-identical to cold",
-                    case.name,
-                    mode.name(),
-                );
-                assert_eq!(cold.stats.iterations, run.stats.iterations);
-                assert_eq!(cold.stats.cuts_added, run.stats.cuts_added);
-            }
-        }
-    }
-    let rendered: Vec<String> = runs
+    let cold = run_once(&case.problem, 1, WarmMode::Cold, SymmetryConfig::default());
+    let warm = run_once(&case.problem, 1, WarmMode::Warm, SymmetryConfig::default());
+    assert!(
+        (warm.cost - cold.cost).abs() < 1e-9,
+        "case {}: warm-started optimum {} differs from cold {}",
+        case.name,
+        warm.cost,
+        cold.cost,
+    );
+    let rendered: Vec<String> = [(WarmMode::Cold, &cold), (WarmMode::Warm, &warm)]
         .iter()
         .map(|(mode, r)| {
             format!(
@@ -263,28 +237,26 @@ fn warm_comparison(case: &Case) -> String {
             )
         })
         .collect();
-    let reduction = |r: &Run| cold.pivots as f64 / (r.pivots as f64).max(1.0);
+    let reduction = cold.pivots as f64 / (warm.pivots as f64).max(1.0);
     if case.name == "rpl-default-both" {
-        // The headline number of the LP-core rewrite: node warm starts must
-        // at least halve the total simplex pivots on the RPL two-line case.
+        // The headline number of the LP-core rewrite: warm starts must at
+        // least halve the total simplex pivots on the RPL two-line case.
         assert!(
-            reduction(&runs[2].1) >= 2.0,
-            "case {}: node warm starts saved too little ({} cold vs {} deep pivots)",
+            reduction >= 2.0,
+            "case {}: warm starts saved too little ({} cold vs {} warm pivots)",
             case.name,
             cold.pivots,
-            runs[2].1.pivots,
+            warm.pivots,
         );
     }
     format!(
         concat!(
             "{{\n",
-            "        \"pivot_reduction_warm\": {:.4},\n",
-            "        \"pivot_reduction_deep\": {:.4},\n",
+            "        \"pivot_reduction\": {:.4},\n",
             "        \"modes\": [\n{}\n        ]\n",
             "      }}"
         ),
-        reduction(&runs[1].1),
-        reduction(&runs[2].1),
+        reduction,
         rendered.join(",\n"),
     )
 }
@@ -294,7 +266,7 @@ fn warm_comparison(case: &Case) -> String {
 fn bench_case(case: &Case) -> String {
     let runs: Vec<Run> = THREAD_POINTS
         .iter()
-        .map(|&t| run_once(&case.problem, t, WarmMode::Warm, SymmetryConfig::default()))
+        .map(|&t| run_once(&case.problem, t, WarmMode::Cold, SymmetryConfig::default()))
         .collect();
     let serial = &runs[0];
     for run in &runs[1..] {
@@ -363,7 +335,7 @@ fn symmetry_case() -> String {
 
     let measure = |threads: usize, symmetry: SymmetryConfig| -> (Run, SymSample) {
         let before = metrics::snapshot();
-        let run = run_once(&problem, threads, WarmMode::Warm, symmetry);
+        let run = run_once(&problem, threads, WarmMode::Cold, symmetry);
         let after = metrics::snapshot();
         let d = |name| counter_delta(&before, &after, name);
         let sym = SymSample {
@@ -477,7 +449,7 @@ fn symmetry_case() -> String {
 
 /// One serial exploration's wall clock.
 fn one_wall(problem: &Problem) -> f64 {
-    run_once(problem, 1, WarmMode::Warm, SymmetryConfig::default()).wall_secs
+    run_once(problem, 1, WarmMode::Cold, SymmetryConfig::default()).wall_secs
 }
 
 /// The `NoopSink` overhead measurement: best-of-N ratio plus per-arm spread.

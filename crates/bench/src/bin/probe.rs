@@ -1,5 +1,10 @@
 //! Diagnostic probe for exploration performance (not part of the paper).
-//! Usage: probe [lineA|both] [warm|cold] [iso|noiso] [comp|mono] [n]
+//! Usage: probe [lineA|both] [warm|cold] [iso|noiso] [comp|mono] [n] [stages] [archex]
+//!
+//! `warm` turns on `SolveOptions::warm_start` (root and node dual-simplex
+//! warm starts); anything else runs the cold default. `n` is the paper's
+//! `n_A = n_B` sweep point and `stages` the stage count (defaults 1 and 2);
+//! `archex` solves the monolithic baseline instead of exploring.
 //!
 //! Progress is reported through the structured event API: by default a
 //! stderr pretty-printer renders each event, and `CONTRARC_TRACE=path.jsonl`

@@ -297,6 +297,30 @@ mod tests {
     }
 
     #[test]
+    fn baseline_agrees_with_lazy_loop_on_ill_conditioned_synth_instance() {
+        // On this instance the revised simplex once reported an optimal
+        // vertex violating the big-M row `arr_src[S]` by 7e-4, and the
+        // baseline returned 8.2439, below the true optimum 8.6024.
+        let p = crate::synth::generate(&crate::synth::SynthConfig {
+            seed: 865,
+            layers: 3,
+            width: 2,
+            impls_per_type: 3,
+            latency_slack: 0.8,
+            ..Default::default()
+        });
+        let lazy = explore(&p, &ExplorerConfig::complete()).unwrap();
+        let mono = solve_monolithic(&p, &SolveOptions::default()).unwrap();
+        let lazy_cost = lazy.architecture().expect("feasible").cost();
+        let mono_cost = mono.architecture().expect("feasible").cost();
+        assert_eq!(
+            lazy_cost.to_bits(),
+            mono_cost.to_bits(),
+            "lazy {lazy_cost} vs monolithic {mono_cost}"
+        );
+    }
+
+    #[test]
     fn baseline_infeasible_when_too_tight() {
         let p = lines_problem(3.0);
         let mono = solve_monolithic(&p, &SolveOptions::default()).unwrap();

@@ -667,9 +667,9 @@ pub struct Explorer<'p> {
     prior_cache_misses: u64,
     /// Optimal basis of the previous candidate-selection solve, dual-simplex
     /// warm-started into the next one (cuts only ever append rows/columns).
-    /// Purely an accelerator: in-memory only, deliberately *not* part of the
-    /// checkpoint — a resumed run cold-starts its first solve and produces
-    /// the same exploration either way.
+    /// Always `None` unless `solve_options.warm_start` is on. In-memory
+    /// only, deliberately *not* part of the checkpoint: a resumed run
+    /// cold-starts its first solve.
     warm: Option<contrarc_milp::WarmStart>,
     /// Type-labeled template automorphism group for orbit-pruned certificate
     /// matching; `None` when disabled or when the template is asymmetric.
@@ -1039,8 +1039,8 @@ impl<'p> Explorer<'p> {
                 cuts = self.enc.model.num_constrs() - self.baseline_constrs,
             );
             // Dual-simplex warm start from the previous iteration's optimal
-            // basis: each iteration only appends cut rows, so the old basis
-            // repairs cheaply. Never changes the outcome, only the work.
+            // basis when warm starts are on: each iteration only appends cut
+            // rows, so the old basis repairs cheaply.
             contrarc_milp::Solver::new(solve_options)
                 .solve_with_state(&self.enc.model, self.warm.as_ref())
         };

@@ -42,7 +42,6 @@ mod digraph;
 pub mod dot;
 pub mod iso;
 pub mod paths;
-pub mod scc;
 pub mod topo;
 
 pub use canon::{automorphisms, canonical_form, Automorphisms, CanonicalForm};

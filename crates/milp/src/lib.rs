@@ -49,10 +49,8 @@
 mod constraint;
 pub mod encode;
 mod error;
-pub mod export;
 mod expr;
 mod model;
-pub mod parse;
 mod presolve;
 mod solution;
 pub(crate) mod solver;

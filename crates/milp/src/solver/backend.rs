@@ -1,20 +1,23 @@
-//! The [`SolverBackend`] abstraction: one LP solve over a [`StandardForm`],
-//! with optional warm starting from a [`BasisSnapshot`].
+//! One LP solve over a [`StandardForm`], with optional warm starting from a
+//! [`BasisSnapshot`]: [`solve_lp`] runs the engine selected by
+//! [`SolveOptions::backend`].
 //!
-//! Two backends implement it:
+//! Two engines implement [`LpEngine`]:
 //!
-//! * [`Revised`] — the default: a revised simplex with a sparse LU-factorized
-//!   basis, product-form eta updates, periodic refactorization, and a dual
-//!   simplex entry point for warm starts (see the `revised` module).
-//! * [`DenseTableau`] — the original dense explicit-inverse simplex, kept for
-//!   differential testing (see the `simplex` module).
+//! * `RevisedSimplex` — the default: a revised simplex with a sparse
+//!   LU-factorized basis, product-form eta updates, periodic
+//!   refactorization, and a dual simplex entry point for warm starts (see the
+//!   `revised` module).
+//! * `Simplex` — the original dense explicit-inverse tableau, kept as the
+//!   reference the differential tests check the revised engine against (see
+//!   the `simplex` module).
 //!
 //! Both engines share the LP-level vocabulary defined here ([`LpOutcome`],
 //! [`BasisSnapshot`], the pivot tolerances) and are driven through the same
-//! [`drive`] logic: try the warm path when a usable snapshot is offered, fall
-//! back to a cold solve otherwise, settle the pivot budget at the LP
-//! boundary, and report what happened so callers can emit metrics at
-//! deterministic commit points.
+//! [`drive`] logic: try the warm path when warm starts are on and a snapshot
+//! is offered, fall back to a cold solve otherwise, settle the pivot budget
+//! at the LP boundary, and report what happened so callers can emit metrics
+//! at deterministic commit points.
 
 use crate::error::SolveError;
 use crate::solver::budget::Deadline;
@@ -169,7 +172,8 @@ pub(crate) struct LpRequest<'a> {
 pub(crate) struct LpSolve {
     pub result: Result<LpOutcome, SolveError>,
     pub pivots: u64,
-    /// Optimal basis for future warm starts (only on an optimal outcome).
+    /// Optimal basis for future warm starts (only on an optimal outcome
+    /// with warm starts on).
     pub basis: Option<Arc<BasisSnapshot>>,
     /// A warm start was attempted (a snapshot was offered and enabled).
     pub warm_attempted: bool,
@@ -202,20 +206,6 @@ pub(crate) trait LpEngine<'a>: Sized {
     fn refactor_reuses(&self) -> u64 {
         0
     }
-}
-
-/// An LP solving strategy over a [`StandardForm`].
-///
-/// The trait is deliberately minimal — one entry point consuming an
-/// [`LpRequest`] — so backends can be slotted in and differential-tested
-/// against each other (see `solver::differential`).
-pub(crate) trait SolverBackend: std::fmt::Debug + Sync {
-    /// Human-readable backend name (used in differential-test labels).
-    #[cfg_attr(not(test), allow(dead_code))]
-    fn name(&self) -> &'static str;
-    /// Solve one LP, warm-starting when the request carries a usable
-    /// snapshot and falling back to a cold solve otherwise.
-    fn solve_lp(&self, req: &LpRequest<'_>) -> LpSolve;
 }
 
 /// Shared warm-or-cold control flow for any [`LpEngine`].
@@ -262,8 +252,10 @@ fn drive<'a, E: LpEngine<'a>>(req: &LpRequest<'a>) -> LpSolve {
         .opts
         .budget
         .charge_pivots(engine.take_uncharged_pivots());
+    // Only a warm start can use the basis, so the cold default skips the
+    // snapshot.
     let basis = match &lp_result {
-        Ok(LpOutcome::Optimal { .. }) => engine.snapshot().map(Arc::new),
+        Ok(LpOutcome::Optimal { .. }) if req.opts.warm_start => engine.snapshot().map(Arc::new),
         _ => None,
     };
     let result = match charged {
@@ -281,39 +273,13 @@ fn drive<'a, E: LpEngine<'a>>(req: &LpRequest<'a>) -> LpSolve {
     }
 }
 
-/// The revised simplex backend (LU-factorized basis, eta updates, dual
-/// simplex warm starts).
-#[derive(Debug)]
-pub(crate) struct Revised;
-
-impl SolverBackend for Revised {
-    fn name(&self) -> &'static str {
-        "revised"
-    }
-    fn solve_lp(&self, req: &LpRequest<'_>) -> LpSolve {
-        drive::<RevisedSimplex>(req)
-    }
-}
-
-/// The dense explicit-inverse tableau backend (the original engine), kept as
-/// a differential-testing reference.
-#[derive(Debug)]
-pub(crate) struct DenseTableau;
-
-impl SolverBackend for DenseTableau {
-    fn name(&self) -> &'static str {
-        "dense-tableau"
-    }
-    fn solve_lp(&self, req: &LpRequest<'_>) -> LpSolve {
-        drive::<Simplex>(req)
-    }
-}
-
-/// Resolve the backend selected by the options.
-pub(crate) fn backend_for(opts: &SolveOptions) -> &'static dyn SolverBackend {
-    match opts.backend {
-        LpBackend::Revised => &Revised,
-        LpBackend::DenseTableau => &DenseTableau,
+/// Solve one LP with the engine selected by `opts.backend`, warm-starting
+/// when the request carries a usable snapshot and falling back to a cold
+/// solve otherwise.
+pub(crate) fn solve_lp(req: &LpRequest<'_>) -> LpSolve {
+    match req.opts.backend {
+        LpBackend::Revised => drive::<RevisedSimplex>(req),
+        LpBackend::DenseTableau => drive::<Simplex>(req),
     }
 }
 

@@ -30,7 +30,7 @@ use crate::error::SolveError;
 use crate::model::Model;
 use crate::presolve;
 use crate::solution::{Outcome, Solution, SolveStats};
-use crate::solver::backend::{backend_for, LpRequest};
+use crate::solver::backend::{solve_lp, LpRequest};
 use crate::solver::budget::Deadline;
 use crate::solver::{BasisSnapshot, LpOutcome, SolveOptions};
 use crate::standard_form::StandardForm;
@@ -142,7 +142,7 @@ fn eval_node(
 ) -> NodeEval {
     let mut lp_span = contrarc_obs::span!("milp.lp");
     let sf = sf_root.rebind(lbs, ubs);
-    let solve = backend_for(opts).solve_lp(&LpRequest {
+    let solve = solve_lp(&LpRequest {
         sf: &sf,
         opts,
         deadline,
@@ -231,8 +231,8 @@ fn prefetch_wave(
 /// a basis of a *previous* solve of a monotonically grown model (the cut
 /// loop); it is remapped to this model's shape and silently dropped when it
 /// does not fit. Returns the outcome together with the basis of the final
-/// incumbent (root basis when no incumbent improved on it), for the caller to
-/// feed into the next solve.
+/// incumbent (root basis when no incumbent improved on it; `None` with warm
+/// starts off), for the caller to feed into the next solve.
 pub(crate) fn solve(
     model: &Model,
     opts: &SolveOptions,
@@ -478,6 +478,7 @@ pub(crate) fn solve_traced(
                     ubs_fix[vi] = r;
                 }
                 if exact {
+                    check_rows(model, &values)?;
                     let objective = sf_root.model_objective(min_obj);
                     contrarc_obs::event!("milp.incumbent", objective = objective);
                     contrarc_obs::metrics::counter_add("milp.incumbents", 1);
@@ -493,7 +494,7 @@ pub(crate) fn solve_traced(
                     }
                 } else {
                     let sf_fix = sf_root.rebind(&lbs_fix, &ubs_fix);
-                    let fixed = backend_for(opts).solve_lp(&LpRequest {
+                    let fixed = solve_lp(&LpRequest {
                         sf: &sf_fix,
                         opts,
                         deadline,
@@ -526,6 +527,7 @@ pub(crate) fn solve_traced(
                                 for &vi in &int_vars {
                                     vals[vi] = vals[vi].round();
                                 }
+                                check_rows(model, &vals)?;
                                 let objective = sf_fix.model_objective(fobj);
                                 contrarc_obs::event!("milp.incumbent", objective = objective);
                                 contrarc_obs::metrics::counter_add("milp.incumbents", 1);
@@ -644,11 +646,35 @@ fn most_fractional(
     best
 }
 
+/// Relative tolerance of the incumbent row check: a row may miss its
+/// right-hand side by at most `ROW_TOL · (1 + |rhs|)` in model units.
+const ROW_TOL: f64 = 1e-6;
+
+/// Check an incumbent against the model's own (unscaled) rows. The simplex
+/// judges feasibility on the equilibrated standard form with its own
+/// tolerances, and on rare ill-conditioned bases the point it reports as
+/// optimal misses a model row by far more than `feas_tol`. A violating
+/// incumbent is reported as a numerical failure, so the solver's retry
+/// ladder re-solves with safer settings instead of returning an infeasible
+/// "optimum".
+fn check_rows(model: &Model, values: &[f64]) -> Result<(), SolveError> {
+    for c in model.constrs() {
+        let violation = c.violation(values);
+        if violation > ROW_TOL * (1.0 + c.rhs.abs()) {
+            return Err(SolveError::Numerical(format!(
+                "incumbent violates row `{}` by {violation:e}",
+                c.name
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Push the down (`x ≤ ⌊v⌋`) and up (`x ≥ ⌊v⌋+1`) children of a node. Each
 /// child extends the parent's branching chain by one step; `bounds` is the
 /// parent's materialized bounds, used only for child-feasibility checks.
-/// Children carry the parent's basis for dual-simplex warm starts only under
-/// [`SolveOptions::node_warm_start`].
+/// Children carry the parent's basis for dual-simplex warm starts; it is
+/// present only under [`SolveOptions::warm_start`].
 #[allow(clippy::too_many_arguments)]
 fn push_children(
     heap: &mut BinaryHeap<HeapEntry>,
@@ -662,7 +688,6 @@ fn push_children(
     next_seq: &mut u64,
 ) {
     let (lbs, ubs) = bounds;
-    let warm = if opts.node_warm_start { warm } else { &None };
     let floor = x.floor();
     if floor >= lbs[vi] - opts.int_tol {
         let mut steps = node.steps.clone();
@@ -936,7 +961,6 @@ mod tests {
                 &m,
                 &SolveOptions {
                     warm_start: true,
-                    node_warm_start: true,
                     ..SolveOptions::default()
                 },
                 None,

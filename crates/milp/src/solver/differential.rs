@@ -7,7 +7,7 @@
 //! incumbent trajectory (the bound/prune/branch trajectory is a function of
 //! the LP values, so agreeing incumbents pin far more than the final answer).
 
-use crate::solver::backend::{backend_for, LpRequest};
+use crate::solver::backend::{solve_lp, LpRequest};
 use crate::solver::budget::Deadline;
 use crate::solver::{branch_bound, LpBackend, LpOutcome, SolveOptions};
 use crate::standard_form::StandardForm;
@@ -108,7 +108,7 @@ mod tests {
     use super::*;
 
     /// Both backends agree on the optimum of raw LP relaxations, driven
-    /// directly through the backend trait (no branch-and-bound smoothing).
+    /// directly through `solve_lp` (no branch-and-bound smoothing).
     #[test]
     fn lp_optima_agree_across_backends() {
         for seed in 0..40u64 {
@@ -119,26 +119,25 @@ mod tests {
             let mut objs = Vec::new();
             for backend in [LpBackend::Revised, LpBackend::DenseTableau] {
                 let opts = opts_for(backend);
-                let solve = backend_for(&opts).solve_lp(&LpRequest {
+                let solve = solve_lp(&LpRequest {
                     sf: &sf,
                     opts: &opts,
                     deadline: Deadline::unlimited(),
                     warm: None,
                 });
-                let name = backend_for(&opts).name();
                 match solve
                     .result
-                    .unwrap_or_else(|e| panic!("seed {seed}: backend {name} errored: {e}"))
+                    .unwrap_or_else(|e| panic!("seed {seed}: backend {backend:?} errored: {e}"))
                 {
-                    LpOutcome::Optimal { min_obj, .. } => objs.push((name, min_obj)),
-                    other => panic!("seed {seed}: backend {name} returned {other:?}"),
+                    LpOutcome::Optimal { min_obj, .. } => objs.push((backend, min_obj)),
+                    other => panic!("seed {seed}: backend {backend:?} returned {other:?}"),
                 }
             }
-            let (n0, o0) = objs[0];
-            let (n1, o1) = objs[1];
+            let (b0, o0) = objs[0];
+            let (b1, o1) = objs[1];
             assert!(
                 (o0 - o1).abs() <= 1e-6 * (1.0 + o0.abs()),
-                "seed {seed}: {n0} found {o0}, {n1} found {o1}"
+                "seed {seed}: {b0:?} found {o0}, {b1:?} found {o1}"
             );
         }
     }
@@ -150,12 +149,11 @@ mod tests {
     fn milp_incumbent_trajectories_agree_across_backends() {
         for seed in 0..25u64 {
             let m = random_milp(seed);
-            for (warm_start, node_warm_start) in [(false, false), (true, false), (true, true)] {
+            for warm_start in [false, true] {
                 let mut runs = Vec::new();
                 for backend in [LpBackend::Revised, LpBackend::DenseTableau] {
                     let opts = SolveOptions {
                         warm_start,
-                        node_warm_start,
                         ..opts_for(backend)
                     };
                     let mut traj = Vec::new();
@@ -199,7 +197,6 @@ mod tests {
             let solve_with = |warm_start: bool| {
                 let opts = SolveOptions {
                     warm_start,
-                    node_warm_start: warm_start,
                     ..opts_for(LpBackend::Revised)
                 };
                 branch_bound::solve(&m, &opts, None)

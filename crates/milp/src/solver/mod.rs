@@ -37,9 +37,9 @@ pub enum LpBackend {
 /// Opaque reusable solver state: the optimal basis of a previous solve,
 /// usable to warm-start a later solve of the *same model grown monotonically*
 /// (bounds changed, cut rows and auxiliary columns appended — the exploration
-/// cut-loop pattern). Obtained from [`Solver::solve_with_state`]; treat it as
-/// a black box. Warm-starting never changes results, only the work done to
-/// reach them: an unusable state silently falls back to a cold solve.
+/// cut-loop pattern). Obtained from [`Solver::solve_with_state`] when
+/// [`SolveOptions::warm_start`] is on; treat it as a black box. An unusable
+/// state silently falls back to a cold solve.
 #[derive(Debug, Clone)]
 pub struct WarmStart {
     pub(crate) snap: Arc<BasisSnapshot>,
@@ -82,26 +82,17 @@ pub struct SolveOptions {
     pub force_bland: bool,
     /// Whether to run the presolve pass before solving.
     pub presolve: bool,
-    /// Master switch for dual-simplex warm starts (falls back to a cold
-    /// solve on any trouble). With only this on (the default), warm starts
-    /// apply at the *root* relaxation — the cut-loop pattern served by
-    /// [`Solver::solve_with_state`] — and are reproducibility-safe by
-    /// construction: a warm finish is accepted only when the optimum is
-    /// primal- and dual-nondegenerate, which forces the same final basis —
-    /// hence bit-identical values — a cold solve reaches. Ambiguous optima
-    /// (routine on symmetric models, whose symmetry-breaking rows sit tight
-    /// at symmetric-tied optima) fall back to a cold solve.
+    /// Dual-simplex warm starts (off by default; any trouble falls back to a
+    /// cold solve). The root relaxation starts from the [`WarmStart`] passed
+    /// to [`Solver::solve_with_state`] — the cut-loop pattern — and every
+    /// branch-and-bound child starts from its parent's optimal basis. This
+    /// saves several-fold in pivots on the exploration workloads (see
+    /// `BENCH_explore.json`), and the committed trajectory stays identical at
+    /// any thread count — but on models with many equally-optimal solutions
+    /// the dual repair can land on a different optimal vertex than a cold
+    /// solve, so the search may surface a *different equally-optimal*
+    /// incumbent than a cold run would. That is why it is opt-in.
     pub warm_start: bool,
-    /// Additionally warm-start every branch-and-bound child from its
-    /// parent's optimal basis (requires `warm_start`). This is the deepest
-    /// pivot saver (several-fold on the exploration workloads; see
-    /// `BENCH_explore.json`), and the committed trajectory remains identical
-    /// at any thread count — but on models with many equally-optimal
-    /// solutions the search may surface a *different equally-optimal*
-    /// incumbent than a cold run would, so it is opt-in rather than the
-    /// default.
-    #[serde(default)]
-    pub node_warm_start: bool,
     /// Which LP engine solves the relaxations.
     #[serde(default)]
     pub backend: LpBackend,
@@ -143,8 +134,7 @@ impl Default for SolveOptions {
             budget: Budget::unlimited(),
             force_bland: false,
             presolve: true,
-            warm_start: true,
-            node_warm_start: false,
+            warm_start: false,
             backend: LpBackend::default(),
             refactor_every: default_refactor_every(),
             objective_floor: None,
@@ -238,11 +228,13 @@ impl Solver {
     /// sequence of solves (the exploration cut loop: each iteration only
     /// appends cut rows and auxiliary columns). Pass the [`WarmStart`]
     /// returned by the previous solve; an incompatible or unusable state is
-    /// silently ignored (cold solve). The returned state is `None` when the
-    /// outcome was not optimal or no clean basis was available.
+    /// silently ignored (cold solve). The returned state is `None` when
+    /// [`SolveOptions::warm_start`] is off, the outcome was not optimal, or
+    /// no clean basis was available.
     ///
-    /// Warm starting is an acceleration only: the outcome is the same as
-    /// [`Solver::solve`]'s.
+    /// With warm starts off this is exactly [`Solver::solve`]. With them on
+    /// the optimum is the same, but on ties it may be a different
+    /// equally-optimal solution (see [`SolveOptions::warm_start`]).
     ///
     /// # Errors
     ///

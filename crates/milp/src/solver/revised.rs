@@ -16,18 +16,15 @@
 //! Refactorization processes basis columns in a canonical order — ascending
 //! `(nonzero count, column index)` — so the factors depend only on the *set*
 //! of basic columns. On top of that, every optimal finish refactorizes and
-//! recomputes the basic values from scratch before extracting the solution,
-//! which makes the reported values a pure function of `(basis, nonbasic
-//! states, standard form)`: a warm-started solve that lands on the same
-//! optimal basis as a cold solve reports bit-identical values. Under the
-//! default root-only warm starts, a warm solve is only allowed to finish
-//! when that landing is forced — the optimum must be primal- and
-//! dual-nondegenerate (see `optimum_is_unambiguous`), and an ambiguous
-//! optimum falls back to a cold solve. This is the property the exploration
-//! layer's warm-vs-cold bit-identity test pins, and it survives
-//! symmetry-breaking rows, which are routinely tight at symmetric optima.
-//! Opt-in node warm starts ([`SolveOptions::node_warm_start`]) skip the
-//! check and accept the weaker tie guarantee documented on that flag.
+//! recomputes the basic values from scratch before extracting the solution
+//! (`finalize_canonical`), which makes the reported values a pure function
+//! of `(basis, nonbasic states, standard form)` rather than of the eta
+//! history that reached the basis. Cold-solve bits are defined by that
+//! finish, and a warm-started solve that lands on the same optimal basis as
+//! a cold solve reports bit-identical values. On an LP with several optimal
+//! bases the dual repair of a warm start may land on a different one than
+//! the cold path: opt-in warm starts ([`SolveOptions::warm_start`]) accept
+//! the weaker tie guarantee documented on that flag.
 
 use crate::error::SolveError;
 use crate::solver::backend::{
@@ -185,66 +182,10 @@ impl<'a> RevisedSimplex<'a> {
         match self.iterate()? {
             IterEnd::Optimal => {
                 self.finalize_canonical();
-                if !self.opts.node_warm_start && !self.optimum_is_unambiguous() {
-                    return Ok(None);
-                }
                 Ok(Some(self.finish_optimal()))
             }
             IterEnd::Unbounded => Ok(Some(LpOutcome::Unbounded)),
         }
-    }
-
-    /// Whether the optimum just reached is the *only* optimal `(basis,
-    /// states)` pair, making a warm-started finish provably bit-identical to
-    /// a cold solve of the same LP.
-    ///
-    /// Warm and cold solves pivot along different paths, so on an LP with
-    /// several optimal bases they can finish on different ones — and the
-    /// extracted values, while equal as real numbers, need not match bit for
-    /// bit. The exploration layer pins warm-vs-cold *bit* identity, so a
-    /// warm finish is only accepted when the optimal basis is unique:
-    ///
-    /// * every basic value sits strictly inside its bounds (primal
-    ///   nondegeneracy — the vertex determines the basis), and
-    /// * every nonbasic column that can move prices out strictly (dual
-    ///   nondegeneracy — the optimal vertex is unique).
-    ///
-    /// Anything ambiguous returns `false` and the caller falls back to a
-    /// cold solve (counted as `milp.warm_start_cold_falls`). Symmetric
-    /// models are the common source of ambiguity: their symmetry-breaking
-    /// rows sit tight at symmetric-tied optima. The check guards the
-    /// default root-only warm starts; opt-in node warm starts skip it and
-    /// accept [`SolveOptions::node_warm_start`]'s weaker tie guarantee.
-    fn optimum_is_unambiguous(&mut self) -> bool {
-        let ptol = self.opts.feas_tol.max(1e-9);
-        for r in 0..self.m {
-            let j = self.basis[r];
-            let lb = self.col_lower(j);
-            let ub = self.col_upper(j);
-            let x = self.xb[r];
-            if (lb.is_finite() && x - lb <= ptol) || (ub.is_finite() && ub - x <= ptol) {
-                return false;
-            }
-        }
-        let dtol = self.opts.dual_tol.max(1e-9);
-        let y = self.btran_costs();
-        for j in 0..self.total_cols {
-            if matches!(self.state[j], ColState::Basic(_)) {
-                continue;
-            }
-            // Columns fixed by their bounds cannot enter any basis.
-            if self.col_lower(j) == self.col_upper(j) {
-                continue;
-            }
-            let mut dj = self.costs[j];
-            for (r, a) in self.gather_col(j) {
-                dj -= y[r] * a;
-            }
-            if dj.abs() <= dtol {
-                return false;
-            }
-        }
-        true
     }
 
     /// Canonical finish: collapse the eta file into a fresh factorization and

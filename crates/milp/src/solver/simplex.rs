@@ -214,49 +214,9 @@ impl<'a> Simplex<'a> {
         }
         // Primal cleanup: certify optimality (usually zero pivots).
         match self.iterate()? {
-            IterEnd::Optimal => {
-                if !self.opts.node_warm_start && !self.optimum_is_unambiguous() {
-                    return Ok(None);
-                }
-                Ok(Some(self.finish_optimal()))
-            }
+            IterEnd::Optimal => Ok(Some(self.finish_optimal())),
             IterEnd::Unbounded => Ok(Some(LpOutcome::Unbounded)),
         }
-    }
-
-    /// Whether the optimum just reached is the only optimal `(basis, states)`
-    /// pair — primal nondegenerate (every basic value strictly inside its
-    /// bounds) and dual nondegenerate (every movable nonbasic column prices
-    /// out strictly). Warm-started finishes on ambiguous optima are rejected
-    /// so the caller cold-solves instead, keeping warm-vs-cold runs
-    /// bit-identical; see the revised engine's twin of this check for the
-    /// full rationale.
-    fn optimum_is_unambiguous(&self) -> bool {
-        let ptol = self.opts.feas_tol.max(1e-9);
-        for r in 0..self.m {
-            let j = self.basis[r];
-            let lb = self.col_lower(j);
-            let ub = self.col_upper(j);
-            let x = self.xb[r];
-            if (lb.is_finite() && x - lb <= ptol) || (ub.is_finite() && ub - x <= ptol) {
-                return false;
-            }
-        }
-        let dtol = self.opts.dual_tol.max(1e-9);
-        let y = self.btran_costs();
-        for j in 0..self.total_cols {
-            if matches!(self.state[j], ColState::Basic(_)) {
-                continue;
-            }
-            if self.col_lower(j) == self.col_upper(j) {
-                continue;
-            }
-            let dj = self.costs[j] - self.col_dot(&y, j);
-            if dj.abs() <= dtol {
-                return false;
-            }
-        }
-        true
     }
 
     /// Install a snapshot: set states, rebuild `B⁻¹` by Gauss–Jordan

@@ -119,7 +119,10 @@ fn warm_started_solves_survive_mid_sequence_faults() {
     for backend in BACKENDS {
         let mut m = knapsack();
         let plan = FaultPlan::new().inject_at(2, FaultKind::Numerical);
-        let solver = Solver::new(opts(backend, plan));
+        let solver = Solver::new(SolveOptions {
+            warm_start: true,
+            ..opts(backend, plan)
+        });
         let (out, mut warm) = solver.solve_with_state(&m, None).unwrap();
         assert!((out.expect_optimal().unwrap().objective() - 15.0).abs() < 1e-6);
 

@@ -550,7 +550,12 @@ impl JobServer {
 
 impl Drop for JobServer {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
+        // Set the flag under the state lock, which workers hold while they
+        // read it before waiting on `wake`, so none can miss the notify.
+        {
+            let _state = lock(&self.inner.state);
+            self.inner.shutdown.store(true, Ordering::Release);
+        }
         self.inner.wake.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
