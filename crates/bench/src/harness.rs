@@ -31,22 +31,25 @@ fn limited_explorer(mut cfg: ExplorerConfig) -> ExplorerConfig {
     cfg
 }
 
+/// The result of a run under the wall-clock budget; `None` means a solve
+/// exhausted its budget before an answer. Any other error panics, naming
+/// `what` failed.
+fn within_budget<T>(result: Result<T, ExploreError>, what: &str) -> Option<T> {
+    match result {
+        Ok(x) => Some(x),
+        Err(ExploreError::Solve(
+            SolveError::TimeLimit { .. }
+            | SolveError::IterationLimit { .. }
+            | SolveError::NodeLimit { .. },
+        )) => None,
+        Err(e) => panic!("{what} failed: {e}"),
+    }
+}
+
 /// Run an exploration under the wall-clock budget; `None` means the budget
 /// was exhausted before an answer.
 fn explore_limited(problem: &Problem, cfg: &ExplorerConfig) -> Option<Exploration> {
-    match explore(problem, cfg) {
-        Ok(e) => Some(e),
-        Err(
-            ExploreError::Solve(
-                SolveError::TimeLimit { .. }
-                | SolveError::IterationLimit { .. }
-                | SolveError::NodeLimit { .. },
-            )
-            | ExploreError::TimeLimit { .. }
-            | ExploreError::IterationLimit { .. },
-        ) => None,
-        Err(e) => panic!("exploration failed: {e}"),
-    }
+    within_budget(explore(problem, cfg), "exploration")
 }
 
 /// One point of the Fig. 5(a) sweep.
@@ -75,19 +78,10 @@ pub fn run_fig5a(ns: &[usize]) -> Vec<Fig5aRow> {
         .map(|&n| {
             let problem = build_rpl(&RplConfig::symmetric(n), RplLines::Both);
             let contrarc = explore_limited(&problem, &limited_explorer(ExplorerConfig::complete()));
-            let archex = match solve_monolithic(&problem, &limited_solve_options()) {
-                Ok(e) => Some(e),
-                Err(
-                    ExploreError::Solve(
-                        SolveError::TimeLimit { .. }
-                        | SolveError::IterationLimit { .. }
-                        | SolveError::NodeLimit { .. },
-                    )
-                    | ExploreError::TimeLimit { .. }
-                    | ExploreError::IterationLimit { .. },
-                ) => None,
-                Err(e) => panic!("baseline solve failed: {e}"),
-            };
+            let archex = within_budget(
+                solve_monolithic(&problem, &limited_solve_options()),
+                "baseline solve",
+            );
             Fig5aRow {
                 n,
                 contrarc_time: contrarc
@@ -173,32 +167,8 @@ pub fn run_fig5b(ns: &[usize]) -> Vec<Fig5bRow> {
                 ..RplConfig::default()
             };
             let cfg = limited_explorer(ExplorerConfig::complete());
-            let mono = match explore_monolithic(&config, &cfg) {
-                Ok(e) => Some(e),
-                Err(
-                    ExploreError::Solve(
-                        SolveError::TimeLimit { .. }
-                        | SolveError::IterationLimit { .. }
-                        | SolveError::NodeLimit { .. },
-                    )
-                    | ExploreError::TimeLimit { .. }
-                    | ExploreError::IterationLimit { .. },
-                ) => None,
-                Err(e) => panic!("monolithic failed: {e}"),
-            };
-            let dec = match explore_decomposed(&config, &cfg) {
-                Ok(d) => Some(d),
-                Err(
-                    ExploreError::Solve(
-                        SolveError::TimeLimit { .. }
-                        | SolveError::IterationLimit { .. }
-                        | SolveError::NodeLimit { .. },
-                    )
-                    | ExploreError::TimeLimit { .. }
-                    | ExploreError::IterationLimit { .. },
-                ) => None,
-                Err(e) => panic!("decomposed failed: {e}"),
-            };
+            let mono = within_budget(explore_monolithic(&config, &cfg), "monolithic");
+            let dec = within_budget(explore_decomposed(&config, &cfg), "decomposed");
             Fig5bRow {
                 n,
                 monolithic_time: mono

@@ -45,7 +45,9 @@ pub struct ExplorerConfig {
     /// MILP solver options (shared by candidate selection and refinement
     /// queries).
     pub solve_options: SolveOptions,
-    /// Cap on path enumeration during compositional checking.
+    /// Cap on path enumeration during compositional checking. A candidate
+    /// with that many paths, all of which hold, has its timing checked
+    /// monolithically.
     pub max_paths: usize,
     /// Symmetry-aware exploration knobs: orbit-pruned certificate matching
     /// and orbit-based symmetry-breaking rows in the Problem-2 MILP. Both
@@ -138,9 +140,10 @@ pub struct ExplorationStats {
     pub cert_time: f64,
     /// Total wall-clock seconds.
     pub total_time: f64,
-    /// Refinement checks answered by the canonical-form verdict cache.
+    /// Path timing checks answered by the refinement-verdict cache.
     pub cache_hits: u64,
-    /// Refinement checks that had to be solved fresh (and were then cached).
+    /// Path timing checks that had to be solved fresh (and were then
+    /// cached).
     pub cache_misses: u64,
 }
 
@@ -481,26 +484,13 @@ impl Exploration {
 
 /// Errors of the exploration loop.
 ///
-/// Since the introduction of graceful degradation, exhausted iteration/time
-/// budgets are **not** errors anymore: they surface as
-/// [`Exploration::Partial`] (or [`Step::Exhausted`]). The `IterationLimit`
-/// and `TimeLimit` variants are kept for downstream matches but no longer
-/// constructed by [`explore`].
+/// Exhausted iteration/time budgets are **not** errors: they surface as
+/// [`Exploration::Partial`] (or [`Step::Exhausted`]).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ExploreError {
     /// An underlying MILP/encoding failure.
     Solve(SolveError),
-    /// The iteration cap was reached before convergence.
-    IterationLimit {
-        /// The configured cap.
-        limit: usize,
-    },
-    /// The exploration's wall-clock budget was exhausted.
-    TimeLimit {
-        /// The configured budget in seconds.
-        limit_secs: f64,
-    },
     /// A checkpoint was taken from a different problem or configuration than
     /// the one it is being resumed against.
     CheckpointMismatch {
@@ -521,12 +511,6 @@ impl fmt::Display for ExploreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExploreError::Solve(e) => write!(f, "exploration failed: {e}"),
-            ExploreError::IterationLimit { limit } => {
-                write!(f, "exploration iteration limit of {limit} exceeded")
-            }
-            ExploreError::TimeLimit { limit_secs } => {
-                write!(f, "exploration time budget of {limit_secs} s exhausted")
-            }
             ExploreError::CheckpointMismatch { expected, found } => write!(
                 f,
                 "checkpoint fingerprint {expected:016x} does not match problem/config {found:016x}"
@@ -659,7 +643,7 @@ pub struct Explorer<'p> {
     /// FNV-1a fingerprint of the baseline encoding + pruning configuration,
     /// used to validate checkpoints.
     fingerprint: u64,
-    /// Canonical-form refinement-verdict cache, shared by every iteration.
+    /// Path refinement-verdict cache, shared by every iteration.
     cache: RefinementCache,
     /// Cache counters restored from a checkpoint; the stats report
     /// `prior + cache counters` (the cache itself restarts empty on resume).
@@ -953,7 +937,7 @@ impl<'p> Explorer<'p> {
         &self.budget
     }
 
-    /// The canonical-form refinement-verdict cache. Its counters are also
+    /// The path refinement-verdict cache. Its counters are also
     /// mirrored into [`ExplorationStats`] after every refinement phase.
     #[must_use]
     pub fn refinement_cache(&self) -> &RefinementCache {
@@ -1065,7 +1049,7 @@ impl<'p> Explorer<'p> {
         self.incumbent = Some(arch.clone());
 
         // Problem 3: refinement verification (parallel per-path wave, with
-        // verdicts memoized by the canonical form of the checked scope).
+        // path verdicts memoized by the path's label sequence).
         let t1 = Instant::now();
         let violations = {
             let _refine_span = contrarc_obs::span!("explore.refine");
@@ -1080,8 +1064,8 @@ impl<'p> Explorer<'p> {
         self.stats.refine_time += t1.elapsed().as_secs_f64();
         self.stats.cache_hits = self.prior_cache_hits + self.cache.hits();
         self.stats.cache_misses = self.prior_cache_misses + self.cache.misses();
-        // The refine wave dedups by canonical scope before inserting, so the
-        // entry count after it settles is thread-count invariant.
+        // The refine wave dedups by path key before inserting, so the entry
+        // count after it settles is thread-count invariant.
         contrarc_obs::metrics::gauge_set("refine.cache_entries", self.cache.len() as i64);
         let violations = match violations {
             Ok(v) => v,

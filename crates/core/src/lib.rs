@@ -18,7 +18,7 @@
 //! 2. **Refinement verification** (Problem 3 / Algorithm 1): the composition
 //!    of component contracts is checked against each system-level contract,
 //!    compositionally along source→sink paths for path-specific viewpoints —
-//!    [`refinement::check_candidate`].
+//!    [`refinement::check_candidate_all_cached`].
 //! 3. **Certificate generation** (Problem 4 / Algorithm 2): a failed
 //!    refinement yields an invalid sub-architecture; *all* of its
 //!    subgraph-isomorphic embeddings in the template are excluded at once,

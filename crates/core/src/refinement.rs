@@ -1,13 +1,13 @@
 //! Problem 3 / Algorithm 1: (compositional) contract refinement verification
 //! of a candidate architecture against the system-level contracts.
 
-use crate::candidate::{ArchNode, Architecture};
+use crate::candidate::Architecture;
 use crate::gen::{build_flow_model, build_timing_model, CheckModel};
 use crate::problem::Problem;
 use crate::viewpoint::Viewpoint;
 use contrarc_contracts::RefinementChecker;
 use contrarc_graph::paths::all_simple_paths;
-use contrarc_graph::{canonical_form, DiGraph, NodeId};
+use contrarc_graph::NodeId;
 use contrarc_milp::SolveError;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -59,7 +59,9 @@ pub struct RefinementConfig {
     /// `false`, every viewpoint is checked monolithically on the whole
     /// architecture.
     pub compositional: bool,
-    /// Cap on path enumeration (safety valve).
+    /// Cap on path enumeration (safety valve). When an enumeration reaches
+    /// it and every enumerated path holds, the monolithic check decides
+    /// timing.
     pub max_paths: usize,
     /// Worker threads for per-path refinement checks in the collect-all mode
     /// (`0` = all available cores). Any value yields the same violations,
@@ -78,23 +80,21 @@ impl Default for RefinementConfig {
     }
 }
 
-/// Cache-key tag: compositional timing check of one source→sink path.
-const KEY_TIMING_PATH: u8 = 0;
-/// Cache-key tag: monolithic timing check of the whole architecture.
-const KEY_TIMING_WHOLE: u8 = 1;
-/// Cache-key tag: flow check of the whole architecture.
-const KEY_FLOW: u8 = 2;
-
-/// A memo of refinement verdicts keyed by the *canonical form* of the checked
-/// sub-architecture.
+/// A memo of compositional timing verdicts keyed by the checked path's
+/// `(type, implementation)` label sequence.
 ///
-/// Every check model in this module is determined, up to a renaming of
-/// variables that cannot change the verdict, by (a) which kind of check it is
-/// and (b) the scope graph labeled with each node's
-/// `(type, implementation)` pair. Keying on
-/// [`canonical_form`] therefore reuses a verdict across *isomorphic* scopes:
-/// two different candidates that route through label-identical paths share
-/// one cached check, as do relabelings of the same candidate.
+/// A path-scoped timing model is determined, up to a renaming of variables
+/// that cannot change the verdict, by the labels of the path's nodes in path
+/// order, and two directed paths are label-isomorphic exactly when those
+/// sequences are equal. The label sequence is therefore a complete key: two
+/// different candidates that route through label-identical paths share one
+/// cached check, as do sibling paths of the same candidate.
+///
+/// Whole-architecture checks (flow, and timing when
+/// [`RefinementConfig::compositional`] is off) are not cached: every
+/// iteration selects a new candidate, so such a key almost never repeats,
+/// and canonicalizing the whole graph to compute one cost far more than the
+/// check it guarded.
 ///
 /// The cache is only sound for a fixed [`Problem`] (specs and library
 /// attributes are baked into the models but not the keys) — use one cache per
@@ -173,87 +173,35 @@ impl RefinementCache {
     }
 }
 
-/// The canonicalization label of a scope node: its `(type, implementation)`
-/// pair, rendered as bytes.
-fn scope_label(w: &ArchNode) -> Vec<u8> {
-    let mut b = Vec::with_capacity(8);
-    b.extend_from_slice(&w.ty.0.to_le_bytes());
-    b.extend_from_slice(&w.implementation.0.to_le_bytes());
-    b
-}
-
-/// Cache key for a path-scoped timing check: the canonical form of the
-/// labeled path chain.
+/// Cache key of a path-scoped timing check: each node's `(type,
+/// implementation)` pair as little-endian bytes, in path order. Every label
+/// has the same width, so equal keys mean equal label sequences.
 fn path_cache_key(arch: &Architecture, path: &[NodeId]) -> Vec<u8> {
-    let mut g: DiGraph<Vec<u8>, ()> = DiGraph::new();
-    let ids: Vec<NodeId> = path
-        .iter()
-        .map(|&n| g.add_node(scope_label(arch.graph().node_weight(n))))
-        .collect();
-    for w in ids.windows(2) {
-        g.add_edge(w[0], w[1], ());
+    let mut key = Vec::with_capacity(8 * path.len());
+    for &n in path {
+        let w = arch.graph().node_weight(n);
+        key.extend_from_slice(&w.ty.0.to_le_bytes());
+        key.extend_from_slice(&w.implementation.0.to_le_bytes());
     }
-    let mut key = vec![KEY_TIMING_PATH];
-    key.extend_from_slice(canonical_form(&g, Clone::clone).as_bytes());
     key
 }
 
-/// Cache key for a whole-architecture check: the canonical form of the full
-/// labeled candidate graph, tagged with the check kind.
-fn whole_cache_key(kind: u8, arch: &Architecture) -> Vec<u8> {
-    let g = arch.graph();
-    let mut h: DiGraph<Vec<u8>, ()> = DiGraph::new();
-    let ids: HashMap<NodeId, NodeId> = g
-        .nodes()
-        .map(|(n, w)| (n, h.add_node(scope_label(w))))
-        .collect();
-    for e in g.edges() {
-        h.add_edge(ids[&e.src], ids[&e.dst], ());
-    }
-    let mut key = vec![kind];
-    key.extend_from_slice(canonical_form(&h, Clone::clone).as_bytes());
-    key
-}
-
-/// Check a candidate architecture against every active system contract.
-/// Returns the first violation found, or `None` when all refinements hold
-/// (the candidate is the optimum).
+/// Check a candidate architecture against every active system contract and
+/// collect *every* violation: each violated source→sink path plus any
+/// whole-architecture failure. An empty result means all refinements hold
+/// (the candidate is the optimum). Cutting every violation in one
+/// exploration iteration prunes faster than stopping at the first.
 ///
-/// # Errors
+/// With a [`RefinementCache`], verdicts of label-identical paths are served
+/// from the cache instead of re-solved, and fresh path verdicts are stored
+/// for later calls; pass `None` to check without one. The returned
+/// violations are the same either way (the cache only ever replays a verdict
+/// the checker itself would produce).
 ///
-/// Propagates encoding/solver errors from the underlying refinement queries.
-pub fn check_candidate(
-    problem: &Problem,
-    arch: &Architecture,
-    config: &RefinementConfig,
-    checker: &RefinementChecker,
-) -> Result<Option<Violation>, SolveError> {
-    let found = check_candidate_inner(problem, arch, config, checker, true, None)?;
-    Ok(found.into_iter().next())
-}
-
-/// Like [`check_candidate`], but collect *every* violation (each violated
-/// path plus any whole-architecture failures) instead of stopping at the
-/// first. Cutting them all in one exploration iteration prunes faster while
-/// reaching the same optimum.
-///
-/// # Errors
-///
-/// Propagates encoding/solver errors from the underlying refinement queries.
-pub fn check_candidate_all(
-    problem: &Problem,
-    arch: &Architecture,
-    config: &RefinementConfig,
-    checker: &RefinementChecker,
-) -> Result<Vec<Violation>, SolveError> {
-    check_candidate_inner(problem, arch, config, checker, false, None)
-}
-
-/// Like [`check_candidate_all`], but with an optional [`RefinementCache`]:
-/// verdicts for canonically-identical scopes are served from the cache
-/// instead of re-solved, and fresh verdicts are stored for later calls. The
-/// returned violations are identical to the uncached call's (the cache only
-/// ever replays a verdict the checker itself would produce).
+/// If the path enumeration reaches `config.max_paths`, it may have left paths
+/// out. Violated enumerated paths are still reported; when there are none,
+/// the exact monolithic check decides timing and a failure is reported as
+/// [`ViolationScope::Whole`].
 ///
 /// # Errors
 ///
@@ -265,102 +213,63 @@ pub fn check_candidate_all_cached(
     checker: &RefinementChecker,
     cache: Option<&RefinementCache>,
 ) -> Result<Vec<Violation>, SolveError> {
-    check_candidate_inner(problem, arch, config, checker, false, cache)
-}
-
-fn check_candidate_inner(
-    problem: &Problem,
-    arch: &Architecture,
-    config: &RefinementConfig,
-    checker: &RefinementChecker,
-    stop_at_first: bool,
-    cache: Option<&RefinementCache>,
-) -> Result<Vec<Violation>, SolveError> {
     let mut out = Vec::new();
-    // Path-specific viewpoints first (d_p), then whole-architecture (d_o),
-    // mirroring Algorithm 1.
-    for vp in problem.spec.active_viewpoints() {
-        match vp {
-            Viewpoint::Interconnection => {
-                // Structural constraints are enforced exactly by the MILP.
-            }
+    // As in Algorithm 1: path-specific viewpoints (d_p) per source→sink
+    // path, whole-architecture ones (d_o) once.
+    for viewpoint in problem.spec.active_viewpoints() {
+        let holds = match viewpoint {
+            // Structural constraints are enforced exactly by the MILP.
+            Viewpoint::Interconnection => continue,
             Viewpoint::Timing if config.compositional => {
                 let sources = arch.source_nodes(problem);
                 let sinks = arch.sink_nodes(problem);
                 let paths = all_simple_paths(arch.graph(), &sources, &sinks, config.max_paths);
-                if stop_at_first {
-                    // Serial early-exit loop: preserves the historical "stop
-                    // at the first violated path" work profile.
-                    for path in paths {
-                        let holds = check_cached(
-                            cache,
-                            || path_cache_key(arch, &path),
-                            || check_timing_path(problem, arch, &path, checker),
-                        )?;
-                        if !holds {
-                            out.push(Violation {
-                                viewpoint: Viewpoint::Timing,
-                                scope: ViolationScope::Path(path),
-                            });
-                            return Ok(out);
-                        }
-                    }
-                } else {
-                    let verdicts = check_paths_wave(problem, arch, &paths, config, checker, cache)?;
-                    for (path, holds) in paths.into_iter().zip(verdicts) {
-                        if !holds {
-                            out.push(Violation {
-                                viewpoint: Viewpoint::Timing,
-                                scope: ViolationScope::Path(path),
-                            });
-                        }
-                    }
+                let capped = paths.len() >= config.max_paths;
+                let verdicts = check_paths_wave(problem, arch, &paths, config, checker, cache)?;
+                let found = out.len();
+                out.extend(
+                    paths
+                        .into_iter()
+                        .zip(verdicts)
+                        .filter(|&(_, holds)| !holds)
+                        .map(|(path, _)| Violation {
+                            viewpoint,
+                            scope: ViolationScope::Path(path),
+                        }),
+                );
+                if !capped || out.len() > found {
+                    continue;
                 }
+                // Every checked path holds, but a capped enumeration left
+                // paths unchecked: the exact monolithic check decides.
+                check_timing_whole(problem, arch, checker)?
             }
-            Viewpoint::Timing => {
-                let holds = check_cached(
-                    cache,
-                    || whole_cache_key(KEY_TIMING_WHOLE, arch),
-                    || {
-                        let nodes: Vec<NodeId> = arch.graph().node_ids().collect();
-                        let edges: Vec<(NodeId, NodeId)> =
-                            arch.graph().edges().map(|e| (e.src, e.dst)).collect();
-                        let sources = arch.source_nodes(problem);
-                        let sinks = arch.sink_nodes(problem);
-                        let model =
-                            build_timing_model(problem, arch, &nodes, &edges, &sources, &sinks);
-                        refines(&model, checker)
-                    },
-                )?;
-                if !holds {
-                    out.push(Violation {
-                        viewpoint: Viewpoint::Timing,
-                        scope: ViolationScope::Whole,
-                    });
-                    if stop_at_first {
-                        return Ok(out);
-                    }
-                }
-            }
-            Viewpoint::Flow => {
-                let holds = check_cached(
-                    cache,
-                    || whole_cache_key(KEY_FLOW, arch),
-                    || refines(&build_flow_model(problem, arch), checker),
-                )?;
-                if !holds {
-                    out.push(Violation {
-                        viewpoint: Viewpoint::Flow,
-                        scope: ViolationScope::Whole,
-                    });
-                    if stop_at_first {
-                        return Ok(out);
-                    }
-                }
-            }
+            Viewpoint::Timing => check_timing_whole(problem, arch, checker)?,
+            Viewpoint::Flow => refines(&build_flow_model(problem, arch), checker)?,
+        };
+        if !holds {
+            out.push(Violation {
+                viewpoint,
+                scope: ViolationScope::Whole,
+            });
         }
     }
     Ok(out)
+}
+
+/// The monolithic timing check: one model over every node and edge of the
+/// architecture.
+fn check_timing_whole(
+    problem: &Problem,
+    arch: &Architecture,
+    checker: &RefinementChecker,
+) -> Result<bool, SolveError> {
+    let nodes: Vec<NodeId> = arch.graph().node_ids().collect();
+    let edges: Vec<(NodeId, NodeId)> = arch.graph().edges().map(|e| (e.src, e.dst)).collect();
+    let sources = arch.source_nodes(problem);
+    let sinks = arch.sink_nodes(problem);
+    let model = build_timing_model(problem, arch, &nodes, &edges, &sources, &sinks);
+    refines(&model, checker)
 }
 
 /// One compositional timing check: build the path-scoped model and decide
@@ -397,34 +306,13 @@ fn check_timing_path(
     verdict
 }
 
-/// Run one check through the cache (when present): lookup by key, compute on
-/// miss, store the fresh verdict.
-fn check_cached(
-    cache: Option<&RefinementCache>,
-    key: impl FnOnce() -> Vec<u8>,
-    compute: impl FnOnce() -> Result<bool, SolveError>,
-) -> Result<bool, SolveError> {
-    let Some(cache) = cache else {
-        return compute();
-    };
-    let key = key();
-    if let Some(v) = cache.lookup(&key) {
-        cache.note_hit();
-        return Ok(v);
-    }
-    cache.note_miss();
-    let v = compute()?;
-    cache.store(key, v);
-    Ok(v)
-}
-
 /// Check every path, in parallel across `config.threads` workers, returning
 /// per-path verdicts in path-enumeration order.
 ///
 /// The wave is deterministic for any thread count. Keys are computed and
-/// deduplicated serially in path order — the first path with a given
-/// canonical form is the *representative* that gets checked; later
-/// label-isomorphic paths count as hits and reuse its verdict. Only the
+/// deduplicated serially in path order — the first path with a given label
+/// sequence is the *representative* that gets checked; later paths with the
+/// same labels count as hits and reuse its verdict. Only the
 /// representatives go to the parallel workers, and their results are
 /// reassembled by index, so the verdicts, cache contents, and hit/miss
 /// counters never depend on scheduling. Errors surface in path order (the
@@ -509,8 +397,15 @@ mod tests {
     use crate::Library;
     use contrarc_milp::SolveOptions;
 
-    /// Two parallel lines, the B line slower than the A line.
+    /// Two parallel lines with identical labels: `SA → MA → KA` and
+    /// `SB → MB0 → KB`.
     fn two_line_problem(max_latency: f64) -> (Problem, Architecture) {
+        lines_problem(max_latency, 1)
+    }
+
+    /// Two parallel lines, `SA → MA → KA` and line B with `b_machines`
+    /// machines in series, so a longer line B is slower than line A.
+    fn lines_problem(max_latency: f64, b_machines: usize) -> (Problem, Architecture) {
         let mut t = Template::new("two");
         let src_t = t.add_type("src", TypeConfig::source());
         let mach_t = t.add_type("mach", TypeConfig::bounded(2, 2));
@@ -518,13 +413,16 @@ mod tests {
         let sa = t.add_node("SA", src_t);
         let ma = t.add_node("MA", mach_t);
         let ka = t.add_required_node("KA", sink_t);
-        let sb = t.add_node("SB", src_t);
-        let mb = t.add_node("MB", mach_t);
-        let kb = t.add_required_node("KB", sink_t);
         t.add_candidate_edge(sa, ma);
         t.add_candidate_edge(ma, ka);
-        t.add_candidate_edge(sb, mb);
-        t.add_candidate_edge(mb, kb);
+        let mut prev = t.add_node("SB", src_t);
+        for i in 0..b_machines {
+            let mb = t.add_node(format!("MB{i}"), mach_t);
+            t.add_candidate_edge(prev, mb);
+            prev = mb;
+        }
+        let kb = t.add_required_node("KB", sink_t);
+        t.add_candidate_edge(prev, kb);
 
         let mut lib = Library::new();
         lib.add(
@@ -579,35 +477,29 @@ mod tests {
         (p, arch)
     }
 
+    fn check(p: &Problem, arch: &Architecture, cfg: &RefinementConfig) -> Vec<Violation> {
+        check_candidate_all_cached(p, arch, cfg, &RefinementChecker::new(), None).unwrap()
+    }
+
     #[test]
     fn passes_when_bound_generous() {
         let (p, arch) = two_line_problem(50.0);
-        let v = check_candidate(
-            &p,
-            &arch,
-            &RefinementConfig::default(),
-            &RefinementChecker::new(),
-        )
-        .unwrap();
-        assert!(v.is_none(), "unexpected violation: {v:?}");
+        let v = check(&p, &arch, &RefinementConfig::default());
+        assert!(v.is_empty(), "unexpected violation: {v:?}");
     }
 
     #[test]
     fn compositional_failure_reports_path() {
-        // Path latency = 1 + 12 + 1 = 14 > 10.
+        // Path latency = 1 + 12 + 1 = 14 > 10, on both lines.
         let (p, arch) = two_line_problem(10.0);
-        let v = check_candidate(
-            &p,
-            &arch,
-            &RefinementConfig::default(),
-            &RefinementChecker::new(),
-        )
-        .unwrap()
-        .expect("violation expected");
-        assert_eq!(v.viewpoint, Viewpoint::Timing);
-        match &v.scope {
-            ViolationScope::Path(nodes) => assert_eq!(nodes.len(), 3),
-            other => panic!("expected path scope, got {other:?}"),
+        let v = check(&p, &arch, &RefinementConfig::default());
+        assert_eq!(v.len(), 2, "one violation per line: {v:?}");
+        for v in &v {
+            assert_eq!(v.viewpoint, Viewpoint::Timing);
+            match &v.scope {
+                ViolationScope::Path(nodes) => assert_eq!(nodes.len(), 3),
+                other => panic!("expected path scope, got {other:?}"),
+            }
         }
     }
 
@@ -618,11 +510,38 @@ mod tests {
             compositional: false,
             ..RefinementConfig::default()
         };
-        let v = check_candidate(&p, &arch, &cfg, &RefinementChecker::new())
-            .unwrap()
-            .expect("violation expected");
-        assert_eq!(v.viewpoint, Viewpoint::Timing);
-        assert_eq!(v.scope, ViolationScope::Whole);
+        let v = check(&p, &arch, &cfg);
+        let whole = Violation {
+            viewpoint: Viewpoint::Timing,
+            scope: ViolationScope::Whole,
+        };
+        assert_eq!(v, vec![whole]);
+    }
+
+    #[test]
+    fn capped_path_enumeration_falls_back_to_monolithic_timing() {
+        // Line A takes 1 + 12 + 1 = 14 <= 20, line B 1 + 12 + 12 + 1 = 26.
+        // `max_paths: 1` enumerates line A only; line B must not be taken
+        // as passing.
+        let (p, arch) = lines_problem(20.0, 2);
+        let cfg = RefinementConfig {
+            max_paths: 1,
+            ..RefinementConfig::default()
+        };
+        let whole = Violation {
+            viewpoint: Viewpoint::Timing,
+            scope: ViolationScope::Whole,
+        };
+        assert_eq!(check(&p, &arch, &cfg), vec![whole]);
+        assert_eq!(check(&p, &arch, &RefinementConfig::default()).len(), 1);
+        // A failing enumerated path is reported as such, and a capped
+        // candidate that meets its bound passes.
+        let (p, arch) = two_line_problem(10.0);
+        let v = check(&p, &arch, &cfg);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(matches!(v[0].scope, ViolationScope::Path(_)), "{v:?}");
+        let (p, arch) = lines_problem(50.0, 2);
+        assert!(check(&p, &arch, &cfg).is_empty());
     }
 
     #[test]
@@ -633,33 +552,74 @@ mod tests {
             max_supply: 15.0,
             max_consumption: 100.0,
         });
-        let v = check_candidate(
-            &p,
-            &arch,
-            &RefinementConfig::default(),
-            &RefinementChecker::new(),
-        )
-        .unwrap()
-        .expect("violation expected");
-        assert_eq!(v.viewpoint, Viewpoint::Flow);
-        assert_eq!(v.scope, ViolationScope::Whole);
-        assert!(v.to_string().contains("whole"));
+        let v = check(&p, &arch, &RefinementConfig::default());
+        assert_eq!(v.len(), 1, "only the flow check fails: {v:?}");
+        assert_eq!(v[0].viewpoint, Viewpoint::Flow);
+        assert_eq!(v[0].scope, ViolationScope::Whole);
+        assert!(v[0].to_string().contains("whole"));
+    }
+
+    #[test]
+    fn whole_architecture_checks_bypass_the_cache() {
+        let (mut flow_only, arch) = two_line_problem(10.0);
+        flow_only.spec.timing = None;
+        let (both, _) = two_line_problem(10.0);
+        let monolithic = RefinementConfig {
+            compositional: false,
+            ..RefinementConfig::default()
+        };
+        let checker = RefinementChecker::new();
+        for (p, cfg) in [
+            (&flow_only, RefinementConfig::default()),
+            (&both, monolithic),
+        ] {
+            let cache = RefinementCache::new();
+            let v = check_candidate_all_cached(p, &arch, &cfg, &checker, Some(&cache)).unwrap();
+            assert_eq!(v, check(p, &arch, &cfg));
+            assert_eq!((cache.hits(), cache.misses()), (0, 0), "no lookup");
+            assert!(cache.is_empty(), "no entry");
+        }
+    }
+
+    #[test]
+    fn path_key_is_the_label_sequence() {
+        let (p, arch) = two_line_problem(10.0);
+        let paths = all_simple_paths(
+            arch.graph(),
+            &arch.source_nodes(&p),
+            &arch.sink_nodes(&p),
+            10,
+        );
+        let [a, b] = &paths[..] else {
+            panic!("expected the two lines, got {paths:?}");
+        };
+        assert!(a.iter().all(|n| !b.contains(n)), "the lines share no node");
+        // The same labels on different nodes: one key, one shared verdict.
+        assert_eq!(path_cache_key(&arch, a), path_cache_key(&arch, b));
+        let cache = RefinementCache::new();
+        let cfg = RefinementConfig::default();
+        let checker = RefinementChecker::new();
+        let _ = check_candidate_all_cached(&p, &arch, &cfg, &checker, Some(&cache)).unwrap();
+        assert_eq!((cache.misses(), cache.hits(), cache.len()), (1, 1, 1));
+        // The same labels in another order: another key.
+        let reversed: Vec<NodeId> = a.iter().rev().copied().collect();
+        assert_ne!(path_cache_key(&arch, a), path_cache_key(&arch, &reversed));
     }
 
     #[test]
     fn cache_replays_verdicts_and_counts_hits() {
         // Two parallel lines with identical (type, implementation) labels:
-        // the second path is label-isomorphic to the first, so even the
+        // the second path has the first one's label sequence, so even the
         // first pass hits once, and a replay hits everywhere.
         let (p, arch) = two_line_problem(10.0);
         let cfg = RefinementConfig::default();
         let checker = RefinementChecker::new();
-        let baseline = check_candidate_all(&p, &arch, &cfg, &checker).unwrap();
+        let baseline = check(&p, &arch, &cfg);
         let cache = RefinementCache::new();
         let first = check_candidate_all_cached(&p, &arch, &cfg, &checker, Some(&cache)).unwrap();
         assert_eq!(first, baseline);
         assert!(cache.misses() > 0);
-        assert!(cache.hits() > 0, "isomorphic sibling path should hit");
+        assert!(cache.hits() > 0, "label-identical sibling path should hit");
         let misses = cache.misses();
         let second = check_candidate_all_cached(&p, &arch, &cfg, &checker, Some(&cache)).unwrap();
         assert_eq!(second, baseline);
@@ -671,8 +631,7 @@ mod tests {
     fn wave_is_thread_count_invariant() {
         let (p, arch) = two_line_problem(10.0);
         let checker = RefinementChecker::new();
-        let baseline =
-            check_candidate_all(&p, &arch, &RefinementConfig::default(), &checker).unwrap();
+        let baseline = check(&p, &arch, &RefinementConfig::default());
         let reference_cache = RefinementCache::new();
         let _ = check_candidate_all_cached(
             &p,
@@ -688,7 +647,7 @@ mod tests {
                 ..RefinementConfig::default()
             };
             // Same violations without a cache...
-            let v = check_candidate_all(&p, &arch, &cfg, &checker).unwrap();
+            let v = check(&p, &arch, &cfg);
             assert_eq!(v, baseline, "uncached, threads={threads}");
             // ... and with one, with bit-identical hit/miss counters.
             let cache = RefinementCache::new();

@@ -3,9 +3,9 @@
 //! CPS templates are full of interchangeable slots (parallel production
 //! lines, redundant generators), so both the VF2 matcher and the MILP
 //! re-derive the same facts once per slot permutation. This module computes
-//! the template's automorphism structure once — as a by-product of the same
-//! individualization–refinement machinery that canonicalization uses — at
-//! two label strengths:
+//! the template's automorphism structure once, with the
+//! individualization–refinement search of `contrarc_graph::automorphisms`,
+//! at two label strengths:
 //!
 //! * [`matcher_automorphisms`] labels slots by component *type* only,
 //!   exactly the compatibility predicate certificate generation matches

@@ -1,12 +1,12 @@
-//! Label-aware canonical forms for directed graphs.
+//! Label-aware automorphism groups of directed graphs.
 //!
-//! [`canonical_form`] computes a byte string that is *identical* for two
-//! labeled digraphs if and only if they are isomorphic (respecting node
-//! labels and edge directions; edge weights are ignored). ContrArc uses it to
-//! key the refinement-verdict cache: isomorphic sub-architectures induce
-//! identical refinement check models, so a verdict computed for one candidate
-//! can be reused for every relabeling of it — see the `RefinementCache` in
-//! `contrarc-core`.
+//! [`automorphisms`] computes the node-orbit partition of a labeled digraph
+//! (respecting node labels and edge directions; edge weights are ignored)
+//! together with a generating set of label-preserving permutations.
+//! ContrArc uses it to find the symmetric parts of a problem's template:
+//! orbit-pruned certificate matching and the symmetry-breaking MILP rows
+//! are built from these orbits — see `contrarc-graph::iso` and the `sym`
+//! module of `contrarc-core`.
 //!
 //! The algorithm is classic individualization–refinement:
 //!
@@ -17,82 +17,28 @@
 //! 3. if cells remain with two or more nodes, individualize each member of
 //!    the lowest-colored such cell in turn and recurse;
 //! 4. every branch ends in a discrete coloring, i.e. a candidate canonical
-//!    ordering; the lexicographically smallest encoding over all branches is
-//!    the canonical form.
+//!    ordering; two leaves with equal encodings differ by an automorphism.
 //!
-//! Both the target-cell choice (lowest non-singleton color) and the final
-//! minimum are invariant under relabeling, which is what makes the output
-//! canonical. The search is exponential in the worst case but the graphs this
-//! workload canonicalizes — candidate architectures and path scopes with
-//! near-distinct `(type, implementation)` labels — refine to discrete almost
+//! The target-cell choice (lowest non-singleton color) is invariant under
+//! relabeling, so the search visits every leaf of an automorphism class. The
+//! search is exponential in the worst case but the templates this workload
+//! analyses, whose labels separate most nodes, refine to discrete almost
 //! immediately.
 
 use crate::digraph::DiGraph;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-/// The canonical encoding of a labeled digraph. Two graphs have equal forms
-/// exactly when they are isomorphic with matching labels; the byte string is
-/// therefore directly usable as a hash-map key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct CanonicalForm(Vec<u8>);
-
-impl CanonicalForm {
-    /// The encoding bytes.
-    #[must_use]
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.0
-    }
-
-    /// Consume the form, yielding the encoding bytes.
-    #[must_use]
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.0
-    }
-}
-
-/// Compute the canonical form of `graph` under the node labeling `label`
-/// (each node's label rendered as bytes; labels take part in the isomorphism,
-/// edge weights do not).
-#[must_use]
-pub fn canonical_form<N, E, F>(graph: &DiGraph<N, E>, label: F) -> CanonicalForm
-where
-    F: Fn(&N) -> Vec<u8>,
-{
-    let n = graph.num_nodes();
-    let labels: Vec<Vec<u8>> = graph.nodes().map(|(_, w)| label(w)).collect();
-    let mut adj_out: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut adj_in: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for e in graph.edges() {
-        adj_out[e.src.index()].push(e.dst.index());
-        adj_in[e.dst.index()].push(e.src.index());
-    }
-
-    // Initial colors: rank of the label bytes.
-    let mut uniq: Vec<&Vec<u8>> = labels.iter().collect();
-    uniq.sort();
-    uniq.dedup();
-    let mut colors: Vec<usize> = labels
-        .iter()
-        .map(|l| uniq.binary_search(&l).expect("label is present"))
-        .collect();
-
-    refine(&mut colors, &adj_out, &adj_in);
-    let mut best: Option<Vec<u8>> = None;
-    search(&colors, &labels, &adj_out, &adj_in, &mut best);
-    CanonicalForm(best.expect("every branch reaches a discrete coloring"))
-}
-
 /// The automorphism structure of a labeled digraph: a generating set of
 /// label-preserving permutations plus the node-orbit partition they induce.
 ///
-/// Produced by [`automorphisms`] as a by-product of the same
-/// individualization–refinement search that [`canonical_form`] runs. Two
-/// discrete colorings of the *same* graph with equal encodings differ by an
-/// automorphism (map each node to the node occupying its canonical position
-/// in the other coloring), and the exhaustive search visits every coloring in
-/// an automorphism class of leaves, so the union-find closure over the
-/// derived permutations yields the exact orbit partition of `Aut(G)`.
+/// Produced by [`automorphisms`] from an exhaustive
+/// individualization–refinement search. Two discrete colorings of the *same*
+/// graph with equal encodings differ by an automorphism (map each node to the
+/// node occupying its canonical position in the other coloring), and the
+/// exhaustive search visits every coloring in an automorphism class of
+/// leaves, so the union-find closure over the derived permutations yields the
+/// exact orbit partition of `Aut(G)`.
 ///
 /// The stored generators may generate a proper subgroup of `Aut(G)` —
 /// permutations that merge no new orbit pair are discarded — but the orbit
@@ -165,10 +111,9 @@ impl Automorphisms {
 }
 
 /// Compute the automorphism structure of `graph` under the node labeling
-/// `label` (same labeling contract as [`canonical_form`]: labels take part in
-/// the isomorphism, edge weights do not). Runs the same exhaustive
-/// individualization–refinement search, so the cost is the same order as one
-/// canonicalization.
+/// `label` (each node's label rendered as bytes; labels take part in the
+/// isomorphism, edge weights do not) by an exhaustive
+/// individualization–refinement search over discrete colorings.
 #[must_use]
 pub fn automorphisms<N, E, F>(graph: &DiGraph<N, E>, label: F) -> Automorphisms
 where
@@ -280,8 +225,9 @@ fn uf_find(uf: &mut [usize], v: usize) -> usize {
     r
 }
 
-/// The same individualization–refinement recursion as [`search`], collecting
-/// every discrete leaf instead of keeping only the minimum encoding.
+/// The individualization–refinement recursion: individualize each member of
+/// the lowest non-singleton cell in turn, refine, and hand every discrete
+/// leaf to `collect`.
 fn search_aut(
     colors: &[usize],
     labels: &[Vec<u8>],
@@ -294,6 +240,8 @@ fn search_aut(
         Some(cell) => {
             for v in (0..colors.len()).filter(|&v| colors[v] == cell) {
                 let mut split = colors.to_vec();
+                // A fresh color beyond every rank: the next refine pass
+                // renormalizes it while keeping v separated from its cell.
                 split[v] = colors.len();
                 refine(&mut split, adj_out, adj_in);
                 search_aut(&split, labels, adj_out, adj_in, collect);
@@ -340,35 +288,6 @@ fn first_non_singleton(colors: &[usize]) -> Option<usize> {
         count[c] += 1;
     }
     (0..n).find(|&c| count[c] >= 2)
-}
-
-/// Individualization–refinement search over candidate canonical orderings,
-/// keeping the lexicographically smallest encoding in `best`.
-fn search(
-    colors: &[usize],
-    labels: &[Vec<u8>],
-    adj_out: &[Vec<usize>],
-    adj_in: &[Vec<usize>],
-    best: &mut Option<Vec<u8>>,
-) {
-    match first_non_singleton(colors) {
-        None => {
-            let enc = encode(colors, labels, adj_out);
-            if best.as_ref().is_none_or(|b| enc < *b) {
-                *best = Some(enc);
-            }
-        }
-        Some(cell) => {
-            for v in (0..colors.len()).filter(|&v| colors[v] == cell) {
-                let mut split = colors.to_vec();
-                // A fresh color beyond every rank: the next refine pass
-                // renormalizes it while keeping v separated from its cell.
-                split[v] = colors.len();
-                refine(&mut split, adj_out, adj_in);
-                search(&split, labels, adj_out, adj_in, best);
-            }
-        }
-    }
 }
 
 /// Encode a graph under a discrete coloring (node at canonical position `p`
@@ -424,115 +343,6 @@ mod tests {
             g.add_edge(ids[a], ids[b], ());
         }
         g
-    }
-
-    fn form(g: &DiGraph<String, ()>) -> CanonicalForm {
-        canonical_form(g, |l| l.clone().into_bytes())
-    }
-
-    #[test]
-    fn permuted_graphs_have_equal_forms() {
-        // s -> m -> t, built in three different node orders.
-        let a = graph(&["s", "m", "t"], &[(0, 1), (1, 2)]);
-        let b = graph(&["t", "s", "m"], &[(1, 2), (2, 0)]);
-        let c = graph(&["m", "t", "s"], &[(2, 0), (0, 1)]);
-        assert_eq!(form(&a), form(&b));
-        assert_eq!(form(&a), form(&c));
-    }
-
-    #[test]
-    fn labels_distinguish() {
-        let a = graph(&["s", "m"], &[(0, 1)]);
-        let b = graph(&["s", "x"], &[(0, 1)]);
-        assert_ne!(form(&a), form(&b));
-    }
-
-    #[test]
-    fn direction_distinguishes() {
-        let a = graph(&["s", "m"], &[(0, 1)]);
-        let b = graph(&["s", "m"], &[(1, 0)]);
-        assert_ne!(form(&a), form(&b));
-    }
-
-    #[test]
-    fn structure_distinguishes() {
-        let path = graph(&["a", "a", "a"], &[(0, 1), (1, 2)]);
-        let cycle = graph(&["a", "a", "a"], &[(0, 1), (1, 2), (2, 0)]);
-        assert_ne!(form(&path), form(&cycle));
-    }
-
-    #[test]
-    fn symmetric_graphs_need_individualization() {
-        // A directed 4-cycle of identical labels has no WL-distinguishable
-        // nodes; the canonical form must still be rotation-invariant.
-        let base = graph(&["a"; 4], &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        for rot in 1..4 {
-            let edges: Vec<(usize, usize)> =
-                (0..4).map(|i| ((i + rot) % 4, (i + rot + 1) % 4)).collect();
-            let rotated = graph(&["a"; 4], &edges);
-            assert_eq!(form(&base), form(&rotated), "rotation {rot}");
-        }
-        // ... and differ from two disjoint 2-cycles (same degrees/labels).
-        let split = graph(&["a"; 4], &[(0, 1), (1, 0), (2, 3), (3, 2)]);
-        assert_ne!(form(&base), form(&split));
-    }
-
-    #[test]
-    fn parallel_edges_are_counted() {
-        let single = graph(&["a", "b"], &[(0, 1)]);
-        let double = graph(&["a", "b"], &[(0, 1), (0, 1)]);
-        assert_ne!(form(&single), form(&double));
-    }
-
-    #[test]
-    fn empty_graph_has_a_form() {
-        let g: DiGraph<String, ()> = DiGraph::new();
-        let f = canonical_form(&g, |l| l.clone().into_bytes());
-        // Node count 0, edge count 0.
-        assert_eq!(f.as_bytes(), [0u8; 8]);
-    }
-
-    #[test]
-    fn random_permutations_agree() {
-        // A mid-size graph with repeated labels, canonicalized under many
-        // node permutations (deterministic LCG; no external RNG).
-        let labels = ["s", "f", "f", "g", "g", "t", "f"];
-        let edges = [
-            (0, 1),
-            (0, 2),
-            (1, 3),
-            (2, 4),
-            (3, 5),
-            (4, 5),
-            (2, 6),
-            (6, 4),
-        ];
-        let reference = form(&graph(&labels, &edges));
-        let mut state = 0x2545_f491_4f6c_dd1d_u64;
-        for trial in 0..20 {
-            // Fisher–Yates with an xorshift step.
-            let mut perm: Vec<usize> = (0..labels.len()).collect();
-            for i in (1..perm.len()).rev() {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                perm.swap(i, (state as usize) % (i + 1));
-            }
-            let plabels: Vec<&str> = {
-                let mut v = vec![""; labels.len()];
-                for (i, &p) in perm.iter().enumerate() {
-                    v[p] = labels[i];
-                }
-                v
-            };
-            let pedges: Vec<(usize, usize)> =
-                edges.iter().map(|&(a, b)| (perm[a], perm[b])).collect();
-            assert_eq!(
-                reference,
-                form(&graph(&plabels, &pedges)),
-                "permutation trial {trial}"
-            );
-        }
     }
 
     /// Orbit partition by brute force: union-find over every label- and
@@ -672,15 +482,5 @@ mod tests {
         assert_eq!(a.num_orbits(), 3);
         assert_eq!(a.orbit_rep(2), 2);
         assert!(a.generators().is_empty());
-    }
-
-    #[test]
-    fn form_is_usable_as_map_key() {
-        use std::collections::HashMap;
-        let mut cache: HashMap<CanonicalForm, bool> = HashMap::new();
-        let a = graph(&["s", "m"], &[(0, 1)]);
-        let b = graph(&["m", "s"], &[(1, 0)]); // isomorphic relabeling
-        cache.insert(form(&a), true);
-        assert_eq!(cache.get(&form(&b)), Some(&true));
     }
 }

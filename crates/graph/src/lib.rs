@@ -44,6 +44,6 @@ pub mod iso;
 pub mod paths;
 pub mod topo;
 
-pub use canon::{automorphisms, canonical_form, Automorphisms, CanonicalForm};
+pub use canon::{automorphisms, Automorphisms};
 pub use digraph::{DiGraph, EdgeId, EdgeRef, NodeId};
 pub use iso::{Embedding, MatchMode};

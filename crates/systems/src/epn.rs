@@ -379,10 +379,10 @@ mod tests {
         // (1,0,0) has exactly one source→sink path, and every exploration
         // iteration re-checks it with a *different* implementation
         // assignment (that is why a new candidate was selected at all). The
-        // refinement cache keys on the canonical form of the
-        // (type, implementation)-labeled scope, so each check is a distinct
-        // key: a 0% hit rate is correct behaviour, not a keying bug. See
-        // DESIGN.md "Symmetry reduction".
+        // refinement cache keys on the path's (type, implementation) label
+        // sequence, so each check is a distinct key: a 0% hit rate is
+        // correct behaviour, not a keying bug. See DESIGN.md "Symmetry
+        // reduction".
         let p = build(&EpnConfig::table2(1, 0, 0));
         let r = explore(&p, &ExplorerConfig::complete()).unwrap();
         assert!(r.stats().iterations > 1);
@@ -390,20 +390,20 @@ mod tests {
         assert_eq!(
             r.stats().cache_hits,
             0,
-            "every (1,0,0) scope is canonically distinct"
+            "every (1,0,0) path has a distinct label sequence"
         );
     }
 
     #[test]
     fn symmetric_sides_share_cached_verdicts() {
-        // (1,1,0): the two sides are label-isomorphic, so once one side's
-        // path verdict is computed the mirror side's is served from the
-        // canonical-form cache.
+        // (1,1,0): the two sides carry the same labels, so once one side's
+        // path verdict is computed the mirror side's label-identical path is
+        // served from the cache.
         let p = build(&EpnConfig::table2(1, 1, 0));
         let r = explore(&p, &ExplorerConfig::complete()).unwrap();
         assert!(
             r.stats().cache_hits > 0,
-            "mirror-side scopes must unify in the cache (hits {}, misses {})",
+            "mirror-side paths must share cached verdicts (hits {}, misses {})",
             r.stats().cache_hits,
             r.stats().cache_misses
         );

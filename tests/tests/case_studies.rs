@@ -2,7 +2,7 @@
 //! dynamics, re-verification, and the qualitative claims of the paper's
 //! evaluation.
 
-use contrarc::refinement::{check_candidate, RefinementConfig};
+use contrarc::refinement::{check_candidate_all_cached, RefinementConfig};
 use contrarc::{explore, ExplorerConfig};
 use contrarc_contracts::RefinementChecker;
 use contrarc_systems::decompose::{explore_decomposed, explore_monolithic};
@@ -14,14 +14,15 @@ fn rpl_architecture_recheck_passes() {
     let p = rpl::build(&RplConfig::default(), RplLines::Both);
     let result = explore(&p, &ExplorerConfig::complete()).unwrap();
     let arch = result.architecture().expect("feasible");
-    let v = check_candidate(
+    let v = check_candidate_all_cached(
         &p,
         arch,
         &RefinementConfig::default(),
         &RefinementChecker::new(),
+        None,
     )
     .unwrap();
-    assert!(v.is_none(), "re-check found {v:?}");
+    assert!(v.is_empty(), "re-check found {v:?}");
 }
 
 #[test]
@@ -71,14 +72,37 @@ fn epn_smallest_config_full_pipeline() {
     let arch = result.architecture().expect("feasible");
     assert_eq!(arch.num_nodes(), 5, "all five layers instantiated");
     assert_eq!(arch.num_edges(), 4);
-    let v = check_candidate(
+    let v = check_candidate_all_cached(
         &p,
         arch,
         &RefinementConfig::default(),
         &RefinementChecker::new(),
+        None,
     )
     .unwrap();
-    assert!(v.is_none());
+    assert!(v.is_empty());
+}
+
+#[test]
+fn epn_capped_path_enumeration_keeps_the_optimum() {
+    // `max_paths: 1` enumerates one source→sink path of a two-sided EPN.
+    // Timing must not pass on that path alone: ignoring the unchecked paths
+    // admits an architecture costing 81.5, below the true optimum of 85.
+    let p = epn::build(&EpnConfig::table2(1, 1, 0));
+    let mut config = ExplorerConfig::complete();
+    config.max_paths = 1;
+    let result = explore(&p, &config).unwrap();
+    let arch = result.architecture().expect("feasible");
+    assert!((arch.cost() - 85.0).abs() < 1e-6, "cost {}", arch.cost());
+    let v = check_candidate_all_cached(
+        &p,
+        arch,
+        &RefinementConfig::default(),
+        &RefinementChecker::new(),
+        None,
+    )
+    .unwrap();
+    assert!(v.is_empty(), "uncapped re-check found {v:?}");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use contrarc::attr::{Attrs, COST, FLOW_CONS, FLOW_GEN, JITTER_OUT, LATENCY, THROUGHPUT};
 use contrarc::baseline::solve_monolithic;
-use contrarc::refinement::{check_candidate, RefinementConfig};
+use contrarc::refinement::{check_candidate_all_cached, RefinementConfig};
 use contrarc::{
     explore, ExplorerConfig, FlowSpec, Library, Problem, SystemSpec, Template, TimingSpec,
     TypeConfig,
@@ -113,9 +113,10 @@ fn returned_architecture_passes_independent_recheck() {
             max_paths: 1000,
             ..RefinementConfig::default()
         };
-        let v = check_candidate(&p, arch, &cfg, &RefinementChecker::new()).unwrap();
+        let v =
+            check_candidate_all_cached(&p, arch, &cfg, &RefinementChecker::new(), None).unwrap();
         assert!(
-            v.is_none(),
+            v.is_empty(),
             "re-check (compositional={compositional}) found {v:?}"
         );
     }

@@ -134,8 +134,8 @@ fn budget_exhaustion_mid_parallel_yields_partial_not_panic() {
 
 #[test]
 fn refinement_cache_hit_rate_is_positive() {
-    // RPL's two symmetric lines make label-isomorphic paths unavoidable, so
-    // the canonical-form cache must score hits even within one iteration.
+    // RPL's two symmetric lines make label-identical paths unavoidable, so
+    // the path-keyed cache must score hits even within one iteration.
     let p = rpl::build(&RplConfig::default(), RplLines::Both);
     let result = explore(&p, &ExplorerConfig::complete()).unwrap();
     let stats = result.stats();
