@@ -10,8 +10,7 @@
 //!   programs with continuous, integer, and binary variables;
 //! * a bounded-variable **revised simplex** method (sparse LU-factorized
 //!   basis, product-form updates, dual-simplex warm starts) for the LP
-//!   relaxations, with the original dense tableau engine selectable as a
-//!   reference backend ([`LpBackend`]);
+//!   relaxations;
 //! * a best-bound **branch-and-bound** search for integer feasibility
 //!   ([`Solver`]);
 //! * encoding helpers ([`encode`]) for the logical constructs used by
@@ -66,5 +65,5 @@ pub use solution::{Outcome, Solution, SolveStats, Status};
 pub use solver::budget::{Budget, Deadline};
 #[cfg(feature = "fault-injection")]
 pub use solver::faults::{FaultKind, FaultPlan};
-pub use solver::{LpBackend, SolveOptions, Solver, WarmStart};
+pub use solver::{SolveOptions, Solver, WarmStart};
 pub use var::{VarDef, VarId, VarType};

@@ -240,18 +240,6 @@ impl Model {
         Ok(id)
     }
 
-    /// Add a prebuilt [`Constraint`].
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`Model::add_constr`].
-    pub fn add_constraint(&mut self, c: Constraint) -> Result<ConstrId, SolveError> {
-        self.validate_expr(&c.expr)?;
-        let id = ConstrId(u32::try_from(self.constrs.len()).expect("too many constraints"));
-        self.constrs.push(c);
-        Ok(id)
-    }
-
     /// Number of constraints.
     #[must_use]
     pub fn num_constrs(&self) -> usize {

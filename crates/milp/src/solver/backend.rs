@@ -1,75 +1,18 @@
 //! One LP solve over a [`StandardForm`], with optional warm starting from a
-//! [`BasisSnapshot`]: [`solve_lp`] runs the engine selected by
-//! [`SolveOptions::backend`].
+//! [`BasisSnapshot`]: the whole LP interface branch-and-bound uses.
 //!
-//! Two engines implement [`LpEngine`]:
-//!
-//! * `RevisedSimplex` — the default: a revised simplex with a sparse
-//!   LU-factorized basis, product-form eta updates, periodic
-//!   refactorization, and a dual simplex entry point for warm starts (see the
-//!   `revised` module).
-//! * `Simplex` — the original dense explicit-inverse tableau, kept as the
-//!   reference the differential tests check the revised engine against (see
-//!   the `simplex` module).
-//!
-//! Both engines share the LP-level vocabulary defined here ([`LpOutcome`],
-//! [`BasisSnapshot`], the pivot tolerances) and are driven through the same
-//! [`drive`] logic: try the warm path when warm starts are on and a snapshot
-//! is offered, fall back to a cold solve otherwise, settle the pivot budget
-//! at the LP boundary, and report what happened so callers can emit metrics
-//! at deterministic commit points.
+//! [`solve_lp`] runs the revised simplex (see the `revised` module). It tries
+//! the warm (dual simplex) path when warm starts are on and a snapshot is
+//! offered, falls back to a cold solve otherwise, settles the pivot budget at
+//! the LP boundary, and reports what happened so callers can emit metrics at
+//! deterministic commit points.
 
 use crate::error::SolveError;
 use crate::solver::budget::Deadline;
 use crate::solver::revised::RevisedSimplex;
-use crate::solver::simplex::Simplex;
-use crate::solver::{LpBackend, SolveOptions};
+use crate::solver::SolveOptions;
 use crate::standard_form::StandardForm;
 use std::sync::Arc;
-
-/// Hard floor below which a pivot element is considered numerically zero.
-pub(crate) const PIVOT_TOL: f64 = 1e-9;
-/// Non-improving pivots tolerated before switching to Bland's rule.
-pub(crate) const BLAND_TRIGGER: u32 = 200;
-
-/// Where a column currently lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ColState {
-    Basic(u32),
-    AtLower,
-    AtUpper,
-    /// Free variable resting at zero.
-    FreeZero,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BoundHit {
-    Lower,
-    Upper,
-}
-
-#[derive(Debug)]
-pub(crate) enum RatioResult {
-    Unbounded,
-    BoundFlip { t: f64 },
-    Pivot { row: usize, t: f64, hit: BoundHit },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum IterEnd {
-    Optimal,
-    Unbounded,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DualEnd {
-    /// Basic values are back within bounds.
-    PrimalFeasible,
-    /// No entering column exists for a violated row: the LP is infeasible.
-    Infeasible,
-    /// Numerical trouble; the caller should cold-start instead.
-    LostDualFeasibility,
-}
 
 /// Result of an LP solve.
 #[derive(Debug, Clone)]
@@ -186,31 +129,10 @@ pub(crate) struct LpSolve {
     pub refactor_reuses: u64,
 }
 
-/// One LP engine: constructed per solve over a borrowed standard form.
-/// [`drive`] owns the warm-or-cold control flow and budget settlement so the
-/// two implementations cannot drift apart.
-pub(crate) trait LpEngine<'a>: Sized {
-    fn new(sf: &'a StandardForm, opts: &'a SolveOptions, deadline: Deadline) -> Self;
-    /// Cold two-phase primal solve.
-    fn solve(&mut self) -> Result<LpOutcome, SolveError>;
-    /// Dual-simplex entry point: repair a snapshot basis after bound changes
-    /// or appended cuts. `Ok(None)` means the snapshot was unusable and the
-    /// caller should cold-start.
-    fn solve_warm(&mut self, snap: &BasisSnapshot) -> Result<Option<LpOutcome>, SolveError>;
-    fn snapshot(&self) -> Option<BasisSnapshot>;
-    fn pivots(&self) -> u64;
-    fn take_uncharged_pivots(&mut self) -> u64;
-    fn refactorizations(&self) -> u64 {
-        0
-    }
-    fn refactor_reuses(&self) -> u64 {
-        0
-    }
-}
-
-/// Shared warm-or-cold control flow for any [`LpEngine`].
-fn drive<'a, E: LpEngine<'a>>(req: &LpRequest<'a>) -> LpSolve {
-    let mut engine = E::new(req.sf, req.opts, req.deadline);
+/// Solve one LP, warm-starting when the request carries a usable snapshot
+/// and falling back to a cold solve otherwise.
+pub(crate) fn solve_lp(req: &LpRequest<'_>) -> LpSolve {
+    let mut engine = RevisedSimplex::new(req.sf, req.opts, req.deadline);
     let warm_attempted = req.opts.warm_start && req.warm.is_some();
     let mut warm_used = false;
     let mut refactorizations = 0u64;
@@ -226,14 +148,14 @@ fn drive<'a, E: LpEngine<'a>>(req: &LpRequest<'a>) -> LpSolve {
                 // Unusable snapshot (singular basis, lost dual feasibility):
                 // cold start on a fresh engine, keeping the pivots already
                 // spent so budgets stay exact.
-                pivots += engine.pivots();
-                refactorizations += engine.refactorizations();
-                refactor_reuses += engine.refactor_reuses();
+                pivots += engine.pivots;
+                refactorizations += engine.refactorizations;
+                refactor_reuses += engine.refactor_reuses;
                 let settled = req
                     .opts
                     .budget
                     .charge_pivots(engine.take_uncharged_pivots());
-                engine = E::new(req.sf, req.opts, req.deadline);
+                engine = RevisedSimplex::new(req.sf, req.opts, req.deadline);
                 match settled {
                     Ok(()) => engine.solve(),
                     Err(e) => Err(e),
@@ -243,9 +165,9 @@ fn drive<'a, E: LpEngine<'a>>(req: &LpRequest<'a>) -> LpSolve {
         },
         _ => engine.solve(),
     };
-    pivots += engine.pivots();
-    refactorizations += engine.refactorizations();
-    refactor_reuses += engine.refactor_reuses();
+    pivots += engine.pivots;
+    refactorizations += engine.refactorizations;
+    refactor_reuses += engine.refactor_reuses;
     // Settle the shared budget at the LP boundary; exhaustion takes
     // precedence over the LP outcome, matching the serial control flow.
     let charged = req
@@ -270,16 +192,6 @@ fn drive<'a, E: LpEngine<'a>>(req: &LpRequest<'a>) -> LpSolve {
         warm_used,
         refactorizations,
         refactor_reuses,
-    }
-}
-
-/// Solve one LP with the engine selected by `opts.backend`, warm-starting
-/// when the request carries a usable snapshot and falling back to a cold
-/// solve otherwise.
-pub(crate) fn solve_lp(req: &LpRequest<'_>) -> LpSolve {
-    match req.opts.backend {
-        LpBackend::Revised => drive::<RevisedSimplex>(req),
-        LpBackend::DenseTableau => drive::<Simplex>(req),
     }
 }
 

@@ -129,8 +129,8 @@ struct NodeEval {
     result: Result<(LpOutcome, Option<Arc<BasisSnapshot>>), SolveError>,
 }
 
-/// Solve one node's LP relaxation (with optional dual-simplex warm start)
-/// through the configured backend, charging pivots to the shared budget.
+/// Solve one node's LP relaxation (with optional dual-simplex warm start),
+/// charging pivots to the shared budget.
 /// Pure in the node's bounds: safe to run speculatively on any thread.
 fn eval_node(
     sf_root: &StandardForm,
@@ -237,19 +237,6 @@ pub(crate) fn solve(
     model: &Model,
     opts: &SolveOptions,
     root_warm: Option<&BasisSnapshot>,
-) -> Result<(Outcome, Option<Arc<BasisSnapshot>>), SolveError> {
-    solve_traced(model, opts, root_warm, None)
-}
-
-/// [`solve`] with an optional incumbent trace: every accepted incumbent's
-/// model-sense objective is appended to `trace` in commit order. The trace is
-/// a pure function of the committed trajectory, so the differential harness
-/// uses it to pin backend equivalence beyond the final optimum.
-pub(crate) fn solve_traced(
-    model: &Model,
-    opts: &SolveOptions,
-    root_warm: Option<&BasisSnapshot>,
-    mut trace: Option<&mut Vec<f64>>,
 ) -> Result<(Outcome, Option<Arc<BasisSnapshot>>), SolveError> {
     let start = Instant::now();
     // One absolute deadline for the whole solve: the shared budget's expiry
@@ -486,9 +473,6 @@ pub(crate) fn solve_traced(
                     if node_snapshot.is_some() {
                         warm_out = node_snapshot.clone();
                     }
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.push(objective);
-                    }
                     if reached_floor(&incumbent) {
                         break;
                     }
@@ -534,9 +518,6 @@ pub(crate) fn solve_traced(
                                 incumbent = Some((vals, fobj, objective));
                                 if fixed_basis.is_some() {
                                     warm_out = fixed_basis.clone();
-                                }
-                                if let Some(t) = trace.as_deref_mut() {
-                                    t.push(objective);
                                 }
                                 if reached_floor(&incumbent) {
                                     break;

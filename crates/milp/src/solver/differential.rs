@@ -1,17 +1,16 @@
-//! Differential testing of the LP backends.
+//! Differential testing of the solver against an enumeration oracle.
 //!
-//! The dense tableau simplex ([`LpBackend::DenseTableau`]) is kept alive as a
-//! reference implementation precisely so the revised simplex can be checked
-//! against it: both backends solve the same seeded random LPs and MILPs and
-//! must agree on status, optimum, and — for branch-and-bound — the entire
-//! incumbent trajectory (the bound/prune/branch trajectory is a function of
-//! the LP values, so agreeing incumbents pin far more than the final answer).
+//! [`oracle_optimum`] reads nothing but the [`Model`] — its rows, bounds,
+//! objective and sense — and finds the optimum by brute force: it enumerates
+//! every integer assignment and, for the continuous part, every vertex of
+//! the polytope the rows and bounds leave. It shares no code with the
+//! standard form, presolve, the simplex or branch-and-bound, so a defect in
+//! any of those cannot pass by agreeing with itself. Seeded random LPs and
+//! MILPs, solved with warm starts off and on, must match its status and
+//! optimum.
 
-use crate::solver::backend::{solve_lp, LpRequest};
-use crate::solver::budget::Deadline;
-use crate::solver::{branch_bound, LpBackend, LpOutcome, SolveOptions};
-use crate::standard_form::StandardForm;
-use crate::{Cmp, LinExpr, Model, Sense};
+use crate::solver::{branch_bound, SolveOptions};
+use crate::{Cmp, LinExpr, Model, Sense, Status, VarDef, VarType};
 
 /// Tiny deterministic xorshift64* generator; no external RNG crates.
 struct Rng(u64);
@@ -29,7 +28,7 @@ impl Rng {
         x.wrapping_mul(2685821657736338717)
     }
     /// Uniform in `[lo, hi)`, quantized to 1/64 so coefficients are exact
-    /// binary fractions (keeps cross-backend arithmetic comparable).
+    /// binary fractions.
     fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
         let steps = ((hi - lo) * 64.0) as u64;
         lo + (self.next_u64() % steps.max(1)) as f64 / 64.0
@@ -37,37 +36,95 @@ impl Rng {
     fn below(&mut self, n: u64) -> u64 {
         self.next_u64() % n
     }
+    /// A multiple of 1/4 in `[lo, hi]`: exact in binary, so sums of products
+    /// of these stay exact.
+    fn quarter(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + self.below(((hi - lo) * 4.0) as u64 + 1) as f64 / 4.0
+    }
 }
 
-/// A random bounded-feasible pure LP: maximize a positive objective under
-/// `≤` constraints with nonnegative coefficients (always feasible at 0,
-/// always bounded by the variable boxes).
-fn random_lp(seed: u64) -> Model {
-    let mut rng = Rng::new(seed);
-    let n = 4 + rng.below(6) as usize;
-    let rows = 3 + rng.below(5) as usize;
-    let mut m = Model::new(format!("lp{seed}"));
+/// A random model small enough for [`oracle_optimum`]: 2–6 variables with
+/// finite bounds (some fixed), 2–5 `≤`/`≥`/`=` rows with coefficients of
+/// either sign, and either objective sense. Continuous variables only unless
+/// `mixed`, which draws binaries, general integers and continuous variables.
+/// Each row is written to hold at a random anchor point in the box, except
+/// that one row in ten is shifted away from it, so most models are feasible
+/// and some are not.
+fn random_model(seed: u64, mixed: bool) -> Model {
+    let (salt, prefix) = if mixed {
+        (0x9e3779b97f4a7c15, "milp")
+    } else {
+        (0, "lp")
+    };
+    let mut rng = Rng::new(seed ^ salt);
+    let n = 2 + rng.below(5) as usize;
+    let rows = 2 + rng.below(4) as usize;
+    let mut m = Model::new(format!("{prefix}{seed}"));
+    let mut anchor = Vec::with_capacity(n);
     let vars: Vec<_> = (0..n)
-        .map(|i| m.add_continuous(format!("x{i}"), 0.0, rng.uniform(1.0, 10.0)))
+        .map(|i| {
+            let kind = if mixed { rng.below(3) } else { 2 };
+            let (ty, lb, width) = match kind {
+                0 => (VarType::Binary, 0.0, 1.0),
+                1 => (
+                    VarType::Integer,
+                    rng.below(4) as f64 - 2.0,
+                    rng.below(5) as f64,
+                ),
+                _ => {
+                    // One continuous variable in six is fixed.
+                    let width = if rng.below(6) == 0 {
+                        0.0
+                    } else {
+                        rng.quarter(0.25, 6.0)
+                    };
+                    (VarType::Continuous, rng.quarter(-3.0, 2.0), width)
+                }
+            };
+            anchor.push(if ty == VarType::Continuous {
+                lb + rng.quarter(0.0, width)
+            } else {
+                lb + rng.below(width as u64 + 1) as f64
+            });
+            m.add_var(VarDef::new(format!("x{i}"), ty, lb, lb + width))
+        })
         .collect();
     for r in 0..rows {
-        let expr: LinExpr = vars
-            .iter()
-            .map(|&v| LinExpr::term(v, rng.uniform(0.0, 4.0)))
-            .sum();
-        m.add_constr(format!("c{r}"), expr, Cmp::Le, rng.uniform(3.0, 20.0))
-            .unwrap();
+        let mut expr = LinExpr::new();
+        for &v in &vars {
+            if rng.below(4) != 0 {
+                expr.add_term(v, rng.quarter(-4.0, 4.0));
+            }
+        }
+        let at_anchor = expr.eval(&anchor);
+        let slack = if rng.below(10) == 0 {
+            -rng.quarter(0.25, 2.0)
+        } else {
+            rng.quarter(0.0, 3.0)
+        };
+        let (cmp, rhs) = match rng.below(5) {
+            0 | 1 => (Cmp::Le, at_anchor + slack),
+            2 | 3 => (Cmp::Ge, at_anchor - slack),
+            _ => (Cmp::Eq, at_anchor + slack.min(0.0)),
+        };
+        m.add_constr(format!("c{r}"), expr, cmp, rhs).unwrap();
     }
     let obj: LinExpr = vars
         .iter()
-        .map(|&v| LinExpr::term(v, rng.uniform(0.5, 5.0)))
+        .map(|&v| LinExpr::term(v, rng.quarter(-5.0, 5.0)))
         .sum();
-    m.set_objective(Sense::Maximize, obj);
+    let sense = if rng.below(2) == 0 {
+        Sense::Minimize
+    } else {
+        Sense::Maximize
+    };
+    m.set_objective(sense, obj);
     m
 }
 
-/// A random bounded-feasible MILP mixing binaries, general integers, and
-/// continuous variables; fractional capacities force real branching.
+/// The random bounded-feasible MILP of the warm/cold bit-identity test:
+/// binaries, general integers and continuous variables under `≤` rows with
+/// nonnegative coefficients; fractional capacities force real branching.
 fn random_milp(seed: u64) -> Model {
     let mut rng = Rng::new(seed ^ 0x9e3779b97f4a7c15);
     let n = 6 + rng.below(5) as usize;
@@ -96,100 +153,277 @@ fn random_milp(seed: u64) -> Model {
     m
 }
 
-fn opts_for(backend: LpBackend) -> SolveOptions {
-    SolveOptions {
-        backend,
-        ..SolveOptions::default()
+/// The optimal objective of `m` by enumeration, `None` when `m` is
+/// infeasible. Every variable needs finite bounds, and the work grows as
+/// (integer assignments) × C(rows + 2·continuous, continuous).
+///
+/// For each integer assignment, every vertex of the continuous polytope is
+/// the unique solution of some set of linearly independent hyperplanes, one
+/// per continuous variable, taken from the rows and the variable bounds; the
+/// polytope is bounded, so a nonempty one has a vertex and its optimum is
+/// attained at one. All such subsets are tried, not only those containing
+/// every equality row: an equality row may have no continuous term once the
+/// integers are fixed, and equality rows may be linearly dependent.
+/// [`Model::is_feasible_point`] keeps the candidates that satisfy every row.
+fn oracle_optimum(m: &Model) -> Option<f64> {
+    let defs: Vec<&VarDef> = m.vars().map(|(_, d)| d).collect();
+    let (ints, conts): (Vec<usize>, Vec<usize>) =
+        (0..defs.len()).partition(|&i| defs[i].ty.is_integral());
+    let mut x = vec![0.0; defs.len()];
+    for &i in &ints {
+        x[i] = defs[i].lb.ceil();
     }
+    let mut best: Option<f64> = None;
+    loop {
+        // Hyperplanes over the continuous variables, `a · x_cont = rhs`: the
+        // rows with their integer terms moved to the right-hand side, then
+        // both bounds of each continuous variable.
+        let mut planes: Vec<(Vec<f64>, f64)> = m
+            .constrs()
+            .map(|c| {
+                let mut a = vec![0.0; conts.len()];
+                let mut rhs = c.rhs;
+                for (v, coef) in c.expr.iter() {
+                    match conts.iter().position(|&j| j == v.index()) {
+                        Some(p) => a[p] += coef,
+                        None => rhs -= coef * x[v.index()],
+                    }
+                }
+                (a, rhs)
+            })
+            .collect();
+        for (p, &j) in conts.iter().enumerate() {
+            for bound in [defs[j].lb, defs[j].ub] {
+                let mut a = vec![0.0; conts.len()];
+                a[p] = 1.0;
+                planes.push((a, bound));
+            }
+        }
+        for_each_subset(planes.len(), conts.len(), &mut Vec::new(), &mut |subset| {
+            let a = subset.iter().map(|&s| planes[s].0.clone()).collect();
+            let b = subset.iter().map(|&s| planes[s].1).collect();
+            let Some(y) = solve_square(a, b) else {
+                return;
+            };
+            for (&j, &yj) in conts.iter().zip(&y) {
+                x[j] = yj;
+            }
+            if m.is_feasible_point(&x, 1e-9) {
+                let obj = m.objective().eval(&x);
+                let better = match (best, m.sense()) {
+                    (None, _) => true,
+                    (Some(b), Sense::Minimize) => obj < b,
+                    (Some(b), Sense::Maximize) => obj > b,
+                };
+                if better {
+                    best = Some(obj);
+                }
+            }
+        });
+        // Next integer assignment, odometer style.
+        let mut k = 0;
+        loop {
+            let Some(&i) = ints.get(k) else {
+                return best;
+            };
+            if x[i] + 1.0 <= defs[i].ub {
+                x[i] += 1.0;
+                break;
+            }
+            x[i] = defs[i].lb.ceil();
+            k += 1;
+        }
+    }
+}
+
+/// Calls `f` with every `k`-subset of `0..n` that extends `chosen`.
+fn for_each_subset(n: usize, k: usize, chosen: &mut Vec<usize>, f: &mut dyn FnMut(&[usize])) {
+    if chosen.len() == k {
+        f(chosen);
+        return;
+    }
+    let start = chosen.last().map_or(0, |&c| c + 1);
+    for i in start..n {
+        if n - i < k - chosen.len() {
+            break;
+        }
+        chosen.push(i);
+        for_each_subset(n, k, chosen, f);
+        chosen.pop();
+    }
+}
+
+/// Solves the square system `a · y = b` by Gaussian elimination with partial
+/// pivoting; `None` when it is singular.
+fn solve_square(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
+    let n = b.len();
+    for col in 0..n {
+        let piv = (col..n).max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))?;
+        if a[piv][col].abs() < 1e-9 {
+            return None;
+        }
+        a.swap(col, piv);
+        b.swap(col, piv);
+        let (top, rest) = a.split_at_mut(col + 1);
+        let pivot_row = &top[col];
+        for (row, r) in rest.iter_mut().zip(col + 1..) {
+            let factor = row[col] / pivot_row[col];
+            for (v, p) in row.iter_mut().zip(pivot_row) {
+                *v -= factor * p;
+            }
+            b[r] -= factor * b[col];
+        }
+    }
+    let mut y = vec![0.0; n];
+    for r in (0..n).rev() {
+        let known: f64 = (r + 1..n).map(|c| a[r][c] * y[c]).sum();
+        y[r] = (b[r] - known) / a[r][r];
+    }
+    Some(y)
+}
+
+/// `m` without its last row: the model a cut loop solves before appending
+/// that row as a cut.
+fn without_last_row(m: &Model) -> Model {
+    let mut prefix = Model::new(m.name());
+    for (_, d) in m.vars() {
+        prefix.add_var(d.clone());
+    }
+    for c in m.constrs().take(m.num_constrs() - 1) {
+        prefix
+            .add_constr(c.name.clone(), c.expr.clone(), c.cmp, c.rhs)
+            .unwrap();
+    }
+    prefix.set_objective(m.sense(), m.objective().clone());
+    prefix
+}
+
+/// Solves `m` and compares the result with the oracle's `expected` optimum.
+/// With warm starts on, the solve starts from the optimal basis of `m`
+/// without its last row — the cut-loop pattern — so the dual simplex repairs
+/// an appended row and every branch-and-bound child starts from its parent.
+fn check_solve(m: &Model, expected: Option<f64>, warm_start: bool) -> Result<(), String> {
+    let opts = SolveOptions {
+        warm_start,
+        ..SolveOptions::default()
+    };
+    let root_warm = if warm_start {
+        branch_bound::solve(&without_last_row(m), &opts, None)
+            .map_err(|e| format!("solving without the last row: {e}"))?
+            .1
+    } else {
+        None
+    };
+    let (outcome, _) =
+        branch_bound::solve(m, &opts, root_warm.as_deref()).map_err(|e| e.to_string())?;
+    match (expected, outcome.status()) {
+        (None, Status::Infeasible) => Ok(()),
+        (Some(opt), Status::Optimal) => {
+            let sol = outcome.expect_optimal().map_err(|e| e.to_string())?;
+            if (sol.objective() - opt).abs() > 1e-6 * (1.0 + opt.abs()) {
+                Err(format!(
+                    "optimum {} but the oracle found {opt}",
+                    sol.objective()
+                ))
+            } else if !m.is_feasible_point(sol.values(), 1e-6) {
+                Err(format!("infeasible point {:?}", sol.values()))
+            } else {
+                Ok(())
+            }
+        }
+        (expected, status) => Err(format!(
+            "status {status:?} but the oracle found {expected:?}"
+        )),
+    }
+}
+
+/// Checks 200 seeded models, each solved with warm starts off and on,
+/// against the oracle; panics listing every disagreement. Returns how many
+/// of the models are feasible.
+fn check_population(mixed: bool) -> usize {
+    let mut feasible = 0;
+    let mut mismatches = Vec::new();
+    for seed in 0..200 {
+        let m = random_model(seed, mixed);
+        let expected = oracle_optimum(&m);
+        feasible += usize::from(expected.is_some());
+        for warm_start in [false, true] {
+            if let Err(e) = check_solve(&m, expected, warm_start) {
+                mismatches.push(format!("{} warm_start={warm_start}: {e}", m.name()));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} of 400 solves disagree with the oracle:\n{}",
+        mismatches.len(),
+        mismatches.join("\n")
+    );
+    feasible
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Both backends agree on the optimum of raw LP relaxations, driven
-    /// directly through `solve_lp` (no branch-and-bound smoothing).
     #[test]
-    fn lp_optima_agree_across_backends() {
-        for seed in 0..40u64 {
-            let m = random_lp(seed);
-            let lbs: Vec<f64> = m.vars().map(|(_, d)| d.lb).collect();
-            let ubs: Vec<f64> = m.vars().map(|(_, d)| d.ub).collect();
-            let sf = StandardForm::build(&m, Some((&lbs, &ubs)));
-            let mut objs = Vec::new();
-            for backend in [LpBackend::Revised, LpBackend::DenseTableau] {
-                let opts = opts_for(backend);
-                let solve = solve_lp(&LpRequest {
-                    sf: &sf,
-                    opts: &opts,
-                    deadline: Deadline::unlimited(),
-                    warm: None,
-                });
-                match solve
-                    .result
-                    .unwrap_or_else(|e| panic!("seed {seed}: backend {backend:?} errored: {e}"))
-                {
-                    LpOutcome::Optimal { min_obj, .. } => objs.push((backend, min_obj)),
-                    other => panic!("seed {seed}: backend {backend:?} returned {other:?}"),
-                }
-            }
-            let (b0, o0) = objs[0];
-            let (b1, o1) = objs[1];
-            assert!(
-                (o0 - o1).abs() <= 1e-6 * (1.0 + o0.abs()),
-                "seed {seed}: {b0:?} found {o0}, {b1:?} found {o1}"
-            );
-        }
+    fn oracle_solves_known_models() {
+        // max 3x + 4y s.t. x + 2y <= 14, 3x - y >= 0, x - y <= 2 on a box
+        // that does not bind: optimum 34 at (6, 4).
+        let mut m = Model::new("lp");
+        let x = m.add_continuous("x", 0.0, 20.0);
+        let y = m.add_continuous("y", 0.0, 20.0);
+        m.add_constr("c1", x + 2.0 * y, Cmp::Le, 14.0).unwrap();
+        m.add_constr("c2", 3.0 * x - y, Cmp::Ge, 0.0).unwrap();
+        m.add_constr("c3", x - y, Cmp::Le, 2.0).unwrap();
+        m.set_objective(Sense::Maximize, 3.0 * x + 4.0 * y);
+        assert_eq!(oracle_optimum(&m), Some(34.0));
+
+        // max x with integer x in [0, 10] and 2x <= 7: optimum 3.
+        let mut m = Model::new("int");
+        let x = m.add_integer("x", 0.0, 10.0);
+        m.add_constr("c", 2.0 * x, Cmp::Le, 7.0).unwrap();
+        m.set_objective(Sense::Maximize, 1.0 * x);
+        assert_eq!(oracle_optimum(&m), Some(3.0));
+
+        // A pure-integer equality row next to a continuous variable, and
+        // dependent equality rows: x + y = 1.5 and 2x + 2y = 3 with y >= 1.
+        let mut m = Model::new("mixed");
+        let b = m.add_binary("b");
+        let z = m.add_integer("z", 0.0, 3.0);
+        let y = m.add_continuous("y", 1.0, 4.0);
+        m.add_constr("int_eq", b + z, Cmp::Eq, 2.0).unwrap();
+        m.add_constr("e1", z + y, Cmp::Eq, 3.5).unwrap();
+        m.add_constr("e2", 2.0 * z + 2.0 * y, Cmp::Eq, 7.0).unwrap();
+        m.set_objective(Sense::Minimize, 1.0 * y + 1.0 * b);
+        // (b, z, y) = (1, 1, 2.5) or (0, 2, 1.5): the second is better.
+        assert_eq!(oracle_optimum(&m), Some(1.5));
+
+        m.add_constr("clash", 1.0 * y, Cmp::Ge, 3.0).unwrap();
+        // Now z + y = 3.5 forces z = 0, so b = 2: infeasible.
+        assert_eq!(oracle_optimum(&m), None);
     }
 
-    /// Both backends produce identical branch-and-bound incumbent
-    /// trajectories (every accepted incumbent objective, in commit order) on
-    /// seeded random MILPs — warm starts on or off.
     #[test]
-    fn milp_incumbent_trajectories_agree_across_backends() {
-        for seed in 0..25u64 {
-            let m = random_milp(seed);
-            for warm_start in [false, true] {
-                let mut runs = Vec::new();
-                for backend in [LpBackend::Revised, LpBackend::DenseTableau] {
-                    let opts = SolveOptions {
-                        warm_start,
-                        ..opts_for(backend)
-                    };
-                    let mut traj = Vec::new();
-                    let (outcome, _) = branch_bound::solve_traced(&m, &opts, None, Some(&mut traj))
-                        .unwrap_or_else(|e| panic!("seed {seed}: {backend:?} errored: {e}"));
-                    let obj = outcome
-                        .expect_optimal()
-                        .unwrap_or_else(|e| panic!("seed {seed}: {backend:?}: {e}"))
-                        .objective();
-                    runs.push((backend, obj, traj));
-                }
-                let (b0, o0, t0) = &runs[0];
-                let (b1, o1, t1) = &runs[1];
-                assert!(
-                    (o0 - o1).abs() <= 1e-6 * (1.0 + o0.abs()),
-                    "seed {seed} warm={warm_start}: {b0:?} optimum {o0} vs {b1:?} {o1}"
-                );
-                assert_eq!(
-                    t0.len(),
-                    t1.len(),
-                    "seed {seed} warm={warm_start}: trajectory lengths differ: \
-                     {b0:?} {t0:?} vs {b1:?} {t1:?}"
-                );
-                for (i, (a, b)) in t0.iter().zip(t1).enumerate() {
-                    assert!(
-                        (a - b).abs() <= 1e-6 * (1.0 + a.abs()),
-                        "seed {seed} warm={warm_start}: incumbent {i} differs: \
-                         {b0:?} {a} vs {b1:?} {b}"
-                    );
-                }
-            }
-        }
+    fn lp_optima_match_the_vertex_enumeration_oracle() {
+        let feasible = check_population(false);
+        assert!(
+            (100..200).contains(&feasible),
+            "the generator must keep making feasible and infeasible LPs: {feasible} of 200 feasible"
+        );
     }
 
-    /// Warm-started and cold solves agree bit-for-bit on the revised
-    /// backend's final objective: warm starting changes work, not answers.
+    #[test]
+    fn milp_optima_match_the_enumeration_oracle() {
+        let feasible = check_population(true);
+        assert!(
+            (100..200).contains(&feasible),
+            "the generator must keep making feasible and infeasible MILPs: {feasible} of 200 feasible"
+        );
+    }
+
+    /// Warm-started and cold solves agree bit-for-bit on the final
+    /// objective: warm starting changes work, not answers.
     #[test]
     fn warm_and_cold_runs_agree_bitwise_on_revised_backend() {
         for seed in 0..25u64 {
@@ -197,7 +431,7 @@ mod tests {
             let solve_with = |warm_start: bool| {
                 let opts = SolveOptions {
                     warm_start,
-                    ..opts_for(LpBackend::Revised)
+                    ..SolveOptions::default()
                 };
                 branch_bound::solve(&m, &opts, None)
                     .unwrap()

@@ -10,6 +10,7 @@ mod factor;
 #[cfg(feature = "fault-injection")]
 pub mod faults;
 mod revised;
+#[cfg(test)]
 mod simplex;
 
 pub(crate) use backend::{BasisSnapshot, LpOutcome};
@@ -20,19 +21,6 @@ use crate::solution::Outcome;
 use budget::Budget;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Which LP engine solves the relaxations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum LpBackend {
-    /// Revised simplex: sparse LU-factorized basis with product-form eta
-    /// updates, periodic refactorization, and dual-simplex warm starts. The
-    /// default.
-    #[default]
-    Revised,
-    /// The original dense explicit-inverse tableau simplex, kept as a
-    /// reference implementation for differential testing.
-    DenseTableau,
-}
 
 /// Opaque reusable solver state: the optimal basis of a previous solve,
 /// usable to warm-start a later solve of the *same model grown monotonically*
@@ -93,10 +81,7 @@ pub struct SolveOptions {
     /// solve, so the search may surface a *different equally-optimal*
     /// incumbent than a cold run would. That is why it is opt-in.
     pub warm_start: bool,
-    /// Which LP engine solves the relaxations.
-    #[serde(default)]
-    pub backend: LpBackend,
-    /// Revised backend only: collapse the eta file into a fresh basis
+    /// Collapse the revised simplex's eta file into a fresh basis
     /// factorization every this many pivots. Lower is numerically safer and
     /// slower; the retry ladder drops it to 1.
     #[serde(default = "default_refactor_every")]
@@ -135,7 +120,6 @@ impl Default for SolveOptions {
             force_bland: false,
             presolve: true,
             warm_start: false,
-            backend: LpBackend::default(),
             refactor_every: default_refactor_every(),
             objective_floor: None,
             threads: 1,
@@ -285,8 +269,8 @@ impl Solver {
             2 => {
                 opts.feas_tol *= 0.1;
                 opts.dual_tol *= 0.1;
-                // Revised backend: refactorize after every pivot so no eta
-                // drift can survive the tightened tolerances.
+                // Refactorize after every pivot so no eta drift can survive
+                // the tightened tolerances.
                 opts.refactor_every = 1;
             }
             3 => opts.presolve = false,

@@ -1,13 +1,12 @@
 //! Bounded-variable two-phase revised simplex with a factorized basis.
 //!
-//! Same driver semantics as the dense tableau engine (`simplex.rs`) — Dantzig
-//! pricing with a Bland's-rule fallback after a degenerate run, bound flips,
-//! phase-1 artificials only for rows whose slack cannot absorb the residual,
-//! and a dual-simplex entry point for warm starts — but the basis inverse is
-//! never formed. All linear algebra goes through a sparse LU factorization
-//! plus a product-form eta file ([`FactorizedBasis`]): FTRAN for entering
-//! columns and basic values, BTRAN for duals and `B⁻¹` rows. The eta file is
-//! collapsed into a fresh factorization every
+//! Dantzig pricing with a Bland's-rule fallback after a degenerate run, bound
+//! flips, phase-1 artificials only for rows whose slack cannot absorb the
+//! residual, and a dual-simplex entry point for warm starts. The basis
+//! inverse is never formed: all linear algebra goes through a sparse LU
+//! factorization plus a product-form eta file ([`FactorizedBasis`]): FTRAN
+//! for entering columns and basic values, BTRAN for duals and `B⁻¹` rows. The
+//! eta file is collapsed into a fresh factorization every
 //! [`SolveOptions::refactor_every`] pivots (the retry ladder drops this to 1,
 //! making every pivot a fresh factorization).
 //!
@@ -27,14 +26,55 @@
 //! the weaker tie guarantee documented on that flag.
 
 use crate::error::SolveError;
-use crate::solver::backend::{
-    BasisSnapshot, BoundHit, ColState, DualEnd, IterEnd, LpEngine, LpOutcome, RatioResult,
-    BLAND_TRIGGER, PIVOT_TOL,
-};
+use crate::solver::backend::{BasisSnapshot, LpOutcome};
 use crate::solver::budget::Deadline;
 use crate::solver::factor::{FactorizedBasis, LuFactors};
 use crate::solver::SolveOptions;
 use crate::standard_form::StandardForm;
+
+/// Hard floor below which a pivot element is considered numerically zero.
+const PIVOT_TOL: f64 = 1e-9;
+/// Non-improving pivots tolerated before switching to Bland's rule.
+const BLAND_TRIGGER: u32 = 200;
+
+/// Where a column currently lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ColState {
+    Basic(u32),
+    AtLower,
+    AtUpper,
+    /// Free variable resting at zero.
+    FreeZero,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BoundHit {
+    Lower,
+    Upper,
+}
+
+#[derive(Debug)]
+enum RatioResult {
+    Unbounded,
+    BoundFlip { t: f64 },
+    Pivot { row: usize, t: f64, hit: BoundHit },
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IterEnd {
+    Optimal,
+    Unbounded,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DualEnd {
+    /// Basic values are back within bounds.
+    PrimalFeasible,
+    /// No entering column exists for a violated row: the LP is infeasible.
+    Infeasible,
+    /// Numerical trouble; the caller should cold-start instead.
+    LostDualFeasibility,
+}
 
 /// Revised simplex over a [`StandardForm`].
 #[derive(Debug)]
@@ -63,8 +103,11 @@ pub(crate) struct RevisedSimplex<'a> {
     degenerate_run: u32,
     deadline: Deadline,
     charged: u64,
-    refactorizations: u64,
-    refactor_reuses: u64,
+    /// Basis refactorizations performed so far.
+    pub refactorizations: u64,
+    /// Optimal finishes that reused the current factorization (see
+    /// `finalize_canonical`).
+    pub refactor_reuses: u64,
     refactor_every: u64,
 }
 
@@ -891,33 +934,6 @@ impl<'a> RevisedSimplex<'a> {
     }
 }
 
-impl<'a> LpEngine<'a> for RevisedSimplex<'a> {
-    fn new(sf: &'a StandardForm, opts: &'a SolveOptions, deadline: Deadline) -> Self {
-        RevisedSimplex::new(sf, opts, deadline)
-    }
-    fn solve(&mut self) -> Result<LpOutcome, SolveError> {
-        RevisedSimplex::solve(self)
-    }
-    fn solve_warm(&mut self, snap: &BasisSnapshot) -> Result<Option<LpOutcome>, SolveError> {
-        RevisedSimplex::solve_warm(self, snap)
-    }
-    fn snapshot(&self) -> Option<BasisSnapshot> {
-        RevisedSimplex::snapshot(self)
-    }
-    fn pivots(&self) -> u64 {
-        self.pivots
-    }
-    fn take_uncharged_pivots(&mut self) -> u64 {
-        RevisedSimplex::take_uncharged_pivots(self)
-    }
-    fn refactorizations(&self) -> u64 {
-        self.refactorizations
-    }
-    fn refactor_reuses(&self) -> u64 {
-        self.refactor_reuses
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -983,12 +999,30 @@ mod tests {
     }
 
     #[test]
+    fn detects_infeasible_between_rows() {
+        let mut m = Model::new("t");
+        let x = m.add_continuous("x", 0.0, f64::INFINITY);
+        m.add_constr("a", 1.0 * x, Cmp::Ge, 5.0).unwrap();
+        m.add_constr("b", 1.0 * x, Cmp::Le, 4.0).unwrap();
+        assert!(matches!(lp(&m), LpOutcome::Infeasible));
+    }
+
+    #[test]
     fn detects_unbounded() {
         let mut m = Model::new("t");
         let x = m.add_continuous("x", 0.0, f64::INFINITY);
         m.add_constr("c", 1.0 * x, Cmp::Ge, 1.0).unwrap();
         m.set_objective(Sense::Maximize, 1.0 * x);
         assert!(matches!(lp(&m), LpOutcome::Unbounded));
+    }
+
+    #[test]
+    fn bounded_by_variable_bounds_only() {
+        let mut m = Model::new("t");
+        let x = m.add_continuous("x", -3.0, 5.0);
+        m.set_objective(Sense::Minimize, 2.0 * x);
+        // No constraints at all.
+        assert!((optimal_obj(&m) - (-6.0)).abs() < 1e-9);
     }
 
     #[test]
@@ -1002,6 +1036,18 @@ mod tests {
         }
         m.set_objective(Sense::Maximize, x + y);
         assert!((optimal_obj(&m) - 0.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn negative_rhs_rows() {
+        // min -x - y s.t. -x - y >= -4  (i.e. x + y <= 4), x,y <= 3
+        let mut m = Model::new("t");
+        let x = m.add_continuous("x", 0.0, 3.0);
+        let y = m.add_continuous("y", 0.0, 3.0);
+        m.add_constr("c", -1.0 * x - 1.0 * y, Cmp::Ge, -4.0)
+            .unwrap();
+        m.set_objective(Sense::Minimize, -1.0 * x - 1.0 * y);
+        assert!((optimal_obj(&m) - (-4.0)).abs() < 1e-6);
     }
 
     #[test]
@@ -1021,6 +1067,25 @@ mod tests {
         m.add_constr("fix", 1.0 * t, Cmp::Eq, 5.0).unwrap();
         m.set_objective(Sense::Minimize, 1.0 * t);
         assert!((optimal_obj(&m) - 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fixed_variables_respected() {
+        let mut m = Model::new("t");
+        let x = m.add_continuous("x", 2.0, 2.0);
+        let y = m.add_continuous("y", 0.0, 10.0);
+        m.add_constr("c", x + y, Cmp::Le, 5.0).unwrap();
+        m.set_objective(Sense::Maximize, 3.0 * x + y);
+        // x pinned to 2, so y <= 3 and obj = 9.
+        assert!((optimal_obj(&m) - 9.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn zero_row_model() {
+        let mut m = Model::new("t");
+        let x = m.add_continuous("x", 1.0, 2.0);
+        m.set_objective(Sense::Maximize, 1.0 * x);
+        assert!((optimal_obj(&m) - 2.0).abs() < 1e-12);
     }
 
     #[test]
