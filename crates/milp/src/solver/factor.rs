@@ -16,13 +16,36 @@
 //! The eta file is periodically collapsed into a fresh factorization
 //! (refactorization), which both bounds solve cost and washes out
 //! accumulated floating-point drift.
+//!
+//! # Cost
+//!
+//! Both kernels touch only nonzeros. [`LuFactors::build`] costs
+//! O(nnz(L + U) + the rows each column touches), times a log factor for the
+//! ordered reach set and the sort of each L column: a slack (singleton)
+//! column whose row is still free costs O(1). An eta stores only the
+//! nonzeros of its FTRAN image, so applying it costs O(nnz) too.
+//!
+//! # Arithmetic
+//!
+//! The sparse kernels perform exactly the floating-point operations of the
+//! dense loops they replaced, in the same order, minus terms that multiply
+//! an exact zero. The build therefore yields the same factors bit for bit
+//! (the tests keep the dense build as a reference and compare). A skipped
+//! eta term `±0·t` can only change the sign of a zero FTRAN entry, which no
+//! comparison and no nonzero result can see.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One product-form update: basis position `pos` was replaced by a column
 /// whose FTRAN image (through the basis *before* this update) is `w`.
 #[derive(Debug, Clone)]
 pub(crate) struct Eta {
     pos: usize,
-    w: Vec<f64>,
+    /// `w[pos]`, the pivot element.
+    pivot: f64,
+    /// `(i, w[i])` for every `i ≠ pos` with `w[i] ≠ 0`, in ascending `i`.
+    entries: Vec<(usize, f64)>,
 }
 
 /// Sparse LU factors of an `m × m` basis matrix, `P B Q = L U` with unit
@@ -36,15 +59,60 @@ pub(crate) struct LuFactors {
     /// `perm[k]` = original row index chosen as the pivot row at step `k`.
     perm: Vec<usize>,
     /// `L` multipliers per step: `(row, l)` entries below the diagonal, in
-    /// original-row space.
+    /// original-row space, in ascending row order.
     l_cols: Vec<Vec<(usize, f64)>>,
-    /// `U` off-diagonal entries per step: `(t, u)` with `t < k`.
+    /// `U` off-diagonal entries per step: `(t, u)` with `t < k`, in
+    /// ascending `t`.
     u_cols: Vec<Vec<(usize, f64)>>,
     udiag: Vec<f64>,
 }
 
 /// Pivot elements smaller than this make the basis numerically singular.
 const SINGULAR_TOL: f64 = 1e-11;
+
+/// Scratch of one column's elimination: the rows it touches and the
+/// earlier steps those rows reach.
+struct ColumnWork {
+    /// Column values in original-row space; zero outside `touched`.
+    values: Vec<f64>,
+    /// Rows holding a value, each listed once.
+    touched: Vec<usize>,
+    is_touched: Vec<bool>,
+    /// Steps whose pivot row was touched and that are not yet applied.
+    reach: BinaryHeap<Reverse<usize>>,
+}
+
+impl ColumnWork {
+    fn new(m: usize) -> Self {
+        ColumnWork {
+            values: vec![0.0; m],
+            touched: Vec::new(),
+            is_touched: vec![false; m],
+            reach: BinaryHeap::new(),
+        }
+    }
+
+    /// Note that row `r` now holds a value; if it is pivotal, its step
+    /// joins the reach set.
+    fn touch(&mut self, r: usize, step_of_row: &[Option<usize>]) {
+        if !self.is_touched[r] {
+            self.is_touched[r] = true;
+            self.touched.push(r);
+            if let Some(t) = step_of_row[r] {
+                self.reach.push(Reverse(t));
+            }
+        }
+    }
+
+    /// Zero the touched rows for the next column.
+    fn clear(&mut self) {
+        for &r in &self.touched {
+            self.values[r] = 0.0;
+            self.is_touched[r] = false;
+        }
+        self.touched.clear();
+    }
+}
 
 impl LuFactors {
     /// Factorize a basis given per-position sparse columns (original-row
@@ -67,51 +135,66 @@ impl LuFactors {
         };
         // step_of_row[r] = Some(k) once row r became pivotal at step k.
         let mut step_of_row: Vec<Option<usize>> = vec![None; m];
-        let mut work = vec![0.0_f64; m];
+        let mut work = ColumnWork::new(m);
+        let mut free_rows = Vec::new();
         for k in 0..m {
-            let col = &cols[f.colorder[k]];
-            for &(r, a) in col {
-                work[r] = a;
+            for &(r, a) in &cols[f.colorder[k]] {
+                work.values[r] = a;
+                work.touch(r, &step_of_row);
             }
-            // Left-looking update: apply earlier elimination steps in order,
-            // harvesting the U entries as we go.
+            // Left-looking update: apply earlier elimination steps in
+            // ascending order, harvesting the U entries as we go. Only a
+            // step whose pivot row holds a value can apply. Step t touches
+            // the rows of l_cols[t]; those that are pivotal became so after
+            // t, so the heap yields every step a dense `for t in 0..k` (the
+            // tests' reference build) would apply, in the same order, and
+            // each row receives the same subtractions in the same order.
             let mut u_col = Vec::new();
-            for t in 0..k {
-                let u = work[f.perm[t]];
+            while let Some(Reverse(t)) = work.reach.pop() {
+                let u = work.values[f.perm[t]];
                 if u != 0.0 {
                     u_col.push((t, u));
                     for &(r, l) in &f.l_cols[t] {
-                        work[r] -= l * u;
+                        work.values[r] -= l * u;
+                        work.touch(r, &step_of_row);
                     }
                 }
             }
-            // Partial pivoting among rows not yet pivotal; ties break toward
-            // the smallest row index (deterministic).
+            // Partial pivoting among the touched rows not yet pivotal (every
+            // other free row holds zero); ties break toward the smallest
+            // row index (deterministic). Ascending rows also give l_col the
+            // order `solve_transposed` sums in.
+            free_rows.clear();
+            free_rows.extend(
+                work.touched
+                    .iter()
+                    .copied()
+                    .filter(|&r| step_of_row[r].is_none()),
+            );
+            free_rows.sort_unstable();
             let mut pivot_row = usize::MAX;
             let mut pivot_abs = 0.0_f64;
-            for (r, s) in step_of_row.iter().enumerate() {
-                if s.is_none() && work[r].abs() > pivot_abs {
-                    pivot_abs = work[r].abs();
+            for &r in &free_rows {
+                if work.values[r].abs() > pivot_abs {
+                    pivot_abs = work.values[r].abs();
                     pivot_row = r;
                 }
             }
             if pivot_abs < SINGULAR_TOL {
                 return None;
             }
-            let d = work[pivot_row];
-            let mut l_col = Vec::new();
-            for (r, s) in step_of_row.iter().enumerate() {
-                if s.is_none() && r != pivot_row && work[r] != 0.0 {
-                    l_col.push((r, work[r] / d));
-                }
-            }
+            let d = work.values[pivot_row];
+            let l_col = free_rows
+                .iter()
+                .filter(|&&r| r != pivot_row && work.values[r] != 0.0)
+                .map(|&r| (r, work.values[r] / d))
+                .collect();
             step_of_row[pivot_row] = Some(k);
             f.perm.push(pivot_row);
             f.udiag.push(d);
             f.u_cols.push(u_col);
             f.l_cols.push(l_col);
-            // Reset touched entries for the next column.
-            work.fill(0.0);
+            work.clear();
         }
         Some(f)
     }
@@ -192,8 +275,18 @@ impl FactorizedBasis {
 
     /// Record a pivot: basis position `pos` replaced by the column whose
     /// current FTRAN image is `w`.
-    pub(crate) fn push_eta(&mut self, pos: usize, w: Vec<f64>) {
-        self.etas.push(Eta { pos, w });
+    pub(crate) fn push_eta(&mut self, pos: usize, w: &[f64]) {
+        let entries = w
+            .iter()
+            .enumerate()
+            .filter(|&(i, &wi)| i != pos && wi != 0.0)
+            .map(|(i, &wi)| (i, wi))
+            .collect();
+        self.etas.push(Eta {
+            pos,
+            pivot: w[pos],
+            entries,
+        });
     }
 
     /// FTRAN: `x = B⁻¹ b`, input in original-row space, output indexed by
@@ -203,12 +296,9 @@ impl FactorizedBasis {
         let mut out = vec![0.0; m];
         self.factor.solve(&mut b, &mut self.scratch, &mut out);
         for eta in &self.etas {
-            let wp = eta.w[eta.pos];
-            let t = out[eta.pos] / wp;
-            for (i, (x, &wi)) in out.iter_mut().zip(&eta.w).enumerate() {
-                if i != eta.pos {
-                    *x -= wi * t;
-                }
+            let t = out[eta.pos] / eta.pivot;
+            for &(i, wi) in &eta.entries {
+                out[i] -= wi * t;
             }
             out[eta.pos] = t;
         }
@@ -220,12 +310,10 @@ impl FactorizedBasis {
     pub(crate) fn btran(&mut self, mut c: Vec<f64>) -> Vec<f64> {
         for eta in self.etas.iter().rev() {
             let mut dot = 0.0;
-            for (i, (&ci, &wi)) in c.iter().zip(&eta.w).enumerate() {
-                if i != eta.pos {
-                    dot += ci * wi;
-                }
+            for &(i, wi) in &eta.entries {
+                dot += c[i] * wi;
             }
-            c[eta.pos] = (c[eta.pos] - dot) / eta.w[eta.pos];
+            c[eta.pos] = (c[eta.pos] - dot) / eta.pivot;
         }
         let m = self.factor.m;
         let mut out = vec![0.0; m];
@@ -238,6 +326,9 @@ impl FactorizedBasis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use std::ops::RangeInclusive;
 
     fn dense_cols(mat: &[&[f64]]) -> Vec<Vec<(usize, f64)>> {
         let m = mat.len();
@@ -314,7 +405,7 @@ mod tests {
         // New column a = (1, 2, 1)ᵀ enters position 1: w = B⁻¹ a = a.
         let a = vec![1.0, 2.0, 1.0];
         let w = basis.ftran(a.clone());
-        basis.push_eta(1, w);
+        basis.push_eta(1, &w);
 
         // Updated basis matrix: columns e0, a, e2.
         let mat: Vec<&[f64]> = vec![&[1.0, 1.0, 0.0], &[0.0, 2.0, 0.0], &[0.0, 1.0, 1.0]];
@@ -355,5 +446,442 @@ mod tests {
         let x1 = FactorizedBasis::new(f1).ftran(b.clone());
         let x2 = FactorizedBasis::new(f2).ftran(b);
         assert_eq!(x1, x2, "identical inputs must give bit-identical solves");
+    }
+
+    // ---- differential check against the dense kernels ---------------------
+
+    /// The dense left-looking build that `LuFactors::build` replaced, kept
+    /// verbatim: the bitwise reference for the sparse build.
+    fn dense_build(m: usize, cols: &[Vec<(usize, f64)>], order: &[usize]) -> Option<LuFactors> {
+        debug_assert_eq!(cols.len(), m);
+        debug_assert_eq!(order.len(), m);
+        let mut f = LuFactors {
+            m,
+            colorder: order.to_vec(),
+            perm: Vec::with_capacity(m),
+            l_cols: Vec::with_capacity(m),
+            u_cols: Vec::with_capacity(m),
+            udiag: Vec::with_capacity(m),
+        };
+        // step_of_row[r] = Some(k) once row r became pivotal at step k.
+        let mut step_of_row: Vec<Option<usize>> = vec![None; m];
+        let mut work = vec![0.0_f64; m];
+        for k in 0..m {
+            let col = &cols[f.colorder[k]];
+            for &(r, a) in col {
+                work[r] = a;
+            }
+            // Left-looking update: apply earlier elimination steps in order,
+            // harvesting the U entries as we go.
+            let mut u_col = Vec::new();
+            for t in 0..k {
+                let u = work[f.perm[t]];
+                if u != 0.0 {
+                    u_col.push((t, u));
+                    for &(r, l) in &f.l_cols[t] {
+                        work[r] -= l * u;
+                    }
+                }
+            }
+            // Partial pivoting among rows not yet pivotal; ties break toward
+            // the smallest row index (deterministic).
+            let mut pivot_row = usize::MAX;
+            let mut pivot_abs = 0.0_f64;
+            for (r, s) in step_of_row.iter().enumerate() {
+                if s.is_none() && work[r].abs() > pivot_abs {
+                    pivot_abs = work[r].abs();
+                    pivot_row = r;
+                }
+            }
+            if pivot_abs < SINGULAR_TOL {
+                return None;
+            }
+            let d = work[pivot_row];
+            let mut l_col = Vec::new();
+            for (r, s) in step_of_row.iter().enumerate() {
+                if s.is_none() && r != pivot_row && work[r] != 0.0 {
+                    l_col.push((r, work[r] / d));
+                }
+            }
+            step_of_row[pivot_row] = Some(k);
+            f.perm.push(pivot_row);
+            f.udiag.push(d);
+            f.u_cols.push(u_col);
+            f.l_cols.push(l_col);
+            // Reset touched entries for the next column.
+            work.fill(0.0);
+        }
+        Some(f)
+    }
+
+    /// A dense eta: the whole FTRAN image `w`.
+    struct DenseEta {
+        pos: usize,
+        w: Vec<f64>,
+    }
+
+    /// The dense eta file that `FactorizedBasis` replaced, its loops kept
+    /// verbatim: the reference for the sparse etas.
+    struct DenseBasis {
+        factor: LuFactors,
+        etas: Vec<DenseEta>,
+        scratch: Vec<f64>,
+    }
+
+    impl DenseBasis {
+        fn new(factor: LuFactors) -> Self {
+            let m = factor.m;
+            DenseBasis {
+                factor,
+                etas: Vec::new(),
+                scratch: vec![0.0; m],
+            }
+        }
+
+        fn push_eta(&mut self, pos: usize, w: Vec<f64>) {
+            self.etas.push(DenseEta { pos, w });
+        }
+
+        fn ftran(&mut self, mut b: Vec<f64>) -> Vec<f64> {
+            let m = self.factor.m;
+            let mut out = vec![0.0; m];
+            self.factor.solve(&mut b, &mut self.scratch, &mut out);
+            for eta in &self.etas {
+                let wp = eta.w[eta.pos];
+                let t = out[eta.pos] / wp;
+                for (i, (x, &wi)) in out.iter_mut().zip(&eta.w).enumerate() {
+                    if i != eta.pos {
+                        *x -= wi * t;
+                    }
+                }
+                out[eta.pos] = t;
+            }
+            out
+        }
+
+        fn btran(&mut self, mut c: Vec<f64>) -> Vec<f64> {
+            for eta in self.etas.iter().rev() {
+                let mut dot = 0.0;
+                for (i, (&ci, &wi)) in c.iter().zip(&eta.w).enumerate() {
+                    if i != eta.pos {
+                        dot += ci * wi;
+                    }
+                }
+                c[eta.pos] = (c[eta.pos] - dot) / eta.w[eta.pos];
+            }
+            let m = self.factor.m;
+            let mut out = vec![0.0; m];
+            self.factor
+                .solve_transposed(&c, &mut self.scratch, &mut out);
+            out
+        }
+    }
+
+    /// The shapes of basis the differential check draws.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        /// Unit slack columns plus a few structural columns whose entries
+        /// crowd into a handful of dense, cut-like rows.
+        SlackHeavy,
+        /// Every entry nonzero.
+        Dense,
+        /// Small dyadic entries and near-copies of earlier columns, so
+        /// elimination cancels entries to exactly zero.
+        Cancelling,
+        /// Entries `±1` only: every pivot search meets exact ties.
+        Ties,
+        /// Columns that nearly repeat an earlier one: pivots around and
+        /// below `SINGULAR_TOL`, and exactly singular bases.
+        NearSingular,
+    }
+
+    const SHAPES: [Shape; 5] = [
+        Shape::SlackHeavy,
+        Shape::Dense,
+        Shape::Cancelling,
+        Shape::Ties,
+        Shape::NearSingular,
+    ];
+
+    fn dyadic(rng: &mut StdRng) -> f64 {
+        let v = [0.5, 1.0, 2.0, 4.0][rng.random_range(0..4usize)];
+        if rng.random_bool(0.5) {
+            -v
+        } else {
+            v
+        }
+    }
+
+    fn generic(rng: &mut StdRng) -> f64 {
+        let v: f64 = rng.random_range(0.05..2.0);
+        if rng.random_bool(0.5) {
+            -v
+        } else {
+            v
+        }
+    }
+
+    /// Between `count.start()` and `count.end()` distinct rows of `0..m`,
+    /// ascending.
+    fn distinct_rows(rng: &mut StdRng, m: usize, count: RangeInclusive<usize>) -> Vec<usize> {
+        let count = rng.random_range(count);
+        let mut rows: Vec<usize> = (0..m).collect();
+        shuffle(rng, &mut rows);
+        rows.truncate(count.min(m));
+        rows.sort_unstable();
+        rows
+    }
+
+    fn shuffle(rng: &mut StdRng, v: &mut [usize]) {
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.random_range(0..=i));
+        }
+    }
+
+    /// A near-copy of `base`: same rows, values scaled by `scale`, plus
+    /// `delta` at `row`.
+    fn perturbed(base: &[(usize, f64)], scale: f64, row: usize, delta: f64) -> Vec<(usize, f64)> {
+        let mut col: Vec<(usize, f64)> = base.iter().map(|&(r, a)| (r, a * scale)).collect();
+        match col.iter_mut().find(|(r, _)| *r == row) {
+            Some((_, a)) => *a += delta,
+            None => col.push((row, delta)),
+        }
+        col.retain(|&(_, a)| a != 0.0);
+        col.sort_unstable_by_key(|&(r, _)| r);
+        col
+    }
+
+    fn unit_sign(rng: &mut StdRng) -> f64 {
+        if rng.random_bool(0.5) {
+            -1.0
+        } else {
+            1.0
+        }
+    }
+
+    /// A column holding `own_row` (a basis whose columns own distinct rows
+    /// is structurally nonsingular) and `extra` further random rows, each
+    /// valued by `value`.
+    fn sparse_col(
+        rng: &mut StdRng,
+        m: usize,
+        own_row: usize,
+        extra: RangeInclusive<usize>,
+        value: fn(&mut StdRng) -> f64,
+    ) -> Vec<(usize, f64)> {
+        let mut rows = distinct_rows(rng, m, extra);
+        rows.push(own_row);
+        rows.sort_unstable();
+        rows.dedup();
+        rows.into_iter().map(|r| (r, value(rng))).collect()
+    }
+
+    fn random_basis(rng: &mut StdRng, shape: Shape) -> Vec<Vec<(usize, f64)>> {
+        let m = rng.random_range(1..=60usize);
+        let mut own: Vec<usize> = (0..m).collect();
+        shuffle(rng, &mut own);
+        match shape {
+            Shape::SlackHeavy => {
+                let slacks = m - rng.random_range(0..=m.div_ceil(3));
+                let cut_rows = distinct_rows(rng, m, 1..=4);
+                let mut cols: Vec<Vec<(usize, f64)>> =
+                    own[..slacks].iter().map(|&r| vec![(r, 1.0)]).collect();
+                for &r in &own[slacks..] {
+                    let mut col = sparse_col(rng, m, r, 0..=2, generic);
+                    for &c in &cut_rows {
+                        if rng.random_bool(0.7) && col.iter().all(|&(r, _)| r != c) {
+                            col.push((c, generic(rng)));
+                        }
+                    }
+                    col.sort_unstable_by_key(|&(r, _)| r);
+                    cols.push(col);
+                }
+                cols
+            }
+            Shape::Dense => (0..m)
+                .map(|_| (0..m).map(|r| (r, generic(rng))).collect())
+                .collect(),
+            Shape::Cancelling => {
+                let mut cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+                for &r in &own {
+                    let col = if !cols.is_empty() && rng.random_bool(0.5) {
+                        let base = cols[rng.random_range(0..cols.len())].clone();
+                        perturbed(&base, dyadic(rng), r, dyadic(rng))
+                    } else {
+                        sparse_col(rng, m, r, 0..=3, dyadic)
+                    };
+                    cols.push(col);
+                }
+                cols
+            }
+            Shape::Ties => own
+                .iter()
+                .map(|&r| sparse_col(rng, m, r, 1..=5, unit_sign))
+                .collect(),
+            Shape::NearSingular => {
+                let mut cols: Vec<Vec<(usize, f64)>> = own
+                    .iter()
+                    .map(|&r| sparse_col(rng, m, r, 0..=4, generic))
+                    .collect();
+                for _ in 0..rng.random_range(1..=2usize) {
+                    let (src, dst) = (rng.random_range(0..m), rng.random_range(0..m));
+                    let delta = [0.0, 1e-13, 5e-12, 2e-11, 1e-9][rng.random_range(0..5usize)];
+                    cols[dst] = perturbed(&cols[src], 1.0, own[dst], delta);
+                }
+                cols
+            }
+        }
+    }
+
+    /// The canonical order `refactorize` uses (ascending nonzero count, then
+    /// position) or, half the time, a random permutation.
+    fn random_order(rng: &mut StdRng, cols: &[Vec<(usize, f64)>]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..cols.len()).collect();
+        if rng.random_bool(0.5) {
+            order.sort_by_key(|&p| (cols[p].len(), p));
+        } else {
+            shuffle(rng, &mut order);
+        }
+        order
+    }
+
+    fn entry_bits(col: &[(usize, f64)]) -> Vec<(usize, u64)> {
+        col.iter().map(|&(i, x)| (i, x.to_bits())).collect()
+    }
+
+    fn assert_same_factors(got: &LuFactors, want: &LuFactors, case: &str) {
+        assert_eq!(got.m, want.m, "{case}: m");
+        assert_eq!(got.colorder, want.colorder, "{case}: colorder");
+        assert_eq!(got.perm, want.perm, "{case}: perm");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.udiag), bits(&want.udiag), "{case}: udiag");
+        for k in 0..got.m {
+            assert_eq!(
+                entry_bits(&got.l_cols[k]),
+                entry_bits(&want.l_cols[k]),
+                "{case}: l_cols[{k}]"
+            );
+            assert_eq!(
+                entry_bits(&got.u_cols[k]),
+                entry_bits(&want.u_cols[k]),
+                "{case}: u_cols[{k}]"
+            );
+        }
+    }
+
+    /// Entries that elimination cancelled to exactly zero: rows a column
+    /// touches (its own nonzeros plus the L rows of every step applied to
+    /// it) that end up neither in U, nor the pivot, nor L.
+    fn exact_cancellations(f: &LuFactors, cols: &[Vec<(usize, f64)>]) -> usize {
+        (0..f.m)
+            .map(|k| {
+                let mut rows: Vec<usize> = cols[f.colorder[k]].iter().map(|&(r, _)| r).collect();
+                for &(t, _) in &f.u_cols[k] {
+                    rows.extend(f.l_cols[t].iter().map(|&(r, _)| r));
+                }
+                rows.sort_unstable();
+                rows.dedup();
+                rows.len() - (f.u_cols[k].len() + 1 + f.l_cols[k].len())
+            })
+            .sum()
+    }
+
+    /// A vector of length `m`: dense, sparse with exact zeros, or a unit
+    /// vector.
+    fn random_vector(rng: &mut StdRng, m: usize) -> Vec<f64> {
+        match rng.random_range(0..3usize) {
+            0 => (0..m).map(|_| generic(rng)).collect(),
+            1 => (0..m)
+                .map(|_| {
+                    if rng.random_bool(0.2) {
+                        generic(rng)
+                    } else {
+                        0.0
+                    }
+                })
+                .collect(),
+            _ => {
+                let mut e = vec![0.0; m];
+                e[rng.random_range(0..m)] = 1.0;
+                e
+            }
+        }
+    }
+
+    /// Drive up to 64 pivots through the sparse and the dense eta files and
+    /// require equal FTRAN and BTRAN results throughout.
+    fn check_etas(rng: &mut StdRng, f: LuFactors, case: &str) {
+        let m = f.m;
+        let mut dense = DenseBasis::new(f.clone());
+        let mut sparse = FactorizedBasis::new(f);
+        for step in 0..rng.random_range(1..=64usize) {
+            let entering = random_vector(rng, m);
+            let w = sparse.ftran(entering.clone());
+            assert_eq!(w, dense.ftran(entering), "{case}: entering FTRAN {step}");
+            let mut pos = 0;
+            for i in 1..m {
+                if w[i].abs() > w[pos].abs() {
+                    pos = i;
+                }
+            }
+            if w[pos].abs() <= 1e-9 {
+                continue;
+            }
+            sparse.push_eta(pos, &w);
+            dense.push_eta(pos, w);
+            let b = random_vector(rng, m);
+            assert_eq!(
+                sparse.ftran(b.clone()),
+                dense.ftran(b),
+                "{case}: FTRAN {step}"
+            );
+            let c = random_vector(rng, m);
+            assert_eq!(
+                sparse.btran(c.clone()),
+                dense.btran(c),
+                "{case}: BTRAN {step}"
+            );
+        }
+    }
+
+    #[test]
+    fn sparse_factorization_matches_dense_reference_bitwise() {
+        let mut singular = 0;
+        let mut cancelled = 0;
+        for shape in SHAPES {
+            for seed in 0..40u64 {
+                let case = format!("{shape:?} seed {seed}");
+                let mut rng = StdRng::seed_from_u64(seed * 31 + shape as u64);
+                let cols = random_basis(&mut rng, shape);
+                let order = random_order(&mut rng, &cols);
+                let m = cols.len();
+                let got = LuFactors::build(m, &cols, &order);
+                let want = dense_build(m, &cols, &order);
+                match (got, want) {
+                    (None, None) => singular += 1,
+                    (Some(got), Some(want)) => {
+                        assert_same_factors(&got, &want, &case);
+                        cancelled += exact_cancellations(&got, &cols);
+                        check_etas(&mut rng, got, &case);
+                    }
+                    (got, want) => panic!(
+                        "{case}: sparse says {}, dense says {}",
+                        if got.is_some() {
+                            "nonsingular"
+                        } else {
+                            "singular"
+                        },
+                        if want.is_some() {
+                            "nonsingular"
+                        } else {
+                            "singular"
+                        },
+                    ),
+                }
+            }
+        }
+        // The seeds must reach both verdicts and the exact-zero paths.
+        assert!(singular >= 10, "only {singular} singular bases");
+        assert!(cancelled >= 10, "only {cancelled} exact cancellations");
     }
 }

@@ -10,6 +10,12 @@
 //! [`SolveOptions::refactor_every`] pivots (the retry ladder drops this to 1,
 //! making every pivot a fresh factorization).
 //!
+//! A cold solve therefore factorizes its slack/artificial start basis,
+//! refactorizes every `refactor_every` pivots, and refactorizes once more at
+//! the canonical finish unless the eta file is empty. The factorization and
+//! the etas cost time in proportion to their nonzeros, so the start basis,
+//! all singleton columns, factorizes in O(m).
+//!
 //! # Determinism
 //!
 //! Refactorization processes basis columns in a canonical order — ascending
@@ -436,7 +442,7 @@ impl<'a> RevisedSimplex<'a> {
                     self.xb[r] -= t * wr;
                 }
             }
-            self.pivot(enter, row, w, enter_val, hit)?;
+            self.pivot(enter, row, &w, enter_val, hit)?;
             self.pivots += 1;
             if self.pivots % 64 == 63 {
                 self.refresh_xb();
@@ -578,7 +584,7 @@ impl<'a> RevisedSimplex<'a> {
             if let Some(j) = entering {
                 let w = self.ftran_col(j);
                 let enter_val = self.nonbasic_value(j);
-                self.pivot(j, r, w, enter_val, BoundHit::Lower)?;
+                self.pivot(j, r, &w, enter_val, BoundHit::Lower)?;
             }
         }
         Ok(())
@@ -739,7 +745,7 @@ impl<'a> RevisedSimplex<'a> {
                             self.xb[r] -= dir * t * wr;
                         }
                     }
-                    self.pivot(j, row, w, enter_val, hit)?;
+                    self.pivot(j, row, &w, enter_val, hit)?;
                     self.pivots += 1;
                     if t <= 1e-12 {
                         self.degenerate_run += 1;
@@ -872,7 +878,7 @@ impl<'a> RevisedSimplex<'a> {
         &mut self,
         j: usize,
         row: usize,
-        w: Vec<f64>,
+        w: &[f64],
         enter_val: f64,
         hit: BoundHit,
     ) -> Result<(), SolveError> {
