@@ -10,16 +10,14 @@
 //!
 //! The report aggregates every span by name into call count, total time
 //! (sum of span durations), self time (duration minus time spent in child
-//! spans — the same subtraction the collapsed-stack sink performs), and
-//! mean/max duration, then reconstructs the **critical path**: starting
-//! from the longest root span, repeatedly descend into the longest direct
-//! child, which names the chain of phases that actually bounds wall-clock.
+//! spans), and mean/max duration, then reconstructs the **critical path**:
+//! starting from the longest root span, repeatedly descend into the longest
+//! direct child, which names the chain of phases that actually bounds
+//! wall-clock.
 //!
-//! `--diff` accepts either two JSONL traces or two *folded flamegraph*
-//! files (`frame;frame;frame <µs>` lines, as written by
-//! `explore_bench --trace-folded`); the format is auto-detected per file.
-//! The diff table shows per-name self time old → new with the delta and
-//! ratio, worst regressions first.
+//! `--diff` takes two JSONL traces — a `CONTRARC_TRACE` capture or the file
+//! the exploration benchmark writes with `--trace-out` — and shows per-name
+//! self time old → new with the delta and ratio, worst regressions first.
 
 use contrarc::report::render_table;
 use contrarc_obs::json::validate_trace_line;
@@ -193,55 +191,12 @@ fn critical_path(summary: &TraceSummary) -> Vec<Vec<String>> {
     path
 }
 
-/// Per-name self/total times from a folded flamegraph: `a;b;c 123` means
-/// the stack `a→b→c` held 123 units of self time at leaf `c`.
-fn parse_folded(text: &str) -> Result<HashMap<String, NameStats>, String> {
-    let mut by_name: HashMap<String, NameStats> = HashMap::new();
-    for (i, line) in text.lines().enumerate() {
-        let ln = i + 1;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (stack, count) = line
-            .rsplit_once(' ')
-            .ok_or(format!("line {ln}: folded line without a count"))?;
-        let count: u64 = count
-            .parse()
-            .map_err(|_| format!("line {ln}: invalid count '{count}'"))?;
-        let frames: Vec<&str> = stack.split(';').filter(|f| !f.is_empty()).collect();
-        if frames.is_empty() {
-            return Err(format!("line {ln}: empty stack"));
-        }
-        // Self time lands on the leaf; total time on every distinct frame
-        // in the stack (each enclosing span is live for the leaf's time).
-        if let Some(&leaf) = frames.last() {
-            by_name.entry(leaf.to_string()).or_default().self_us += count;
-        }
-        let mut seen = std::collections::BTreeSet::new();
-        for frame in frames {
-            if seen.insert(frame) {
-                let stats = by_name.entry(frame.to_string()).or_default();
-                stats.total_us += count;
-                stats.calls += 1;
-            }
-        }
-    }
-    Ok(by_name)
-}
-
-/// Load per-name stats from a path, auto-detecting JSONL (first non-blank
-/// line starts with `{`) vs folded flamegraph format.
+/// Per-name stats of the JSONL trace at `path`.
 fn load_by_name(path: &str) -> Result<HashMap<String, NameStats>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let first = text.lines().find(|l| !l.trim().is_empty());
-    match first {
-        Some(l) if l.trim_start().starts_with('{') => Ok(parse_trace(&text)
-            .map_err(|e| format!("{path}: {e}"))?
-            .by_name),
-        Some(_) => parse_folded(&text).map_err(|e| format!("{path}: {e}")),
-        None => Err(format!("{path}: empty input")),
-    }
+    Ok(parse_trace(&text)
+        .map_err(|e| format!("{path}: {e}"))?
+        .by_name)
 }
 
 /// The diff table: per-name self time old → new, worst regression first.
@@ -461,33 +416,31 @@ mod tests {
     }
 
     #[test]
-    fn folded_diff_flags_the_slower_phase() {
-        let old = parse_folded("explore;solve 100\nexplore;solve;lp 400\nexplore 50\n").unwrap();
-        let new = parse_folded("explore;solve 100\nexplore;solve;lp 900\nexplore 50\n").unwrap();
-        assert_eq!(old["lp"].self_us, 400);
-        assert_eq!(old["explore"].total_us, 550);
+    fn diff_flags_the_slower_phase() {
+        let dir = std::env::temp_dir().join(format!("trace-diff-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let a = dir.join("a.jsonl");
+        let b = dir.join("b.jsonl");
+        std::fs::write(&a, demo_trace()).unwrap();
+        // The nested lp span grows from 2 ms to 4.5 ms; its ancestors grow
+        // by the same 2.5 ms, so their self time holds.
+        let slower = demo_trace()
+            .replace(r#""dur_us":2000"#, r#""dur_us":4500"#)
+            .replace(r#""dur_us":6000"#, r#""dur_us":8500"#)
+            .replace(r#""dur_us":10000"#, r#""dur_us":12500"#);
+        std::fs::write(&b, slower).unwrap();
+        let old = load_by_name(a.to_str().unwrap()).unwrap();
+        let new = load_by_name(b.to_str().unwrap()).unwrap();
+        assert_eq!(old["lp"].self_us, 5_000);
+        assert_eq!(new["lp"].self_us, 7_500);
+        assert_eq!(new["solve"].self_us, old["solve"].self_us);
         let table = render_diff(&old, &new, usize::MAX);
         let first_row = table.lines().nth(2).unwrap();
         assert!(
             first_row.trim_start().starts_with("lp"),
             "worst regression sorts first: {table}"
         );
-        assert!(first_row.contains("2.25"), "ratio 900/400: {table}");
-    }
-
-    #[test]
-    fn diff_accepts_jsonl_and_folded_mixed() {
-        let dir = std::env::temp_dir().join(format!("trace-diff-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let a = dir.join("a.jsonl");
-        let b = dir.join("b.folded");
-        std::fs::write(&a, demo_trace()).unwrap();
-        std::fs::write(&b, "explore;lp 9000\n").unwrap();
-        let old = load_by_name(a.to_str().unwrap()).unwrap();
-        let new = load_by_name(b.to_str().unwrap()).unwrap();
-        let table = render_diff(&old, &new, usize::MAX);
-        assert!(table.contains("lp"), "{table}");
-        assert!(table.contains("solve"), "{table}");
+        assert!(first_row.contains("1.50"), "ratio 7.5/5: {table}");
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -1,5 +1,4 @@
-//! Experiment runners shared by the table/figure binaries and the Criterion
-//! benches.
+//! Experiment runners behind the table/figure binaries.
 
 use contrarc::baseline::solve_monolithic;
 use contrarc::report::{fmt_time, render_table};

@@ -10,8 +10,9 @@
 //! | Fig. 5(b) | `fig5b` | RPL runtime: monolithic vs compositional (Comb B) over `n` |
 //! | Table II | `table2` | EPN size/time/iterations for the three ablation modes |
 //!
-//! Criterion benches (`fig5`, `table2`, `substrates`) wrap the same runners
-//! on fixed instances for statistically robust timing.
+//! Wall-clock performance is measured by the exploration benchmark under
+//! `benchmark/` (its own workspace, with workloads and bounds declared in
+//! `BENCHMARK.json`); these binaries regenerate the paper's artifacts.
 //!
 //! Absolute numbers differ from the paper (our simplex-based MILP solver
 //! replaces Gurobi); the claims that must reproduce are the *relative*

@@ -17,9 +17,7 @@
 //!
 //! When no sink is installed (the default), every `span!`/`event!` site costs
 //! one relaxed atomic load and a branch; field expressions are not even
-//! evaluated. Installing [`sinks::NoopSink`] keeps that fast path: it
-//! advertises itself as disabled, so it is exactly the uninstrumented
-//! configuration with a name.
+//! evaluated. Installing any sink turns emission on.
 //!
 //! ## Event schema
 //!
@@ -168,12 +166,6 @@ pub trait Sink: Send + Sync {
     fn record(&self, event: &Event);
     /// Flush any buffered output.
     fn flush(&self) {}
-    /// Whether installing this sink should actually enable event emission.
-    /// [`sinks::NoopSink`] returns `false`, preserving the disabled fast
-    /// path byte for byte.
-    fn wants_events(&self) -> bool {
-        true
-    }
 }
 
 static TRACE_ON: AtomicBool = AtomicBool::new(false);
@@ -202,15 +194,13 @@ pub fn now_us() -> u64 {
 }
 
 /// Install `sink` as the process-global event destination, replacing any
-/// previous one (which is flushed). Emission is enabled unless the sink
-/// declares `wants_events() == false` (see [`sinks::NoopSink`]).
+/// previous one (which is flushed), and enable emission.
 pub fn install_sink(sink: Arc<dyn Sink>) {
-    let enable = sink.wants_events();
     let previous = {
         let mut slot = SINK.write().unwrap_or_else(PoisonError::into_inner);
         slot.replace(sink)
     };
-    TRACE_ON.store(enable, Ordering::SeqCst);
+    TRACE_ON.store(true, Ordering::SeqCst);
     if let Some(prev) = previous {
         prev.flush();
     }

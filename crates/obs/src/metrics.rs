@@ -2,8 +2,9 @@
 //! histograms, snapshotted into a [`MetricsReport`].
 //!
 //! Collection is off by default (one relaxed atomic load per site when
-//! disabled) and is enabled explicitly by harnesses — `explore_bench` embeds
-//! the resulting report in `BENCH_explore.json`. Like sinks, metrics observe
+//! disabled) and is enabled explicitly by harnesses — the exploration
+//! benchmark under `benchmark/` reads its per-layer counters from registry
+//! snapshots, and `contrarc-serve` exports them. Like sinks, metrics observe
 //! and never steer: no instrumented code path reads a metric back.
 
 use std::collections::BTreeMap;
@@ -220,7 +221,7 @@ impl HistogramSnapshot {
 }
 
 /// A point-in-time snapshot of the whole registry, ready for rendering
-/// (`contrarc::report`) or JSON embedding (`explore_bench`).
+/// (`contrarc::report`) or JSON embedding (`contrarc-serve`).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsReport {
     /// All counters, sorted by name.

@@ -1,26 +1,12 @@
-//! Sink implementations: no-op, JSONL, collapsed-stack (flamegraph), stderr
-//! pretty-printer, and an in-memory buffer for tests.
+//! Sink implementations: JSONL, stderr pretty-printer, and an in-memory
+//! buffer for tests.
 
 use crate::json::escape_into;
 use crate::{Event, EventKind, Sink, Value};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::{Mutex, PoisonError};
-
-/// The default sink: discards everything. Installing it advertises
-/// `wants_events() == false`, so the process keeps the disabled fast path —
-/// instrumentation sites cost one atomic load and never build an [`Event`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
-
-impl Sink for NoopSink {
-    fn record(&self, _event: &Event) {}
-    fn wants_events(&self) -> bool {
-        false
-    }
-}
 
 fn push_value_json(out: &mut String, value: &Value) {
     match value {
@@ -120,90 +106,6 @@ impl Sink for JsonlSink {
     }
 }
 
-#[derive(Default)]
-struct FoldedState {
-    /// span id -> (name, parent, thread label) for every span seen opening.
-    open: HashMap<u64, (&'static str, u64, String)>,
-    /// span id -> accumulated child wall-clock (µs), for self-time.
-    child_us: HashMap<u64, u64>,
-    /// folded stack -> accumulated self-time (µs).
-    folded: std::collections::BTreeMap<String, u64>,
-}
-
-/// Aggregates span durations into flamegraph.pl-compatible collapsed stacks:
-/// one `thread;outer;inner NNN` line per unique stack, weighted by *self*
-/// time in microseconds (children's wall-clock is subtracted from the
-/// parent's). Pull the result with [`CollapsedStackSink::folded`] after the
-/// run.
-#[derive(Default)]
-pub struct CollapsedStackSink {
-    state: Mutex<FoldedState>,
-}
-
-impl std::fmt::Debug for CollapsedStackSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("CollapsedStackSink")
-    }
-}
-
-impl CollapsedStackSink {
-    /// The collapsed stacks accumulated so far, one `stack count` line each,
-    /// sorted by stack. Frames are separated by `;` with the thread label as
-    /// the root frame; counts are self-time microseconds.
-    #[must_use]
-    pub fn folded(&self) -> String {
-        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut out = String::new();
-        for (stack, us) in &state.folded {
-            let _ = writeln!(out, "{stack} {us}");
-        }
-        out
-    }
-}
-
-impl Sink for CollapsedStackSink {
-    fn record(&self, event: &Event) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        match event.kind {
-            EventKind::SpanOpen => {
-                state.open.insert(
-                    event.span,
-                    (event.name, event.parent, event.thread.to_string()),
-                );
-            }
-            EventKind::SpanClose => {
-                let dur = event.dur_us.unwrap_or(0);
-                let children = state.child_us.remove(&event.span).unwrap_or(0);
-                let self_us = dur.saturating_sub(children);
-                if event.parent != 0 {
-                    *state.child_us.entry(event.parent).or_insert(0) += dur;
-                }
-                // Reconstruct the stack from still-open ancestors. A parent
-                // chain crossing threads (fan-out) is walked transparently.
-                let mut frames = vec![event.name.to_owned()];
-                let mut cursor = event.parent;
-                while cursor != 0 {
-                    match state.open.get(&cursor) {
-                        Some((name, parent, _)) => {
-                            frames.push((*name).to_owned());
-                            cursor = *parent;
-                        }
-                        None => break,
-                    }
-                }
-                frames.push(event.thread.to_string());
-                frames.reverse();
-                let stack = frames.join(";");
-                if self_us > 0 {
-                    *state.folded.entry(stack).or_insert(0) += self_us;
-                }
-                state.open.remove(&event.span);
-            }
-            EventKind::Instant => {}
-        }
-    }
-}
-
 /// Human progress lines on stderr: prints instant events as
 /// `[  12.345s] name key=value …` and ignores span traffic, so stdout stays
 /// machine-parseable while stderr carries progress.
@@ -294,30 +196,6 @@ mod tests {
         let line = event_to_jsonl(&e);
         assert!(line.contains("\"bad\":null"), "{line}");
         validate_trace_line(&line).unwrap();
-    }
-
-    #[test]
-    fn collapsed_stacks_subtract_child_time() {
-        let sink = CollapsedStackSink::default();
-        let thread: Arc<str> = Arc::from("main");
-        let ev = |kind, name: &'static str, span, parent, dur_us| Event {
-            kind,
-            name,
-            span,
-            parent,
-            thread: Arc::clone(&thread),
-            t_us: 0,
-            dur_us,
-            fields: vec![],
-        };
-        sink.record(&ev(EventKind::SpanOpen, "outer", 1, 0, None));
-        sink.record(&ev(EventKind::SpanOpen, "inner", 2, 1, None));
-        sink.record(&ev(EventKind::SpanClose, "inner", 2, 1, Some(30)));
-        sink.record(&ev(EventKind::SpanClose, "outer", 1, 0, Some(100)));
-        let folded = sink.folded();
-        let mut lines: Vec<&str> = folded.lines().collect();
-        lines.sort_unstable();
-        assert_eq!(lines, vec!["main;outer 70", "main;outer;inner 30"]);
     }
 
     #[test]

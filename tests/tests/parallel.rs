@@ -31,10 +31,10 @@ fn run_stepwise(p: &Problem, threads: usize) -> (f64, ExplorerCheckpoint) {
 
 /// The serial run and every parallel run agree on the optimum (to the bit),
 /// the certificate cut set (names, coefficients, order), and every
-/// schedule-independent statistic.
+/// schedule-independent statistic. `0` means every available core.
 fn assert_thread_count_invariant(p: &Problem) {
     let (cost_1, ckpt_1) = run_stepwise(p, 1);
-    for threads in [2, 8] {
+    for threads in [2, 8, 0] {
         let (cost_t, ckpt_t) = run_stepwise(p, threads);
         assert_eq!(
             cost_1.to_bits(),

@@ -2,7 +2,12 @@
 //! pivot, branch-and-bound node and candidate of an exploration, so a change
 //! that must keep that arithmetic bit for bit (a faster factorization, for
 //! one) must leave these counters exactly where they are. Each case runs the
-//! complete mode on one thread.
+//! complete mode on one thread, and most on two threads as well: there
+//! speculative branch-and-bound prefetch solves extra node LPs, so the pivot
+//! count pins the prefetch schedule too. `threads: 0` is not pinned, because
+//! what it resolves to depends on the machine; `parallel.rs` checks that it
+//! reproduces the serial run. Each six-line run takes about 0.8 s in the
+//! test profile.
 
 use contrarc::{Explorer, ExplorerConfig, Problem, Step};
 use contrarc_systems::epn::{self, EpnConfig};
@@ -17,9 +22,9 @@ struct Trajectory {
     nodes: u64,
 }
 
-fn trajectory(p: &Problem) -> Trajectory {
+fn trajectory(p: &Problem, threads: usize) -> Trajectory {
     let cfg = ExplorerConfig {
-        threads: 1,
+        threads,
         ..ExplorerConfig::complete()
     };
     let mut ex = Explorer::new(p, cfg).unwrap();
@@ -52,17 +57,26 @@ fn expected(optimum: f64, iterations: usize, cuts: usize, pivots: u64, nodes: u6
 #[test]
 fn epn_default_trajectory_is_pinned() {
     let p = epn::build(&EpnConfig::default());
-    assert_eq!(trajectory(&p), expected(42.0, 43, 45, 4_920, 325));
+    assert_eq!(trajectory(&p, 1), expected(42.0, 43, 45, 4_920, 325));
+    assert_eq!(trajectory(&p, 2), expected(42.0, 43, 45, 5_239, 325));
 }
 
 #[test]
 fn rpl_both_lines_trajectory_is_pinned() {
     let p = rpl::build(&RplConfig::default(), RplLines::Both);
-    assert_eq!(trajectory(&p), expected(32.0, 7, 24, 1_048, 56));
+    assert_eq!(trajectory(&p, 1), expected(32.0, 7, 24, 1_048, 56));
+    assert_eq!(trajectory(&p, 2), expected(32.0, 7, 24, 1_145, 56));
 }
 
 #[test]
 fn rpl_three_parallel_lines_trajectory_is_pinned() {
     let p = rpl::build_parallel(&RplConfig::default(), 3);
-    assert_eq!(trajectory(&p), expected(48.0, 7, 54, 2_263, 69));
+    assert_eq!(trajectory(&p, 1), expected(48.0, 7, 54, 2_263, 69));
+}
+
+#[test]
+fn rpl_six_parallel_lines_trajectory_is_pinned() {
+    let p = rpl::build_parallel(&RplConfig::default(), 6);
+    assert_eq!(trajectory(&p, 1), expected(96.0, 7, 216, 19_351, 206));
+    assert_eq!(trajectory(&p, 2), expected(96.0, 7, 216, 20_820, 206));
 }
