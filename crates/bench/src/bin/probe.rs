@@ -1,8 +1,9 @@
 //! Diagnostic probe for exploration performance (not part of the paper).
 //! Usage: probe [lineA|both] [warm|cold] [iso|noiso] [comp|mono] [n] [stages] [archex]
 //!
-//! `warm` turns on `SolveOptions::warm_start` (root and node dual-simplex
-//! warm starts); anything else runs the cold default. `n` is the paper's
+//! `cold` turns off `SolveOptions::warm_start`, solving every LP from the
+//! slack basis; anything else keeps the default root and node dual-simplex
+//! warm starts. `n` is the paper's
 //! `n_A = n_B` sweep point and `stages` the stage count (defaults 1 and 2);
 //! `archex` solves the monolithic baseline instead of exploring.
 //!
@@ -23,7 +24,7 @@ fn main() {
     } else {
         RplLines::LineA
     };
-    let warm = args.get(1).map(String::as_str) == Some("warm");
+    let warm = args.get(1).map(String::as_str) != Some("cold");
     let iso = args.get(2).map(String::as_str) != Some("noiso");
     let comp = args.get(3).map(String::as_str) != Some("mono");
     let n: usize = args.get(4).map_or(1, |s| s.parse().expect("n"));

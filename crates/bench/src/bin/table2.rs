@@ -32,7 +32,7 @@ fn main() {
     let mut rows = Vec::new();
     for config in configs.iter().take(to).skip(from) {
         event!("table2.row", config = config.label());
-        rows.push(run_table2_row(config));
+        rows.push(run_table2_row(config, time_limit_secs()));
     }
     println!("{}", render_table2(&rows));
     println!("expected shape: 'complete' dominates both ablations in time;");

@@ -1,6 +1,7 @@
 //! Experiment runners behind the table/figure binaries.
 
 use contrarc::baseline::solve_monolithic;
+use contrarc::encode::encode_problem2;
 use contrarc::report::{fmt_time, render_table};
 use contrarc::{explore, Exploration, ExploreError, ExplorerConfig, Problem};
 use contrarc_milp::{SolveError, SolveOptions};
@@ -20,13 +21,13 @@ pub fn time_limit_secs() -> f64 {
         .unwrap_or(900.0)
 }
 
-fn limited_solve_options() -> SolveOptions {
-    SolveOptions::default().with_time_limit(time_limit_secs())
+fn limited_solve_options(secs: f64) -> SolveOptions {
+    SolveOptions::default().with_time_limit(secs)
 }
 
-fn limited_explorer(mut cfg: ExplorerConfig) -> ExplorerConfig {
-    cfg.solve_options = limited_solve_options();
-    cfg.time_limit_secs = Some(time_limit_secs());
+fn limited_explorer(mut cfg: ExplorerConfig, secs: f64) -> ExplorerConfig {
+    cfg.solve_options = limited_solve_options(secs);
+    cfg.time_limit_secs = Some(secs);
     cfg
 }
 
@@ -77,9 +78,12 @@ pub fn run_fig5a(ns: &[usize]) -> Vec<Fig5aRow> {
     ns.iter()
         .map(|&n| {
             let problem = build_rpl(&RplConfig::symmetric(n), RplLines::Both);
-            let contrarc = explore_limited(&problem, &limited_explorer(ExplorerConfig::complete()));
+            let contrarc = explore_limited(
+                &problem,
+                &limited_explorer(ExplorerConfig::complete(), time_limit_secs()),
+            );
             let archex = within_budget(
-                solve_monolithic(&problem, &limited_solve_options()),
+                solve_monolithic(&problem, &limited_solve_options(time_limit_secs())),
                 "baseline solve",
             );
             Fig5aRow {
@@ -166,7 +170,7 @@ pub fn run_fig5b(ns: &[usize]) -> Vec<Fig5bRow> {
                 max_latency: 25.0 * stages as f64 - 2.0,
                 ..RplConfig::default()
             };
-            let cfg = limited_explorer(ExplorerConfig::complete());
+            let cfg = limited_explorer(ExplorerConfig::complete(), time_limit_secs());
             let mono = within_budget(explore_monolithic(&config, &cfg), "monolithic");
             let dec = within_budget(explore_decomposed(&config, &cfg), "decomposed");
             Fig5bRow {
@@ -214,7 +218,8 @@ pub fn render_fig5b(rows: &[Fig5bRow]) -> String {
     )
 }
 
-/// One Table II row: a template configuration under one ablation mode.
+/// One Table II cell: a template configuration under one ablation mode that
+/// finished within the budget.
 #[derive(Debug, Clone)]
 pub struct Table2Cell {
     /// Runtime in seconds.
@@ -225,7 +230,7 @@ pub struct Table2Cell {
     pub cost: Option<f64>,
 }
 
-/// One Table II row across the three modes.
+/// One Table II row across the three modes. A `None` cell timed out.
 #[derive(Debug, Clone)]
 pub struct Table2Row {
     /// `(L, R, APU)` label.
@@ -235,14 +240,14 @@ pub struct Table2Row {
     /// Constraints of the Problem-2 MILP.
     pub constraints: usize,
     /// "Only subgraph isomorphism" ablation.
-    pub only_iso: Table2Cell,
+    pub only_iso: Option<Table2Cell>,
     /// "Only decomposition" ablation.
-    pub only_dec: Table2Cell,
+    pub only_dec: Option<Table2Cell>,
     /// Complete ContrArc.
-    pub complete: Table2Cell,
+    pub complete: Option<Table2Cell>,
 }
 
-fn cell(e: &Exploration) -> Table2Cell {
+fn cell(e: Exploration) -> Table2Cell {
     Table2Cell {
         time: e.stats().total_time,
         iterations: e.stats().iterations,
@@ -250,17 +255,20 @@ fn cell(e: &Exploration) -> Table2Cell {
     }
 }
 
-/// Run one Table II row. Timed-out cells report the budget and zero
-/// iterations.
+/// Run one Table II row, each mode under a budget of `secs` seconds. The
+/// MILP size comes from the encoding, which every mode shares, so it is
+/// known even when every mode times out.
 #[must_use]
-pub fn run_table2_row(config: &EpnConfig) -> Table2Row {
+pub fn run_table2_row(config: &EpnConfig, secs: f64) -> Table2Row {
     let problem = build_epn(config);
-    let only_iso = explore_limited(&problem, &limited_explorer(ExplorerConfig::only_iso()));
-    let only_dec = explore_limited(
-        &problem,
-        &limited_explorer(ExplorerConfig::only_decomposition()),
-    );
-    let complete = explore_limited(&problem, &limited_explorer(ExplorerConfig::complete()));
+    let size = encode_problem2(&problem)
+        .expect("the EPN problem encodes")
+        .model
+        .stats();
+    let run = |cfg| explore_limited(&problem, &limited_explorer(cfg, secs));
+    let only_iso = run(ExplorerConfig::only_iso());
+    let only_dec = run(ExplorerConfig::only_decomposition());
+    let complete = run(ExplorerConfig::complete());
     // Only modes that finished proved an optimum (or infeasibility).
     let optima: Vec<Option<f64>> = [&only_iso, &only_dec, &complete]
         .into_iter()
@@ -271,22 +279,13 @@ pub fn run_table2_row(config: &EpnConfig) -> Table2Row {
         optima.windows(2).all(|w| w[0] == w[1]),
         "ablation modes must agree on the optimum: {optima:?}"
     );
-    let timeout_cell = || Table2Cell {
-        time: time_limit_secs(),
-        iterations: 0,
-        cost: None,
-    };
-    let stats = complete
-        .as_ref()
-        .or(only_iso.as_ref())
-        .or(only_dec.as_ref());
     Table2Row {
         label: config.label(),
-        vars: stats.map_or(0, |e| e.stats().milp_vars),
-        constraints: stats.map_or(0, |e| e.stats().milp_constraints),
-        only_iso: only_iso.as_ref().map_or_else(timeout_cell, cell),
-        only_dec: only_dec.as_ref().map_or_else(timeout_cell, cell),
-        complete: complete.as_ref().map_or_else(timeout_cell, cell),
+        vars: size.num_vars,
+        constraints: size.num_constraints,
+        only_iso: only_iso.map(cell),
+        only_dec: only_dec.map(cell),
+        complete: complete.map(cell),
     }
 }
 
@@ -310,56 +309,68 @@ pub fn table2_configs() -> Vec<EpnConfig> {
     .collect()
 }
 
-/// Render Table II rows, including the paper-style average/ratio footer.
+/// Render Table II rows, including the paper-style average/ratio footer. A
+/// timed-out cell prints as `timeout` with no iteration count. The footer
+/// averages only the rows every mode finished, so each ratio compares the
+/// modes on the same rows; its label says how many rows that is when some
+/// are left out, and it reads `n/a` when none is left.
 #[must_use]
 pub fn render_table2(rows: &[Table2Row]) -> String {
     let mut body: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
-            vec![
+            let mut line = vec![
                 r.label.clone(),
                 r.vars.to_string(),
                 r.constraints.to_string(),
-                fmt_time(r.only_iso.time),
-                r.only_iso.iterations.to_string(),
-                fmt_time(r.only_dec.time),
-                r.only_dec.iterations.to_string(),
-                fmt_time(r.complete.time),
-                r.complete.iterations.to_string(),
-            ]
+            ];
+            for c in [&r.only_iso, &r.only_dec, &r.complete] {
+                match c {
+                    Some(c) => line.extend([fmt_time(c.time), c.iterations.to_string()]),
+                    None => line.extend(["timeout".into(), "-".into()]),
+                }
+            }
+            line
+        })
+        .collect();
+    let finished: Vec<[&Table2Cell; 3]> = rows
+        .iter()
+        .filter_map(|r| {
+            Some([
+                r.only_iso.as_ref()?,
+                r.only_dec.as_ref()?,
+                r.complete.as_ref()?,
+            ])
         })
         .collect();
     if !rows.is_empty() {
-        let n = rows.len() as f64;
-        let avg = |f: fn(&Table2Row) -> f64| rows.iter().map(f).sum::<f64>() / n;
-        let avg_iso_t = avg(|r| r.only_iso.time);
-        let avg_dec_t = avg(|r| r.only_dec.time);
-        let avg_com_t = avg(|r| r.complete.time);
-        let avg_iso_i = avg(|r| r.only_iso.iterations as f64);
-        let avg_dec_i = avg(|r| r.only_dec.iterations as f64);
-        let avg_com_i = avg(|r| r.complete.iterations as f64);
-        body.push(vec![
-            "Average".into(),
-            String::new(),
-            String::new(),
-            fmt_time(avg_iso_t),
-            format!("{avg_iso_i:.1}"),
-            fmt_time(avg_dec_t),
-            format!("{avg_dec_i:.1}"),
-            fmt_time(avg_com_t),
-            format!("{avg_com_i:.1}"),
-        ]);
-        body.push(vec![
-            "Ratio".into(),
-            String::new(),
-            String::new(),
-            format!("{:.2}", avg_iso_t / avg_com_t.max(1e-9)),
-            format!("{:.2}", avg_iso_i / avg_com_i.max(1e-9)),
-            format!("{:.2}", avg_dec_t / avg_com_t.max(1e-9)),
-            format!("{:.2}", avg_dec_i / avg_com_i.max(1e-9)),
-            "1.00".into(),
-            "1.00".into(),
-        ]);
+        let label = if finished.len() == rows.len() || finished.is_empty() {
+            "Average".to_string()
+        } else {
+            format!("Average ({} of {} rows)", finished.len(), rows.len())
+        };
+        let mut average = vec![label, String::new(), String::new()];
+        let mut ratio = vec!["Ratio".to_string(), String::new(), String::new()];
+        if finished.is_empty() {
+            average.extend(std::iter::repeat_n("n/a".to_string(), 6));
+            ratio.extend(std::iter::repeat_n("n/a".to_string(), 6));
+        } else {
+            let n = finished.len() as f64;
+            let avg = |f: &dyn Fn(&Table2Cell) -> f64| -> [f64; 3] {
+                std::array::from_fn(|mode| finished.iter().map(|c| f(c[mode])).sum::<f64>() / n)
+            };
+            let time = avg(&|c| c.time);
+            let iters = avg(&|c| c.iterations as f64);
+            for mode in 0..3 {
+                average.extend([fmt_time(time[mode]), format!("{:.1}", iters[mode])]);
+                ratio.extend([
+                    format!("{:.2}", time[mode] / time[2].max(1e-9)),
+                    format!("{:.2}", iters[mode] / iters[2].max(1e-9)),
+                ]);
+            }
+        }
+        body.push(average);
+        body.push(ratio);
     }
     render_table(
         &[
@@ -496,30 +507,101 @@ mod tests {
         assert_eq!(configs[9].label(), "2,2,1");
     }
 
+    fn table2_cell(time: f64, iterations: usize) -> Option<Table2Cell> {
+        Some(Table2Cell {
+            time,
+            iterations,
+            cost: Some(1.0),
+        })
+    }
+
+    /// The whitespace-separated fields of the rendered line starting with
+    /// `label`.
+    fn table2_fields(text: &str, label: &str) -> Vec<String> {
+        let line = text
+            .lines()
+            .find(|l| l.trim_start().starts_with(label))
+            .unwrap_or_else(|| panic!("no line starts with {label}:\n{text}"));
+        line.split_whitespace().map(String::from).collect()
+    }
+
     #[test]
     fn render_table2_includes_footer() {
         let rows = vec![Table2Row {
             label: "1,0,0".into(),
             vars: 10,
             constraints: 5,
-            only_iso: Table2Cell {
-                time: 1.0,
-                iterations: 3,
-                cost: Some(1.0),
-            },
-            only_dec: Table2Cell {
-                time: 2.0,
-                iterations: 6,
-                cost: Some(1.0),
-            },
-            complete: Table2Cell {
-                time: 0.5,
-                iterations: 2,
-                cost: Some(1.0),
-            },
+            only_iso: table2_cell(1.0, 3),
+            only_dec: table2_cell(2.0, 6),
+            complete: table2_cell(0.5, 2),
         }];
         let text = render_table2(&rows);
-        assert!(text.contains("Average"));
-        assert!(text.contains("Ratio"));
+        assert_eq!(
+            table2_fields(&text, "Average"),
+            ["Average", "1.00", "3.0", "2.00", "6.0", "0.50", "2.0"]
+        );
+        assert_eq!(
+            table2_fields(&text, "Ratio"),
+            ["Ratio", "2.00", "1.50", "4.00", "3.00", "1.00", "1.00"]
+        );
+    }
+
+    #[test]
+    fn render_table2_keeps_timeouts_out_of_the_footer() {
+        // Complete timed out on the second row. Counted as 0 iterations, it
+        // would turn the dec-iterations ratio into (6 + 72) / 2.
+        let rows = vec![
+            Table2Row {
+                label: "1,0,0".into(),
+                vars: 10,
+                constraints: 5,
+                only_iso: table2_cell(1.0, 3),
+                only_dec: table2_cell(2.0, 6),
+                complete: table2_cell(0.5, 2),
+            },
+            Table2Row {
+                label: "2,0,0".into(),
+                vars: 20,
+                constraints: 9,
+                only_iso: table2_cell(10.0, 30),
+                only_dec: table2_cell(20.0, 72),
+                complete: None,
+            },
+        ];
+        let text = render_table2(&rows);
+        assert_eq!(
+            table2_fields(&text, "2,0,0"),
+            ["2,0,0", "20", "9", "10.00", "30", "20.00", "72", "timeout", "-"]
+        );
+        assert_eq!(
+            table2_fields(&text, "Average"),
+            ["Average", "(1", "of", "2", "rows)", "1.00", "3.0", "2.00", "6.0", "0.50", "2.0"]
+        );
+        assert_eq!(
+            table2_fields(&text, "Ratio"),
+            ["Ratio", "2.00", "1.50", "4.00", "3.00", "1.00", "1.00"]
+        );
+
+        // With every row timed out somewhere, the footer has nothing to
+        // average.
+        let text = render_table2(&rows[1..]);
+        assert_eq!(table2_fields(&text, "Ratio")[1..], ["n/a"; 6]);
+    }
+
+    #[test]
+    fn table2_row_sizes_come_from_the_encoding() {
+        // Under a zero budget every mode times out; the row still reports
+        // the Problem-2 MILP's size.
+        let row = run_table2_row(&EpnConfig::table2(1, 0, 0), 0.0);
+        assert!(row.only_iso.is_none() && row.only_dec.is_none() && row.complete.is_none());
+        let size = encode_problem2(&build_epn(&EpnConfig::table2(1, 0, 0)))
+            .unwrap()
+            .model
+            .stats();
+        assert!(size.num_vars > 0);
+        assert_eq!(
+            (row.vars, row.constraints),
+            (size.num_vars, size.num_constraints)
+        );
     }
 }

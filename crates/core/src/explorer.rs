@@ -651,7 +651,7 @@ pub struct Explorer<'p> {
     prior_cache_misses: u64,
     /// Optimal basis of the previous candidate-selection solve, dual-simplex
     /// warm-started into the next one (cuts only ever append rows/columns).
-    /// Always `None` unless `solve_options.warm_start` is on. In-memory
+    /// Always `None` with `solve_options.warm_start` off. In-memory
     /// only, deliberately *not* part of the checkpoint: a resumed run
     /// cold-starts its first solve.
     warm: Option<contrarc_milp::WarmStart>,

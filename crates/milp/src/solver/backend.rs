@@ -3,8 +3,9 @@
 //!
 //! [`solve_lp`] runs the revised simplex (see the `revised` module). It tries
 //! the warm (dual simplex) path when warm starts are on and a snapshot is
-//! offered, falls back to a cold solve otherwise, settles the pivot budget at
-//! the LP boundary, and reports what happened so callers can emit metrics at
+//! offered, falls back to a cold solve otherwise or when the warm path fails
+//! (unusable snapshot, numerical trouble), settles the pivot budget at the LP
+//! boundary, and reports what happened so callers can emit metrics at
 //! deterministic commit points.
 
 use crate::error::SolveError;
@@ -144,10 +145,13 @@ pub(crate) fn solve_lp(req: &LpRequest<'_>) -> LpSolve {
                 warm_used = true;
                 Ok(outcome)
             }
-            Ok(None) => {
-                // Unusable snapshot (singular basis, lost dual feasibility):
-                // cold start on a fresh engine, keeping the pivots already
-                // spent so budgets stay exact.
+            Ok(None) | Err(SolveError::Numerical(_)) => {
+                // Unusable snapshot (singular basis, lost dual feasibility)
+                // or a numerical failure during the repair (a singular
+                // refactorization, say): cold start on a fresh engine,
+                // keeping the pivots already spent so budgets stay exact.
+                // The cold solve owns the outcome, so the retry ladder only
+                // sees numerical trouble the cold path hits too.
                 pivots += engine.pivots;
                 refactorizations += engine.refactorizations;
                 refactor_reuses += engine.refactor_reuses;
@@ -174,8 +178,9 @@ pub(crate) fn solve_lp(req: &LpRequest<'_>) -> LpSolve {
         .opts
         .budget
         .charge_pivots(engine.take_uncharged_pivots());
-    // Only a warm start can use the basis, so the cold default skips the
-    // snapshot.
+    // Only a warm start can use the basis, so `warm_start: false` skips the
+    // snapshot. With warm starts on, every optimal LP hands its basis on: to
+    // its branch-and-bound children, and to the caller's next cut-loop solve.
     let basis = match &lp_result {
         Ok(LpOutcome::Optimal { .. }) if req.opts.warm_start => engine.snapshot().map(Arc::new),
         _ => None,
@@ -198,6 +203,97 @@ pub(crate) fn solve_lp(req: &LpRequest<'_>) -> LpSolve {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::budget::Deadline;
+    use crate::solver::{Solver, WarmStart};
+    use crate::{Cmp, Model, Sense};
+
+    /// An LP and a snapshot whose dual repair pivots into a singular basis:
+    ///
+    /// ```text
+    /// min  −x1 − x2
+    /// s.t. x1/32 + x2/32       + 32·x3   ≤ 1
+    ///      32·x1 + (32 − δ)·x2 + x3/32   ≤ 100,   x ≥ 0
+    /// ```
+    ///
+    /// Every row and column already has geometric mean 1, so equilibration
+    /// leaves the matrix as written. The snapshot makes x1 basic in row 0 and
+    /// row 1's slack basic, at −924. The dual ratio test then picks x2
+    /// (reduced cost 0, pivot −δ, above the simplex's pivot floor), but the
+    /// basis {x1, x2} has an LU pivot of δ/1024, below the factorization's
+    /// singularity floor. With `refactor_every: 1` that refactorization
+    /// follows the pivot at once and fails.
+    fn singular_repair() -> (Model, BasisSnapshot, SolveOptions) {
+        let delta = 4e-9;
+        let mut m = Model::new("singular-repair");
+        let x1 = m.add_continuous("x1", 0.0, f64::INFINITY);
+        let x2 = m.add_continuous("x2", 0.0, f64::INFINITY);
+        let x3 = m.add_continuous("x3", 0.0, f64::INFINITY);
+        let r0 = 0.03125 * x1 + 0.03125 * x2 + 32.0 * x3;
+        m.add_constr("r0", r0, Cmp::Le, 1.0).unwrap();
+        let r1 = 32.0 * x1 + (32.0 - delta) * x2 + 0.03125 * x3;
+        m.add_constr("r1", r1, Cmp::Le, 100.0).unwrap();
+        m.set_objective(Sense::Minimize, -1.0 * x1 - 1.0 * x2);
+        // Columns x1, x2, x3, then the slacks of r0 and r1.
+        let snap = BasisSnapshot {
+            basis: vec![0, 4],
+            state: vec![3, 0, 0, 0, 3],
+        };
+        let opts = SolveOptions {
+            warm_start: true,
+            refactor_every: 1,
+            ..SolveOptions::default()
+        };
+        (m, snap, opts)
+    }
+
+    #[test]
+    fn numerical_failure_on_the_warm_path_falls_back_to_a_cold_solve() {
+        let (m, snap, opts) = singular_repair();
+        let sf = StandardForm::build(&m, None);
+        let request = |warm, opts| LpRequest {
+            sf: &sf,
+            opts,
+            deadline: Deadline::unlimited(),
+            warm,
+        };
+        let cold = solve_lp(&request(None, &opts));
+        let Ok(LpOutcome::Optimal {
+            values: cold_values,
+            ..
+        }) = cold.result
+        else {
+            panic!("cold solve failed: {:?}", cold.result);
+        };
+        let warm = solve_lp(&request(Some(&snap), &opts));
+        assert!(warm.warm_attempted);
+        assert!(!warm.warm_used, "the dual repair cannot have succeeded");
+        match warm.result {
+            Ok(LpOutcome::Optimal { values, .. }) => {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&values), bits(&cold_values));
+            }
+            other => panic!("expected the cold optimum, got {other:?}"),
+        }
+
+        // Through the solver: the fallback absorbs the failure, so the
+        // retry ladder never runs.
+        let warm_start = WarmStart {
+            snap: Arc::new(snap),
+        };
+        let (outcome, _) = Solver::new(opts.clone())
+            .solve_with_state(&m, Some(&warm_start))
+            .expect("the cold fallback solves the LP");
+        let cold_opts = SolveOptions {
+            warm_start: false,
+            ..opts
+        };
+        let reference = Solver::new(cold_opts).solve(&m).unwrap();
+        assert_eq!(outcome.stats().numerical_retries, 0);
+        assert_eq!(
+            outcome.expect_optimal().unwrap().objective().to_bits(),
+            reference.expect_optimal().unwrap().objective().to_bits()
+        );
+    }
 
     #[test]
     fn remap_identity_when_shape_unchanged() {

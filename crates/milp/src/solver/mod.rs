@@ -26,8 +26,9 @@ use std::sync::Arc;
 /// usable to warm-start a later solve of the *same model grown monotonically*
 /// (bounds changed, cut rows and auxiliary columns appended — the exploration
 /// cut-loop pattern). Obtained from [`Solver::solve_with_state`] when
-/// [`SolveOptions::warm_start`] is on; treat it as a black box. An unusable
-/// state silently falls back to a cold solve.
+/// [`SolveOptions::warm_start`] is on (the default); treat it as a black box.
+/// An unusable state, or a numerical failure while repairing from it, falls
+/// back to a cold solve.
 #[derive(Debug, Clone)]
 pub struct WarmStart {
     pub(crate) snap: Arc<BasisSnapshot>,
@@ -70,18 +71,23 @@ pub struct SolveOptions {
     pub force_bland: bool,
     /// Whether to run the presolve pass before solving.
     pub presolve: bool,
-    /// Dual-simplex warm starts (off by default; any trouble falls back to a
+    /// Dual-simplex warm starts (on by default; any trouble falls back to a
     /// cold solve). The root relaxation starts from the [`WarmStart`] passed
     /// to [`Solver::solve_with_state`] — the cut-loop pattern — and every
-    /// branch-and-bound child starts from its parent's optimal basis. This
-    /// saves several-fold in pivots on the exploration workloads (1,048 cold
+    /// branch-and-bound child starts from its parent's optimal basis: dual
+    /// simplex, then a primal cleanup, then the canonical finish. This saves
+    /// several-fold in pivots on the exploration workloads (1,048 cold
     /// against 205 warm on the two-line RPL, held at ≥ 2× by the test
     /// `warm_starts_halve_the_pivots_on_rpl_both_lines`), and the committed
-    /// trajectory stays identical at any thread count — but on models with
-    /// many equally-optimal solutions the dual repair can land on a
-    /// different optimal vertex than a cold solve, so the search may surface
-    /// a *different equally-optimal* incumbent than a cold run would. That
-    /// is why it is opt-in.
+    /// trajectory stays identical at any thread count. On models with many
+    /// equally-optimal solutions the dual repair can land on a different
+    /// optimal vertex than a cold solve, so the search may surface a
+    /// *different equally-optimal* incumbent than a cold run would; the
+    /// optimum is the same.
+    ///
+    /// `false` solves every LP cold with the two-phase primal simplex from
+    /// the slack basis. That is the reference the warm path is tested
+    /// against, and its pivots and nodes are pinned exactly.
     pub warm_start: bool,
     /// Collapse the revised simplex's eta file into a fresh basis
     /// factorization every this many pivots. Lower is numerically safer and
@@ -121,7 +127,7 @@ impl Default for SolveOptions {
             budget: Budget::unlimited(),
             force_bland: false,
             presolve: true,
-            warm_start: false,
+            warm_start: true,
             refactor_every: default_refactor_every(),
             objective_floor: None,
             threads: 1,
@@ -219,8 +225,8 @@ impl Solver {
     /// no clean basis was available.
     ///
     /// With warm starts off this is exactly [`Solver::solve`]. With them on
-    /// the optimum is the same, but on ties it may be a different
-    /// equally-optimal solution (see [`SolveOptions::warm_start`]).
+    /// (the default) the optimum is the same, but on ties it may be a
+    /// different equally-optimal solution (see [`SolveOptions::warm_start`]).
     ///
     /// # Errors
     ///

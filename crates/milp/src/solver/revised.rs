@@ -28,8 +28,8 @@
 //! finish, and a warm-started solve that lands on the same optimal basis as
 //! a cold solve reports bit-identical values. On an LP with several optimal
 //! bases the dual repair of a warm start may land on a different one than
-//! the cold path: opt-in warm starts ([`SolveOptions::warm_start`]) accept
-//! the weaker tie guarantee documented on that flag.
+//! the cold path: warm starts ([`SolveOptions::warm_start`], on by default)
+//! accept the weaker tie guarantee documented on that flag.
 
 use crate::error::SolveError;
 use crate::solver::backend::{BasisSnapshot, LpOutcome};

@@ -23,11 +23,6 @@ fn configs_under_test() -> Vec<(&'static str, ExplorerConfig)> {
             c.solve_options.warm_start = false;
             c
         }),
-        ("warm_solver", {
-            let mut c = ExplorerConfig::complete();
-            c.solve_options.warm_start = true;
-            c
-        }),
     ]
 }
 

@@ -2,11 +2,15 @@
 //! pivot, branch-and-bound node and candidate of an exploration, so a change
 //! that must keep that arithmetic bit for bit (a faster factorization, for
 //! one) must leave these counters exactly where they are. Each case runs the
-//! complete mode on one thread, and most on two threads as well: there
+//! complete mode twice: with `warm_start: false`, the two-phase cold solve
+//! that is the reference arm, and with the default warm starts, where every
+//! branch-and-bound child starts from its parent's basis. Warm starts move
+//! only the pivots and nodes; the optimum, iterations and cuts are the cold
+//! ones. Each arm runs on one thread, and most on two threads as well: there
 //! speculative branch-and-bound prefetch solves extra node LPs, so the pivot
 //! count pins the prefetch schedule too. `threads: 0` is not pinned, because
 //! what it resolves to depends on the machine; `parallel.rs` checks that it
-//! reproduces the serial run. Each six-line run takes about 0.8 s in the
+//! reproduces the serial run. Each cold six-line run takes about 0.8 s in the
 //! test profile.
 
 use contrarc::{Explorer, ExplorerConfig, Problem, Step};
@@ -22,11 +26,17 @@ struct Trajectory {
     nodes: u64,
 }
 
-fn trajectory(p: &Problem, threads: usize) -> Trajectory {
-    let cfg = ExplorerConfig {
+/// Solve every LP from the slack basis.
+const COLD: bool = false;
+/// The default: warm-start every branch-and-bound node.
+const WARM: bool = true;
+
+fn trajectory(p: &Problem, threads: usize, warm_start: bool) -> Trajectory {
+    let mut cfg = ExplorerConfig {
         threads,
         ..ExplorerConfig::complete()
     };
+    cfg.solve_options.warm_start = warm_start;
     let mut ex = Explorer::new(p, cfg).unwrap();
     let optimum = loop {
         match ex.step().unwrap() {
@@ -57,26 +67,33 @@ fn expected(optimum: f64, iterations: usize, cuts: usize, pivots: u64, nodes: u6
 #[test]
 fn epn_default_trajectory_is_pinned() {
     let p = epn::build(&EpnConfig::default());
-    assert_eq!(trajectory(&p, 1), expected(42.0, 43, 45, 4_920, 325));
-    assert_eq!(trajectory(&p, 2), expected(42.0, 43, 45, 5_239, 325));
+    assert_eq!(trajectory(&p, 1, COLD), expected(42.0, 43, 45, 4_920, 325));
+    assert_eq!(trajectory(&p, 2, COLD), expected(42.0, 43, 45, 5_239, 325));
+    assert_eq!(trajectory(&p, 1, WARM), expected(42.0, 43, 45, 1_067, 333));
+    assert_eq!(trajectory(&p, 2, WARM), expected(42.0, 43, 45, 1_100, 333));
 }
 
 #[test]
 fn rpl_both_lines_trajectory_is_pinned() {
     let p = rpl::build(&RplConfig::default(), RplLines::Both);
-    assert_eq!(trajectory(&p, 1), expected(32.0, 7, 24, 1_048, 56));
-    assert_eq!(trajectory(&p, 2), expected(32.0, 7, 24, 1_145, 56));
+    assert_eq!(trajectory(&p, 1, COLD), expected(32.0, 7, 24, 1_048, 56));
+    assert_eq!(trajectory(&p, 2, COLD), expected(32.0, 7, 24, 1_145, 56));
+    assert_eq!(trajectory(&p, 1, WARM), expected(32.0, 7, 24, 205, 58));
+    assert_eq!(trajectory(&p, 2, WARM), expected(32.0, 7, 24, 215, 58));
 }
 
 #[test]
 fn rpl_three_parallel_lines_trajectory_is_pinned() {
     let p = rpl::build_parallel(&RplConfig::default(), 3);
-    assert_eq!(trajectory(&p, 1), expected(48.0, 7, 54, 2_263, 69));
+    assert_eq!(trajectory(&p, 1, COLD), expected(48.0, 7, 54, 2_263, 69));
+    assert_eq!(trajectory(&p, 1, WARM), expected(48.0, 7, 54, 269, 71));
 }
 
 #[test]
 fn rpl_six_parallel_lines_trajectory_is_pinned() {
     let p = rpl::build_parallel(&RplConfig::default(), 6);
-    assert_eq!(trajectory(&p, 1), expected(96.0, 7, 216, 19_351, 206));
-    assert_eq!(trajectory(&p, 2), expected(96.0, 7, 216, 20_820, 206));
+    assert_eq!(trajectory(&p, 1, COLD), expected(96.0, 7, 216, 19_351, 206));
+    assert_eq!(trajectory(&p, 2, COLD), expected(96.0, 7, 216, 20_820, 206));
+    assert_eq!(trajectory(&p, 1, WARM), expected(96.0, 7, 216, 711, 208));
+    assert_eq!(trajectory(&p, 2, WARM), expected(96.0, 7, 216, 735, 208));
 }

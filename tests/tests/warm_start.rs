@@ -1,12 +1,13 @@
-//! Warm starting changes the work, not the optimum. Cold explorations (the
-//! default) and warm-started ones must each be **bit-identical** across
-//! thread counts — same optimum bits, same per-iteration candidate costs,
-//! same cuts, same counters, same checkpoint text — and a warm-started run
-//! must reach the cold optimum. Warm and cold runs are not compared bit for
-//! bit: on tied optima the dual repair may land on a different optimal
-//! vertex, which can change the order in which equally-cheap candidates are
-//! pruned, and so the checkpoint's cut rows. These tests pin that on the two
-//! case-study systems, and that warm starts pay for themselves in pivots.
+//! Warm starting changes the work, not the optimum. Warm-started
+//! explorations (the default) and cold ones (`warm_start: false`) must each
+//! be **bit-identical** across thread counts — same optimum bits, same
+//! per-iteration candidate costs, same cuts, same counters, same checkpoint
+//! text — and a warm-started run must reach the cold optimum. Warm and cold
+//! runs are not compared bit for bit: on tied optima the dual repair may
+//! land on a different optimal vertex, which can change the order in which
+//! equally-cheap candidates are pruned, and so the checkpoint's cut rows.
+//! These tests pin that on the two case-study systems, and that warm starts
+//! pay for themselves in pivots.
 
 use contrarc::{Explorer, ExplorerConfig, Step};
 use contrarc_systems::epn::{build as build_epn, EpnConfig};
