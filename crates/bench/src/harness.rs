@@ -10,9 +10,8 @@ use contrarc_systems::epn::{build as build_epn, EpnConfig};
 use contrarc_systems::rpl::{build as build_rpl, RplConfig, RplLines};
 
 /// Per-method wall-clock budget, configurable via the `CONTRARC_TIME_LIMIT`
-/// environment variable (seconds). Methods that exceed it are reported with
-/// the budget as their time and no cost — exactly how the paper reports its
-/// slowest ablation cells.
+/// environment variable (seconds). Methods that exceed it are reported as
+/// `timeout`, with no iterations, cost or speedup.
 #[must_use]
 pub fn time_limit_secs() -> f64 {
     std::env::var("CONTRARC_TIME_LIMIT")
@@ -53,26 +52,58 @@ fn explore_limited(problem: &Problem, cfg: &ExplorerConfig) -> Option<Exploratio
     within_budget(explore(problem, cfg), "exploration").filter(|e| !e.is_partial())
 }
 
+/// A run that finished within the budget: one cell of Fig. 5 or Table II.
+/// Wherever a cell is optional, `None` means the run timed out.
+#[derive(Debug, Clone)]
+pub struct Finished {
+    /// Runtime in seconds.
+    pub time: f64,
+    /// Lazy-loop iterations.
+    pub iterations: usize,
+    /// Optimal cost (`None` = infeasible).
+    pub cost: Option<f64>,
+}
+
+fn finished(e: Exploration) -> Finished {
+    Finished {
+        time: e.stats().total_time,
+        iterations: e.stats().iterations,
+        cost: e.architecture().map(|a| a.cost()),
+    }
+}
+
+/// A cell's runtime, or `timeout`.
+fn fmt_cell_time(c: Option<&Finished>) -> String {
+    c.map_or("timeout".into(), |c| fmt_time(c.time))
+}
+
+/// A cell's optimal cost, or `-` when it timed out or was infeasible.
+fn fmt_cell_cost(c: Option<&Finished>) -> String {
+    c.and_then(|c| c.cost)
+        .map_or("-".into(), |cost| format!("{cost:.1}"))
+}
+
+/// How many times faster `fast` finished than `slow`, or `-` unless both
+/// finished.
+fn fmt_speedup(slow: Option<&Finished>, fast: Option<&Finished>) -> String {
+    match (slow, fast) {
+        (Some(slow), Some(fast)) => format!("{:.1}x", slow.time / fast.time.max(1e-9)),
+        _ => "-".into(),
+    }
+}
+
 /// One point of the Fig. 5(a) sweep.
 #[derive(Debug, Clone)]
 pub struct Fig5aRow {
     /// Problem size `n = n_A = n_B`.
     pub n: usize,
-    /// ContrArc (complete) runtime in seconds.
-    pub contrarc_time: f64,
-    /// ArchEx-style monolithic baseline runtime in seconds.
-    pub archex_time: f64,
-    /// ContrArc iterations.
-    pub iterations: usize,
-    /// Optimal cost found by ContrArc.
-    pub contrarc_cost: Option<f64>,
-    /// Optimal cost found by the baseline (must match).
-    pub archex_cost: Option<f64>,
+    /// ContrArc (complete).
+    pub contrarc: Option<Finished>,
+    /// The ArchEx-style monolithic baseline (its cost must match).
+    pub archex: Option<Finished>,
 }
 
 /// Run the Fig. 5(a) sweep: ContrArc vs ArchEx on the RPL for each `n`.
-/// Methods that exhaust the time budget report the budget as their time and
-/// no cost.
 #[must_use]
 pub fn run_fig5a(ns: &[usize]) -> Vec<Fig5aRow> {
     ns.iter()
@@ -88,19 +119,8 @@ pub fn run_fig5a(ns: &[usize]) -> Vec<Fig5aRow> {
             );
             Fig5aRow {
                 n,
-                contrarc_time: contrarc
-                    .as_ref()
-                    .map_or(time_limit_secs(), |e| e.stats().total_time),
-                archex_time: archex
-                    .as_ref()
-                    .map_or(time_limit_secs(), |e| e.stats().total_time),
-                iterations: contrarc.as_ref().map_or(0, |e| e.stats().iterations),
-                contrarc_cost: contrarc
-                    .as_ref()
-                    .and_then(|e| e.architecture().map(|a| a.cost())),
-                archex_cost: archex
-                    .as_ref()
-                    .and_then(|e| e.architecture().map(|a| a.cost())),
+                contrarc: contrarc.map(finished),
+                archex: archex.map(finished),
             }
         })
         .collect()
@@ -112,14 +132,15 @@ pub fn render_fig5a(rows: &[Fig5aRow]) -> String {
     let body: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
+            let (contrarc, archex) = (r.contrarc.as_ref(), r.archex.as_ref());
             vec![
                 r.n.to_string(),
-                fmt_time(r.contrarc_time),
-                fmt_time(r.archex_time),
-                format!("{:.1}x", r.archex_time / r.contrarc_time.max(1e-9)),
-                r.iterations.to_string(),
-                r.contrarc_cost.map_or("-".into(), |c| format!("{c:.1}")),
-                r.archex_cost.map_or("-".into(), |c| format!("{c:.1}")),
+                fmt_cell_time(contrarc),
+                fmt_cell_time(archex),
+                fmt_speedup(archex, contrarc),
+                contrarc.map_or("-".into(), |c| c.iterations.to_string()),
+                fmt_cell_cost(contrarc),
+                fmt_cell_cost(archex),
             ]
         })
         .collect();
@@ -142,14 +163,10 @@ pub fn render_fig5a(rows: &[Fig5aRow]) -> String {
 pub struct Fig5bRow {
     /// Problem size `n = n_A = n_B`.
     pub n: usize,
-    /// Monolithic (both lines jointly) runtime in seconds.
-    pub monolithic_time: f64,
-    /// Compositional (Comb B) runtime in seconds.
-    pub compositional_time: f64,
-    /// Monolithic optimal cost.
-    pub monolithic_cost: Option<f64>,
-    /// Compositional total cost (must match).
-    pub compositional_cost: Option<f64>,
+    /// Monolithic (both lines jointly).
+    pub monolithic: Option<Finished>,
+    /// Compositional (Comb B), both lines together; its cost must match.
+    pub compositional: Option<Finished>,
 }
 
 /// Run the Fig. 5(b) sweep: monolithic vs compositional RPL exploration.
@@ -171,18 +188,18 @@ pub fn run_fig5b(ns: &[usize]) -> Vec<Fig5bRow> {
                 ..RplConfig::default()
             };
             let cfg = limited_explorer(ExplorerConfig::complete(), time_limit_secs());
-            let mono = within_budget(explore_monolithic(&config, &cfg), "monolithic");
-            let dec = within_budget(explore_decomposed(&config, &cfg), "decomposed");
+            let mono = within_budget(explore_monolithic(&config, &cfg), "monolithic")
+                .filter(|e| !e.is_partial());
+            let dec = within_budget(explore_decomposed(&config, &cfg), "decomposed")
+                .filter(|d| !d.line_a.is_partial() && !d.line_b.is_partial());
             Fig5bRow {
                 n,
-                monolithic_time: mono
-                    .as_ref()
-                    .map_or(time_limit_secs(), |e| e.stats().total_time),
-                compositional_time: dec.as_ref().map_or(time_limit_secs(), |d| d.total_time),
-                monolithic_cost: mono
-                    .as_ref()
-                    .and_then(|e| e.architecture().map(|a| a.cost())),
-                compositional_cost: dec.as_ref().and_then(|d| d.total_cost()),
+                monolithic: mono.map(finished),
+                compositional: dec.map(|d| Finished {
+                    time: d.total_time,
+                    iterations: d.combined_stats().iterations,
+                    cost: d.total_cost(),
+                }),
             }
         })
         .collect()
@@ -194,14 +211,14 @@ pub fn render_fig5b(rows: &[Fig5bRow]) -> String {
     let body: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
+            let (mono, comp) = (r.monolithic.as_ref(), r.compositional.as_ref());
             vec![
                 r.n.to_string(),
-                fmt_time(r.monolithic_time),
-                fmt_time(r.compositional_time),
-                format!("{:.1}x", r.monolithic_time / r.compositional_time.max(1e-9)),
-                r.monolithic_cost.map_or("-".into(), |c| format!("{c:.1}")),
-                r.compositional_cost
-                    .map_or("-".into(), |c| format!("{c:.1}")),
+                fmt_cell_time(mono),
+                fmt_cell_time(comp),
+                fmt_speedup(mono, comp),
+                fmt_cell_cost(mono),
+                fmt_cell_cost(comp),
             ]
         })
         .collect();
@@ -218,18 +235,6 @@ pub fn render_fig5b(rows: &[Fig5bRow]) -> String {
     )
 }
 
-/// One Table II cell: a template configuration under one ablation mode that
-/// finished within the budget.
-#[derive(Debug, Clone)]
-pub struct Table2Cell {
-    /// Runtime in seconds.
-    pub time: f64,
-    /// Lazy-loop iterations.
-    pub iterations: usize,
-    /// Optimal cost (`None` = infeasible).
-    pub cost: Option<f64>,
-}
-
 /// One Table II row across the three modes. A `None` cell timed out.
 #[derive(Debug, Clone)]
 pub struct Table2Row {
@@ -240,19 +245,11 @@ pub struct Table2Row {
     /// Constraints of the Problem-2 MILP.
     pub constraints: usize,
     /// "Only subgraph isomorphism" ablation.
-    pub only_iso: Option<Table2Cell>,
+    pub only_iso: Option<Finished>,
     /// "Only decomposition" ablation.
-    pub only_dec: Option<Table2Cell>,
+    pub only_dec: Option<Finished>,
     /// Complete ContrArc.
-    pub complete: Option<Table2Cell>,
-}
-
-fn cell(e: Exploration) -> Table2Cell {
-    Table2Cell {
-        time: e.stats().total_time,
-        iterations: e.stats().iterations,
-        cost: e.architecture().map(|a| a.cost()),
-    }
+    pub complete: Option<Finished>,
 }
 
 /// Run one Table II row, each mode under a budget of `secs` seconds. The
@@ -283,9 +280,9 @@ pub fn run_table2_row(config: &EpnConfig, secs: f64) -> Table2Row {
         label: config.label(),
         vars: size.num_vars,
         constraints: size.num_constraints,
-        only_iso: only_iso.map(cell),
-        only_dec: only_dec.map(cell),
-        complete: complete.map(cell),
+        only_iso: only_iso.map(finished),
+        only_dec: only_dec.map(finished),
+        complete: complete.map(finished),
     }
 }
 
@@ -325,15 +322,16 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
                 r.constraints.to_string(),
             ];
             for c in [&r.only_iso, &r.only_dec, &r.complete] {
-                match c {
-                    Some(c) => line.extend([fmt_time(c.time), c.iterations.to_string()]),
-                    None => line.extend(["timeout".into(), "-".into()]),
-                }
+                let c = c.as_ref();
+                line.extend([
+                    fmt_cell_time(c),
+                    c.map_or("-".into(), |c| c.iterations.to_string()),
+                ]);
             }
             line
         })
         .collect();
-    let finished: Vec<[&Table2Cell; 3]> = rows
+    let finished: Vec<[&Finished; 3]> = rows
         .iter()
         .filter_map(|r| {
             Some([
@@ -356,7 +354,7 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
             ratio.extend(std::iter::repeat_n("n/a".to_string(), 6));
         } else {
             let n = finished.len() as f64;
-            let avg = |f: &dyn Fn(&Table2Cell) -> f64| -> [f64; 3] {
+            let avg = |f: &dyn Fn(&Finished) -> f64| -> [f64; 3] {
                 std::array::from_fn(|mode| finished.iter().map(|c| f(c[mode])).sum::<f64>() / n)
             };
             let time = avg(&|c| c.time);
@@ -480,7 +478,8 @@ mod tests {
     fn fig5a_smallest_point() {
         let rows = run_fig5a(&[1]);
         assert_eq!(rows.len(), 1);
-        let (a, b) = (rows[0].contrarc_cost.unwrap(), rows[0].archex_cost.unwrap());
+        let cost = |c: &Option<Finished>| c.as_ref().and_then(|c| c.cost).unwrap();
+        let (a, b) = (cost(&rows[0].contrarc), cost(&rows[0].archex));
         assert!((a - b).abs() < 1e-6, "optimal costs must agree: {a} vs {b}");
         let text = render_fig5a(&rows);
         assert!(text.contains("speedup"));
@@ -507,8 +506,48 @@ mod tests {
         assert_eq!(configs[9].label(), "2,2,1");
     }
 
-    fn table2_cell(time: f64, iterations: usize) -> Option<Table2Cell> {
-        Some(Table2Cell {
+    #[test]
+    fn render_fig5_prints_timeouts_without_a_speedup() {
+        let done = |time, iterations, cost| {
+            Some(Finished {
+                time,
+                iterations,
+                cost: Some(cost),
+            })
+        };
+        let text = render_fig5a(&[
+            Fig5aRow {
+                n: 1,
+                contrarc: done(0.5, 2, 16.0),
+                archex: done(2.0, 1, 16.0),
+            },
+            Fig5aRow {
+                n: 3,
+                contrarc: None,
+                archex: done(4.68, 1, 32.0),
+            },
+        ]);
+        assert_eq!(
+            table2_fields(&text, "1 "),
+            ["1", "0.50", "2.00", "4.0x", "2", "16.0", "16.0"]
+        );
+        assert_eq!(
+            table2_fields(&text, "3 "),
+            ["3", "timeout", "4.68", "-", "-", "-", "32.0"]
+        );
+        let text = render_fig5b(&[Fig5bRow {
+            n: 2,
+            monolithic: done(3.0, 9, 40.0),
+            compositional: None,
+        }]);
+        assert_eq!(
+            table2_fields(&text, "2 "),
+            ["2", "3.00", "timeout", "-", "40.0", "-"]
+        );
+    }
+
+    fn table2_cell(time: f64, iterations: usize) -> Option<Finished> {
+        Some(Finished {
             time,
             iterations,
             cost: Some(1.0),

@@ -24,7 +24,7 @@ use crate::refinement::{Violation, ViolationScope};
 use crate::template::TypeId;
 use crate::viewpoint::Viewpoint;
 use contrarc_graph::iso::{
-    subgraph_isomorphisms_orbits, subgraph_isomorphisms_par, Embedding, MatchMode,
+    subgraph_isomorphisms, subgraph_isomorphisms_orbits, Embedding, MatchMode,
 };
 use contrarc_graph::{Automorphisms, DiGraph, NodeId};
 use contrarc_milp::{Cmp, LinExpr, SolveError, VarId};
@@ -81,8 +81,9 @@ pub struct CutConfig {
     /// When off, cuts mention only the exact implementations of the invalid
     /// candidate (a weaker, but still sound, no-good).
     pub dominance_widening: bool,
-    /// Worker threads for embedding enumeration (`0` = all available cores).
-    /// Any value yields the same embeddings in the same order.
+    /// Ignored: embeddings are enumerated on one thread. Kept only because
+    /// the exploration benchmark still sets it; it will be removed, together
+    /// with `contrarc-par`, in the next change to the benchmark.
     pub threads: usize,
 }
 
@@ -193,7 +194,6 @@ pub fn apply_cuts(
                     &pattern,
                     &target,
                     MatchMode::Monomorphism,
-                    config.threads,
                     aut,
                     |a, b| a == b,
                 );
@@ -202,13 +202,7 @@ pub fn apply_cuts(
                 contrarc_obs::metrics::counter_add("sym.embeddings_total", found.total() as u64);
                 found.into_embeddings()
             }
-            _ => subgraph_isomorphisms_par(
-                &pattern,
-                &target,
-                MatchMode::Monomorphism,
-                config.threads,
-                |a, b| a == b,
-            ),
+            _ => subgraph_isomorphisms(&pattern, &target, MatchMode::Monomorphism, |a, b| a == b),
         }
     } else {
         // Identity embedding: each pattern node to its own template node.

@@ -464,8 +464,8 @@ pub(crate) fn fingerprint(model: &Model, spec: &SystemSpec, config: &ExplorerCon
         h.f64(coeff);
     }
     // `config.symmetry` is deliberately absent: callers fingerprint the
-    // symmetry-free baseline model, and symmetry reduction (like the thread
-    // count) is an accelerator that never changes the optimum or the
+    // symmetry-free baseline model, and symmetry reduction is an
+    // accelerator that never changes the optimum or the
     // soundness of learned cuts, so checkpoints remain interchangeable
     // across symmetry settings and with pre-symmetry checkpoint files.
     h.bool(config.iso_pruning);

@@ -51,29 +51,22 @@ pub struct ExplorerConfig {
     pub max_paths: usize,
     /// Symmetry-aware exploration knobs: orbit-pruned certificate matching
     /// and orbit-based symmetry-breaking rows in the Problem-2 MILP. Both
-    /// default on; either can be disabled independently. Like `threads`,
-    /// not part of the checkpoint fingerprint: symmetry reduction is an
+    /// default on; either can be disabled independently. Not part of the
+    /// checkpoint fingerprint: symmetry reduction is an
     /// accelerator — the optimum is bit-identical and certificate cuts are
     /// sound with it on or off — so a run may be checkpointed under one
     /// setting and resumed under another (the fingerprint hashes the
     /// symmetry-free baseline encoding).
     pub symmetry: SymmetryConfig,
-    /// Worker threads for every parallel phase of the exploration:
-    /// speculative branch-and-bound node evaluation in candidate selection,
-    /// the per-path refinement wave, and certificate embedding enumeration.
-    /// `0` (the default) means "use every available core"; `1` reproduces
-    /// the serial exploration bit for bit. Any value yields the same optimum,
-    /// cuts, iteration counts, and cache counters — only wall-clock time
-    /// and, under a finite work budget, the exact exhaustion point vary.
-    /// Overrides `solve_options.threads`. Not part of the checkpoint
-    /// fingerprint: a run may be resumed with a different thread count.
+    /// Ignored: the exploration runs on one thread. Kept only because the
+    /// exploration benchmark still sets it; it will be removed, together
+    /// with `contrarc-par`, in the next change to the benchmark.
     pub threads: usize,
     /// Optional trace sink, installed as the process-global event
     /// destination by [`Explorer::new`]. Sinks observe the exploration —
     /// spans, events, metrics — but never steer it: no control-flow decision
     /// reads sink state, so any run is bit-for-bit identical with tracing on
-    /// or off. Not part of the checkpoint fingerprint for the same reason a
-    /// thread count isn't.
+    /// or off. Not part of the checkpoint fingerprint for that reason.
     pub observer: contrarc_obs::Observer,
 }
 
@@ -704,18 +697,12 @@ impl<'p> Explorer<'p> {
             .tightened_by_secs(config.time_limit_secs);
         let budget = config.solve_options.budget.clone().with_deadline(deadline);
         config.solve_options.budget = budget.clone();
-        // The exploration-wide thread knob drives candidate selection; the
-        // refinement checker's inner LP solves stay serial because the
-        // parallelism there comes from the per-path wave — nesting both
-        // would oversubscribe the cores.
-        config.solve_options.threads = config.threads;
-        let mut checker_options = config.solve_options.clone();
-        checker_options.threads = 1;
-        let checker = RefinementChecker::with_options(checker_options, EncodeOptions::default());
+        let checker =
+            RefinementChecker::with_options(config.solve_options.clone(), EncodeOptions::default());
         let ref_config = RefinementConfig {
             compositional: config.compositional,
             max_paths: config.max_paths,
-            threads: config.threads,
+            ..RefinementConfig::default()
         };
         let baseline_vars = enc.model.num_vars();
         let baseline_constrs = enc.model.num_constrs();
@@ -1048,8 +1035,8 @@ impl<'p> Explorer<'p> {
         contrarc_obs::event!("explore.candidate", cost = arch.cost());
         self.incumbent = Some(arch.clone());
 
-        // Problem 3: refinement verification (parallel per-path wave, with
-        // path verdicts memoized by the path's label sequence).
+        // Problem 3: refinement verification (path verdicts memoized by the
+        // path's label sequence).
         let t1 = Instant::now();
         let violations = {
             let _refine_span = contrarc_obs::span!("explore.refine");
@@ -1064,8 +1051,6 @@ impl<'p> Explorer<'p> {
         self.stats.refine_time += t1.elapsed().as_secs_f64();
         self.stats.cache_hits = self.prior_cache_hits + self.cache.hits();
         self.stats.cache_misses = self.prior_cache_misses + self.cache.misses();
-        // The refine wave dedups by path key before inserting, so the entry
-        // count after it settles is thread-count invariant.
         contrarc_obs::metrics::gauge_set("refine.cache_entries", self.cache.len() as i64);
         let violations = match violations {
             Ok(v) => v,
@@ -1085,7 +1070,7 @@ impl<'p> Explorer<'p> {
         let cut_config = CutConfig {
             iso_pruning: self.config.iso_pruning,
             dominance_widening: self.config.dominance_widening,
-            threads: self.config.threads,
+            ..CutConfig::default()
         };
         let mut added = 0;
         let mut cut_err = None;
@@ -1460,32 +1445,6 @@ mod tests {
             on.stats().cuts_added,
             off.stats().cuts_added
         );
-    }
-
-    #[test]
-    fn symmetry_runs_identically_across_thread_counts() {
-        let p = lines_problem(15.0);
-        let base = explore(&p, &ExplorerConfig::complete()).unwrap();
-        let base_cost = base.architecture().unwrap().cost();
-        for threads in [2, 8] {
-            let run = explore(
-                &p,
-                &ExplorerConfig {
-                    threads,
-                    ..ExplorerConfig::complete()
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                run.architecture().unwrap().cost().to_bits(),
-                base_cost.to_bits(),
-                "threads={threads}"
-            );
-            assert_eq!(run.stats().iterations, base.stats().iterations);
-            assert_eq!(run.stats().cuts_added, base.stats().cuts_added);
-            assert_eq!(run.stats().cache_hits, base.stats().cache_hits);
-            assert_eq!(run.stats().cache_misses, base.stats().cache_misses);
-        }
     }
 
     #[test]

@@ -10,10 +10,9 @@ use contrarc_graph::paths::all_simple_paths;
 use contrarc_graph::NodeId;
 use contrarc_milp::SolveError;
 use serde::{Deserialize, Serialize};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// The invalid sub-architecture `𝒢_map` a failed refinement identifies.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -63,10 +62,9 @@ pub struct RefinementConfig {
     /// it and every enumerated path holds, the monolithic check decides
     /// timing.
     pub max_paths: usize,
-    /// Worker threads for per-path refinement checks in the collect-all mode
-    /// (`0` = all available cores). Any value yields the same violations,
-    /// verdicts, and cache counters: the per-path results are assembled in
-    /// path-enumeration order regardless of completion order.
+    /// Ignored: paths are checked one after another. Kept only because the
+    /// exploration benchmark still sets it; it will be removed, together
+    /// with `contrarc-par`, in the next change to the benchmark.
     pub threads: usize,
 }
 
@@ -99,16 +97,11 @@ impl Default for RefinementConfig {
 /// The cache is only sound for a fixed [`Problem`] (specs and library
 /// attributes are baked into the models but not the keys) — use one cache per
 /// exploration, as [`Explorer`](crate::Explorer) does.
-///
-/// All methods take `&self`; the cache is shared freely across the worker
-/// threads of a parallel refinement wave. Hit/miss counters are deterministic
-/// for any thread count because lookups happen in the serial key pass, never
-/// in the workers.
 #[derive(Debug, Default)]
 pub struct RefinementCache {
-    verdicts: Mutex<HashMap<Vec<u8>, bool>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    verdicts: RefCell<HashMap<Vec<u8>, bool>>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
 }
 
 impl RefinementCache {
@@ -118,27 +111,22 @@ impl RefinementCache {
         Self::default()
     }
 
-    /// Number of lookups answered from the cache (including lookups answered
-    /// by a computation already in flight in the same wave).
+    /// Number of lookups answered from the cache.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.get()
     }
 
     /// Number of lookups that required a fresh refinement check.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses.get()
     }
 
     /// Number of distinct verdicts stored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a cache user panicked while holding the internal lock.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.verdicts.lock().expect("cache lock poisoned").len()
+        self.verdicts.borrow().len()
     }
 
     /// Whether no verdict has been stored yet.
@@ -148,27 +136,20 @@ impl RefinementCache {
     }
 
     fn lookup(&self, key: &[u8]) -> Option<bool> {
-        self.verdicts
-            .lock()
-            .expect("cache lock poisoned")
-            .get(key)
-            .copied()
+        self.verdicts.borrow().get(key).copied()
     }
 
     fn store(&self, key: Vec<u8>, verdict: bool) {
-        self.verdicts
-            .lock()
-            .expect("cache lock poisoned")
-            .insert(key, verdict);
+        self.verdicts.borrow_mut().insert(key, verdict);
     }
 
     fn note_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.hits.set(self.hits.get() + 1);
         contrarc_obs::metrics::counter_add("refine.cache_hits", 1);
     }
 
     fn note_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.set(self.misses.get() + 1);
         contrarc_obs::metrics::counter_add("refine.cache_misses", 1);
     }
 }
@@ -225,7 +206,7 @@ pub fn check_candidate_all_cached(
                 let sinks = arch.sink_nodes(problem);
                 let paths = all_simple_paths(arch.graph(), &sources, &sinks, config.max_paths);
                 let capped = paths.len() >= config.max_paths;
-                let verdicts = check_paths_wave(problem, arch, &paths, config, checker, cache)?;
+                let verdicts = check_paths(problem, arch, &paths, checker, cache)?;
                 let found = out.len();
                 out.extend(
                     paths
@@ -306,77 +287,32 @@ fn check_timing_path(
     verdict
 }
 
-/// Check every path, in parallel across `config.threads` workers, returning
-/// per-path verdicts in path-enumeration order.
-///
-/// The wave is deterministic for any thread count. Keys are computed and
-/// deduplicated serially in path order — the first path with a given label
-/// sequence is the *representative* that gets checked; later paths with the
-/// same labels count as hits and reuse its verdict. Only the
-/// representatives go to the parallel workers, and their results are
-/// reassembled by index, so the verdicts, cache contents, and hit/miss
-/// counters never depend on scheduling. Errors surface in path order (the
-/// first representative, by path index, that failed).
-fn check_paths_wave(
+/// Check every path in enumeration order, returning its verdicts in that
+/// order. With a cache, each path's label key is looked up first, and a
+/// fresh verdict is stored before the next path is reached, so a later path
+/// with the same labels is a hit.
+fn check_paths(
     problem: &Problem,
     arch: &Architecture,
     paths: &[Vec<NodeId>],
-    config: &RefinementConfig,
     checker: &RefinementChecker,
     cache: Option<&RefinementCache>,
 ) -> Result<Vec<bool>, SolveError> {
-    let Some(cache) = cache else {
-        return contrarc_par::parallel_map(config.threads, paths.len(), |i| {
-            check_timing_path(problem, arch, &paths[i], checker)
-        })
-        .into_iter()
-        .collect();
-    };
-
-    /// How one path's verdict resolves: already cached, or pending on the
-    /// `j`-th representative of this wave.
-    enum Slot {
-        Known(bool),
-        Pending(usize),
-    }
-    let mut slots: Vec<Slot> = Vec::with_capacity(paths.len());
-    let mut reps: Vec<usize> = Vec::new();
-    let mut rep_keys: Vec<Vec<u8>> = Vec::new();
-    let mut pending: HashMap<Vec<u8>, usize> = HashMap::new();
-    for (i, path) in paths.iter().enumerate() {
-        let key = path_cache_key(arch, path);
-        if let Some(v) = cache.lookup(&key) {
-            cache.note_hit();
-            slots.push(Slot::Known(v));
-        } else if let Some(&j) = pending.get(&key) {
-            // A serial cached pass would also hit here: the representative's
-            // verdict lands in the cache before this path is reached.
-            cache.note_hit();
-            slots.push(Slot::Pending(j));
-        } else {
+    paths
+        .iter()
+        .map(|path| {
+            let Some(cache) = cache else {
+                return check_timing_path(problem, arch, path, checker);
+            };
+            let key = path_cache_key(arch, path);
+            if let Some(holds) = cache.lookup(&key) {
+                cache.note_hit();
+                return Ok(holds);
+            }
             cache.note_miss();
-            let j = reps.len();
-            pending.insert(key.clone(), j);
-            reps.push(i);
-            rep_keys.push(key);
-            slots.push(Slot::Pending(j));
-        }
-    }
-
-    let computed: Vec<Result<bool, SolveError>> =
-        contrarc_par::parallel_map(config.threads, reps.len(), |j| {
-            check_timing_path(problem, arch, &paths[reps[j]], checker)
-        });
-    for (key, result) in rep_keys.into_iter().zip(&computed) {
-        if let Ok(v) = result {
-            cache.store(key, *v);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|slot| match slot {
-            Slot::Known(v) => Ok(v),
-            Slot::Pending(j) => computed[j].clone(),
+            let holds = check_timing_path(problem, arch, path, checker)?;
+            cache.store(key, holds);
+            Ok(holds)
         })
         .collect()
 }
@@ -625,41 +561,6 @@ mod tests {
         assert_eq!(second, baseline);
         assert_eq!(cache.misses(), misses, "replay must not re-solve");
         assert!(!cache.is_empty());
-    }
-
-    #[test]
-    fn wave_is_thread_count_invariant() {
-        let (p, arch) = two_line_problem(10.0);
-        let checker = RefinementChecker::new();
-        let baseline = check(&p, &arch, &RefinementConfig::default());
-        let reference_cache = RefinementCache::new();
-        let _ = check_candidate_all_cached(
-            &p,
-            &arch,
-            &RefinementConfig::default(),
-            &checker,
-            Some(&reference_cache),
-        )
-        .unwrap();
-        for threads in [2, 8] {
-            let cfg = RefinementConfig {
-                threads,
-                ..RefinementConfig::default()
-            };
-            // Same violations without a cache...
-            let v = check(&p, &arch, &cfg);
-            assert_eq!(v, baseline, "uncached, threads={threads}");
-            // ... and with one, with bit-identical hit/miss counters.
-            let cache = RefinementCache::new();
-            let v = check_candidate_all_cached(&p, &arch, &cfg, &checker, Some(&cache)).unwrap();
-            assert_eq!(v, baseline, "cached, threads={threads}");
-            assert_eq!(cache.hits(), reference_cache.hits(), "threads={threads}");
-            assert_eq!(
-                cache.misses(),
-                reference_cache.misses(),
-                "threads={threads}"
-            );
-        }
     }
 
     #[test]

@@ -131,8 +131,8 @@ where
     state.out
 }
 
-/// Shared close-out for the serial and parallel enumerators: counters, the
-/// recursion-depth histogram, and the close-time span fields.
+/// Shared close-out for the plain and orbit-pruned enumerators: counters,
+/// the recursion-depth histogram, and the close-time span fields.
 fn record_search_metrics(span: &mut contrarc_obs::SpanGuard, embeddings: usize, max_depth: usize) {
     contrarc_obs::metrics::counter_add("vf2.searches", 1);
     contrarc_obs::metrics::counter_add("vf2.embeddings", embeddings as u64);
@@ -143,71 +143,6 @@ fn record_search_metrics(span: &mut contrarc_obs::SpanGuard, embeddings: usize, 
     );
     span.record("embeddings", embeddings);
     span.record("max_depth", max_depth);
-}
-
-/// [`subgraph_isomorphisms`] with the depth-0 candidate frontier split across
-/// `threads` worker threads (`0` = all available cores, `1` = the serial
-/// enumeration). Each worker enumerates the sub-tree rooted at one candidate
-/// image of the first pattern node; the per-root result lists are concatenated
-/// in candidate order, which is exactly the order the serial backtracker
-/// visits them — the returned embedding list is **identical for every thread
-/// count**.
-#[must_use]
-pub fn subgraph_isomorphisms_par<N1, E1, N2, E2, F>(
-    pattern: &DiGraph<N1, E1>,
-    target: &DiGraph<N2, E2>,
-    mode: MatchMode,
-    threads: usize,
-    compat: F,
-) -> Vec<Embedding>
-where
-    N1: Sync,
-    E1: Sync,
-    N2: Sync,
-    E2: Sync,
-    F: Fn(&N1, &N2) -> bool + Sync,
-{
-    let threads = contrarc_par::effective_threads(threads.max(1));
-    let np = pattern.num_nodes();
-    if threads <= 1 || np == 0 || np > target.num_nodes() {
-        return subgraph_isomorphisms(pattern, target, mode, compat);
-    }
-
-    let mut search_span = contrarc_obs::span!(
-        "vf2.search",
-        pattern_nodes = np,
-        target_nodes = target.num_nodes(),
-        threads = threads,
-    );
-    let order = matching_order(pattern, target, &compat);
-    let root = order[0];
-    // Depth-0 candidates: nothing is mapped yet, so the serial backtracker
-    // scans every target node in id order. Reproduce that list and fan out.
-    let roots: Vec<NodeId> = target.node_ids().collect();
-    let chunks = contrarc_par::parallel_map(threads, roots.len(), |i| {
-        let t = roots[i];
-        let mut state = State {
-            pattern,
-            target,
-            mode,
-            compat: &compat,
-            order: &order,
-            map: vec![None; np],
-            used: vec![false; target.num_nodes()],
-            out: Vec::new(),
-            max_depth: 0,
-        };
-        if state.feasible(root, t) {
-            state.map[root.index()] = Some(t);
-            state.used[t.index()] = true;
-            state.extend(1);
-        }
-        (state.out, state.max_depth)
-    });
-    let max_depth = chunks.iter().map(|(_, d)| *d).max().unwrap_or(0);
-    let out: Vec<Embedding> = chunks.into_iter().flat_map(|(embs, _)| embs).collect();
-    record_search_metrics(&mut search_span, out.len(), max_depth);
-    out
 }
 
 /// One target-automorphism orbit of embeddings: the orbit-minimal
@@ -256,7 +191,7 @@ impl OrbitMatches {
 }
 
 /// Orbit-pruned enumeration: find the same embedding *set* as
-/// [`subgraph_isomorphisms_par`] while only searching from one root image
+/// [`subgraph_isomorphisms`] while only searching from one root image
 /// per target-node orbit, then recover the full set by closing each found
 /// embedding under the automorphism generators.
 ///
@@ -272,25 +207,18 @@ impl OrbitMatches {
 ///   an orbit-minimal target node, because some group element carries its
 ///   root image to the orbit representative.
 ///
-/// The root list, the per-root searches, and the serial closure pass are all
-/// in deterministic order, so the result is identical for every thread
-/// count. With a trivial group this degrades to the plain parallel
-/// enumeration with singleton orbits.
+/// With a trivial group this degrades to the plain enumeration with
+/// singleton orbits.
 #[must_use]
 pub fn subgraph_isomorphisms_orbits<N1, E1, N2, E2, F>(
     pattern: &DiGraph<N1, E1>,
     target: &DiGraph<N2, E2>,
     mode: MatchMode,
-    threads: usize,
     aut: &Automorphisms,
     compat: F,
 ) -> OrbitMatches
 where
-    N1: Sync,
-    E1: Sync,
-    N2: Sync,
-    E2: Sync,
-    F: Fn(&N1, &N2) -> bool + Sync,
+    F: Fn(&N1, &N2) -> bool,
 {
     assert_eq!(
         aut.num_nodes(),
@@ -298,7 +226,7 @@ where
         "automorphism group must act on the target's node set"
     );
     if aut.is_trivial() {
-        let found = subgraph_isomorphisms_par(pattern, target, mode, threads, compat);
+        let found = subgraph_isomorphisms(pattern, target, mode, compat);
         let enumerated = found.len() as u64;
         let orbits = found
             .into_iter()
@@ -332,39 +260,32 @@ where
         "vf2.search",
         pattern_nodes = np,
         target_nodes = target.num_nodes(),
-        threads = threads,
     );
     let order = matching_order(pattern, target, &compat);
+    let mut state = State {
+        pattern,
+        target,
+        mode,
+        compat: &compat,
+        order: &order,
+        map: vec![None; np],
+        used: vec![false; target.num_nodes()],
+        out: Vec::new(),
+        max_depth: 0,
+    };
+    // The depth-0 candidates of the plain search (every target node, in id
+    // order), restricted to one representative per target orbit.
     let root = order[0];
-    // Depth-0 candidates restricted to one representative per target orbit;
-    // still in id order, so per-root chunks concatenate deterministically.
-    let roots: Vec<NodeId> = target
-        .node_ids()
-        .filter(|t| aut.orbit_rep(t.index()) == t.index())
-        .collect();
-    let threads = contrarc_par::effective_threads(threads.max(1));
-    let chunks = contrarc_par::parallel_map(threads.max(1), roots.len(), |i| {
-        let t = roots[i];
-        let mut state = State {
-            pattern,
-            target,
-            mode,
-            compat: &compat,
-            order: &order,
-            map: vec![None; np],
-            used: vec![false; target.num_nodes()],
-            out: Vec::new(),
-            max_depth: 0,
-        };
-        if state.feasible(root, t) {
+    for t in target.node_ids() {
+        if aut.orbit_rep(t.index()) == t.index() && state.feasible(root, t) {
             state.map[root.index()] = Some(t);
             state.used[t.index()] = true;
             state.extend(1);
+            state.map[root.index()] = None;
+            state.used[t.index()] = false;
         }
-        (state.out, state.max_depth)
-    });
-    let max_depth = chunks.iter().map(|(_, d)| *d).max().unwrap_or(0);
-    let found: Vec<Embedding> = chunks.into_iter().flat_map(|(embs, _)| embs).collect();
+    }
+    let (found, max_depth) = (state.out, state.max_depth);
     let enumerated = found.len() as u64;
     record_search_metrics(&mut search_span, found.len(), max_depth);
 
@@ -801,40 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_enumeration_matches_serial_exactly() {
-        // Same embeddings in the same order for every thread count, on a
-        // symmetric target where many roots succeed.
-        let pat = path_graph(&["s", "m", "t"]);
-        let mut tgt = DiGraph::new();
-        for _ in 0..5 {
-            let ids: Vec<_> = ["s", "m", "t"].iter().map(|&l| tgt.add_node(l)).collect();
-            tgt.add_edge(ids[0], ids[1], ());
-            tgt.add_edge(ids[1], ids[2], ());
-        }
-        // Extra cross edges so monomorphisms multiply.
-        tgt.add_edge(NodeId::from_index(1), NodeId::from_index(5), ());
-        let serial = subgraph_isomorphisms(&pat, &tgt, MatchMode::Monomorphism, label_eq);
-        assert!(serial.len() >= 6);
-        for threads in [1usize, 2, 4, 8] {
-            let par =
-                subgraph_isomorphisms_par(&pat, &tgt, MatchMode::Monomorphism, threads, label_eq);
-            assert_eq!(serial, par, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_handles_trivial_patterns() {
-        let empty: DiGraph<&str, ()> = DiGraph::new();
-        let tgt = path_graph(&["a", "b"]);
-        let found = subgraph_isomorphisms_par(&empty, &tgt, MatchMode::Monomorphism, 4, label_eq);
-        assert_eq!(found.len(), 1);
-        let big = path_graph(&["a", "b", "c"]);
-        assert!(
-            subgraph_isomorphisms_par(&big, &tgt, MatchMode::Monomorphism, 4, label_eq).is_empty()
-        );
-    }
-
-    #[test]
     fn matching_order_is_most_constrained_first() {
         // Pattern: hub "h" with spokes "s", "s", "r". The "r" spoke has one
         // compatible target node; the hub's label has three. The order must
@@ -897,25 +784,13 @@ mod tests {
         assert!(!aut.is_trivial());
         let full = subgraph_isomorphisms(&pat, &tgt, MatchMode::Monomorphism, label_eq);
         assert_eq!(full.len(), 3);
-        for threads in [1usize, 2, 4] {
-            let orbits = subgraph_isomorphisms_orbits(
-                &pat,
-                &tgt,
-                MatchMode::Monomorphism,
-                threads,
-                &aut,
-                label_eq,
-            );
-            assert_eq!(orbits.enumerated, 1, "threads={threads}");
-            assert_eq!(orbits.total(), 3);
-            assert_eq!(orbits.orbits.len(), 1);
-            assert_eq!(orbits.orbits[0].multiplier(), 3);
-            assert_eq!(
-                emb_set(&orbits.clone().into_embeddings()),
-                emb_set(&full),
-                "threads={threads}"
-            );
-        }
+        let orbits =
+            subgraph_isomorphisms_orbits(&pat, &tgt, MatchMode::Monomorphism, &aut, label_eq);
+        assert_eq!(orbits.enumerated, 1);
+        assert_eq!(orbits.total(), 3);
+        assert_eq!(orbits.orbits.len(), 1);
+        assert_eq!(orbits.orbits[0].multiplier(), 3);
+        assert_eq!(emb_set(&orbits.into_embeddings()), emb_set(&full));
     }
 
     #[test]
@@ -934,7 +809,7 @@ mod tests {
         let full = subgraph_isomorphisms(&pat, &tgt, MatchMode::Monomorphism, label_eq);
         assert_eq!(full.len(), 2);
         let orbits =
-            subgraph_isomorphisms_orbits(&pat, &tgt, MatchMode::Monomorphism, 1, &aut, label_eq);
+            subgraph_isomorphisms_orbits(&pat, &tgt, MatchMode::Monomorphism, &aut, label_eq);
         assert_eq!(emb_set(&orbits.into_embeddings()), emb_set(&full));
     }
 
@@ -944,7 +819,7 @@ mod tests {
         let tgt = path_graph(&["s", "m"]);
         let aut = crate::canon::Automorphisms::identity(tgt.num_nodes());
         let orbits =
-            subgraph_isomorphisms_orbits(&pat, &tgt, MatchMode::Monomorphism, 1, &aut, label_eq);
+            subgraph_isomorphisms_orbits(&pat, &tgt, MatchMode::Monomorphism, &aut, label_eq);
         assert_eq!(orbits.enumerated, 1);
         assert_eq!(orbits.total(), 1);
         assert_eq!(orbits.orbits[0].multiplier(), 1);
@@ -964,7 +839,7 @@ mod tests {
         let aut = tgt_aut(&tgt);
         let full = subgraph_isomorphisms(&pat, &tgt, MatchMode::Monomorphism, label_eq);
         let orbits =
-            subgraph_isomorphisms_orbits(&pat, &tgt, MatchMode::Monomorphism, 2, &aut, label_eq);
+            subgraph_isomorphisms_orbits(&pat, &tgt, MatchMode::Monomorphism, &aut, label_eq);
         assert!(orbits.enumerated < full.len() as u64);
         assert_eq!(emb_set(&orbits.into_embeddings()), emb_set(&full));
     }
@@ -975,38 +850,13 @@ mod tests {
         let aut = crate::canon::Automorphisms::identity(2);
         let empty: DiGraph<&str, ()> = DiGraph::new();
         let found =
-            subgraph_isomorphisms_orbits(&empty, &tgt, MatchMode::Monomorphism, 1, &aut, label_eq);
+            subgraph_isomorphisms_orbits(&empty, &tgt, MatchMode::Monomorphism, &aut, label_eq);
         assert_eq!(found.total(), 1);
         let big = path_graph(&["a", "a", "a"]);
         let none =
-            subgraph_isomorphisms_orbits(&big, &tgt, MatchMode::Monomorphism, 1, &aut, label_eq);
+            subgraph_isomorphisms_orbits(&big, &tgt, MatchMode::Monomorphism, &aut, label_eq);
         assert_eq!(none.total(), 0);
         assert_eq!(none.enumerated, 0);
-    }
-
-    #[test]
-    fn orbit_mode_thread_counts_agree_exactly() {
-        let pat = path_graph(&["s", "m", "t"]);
-        let mut tgt = DiGraph::new();
-        for _ in 0..4 {
-            let ids: Vec<_> = ["s", "m", "t"].iter().map(|&l| tgt.add_node(l)).collect();
-            tgt.add_edge(ids[0], ids[1], ());
-            tgt.add_edge(ids[1], ids[2], ());
-        }
-        let aut = tgt_aut(&tgt);
-        let base =
-            subgraph_isomorphisms_orbits(&pat, &tgt, MatchMode::Monomorphism, 1, &aut, label_eq);
-        for threads in [2usize, 4, 8] {
-            let par = subgraph_isomorphisms_orbits(
-                &pat,
-                &tgt,
-                MatchMode::Monomorphism,
-                threads,
-                &aut,
-                label_eq,
-            );
-            assert_eq!(base, par, "threads={threads}");
-        }
     }
 
     #[test]

@@ -1,41 +1,19 @@
 //! Best-bound branch-and-bound over the simplex LP relaxation.
 //!
-//! # Parallelism and determinism
-//!
-//! With [`SolveOptions::threads`] > 1 the solver runs **speculative node
-//! prefetch with serial commit**: the main loop pops nodes in exactly the
-//! serial best-bound order (the heap order is made *total* via a per-node
-//! sequence number, so ties never depend on insertion history), but whenever
-//! the popped node's LP relaxation has not been evaluated yet, a *wave* of
-//! LPs — the popped node plus up to `2·threads − 1` best-bound peers peeked
-//! from the heap — is solved concurrently on a work-stealing pool and cached
-//! by node sequence number. The peeked nodes are pushed back untouched.
-//!
-//! Because an LP relaxation depends only on the node's bounds (never on the
-//! incumbent or on sibling results), a cached evaluation is bit-for-bit the
-//! one the serial solver would have computed, so the *committed* trajectory —
-//! branching decisions, incumbents, node/pivot statistics, and the final
-//! optimum — is identical for every thread count. Speculation can only waste
-//! work (a prefetched node later pruned), never change the answer.
-//!
-//! The one observable difference under a finite [`Budget`]: speculative
-//! pivots are charged to the shared allowance when they happen, so the exact
-//! point of budget exhaustion may shift with the thread count. Exhaustion
-//! still surfaces as the same `Err` kinds and callers degrade to partial
-//! results exactly as in serial mode.
-//!
-//! [`Budget`]: crate::solver::budget::Budget
+//! Nodes pop in a *total* order (bound, then depth, then creation sequence
+//! number), so the trajectory is a pure function of the model and options:
+//! ties never depend on the heap's insertion history.
 
 use crate::error::SolveError;
 use crate::model::Model;
 use crate::presolve;
 use crate::solution::{Outcome, Solution, SolveStats};
-use crate::solver::backend::{solve_lp, LpRequest};
+use crate::solver::backend::{solve_lp, LpRequest, LpSolve};
 use crate::solver::budget::Deadline;
 use crate::solver::{BasisSnapshot, LpOutcome, SolveOptions};
 use crate::standard_form::StandardForm;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -60,10 +38,8 @@ struct Node {
     /// ordering before this node's own relaxation is solved.
     bound: f64,
     depth: u32,
-    /// Creation sequence number: unique, assigned in (deterministic) push
-    /// order. Makes the heap order total so that popping is insertion-history
-    /// independent — the property that lets the parallel prefetch pop-peek
-    /// nodes and push them back without perturbing the trajectory.
+    /// Creation sequence number: unique, assigned in push order. The last
+    /// tie-break of the heap order, which makes that order total.
     seq: u64,
     /// Parent's optimal basis, for dual-simplex warm starts.
     warm: Option<Arc<BasisSnapshot>>,
@@ -114,24 +90,8 @@ impl Ord for HeapEntry {
     }
 }
 
-/// The outcome of one node's LP relaxation, cacheable by node sequence
-/// number. `pivots` is recorded even when the solve errored so committed
-/// statistics match the serial trajectory exactly. The warm-start and
-/// refactorization tallies ride along so metrics are emitted only at the
-/// serial commit point — speculative evaluations stay silent and the
-/// counters are identical for every thread count.
-struct NodeEval {
-    pivots: u64,
-    warm_attempted: bool,
-    warm_used: bool,
-    refactorizations: u64,
-    refactor_reuses: u64,
-    result: Result<(LpOutcome, Option<Arc<BasisSnapshot>>), SolveError>,
-}
-
 /// Solve one node's LP relaxation (with optional dual-simplex warm start),
 /// charging pivots to the shared budget.
-/// Pure in the node's bounds: safe to run speculatively on any thread.
 fn eval_node(
     sf_root: &StandardForm,
     lbs: &[f64],
@@ -139,7 +99,7 @@ fn eval_node(
     warm: Option<&BasisSnapshot>,
     opts: &SolveOptions,
     deadline: Deadline,
-) -> NodeEval {
+) -> LpSolve {
     let mut lp_span = contrarc_obs::span!("milp.lp");
     let sf = sf_root.rebind(lbs, ubs);
     let solve = solve_lp(&LpRequest {
@@ -149,82 +109,7 @@ fn eval_node(
         warm,
     });
     lp_span.record("pivots", solve.pivots);
-    NodeEval {
-        pivots: solve.pivots,
-        warm_attempted: solve.warm_attempted,
-        warm_used: solve.warm_used,
-        refactorizations: solve.refactorizations,
-        refactor_reuses: solve.refactor_reuses,
-        result: solve.result.map(|lp| (lp, solve.basis)),
-    }
-}
-
-/// A materialized unit of speculative work.
-struct WaveItem {
-    seq: u64,
-    lbs: Vec<f64>,
-    ubs: Vec<f64>,
-    warm: Option<Arc<BasisSnapshot>>,
-}
-
-/// Evaluate the committed node plus up to `2·threads − 1` best-bound peers in
-/// parallel, caching every result by sequence number. Peeked peers are pushed
-/// back; the total heap order guarantees the pop sequence is unchanged.
-#[allow(clippy::too_many_arguments)]
-fn prefetch_wave(
-    heap: &mut BinaryHeap<HeapEntry>,
-    current: &Node,
-    current_bounds: (&[f64], &[f64]),
-    incumbent_min: Option<f64>,
-    cache: &mut HashMap<u64, NodeEval>,
-    sf_root: &StandardForm,
-    root_lbs: &[f64],
-    root_ubs: &[f64],
-    opts: &SolveOptions,
-    deadline: Deadline,
-    threads: usize,
-) {
-    let mut work: Vec<WaveItem> = Vec::with_capacity(2 * threads);
-    work.push(WaveItem {
-        seq: current.seq,
-        lbs: current_bounds.0.to_vec(),
-        ubs: current_bounds.1.to_vec(),
-        warm: current.warm.clone(),
-    });
-
-    // Peek best-bound peers, skipping nodes that are already cached or would
-    // be pruned against the current incumbent anyway. Cap the pops so a heap
-    // full of prunable nodes cannot make peeking quadratic.
-    let mut parked: Vec<Node> = Vec::new();
-    let max_pops = 8 * threads;
-    while work.len() < 2 * threads && parked.len() < max_pops {
-        let Some(HeapEntry(peer)) = heap.pop() else {
-            break;
-        };
-        let prunable = incumbent_min.is_some_and(|inc| peer.bound >= inc - opts.abs_gap);
-        if !prunable && !cache.contains_key(&peer.seq) {
-            let (lbs, ubs) = peer.materialize(root_lbs, root_ubs);
-            work.push(WaveItem {
-                seq: peer.seq,
-                lbs,
-                ubs,
-                warm: peer.warm.clone(),
-            });
-        }
-        parked.push(peer);
-    }
-
-    let _wave_span = contrarc_obs::span!("milp.wave", width = work.len(), threads = threads);
-    let evals = contrarc_par::parallel_map(threads, work.len(), |i| {
-        let w = &work[i];
-        eval_node(sf_root, &w.lbs, &w.ubs, w.warm.as_deref(), opts, deadline)
-    });
-    for (w, eval) in work.iter().zip(evals) {
-        cache.insert(w.seq, eval);
-    }
-    for peer in parked {
-        heap.push(HeapEntry(peer));
-    }
+    solve
 }
 
 /// Solve a MILP. `root_warm` optionally warm-starts the root relaxation from
@@ -246,13 +131,11 @@ pub(crate) fn solve(
         .budget
         .deadline()
         .tightened_by_secs(opts.time_limit_secs);
-    let threads = contrarc_par::effective_threads(opts.threads.max(1));
     let mut stats = SolveStats::default();
     let mut solve_span = contrarc_obs::span!(
         "milp.solve",
         vars = model.num_vars(),
         constraints = model.stats().num_constraints,
-        threads = threads,
     );
 
     // Presolve: detect trivial infeasibility and tighten bounds.
@@ -303,8 +186,6 @@ pub(crate) fn solve(
         warm: root_warm,
     }));
     next_seq += 1;
-    // Speculative LP evaluations keyed by node sequence number.
-    let mut eval_cache: HashMap<u64, NodeEval> = HashMap::new();
 
     // (values, min-space obj, model-sense obj)
     let mut incumbent: Option<(Vec<f64>, f64, f64)> = None;
@@ -341,19 +222,14 @@ pub(crate) fn solve(
         // Bound-based pruning against the incumbent.
         if let Some((_, inc, _)) = &incumbent {
             if node.bound >= *inc - opts.abs_gap {
-                eval_cache.remove(&node.seq);
                 continue;
             }
         }
         stats.nodes += 1;
         opts.budget.charge_nodes(1)?;
-        // Commit point: everything recorded here is identical for every
-        // thread count (speculative evaluations never reach this loop).
         let mut node_span = contrarc_obs::span!("milp.node", seq = node.seq, depth = node.depth);
         contrarc_obs::metrics::counter_add("milp.nodes", 1);
-        // Open-node frontier after this pop. Prefetch waves push every parked
-        // peer back, so the heap here holds exactly the committed frontier and
-        // the gauge is identical for every thread count.
+        // Open-node frontier after this pop.
         contrarc_obs::metrics::gauge_set("milp.frontier", heap.len() as i64);
         contrarc_obs::metrics::observe_hist(
             "milp.node_depth",
@@ -362,30 +238,7 @@ pub(crate) fn solve(
         );
 
         let (lbs, ubs) = node.materialize(&root_lbs, &root_ubs);
-        let eval = match eval_cache.remove(&node.seq) {
-            Some(eval) => eval,
-            None if threads > 1 => {
-                prefetch_wave(
-                    &mut heap,
-                    &node,
-                    (&lbs, &ubs),
-                    incumbent.as_ref().map(|(_, inc, _)| *inc),
-                    &mut eval_cache,
-                    &sf_root,
-                    &root_lbs,
-                    &root_ubs,
-                    opts,
-                    deadline,
-                    threads,
-                );
-                eval_cache
-                    .remove(&node.seq)
-                    .expect("wave always evaluates the committed node")
-            }
-            None => eval_node(&sf_root, &lbs, &ubs, node.warm.as_deref(), opts, deadline),
-        };
-        // Only *committed* evaluations count toward statistics, so the stats
-        // are identical for every thread count.
+        let eval = eval_node(&sf_root, &lbs, &ubs, node.warm.as_deref(), opts, deadline);
         stats.simplex_iterations += eval.pivots;
         node_span.record("pivots", eval.pivots);
         contrarc_obs::metrics::observe_hist(
@@ -393,8 +246,6 @@ pub(crate) fn solve(
             contrarc_obs::metrics::COUNT_BUCKETS,
             eval.pivots as f64,
         );
-        // Warm-start metrics, emitted only for committed evaluations so every
-        // thread count produces identical counters.
         if eval.warm_attempted {
             if eval.warm_used {
                 contrarc_obs::metrics::counter_add("milp.warm_start_hits", 1);
@@ -419,7 +270,8 @@ pub(crate) fn solve(
         if node.depth == 0 {
             root_pivots = Some(eval.pivots);
         }
-        let (lp, node_snapshot) = eval.result?;
+        let lp = eval.result?;
+        let node_snapshot = eval.basis;
         if node.depth == 0 {
             warm_out = node_snapshot.clone();
         }
@@ -971,7 +823,7 @@ mod tests {
         assert!(out.is_feasible());
     }
 
-    /// A knapsack family that requires branching, for the parallel tests.
+    /// A knapsack that requires branching.
     fn branching_knapsack(seed: u64) -> Model {
         let mut m = Model::new("par");
         let n = 12;
@@ -992,56 +844,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_trajectory_is_bit_for_bit_serial() {
-        // The speculative prefetch must not change the committed trajectory:
-        // same objective bits, same values, same node and pivot counts for
-        // every thread count.
-        for seed in 0..6u64 {
-            let m = branching_knapsack(seed);
-            let serial = solve(&m, &SolveOptions::default(), None).unwrap().0;
-            let (ser_sol, ser_stats) = match &serial {
-                Outcome::Optimal { solution, stats } => (solution, stats),
-                other => panic!("unexpected outcome {other:?}"),
-            };
-            for threads in [2usize, 4, 8] {
-                let opts = SolveOptions {
-                    threads,
-                    ..SolveOptions::default()
-                };
-                let par = solve(&m, &opts, None).unwrap().0;
-                let (par_sol, par_stats) = match &par {
-                    Outcome::Optimal { solution, stats } => (solution, stats),
-                    other => panic!("unexpected outcome {other:?}"),
-                };
-                assert_eq!(
-                    ser_sol.objective().to_bits(),
-                    par_sol.objective().to_bits(),
-                    "seed {seed} threads {threads}: objective drifted"
-                );
-                assert_eq!(
-                    ser_sol.values(),
-                    par_sol.values(),
-                    "seed {seed} threads {threads}: values drifted"
-                );
-                assert_eq!(
-                    ser_stats.nodes, par_stats.nodes,
-                    "seed {seed} threads {threads}: node count drifted"
-                );
-                assert_eq!(
-                    ser_stats.simplex_iterations, par_stats.simplex_iterations,
-                    "seed {seed} threads {threads}: pivot count drifted"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_budget_exhaustion_is_an_error_not_a_panic() {
+    fn budget_exhaustion_is_an_error_not_a_panic() {
         // A pivot budget far too small to finish must surface as a limit
-        // error from the parallel path, exactly like the serial one.
+        // error.
         let m = branching_knapsack(1);
         let opts = SolveOptions {
-            threads: 4,
             budget: Budget::unlimited().with_pivot_limit(3),
             ..SolveOptions::default()
         };
@@ -1073,7 +880,7 @@ mod tests {
     #[test]
     fn heap_order_is_total_and_reinsertion_stable() {
         // Popping k entries and pushing them back must not change the pop
-        // sequence — the invariant the speculative prefetch relies on.
+        // sequence: the order is total, so it depends only on the contents.
         let mk = |bound: f64, depth: u32, seq: u64| {
             HeapEntry(Node {
                 steps: Vec::new(),

@@ -78,8 +78,7 @@ pub struct SolveOptions {
     /// simplex, then a primal cleanup, then the canonical finish. This saves
     /// several-fold in pivots on the exploration workloads (1,048 cold
     /// against 205 warm on the two-line RPL, held at ≥ 2× by the test
-    /// `warm_starts_halve_the_pivots_on_rpl_both_lines`), and the committed
-    /// trajectory stays identical at any thread count. On models with many
+    /// `warm_starts_halve_the_pivots_on_rpl_both_lines`). On models with many
     /// equally-optimal solutions the dual repair can land on a different
     /// optimal vertex than a cold solve, so the search may surface a
     /// *different equally-optimal* incumbent than a cold run would; the
@@ -101,12 +100,9 @@ pub struct SolveOptions {
     /// exploration sets this to the previous iteration's optimum, which is
     /// valid because certificate cuts only ever remove solutions.
     pub objective_floor: Option<f64>,
-    /// Worker threads for speculative branch-and-bound node evaluation.
-    /// `1` (the default) is the fully serial solver; `0` means "use every
-    /// available core". Any value yields the same optimum, branching
-    /// trajectory, and statistics (speculative prefetch with serial commit;
-    /// see the `branch_bound` module docs) — only wall-clock and, under a
-    /// finite [`Budget`], the exact exhaustion point vary.
+    /// Ignored: the solver runs on one thread. Kept only because the
+    /// exploration benchmark still sets it; it will be removed, together
+    /// with `contrarc-par`, in the next change to the benchmark.
     pub threads: usize,
     /// Deterministic fault schedule for resilience testing; `None` disables
     /// injection. Only present with the `fault-injection` feature.
@@ -149,13 +145,6 @@ impl SolveOptions {
     #[must_use]
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Options with a worker-thread count (`0` = all available cores).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 }

@@ -10,8 +10,8 @@
 //! whether a sink is installed or not: no instrumentation site may branch on
 //! sink state, and no sink may feed data back into the exploration. This is
 //! what keeps the engine-wide determinism guarantee (bit-identical optimum,
-//! cuts, and stats across thread counts) intact with tracing on or off — the
-//! *event stream* may vary with scheduling, the *results* may not.
+//! cuts, and stats) intact with tracing on or off: the *event stream* carries
+//! timings that vary from run to run, the *results* may not.
 //!
 //! ## Fast path
 //!
@@ -149,7 +149,8 @@ pub struct Event {
     pub span: u64,
     /// Parent span id; 0 when emitted outside any span.
     pub parent: u64,
-    /// Label of the emitting thread (`main`, `worker-3`, …).
+    /// Name of the emitting thread (`main`, a test's name, …), or `thread`
+    /// for an unnamed one.
     pub thread: Arc<str>,
     /// Microseconds since the process-local trace epoch (monotonic).
     pub t_us: u64,
@@ -254,15 +255,7 @@ fn emit(event: &Event) {
     }
 }
 
-/// The id of the innermost open span on this thread, or 0.
-#[must_use]
-pub fn current_span() -> u64 {
-    if !enabled() {
-        return 0;
-    }
-    SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0))
-}
-
+/// The emitting thread's name, looked up once per thread.
 fn thread_label() -> Arc<str> {
     THREAD_LABEL.with(|l| {
         if let Some(label) = l.borrow().as_ref() {
@@ -272,11 +265,6 @@ fn thread_label() -> Arc<str> {
         *l.borrow_mut() = Some(Arc::clone(&label));
         label
     })
-}
-
-/// Set this thread's label for subsequent events, returning the previous one.
-pub fn set_thread_label(label: &str) -> Option<Arc<str>> {
-    THREAD_LABEL.with(|l| l.borrow_mut().replace(Arc::from(label)))
 }
 
 /// RAII guard for an open span. Created by [`span_with`] (usually through the
@@ -433,49 +421,6 @@ macro_rules! event {
     };
 }
 
-/// RAII guard labelling the current thread as a pool worker and parenting its
-/// spans under the caller's span. See [`worker_scope`].
-#[derive(Debug)]
-pub struct WorkerScope {
-    restore: Option<(Option<Arc<str>>, bool)>,
-}
-
-/// Label the current thread `worker-{index}` and push `parent` (the span that
-/// was open at the fan-out site) onto its span stack, so events emitted by
-/// the worker attribute to the right thread *and* nest under the spawning
-/// span. Returns a guard that restores both on drop. No-op when disabled.
-#[must_use]
-pub fn worker_scope(index: usize, parent: u64) -> WorkerScope {
-    if !enabled() {
-        return WorkerScope { restore: None };
-    }
-    let label = format!("worker-{index}");
-    let previous = set_thread_label(&label);
-    let pushed = if parent != 0 {
-        SPAN_STACK.with(|s| s.borrow_mut().push(parent));
-        true
-    } else {
-        false
-    };
-    WorkerScope {
-        restore: Some((previous, pushed)),
-    }
-}
-
-impl Drop for WorkerScope {
-    fn drop(&mut self) {
-        let Some((previous, pushed)) = self.restore.take() else {
-            return;
-        };
-        if pushed {
-            SPAN_STACK.with(|s| {
-                s.borrow_mut().pop();
-            });
-        }
-        THREAD_LABEL.with(|l| *l.borrow_mut() = previous);
-    }
-}
-
 /// A cloneable handle to an optional sink, suitable for embedding in a
 /// configuration struct (`ExplorerConfig::observer`). Equality is identity:
 /// two observers compare equal iff they hold the same sink allocation (or
@@ -612,33 +557,6 @@ mod tests {
             vec![("result", Value::U64(42))],
             "close-time fields survive"
         );
-    }
-
-    #[test]
-    fn worker_scope_relabels_and_reparents() {
-        let sink = Arc::new(MemorySink::default());
-        {
-            let sink2 = Arc::clone(&sink);
-            with_sink(sink2, || {
-                let outer = span!("test.fanout");
-                let parent = current_span();
-                std::thread::scope(|scope| {
-                    scope.spawn(|| {
-                        let _w = worker_scope(3, parent);
-                        event!("test.work");
-                    });
-                });
-                drop(outer);
-            });
-        }
-        let events = sink.events();
-        let work = events
-            .iter()
-            .find(|e| e.name == "test.work")
-            .expect("worker event");
-        assert_eq!(&*work.thread, "worker-3");
-        let fanout = events.iter().find(|e| e.name == "test.fanout").unwrap();
-        assert_eq!(work.parent, fanout.span);
     }
 
     #[test]

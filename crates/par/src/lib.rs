@@ -1,33 +1,12 @@
 //! # contrarc-par
 //!
-//! Deterministic parallelism utilities shared by the ContrArc workspace.
-//!
-//! This build environment has no crates.io access, so `rayon` is not
-//! available; this crate provides the small slice of its functionality the
-//! exploration engine needs, built on `std::thread::scope`:
-//!
-//! * [`available_parallelism`] — the machine's logical core count;
-//! * [`effective_threads`] — clamp a requested thread count to something
-//!   sensible (`0` means "ask the OS");
-//! * [`parallel_map`] — evaluate a pure indexed function over `0..len` on a
-//!   work-stealing pool of scoped workers and return the results **in index
-//!   order**, so every reduction over the output is schedule-independent by
-//!   construction.
-//!
-//! The work-stealing scheme is a single shared atomic cursor: each worker
-//! claims the next unclaimed index when it finishes its current one, so fast
-//! workers naturally steal the items slow workers never reached. Results land
-//! in per-index slots, which makes the output independent of which worker
-//! computed what — the foundation of the engine-wide determinism contract
-//! (see DESIGN.md, "Concurrency and determinism").
+//! Thread-count helpers. The exploration itself runs on one thread; these
+//! two functions remain only because the exploration benchmark reports the
+//! machine's core count and resolves its workloads' `threads` settings with
+//! them. They go, with this crate, in the next change to the benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The number of logical cores the OS reports, with a floor of 1.
 #[must_use]
@@ -46,270 +25,14 @@ pub fn effective_threads(requested: usize) -> usize {
     }
 }
 
-/// A panic raised by a worker closure, contained and reported as a value.
-///
-/// Carries the index of the item whose evaluation panicked (the lowest such
-/// index, deterministically, when several items panic) and a best-effort
-/// rendering of the panic message. The original payload is preserved
-/// internally so [`parallel_map`] can re-raise it unchanged.
-#[derive(Debug)]
-pub struct WorkerPanic {
-    /// Index of the item whose closure panicked (lowest panicking index).
-    pub index: usize,
-    /// The panic message, when it was a `&str` or `String` payload.
-    pub message: String,
-    /// The original payload, for re-raising.
-    payload: Box<dyn std::any::Any + Send>,
-}
-
-impl fmt::Display for WorkerPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "worker panicked on item {}: {}",
-            self.index, self.message
-        )
-    }
-}
-
-impl WorkerPanic {
-    fn new(index: usize, payload: Box<dyn std::any::Any + Send>) -> Self {
-        let message = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        };
-        WorkerPanic {
-            index,
-            message,
-            payload,
-        }
-    }
-
-    /// Re-raise the contained panic with its original payload.
-    pub fn resume(self) -> ! {
-        std::panic::resume_unwind(self.payload)
-    }
-}
-
-/// Evaluate `f(i)` for every `i in 0..len` and return the results in index
-/// order.
-///
-/// With `threads <= 1` (or a single item) this is a plain sequential loop —
-/// bit-for-bit the behaviour a serial caller would implement. With more
-/// threads, `min(threads, len)` scoped workers pull indices from a shared
-/// atomic cursor (work stealing) and write into per-index slots, so the
-/// returned vector is identical regardless of scheduling.
-///
-/// `f` must be safe to call concurrently from several threads; it receives
-/// only the index, so all captured state is shared immutably (or through its
-/// own synchronization, e.g. atomics).
-///
-/// # Panics
-///
-/// Propagates a panic from `f` with its original payload — but contained:
-/// every worker joins cleanly first (no aborts from double panics, no
-/// poisoned pool state). Use [`try_parallel_map`] to receive the panic as a
-/// typed error instead.
-pub fn parallel_map<R, F>(threads: usize, len: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    match try_parallel_map(threads, len, f) {
-        Ok(out) => out,
-        Err(panic) => panic.resume(),
-    }
-}
-
-/// [`parallel_map`], but a panicking closure is reported as a typed
-/// [`WorkerPanic`] to the submitter instead of unwinding through the caller.
-///
-/// Containment semantics: a panic stops further item claims; items already
-/// being evaluated on other workers run to completion; every worker thread
-/// joins cleanly, so the next call on the same thread pool state works
-/// normally. When several in-flight items panic, the lowest-indexed one is
-/// reported. Serial evaluation (`threads <= 1`) follows the same contract.
-///
-/// # Errors
-///
-/// Returns a [`WorkerPanic`] when any closure panicked.
-pub fn try_parallel_map<R, F>(threads: usize, len: usize, f: F) -> Result<Vec<R>, WorkerPanic>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let threads = effective_threads(threads).min(len.max(1));
-    if threads <= 1 || len <= 1 {
-        let mut out = Vec::with_capacity(len);
-        for i in 0..len {
-            match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                Ok(r) => out.push(r),
-                Err(payload) => return Err(WorkerPanic::new(i, payload)),
-            }
-        }
-        return Ok(out);
-    }
-    let slots: Vec<Mutex<Option<R>>> = (0..len).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let halted = AtomicBool::new(false);
-    let first_panic: Mutex<Option<WorkerPanic>> = Mutex::new(None);
-    // Observability only: workers label their events `worker-{w}` and parent
-    // them under the span open at the fan-out site, so a trace reconstructs
-    // the parallel schedule. Results are written to indexed slots regardless,
-    // so tracing can never affect the returned vector.
-    let parent_span = contrarc_obs::current_span();
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let (slots, cursor, f) = (&slots, &cursor, &f);
-            let (halted, first_panic) = (&halted, &first_panic);
-            scope.spawn(move || {
-                let _obs = contrarc_obs::worker_scope(w, parent_span);
-                loop {
-                    if halted.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= len {
-                        break;
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                        Ok(r) => {
-                            *slots[i]
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(r);
-                        }
-                        Err(payload) => {
-                            halted.store(true, Ordering::Relaxed);
-                            let mut first = first_panic
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            // Lowest index wins so the reported panic does not
-                            // depend on scheduling.
-                            if first.as_ref().is_none_or(|p| i < p.index) {
-                                *first = Some(WorkerPanic::new(i, payload));
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    });
-    if let Some(panic) = first_panic
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-    {
-        return Err(panic);
-    }
-    Ok(slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("every index computed")
-        })
-        .collect())
-}
-
-/// The index of the first `Some` in an index-ordered sequence of optional
-/// results, with its value — the canonical "first hit wins" reduction for
-/// outputs of [`parallel_map`]. Deterministic because it depends only on the
-/// index order, never on completion order.
-#[must_use]
-pub fn first_some<R>(results: Vec<Option<R>>) -> Option<(usize, R)> {
-    results
-        .into_iter()
-        .enumerate()
-        .find_map(|(i, r)| r.map(|v| (i, v)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn sequential_and_parallel_agree() {
-        let f = |i: usize| i * i + 1;
-        let serial = parallel_map(1, 100, f);
-        for t in [2, 4, 8] {
-            assert_eq!(parallel_map(t, 100, f), serial, "threads = {t}");
-        }
-    }
-
-    #[test]
-    fn empty_and_singleton() {
-        assert_eq!(parallel_map(8, 0, |i| i), Vec::<usize>::new());
-        assert_eq!(parallel_map(8, 1, |i| i + 7), vec![7]);
-    }
-
-    #[test]
-    fn every_index_computed_exactly_once() {
-        let calls = AtomicUsize::new(0);
-        let out = parallel_map(4, 57, |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            i
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 57);
-        assert_eq!(out, (0..57).collect::<Vec<_>>());
-    }
 
     #[test]
     fn effective_threads_resolves_zero() {
         assert!(effective_threads(0) >= 1);
         assert_eq!(effective_threads(3), 3);
         assert_eq!(effective_threads(1), 1);
-    }
-
-    #[test]
-    fn panicking_item_surfaces_as_typed_error_and_pool_survives() {
-        for t in [1, 4] {
-            let err = try_parallel_map(t, 16, |i| {
-                if i == 5 {
-                    panic!("boom at {i}");
-                }
-                i * 2
-            })
-            .unwrap_err();
-            assert_eq!(err.index, 5, "threads = {t}");
-            assert!(err.message.contains("boom at 5"));
-            assert!(err.to_string().contains("item 5"));
-            // The scope joined cleanly: the very next call works normally.
-            let ok = try_parallel_map(t, 16, |i| i * 2).unwrap();
-            assert_eq!(ok, (0..16).map(|i| i * 2).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn multiple_panics_report_lowest_observed_index() {
-        let err = try_parallel_map(1, 10, |i| {
-            assert!(i % 3 != 0 || i == 0, "fail at {i}");
-        })
-        .unwrap_err();
-        // Serial evaluation observes index 3 first, deterministically.
-        assert_eq!(err.index, 3);
-    }
-
-    #[test]
-    fn parallel_map_reraises_original_payload() {
-        let caught = std::panic::catch_unwind(|| {
-            parallel_map(4, 8, |i| {
-                if i == 2 {
-                    std::panic::panic_any(42_u32);
-                }
-                i
-            })
-        })
-        .unwrap_err();
-        assert_eq!(caught.downcast_ref::<u32>(), Some(&42));
-    }
-
-    #[test]
-    fn first_some_picks_lowest_index() {
-        let v: Vec<Option<u32>> = vec![None, Some(10), None, Some(20)];
-        assert_eq!(first_some(v), Some((1, 10)));
-        assert_eq!(first_some(Vec::<Option<u32>>::new()), None);
     }
 }

@@ -26,7 +26,7 @@ pub struct JobSpec {
     pub name: String,
     /// The exploration problem (owned: jobs outlive the submitting caller).
     pub problem: Problem,
-    /// Exploration configuration (budgets, pruning semantics, threads).
+    /// Exploration configuration (budgets, pruning semantics).
     pub config: ExplorerConfig,
     /// Admission weight — the budget currency of the server's admission
     /// control. The server admits jobs while the aggregate weight of running

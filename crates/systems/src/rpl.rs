@@ -327,7 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_symmetry_on_off_agree_across_threads() {
+    fn parallel_symmetry_on_off_agree() {
         use contrarc::SymmetryConfig;
         let cfg = RplConfig {
             stages: 1,
@@ -336,24 +336,19 @@ mod tests {
         let p = build_parallel(&cfg, 2);
         let base = explore(&p, &ExplorerConfig::complete()).unwrap();
         let base_cost = base.architecture().expect("feasible").cost();
-        for threads in [1usize, 2, 8] {
-            for symmetry in [SymmetryConfig::default(), SymmetryConfig::off()] {
-                let run = explore(
-                    &p,
-                    &ExplorerConfig {
-                        threads,
-                        symmetry,
-                        ..ExplorerConfig::complete()
-                    },
-                )
-                .unwrap();
-                assert_eq!(
-                    run.architecture().expect("feasible").cost().to_bits(),
-                    base_cost.to_bits(),
-                    "threads={threads} symmetry={symmetry:?}"
-                );
-            }
-        }
+        let off = explore(
+            &p,
+            &ExplorerConfig {
+                symmetry: SymmetryConfig::off(),
+                ..ExplorerConfig::complete()
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            off.architecture().expect("feasible").cost().to_bits(),
+            base_cost.to_bits(),
+            "symmetry off changed the optimum"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 # Regenerate every table and figure of the paper (results land in results/).
 #
 # CONTRARC_TIME_LIMIT (seconds, default 120) caps each method per data point;
-# cells that exceed it are reported at the budget with no cost. On slow
+# cells that exceed it print as `timeout`. On slow
 # machines run the chunked forms, e.g. `table2 5 10` or `fig5a 2 2`.
 set -euo pipefail
 cd "$(dirname "$0")"

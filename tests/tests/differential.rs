@@ -2,20 +2,22 @@
 //! problems these runs must reach the same optimum within 1e-9, or all
 //! report infeasible:
 //!
-//! - the default exploration, which warm-starts every branch-and-bound node,
-//!   at one and at two threads;
+//! - the default exploration (the paper's complete mode), which warm-starts
+//!   every branch-and-bound node;
 //! - the exploration with `warm_start: false`, which solves every LP cold;
+//! - the paper's two ablations, only decomposition and only isomorphism;
+//! - the exploration with the symmetry layer off;
 //! - the monolithic baseline (`baseline::solve_monolithic`), warm and cold.
 //!
 //! The population has the `synth-pop` benchmark workload's nine strata:
 //! three template shapes, each at three latency slacks. Each stratum gets six
 //! problems, on generator seeds far from the ones `synth-pop` uses (its
 //! seed `s` generates seeds `270·s` to `270·s + 269`). Each shape is one
-//! test, about 2 s in the test profile.
+//! test, about 3 s in the test profile.
 
 use contrarc::baseline::solve_monolithic;
 use contrarc::synth::{generate, SynthConfig};
-use contrarc::{explore, Exploration, ExplorerConfig, Problem};
+use contrarc::{explore, Exploration, ExplorerConfig, Problem, SymmetryConfig};
 use contrarc_milp::SolveOptions;
 
 const SLACKS: [f64; 3] = [0.8, 0.9, 1.0];
@@ -31,16 +33,20 @@ fn verdict(result: Result<Exploration, contrarc::ExploreError>, run: &str) -> Op
     }
 }
 
-fn explore_with(p: &Problem, threads: usize, warm_start: bool) -> Option<f64> {
-    let mut cfg = ExplorerConfig {
-        threads,
+/// The explorations checked against the default one.
+fn explorations() -> [(&'static str, ExplorerConfig); 4] {
+    let mut cold = ExplorerConfig::complete();
+    cold.solve_options.warm_start = false;
+    let symmetry_off = ExplorerConfig {
+        symmetry: SymmetryConfig::off(),
         ..ExplorerConfig::complete()
     };
-    cfg.solve_options.warm_start = warm_start;
-    verdict(
-        explore(p, &cfg),
-        &format!("exploration (threads {threads}, warm_start {warm_start})"),
-    )
+    [
+        ("cold exploration", cold),
+        ("only decomposition", ExplorerConfig::only_decomposition()),
+        ("only isomorphism", ExplorerConfig::only_iso()),
+        ("symmetry off", symmetry_off),
+    ]
 }
 
 fn baseline_with(p: &Problem, warm_start: bool) -> Option<f64> {
@@ -62,8 +68,9 @@ fn agree(a: Option<f64>, b: Option<f64>) -> bool {
     }
 }
 
-/// Run every problem of one template shape, at every slack, five ways.
+/// Run every problem of one template shape, at every slack, seven ways.
 fn assert_runs_agree(shape_index: u64, (layers, width, impls_per_type): (usize, usize, usize)) {
+    let explorations = explorations();
     let mut optima = 0;
     for (s, &latency_slack) in SLACKS.iter().enumerate() {
         for k in 0..PER_STRATUM {
@@ -76,13 +83,14 @@ fn assert_runs_agree(shape_index: u64, (layers, width, impls_per_type): (usize, 
                 ..SynthConfig::default()
             };
             let p = generate(&config);
-            let reference = explore_with(&p, 1, true);
-            let runs = [
-                ("warm exploration at 2 threads", explore_with(&p, 2, true)),
-                ("cold exploration", explore_with(&p, 1, false)),
-                ("warm baseline", baseline_with(&p, true)),
-                ("cold baseline", baseline_with(&p, false)),
-            ];
+            let reference = verdict(explore(&p, &ExplorerConfig::complete()), "warm exploration");
+            let runs = explorations
+                .iter()
+                .map(|(run, cfg)| (*run, verdict(explore(&p, cfg), run)))
+                .chain([
+                    ("warm baseline", baseline_with(&p, true)),
+                    ("cold baseline", baseline_with(&p, false)),
+                ]);
             for (run, got) in runs {
                 assert!(
                     agree(got, reference),

@@ -1,7 +1,6 @@
 //! Integration tests for the observability subsystem: the JSONL wire schema
-//! stays valid end-to-end, spans nest correctly with per-thread attribution
-//! under the parallel engine, and the metrics registry agrees with the
-//! exploration statistics it mirrors.
+//! stays valid end-to-end, spans nest correctly, and the metrics registry
+//! agrees with the exploration statistics it mirrors.
 //!
 //! The sink and metrics registries are process-global, so every test routes
 //! through `with_sink` / `with_metrics`, which serialize installs against
@@ -27,13 +26,6 @@ fn problem() -> Problem {
     build(&RplConfig::default(), RplLines::Both)
 }
 
-fn config(threads: usize) -> ExplorerConfig {
-    ExplorerConfig {
-        threads,
-        ..ExplorerConfig::complete()
-    }
-}
-
 #[test]
 fn jsonl_trace_is_schema_valid_and_names_every_phase() {
     let _serial = serialize();
@@ -41,7 +33,7 @@ fn jsonl_trace_is_schema_valid_and_names_every_phase() {
         std::env::temp_dir().join(format!("contrarc_obs_schema_{}.jsonl", std::process::id()));
     let sink = JsonlSink::create(&path).expect("create trace file");
     contrarc_obs::with_sink(Arc::new(sink), || {
-        explore(&problem(), &config(1)).expect("exploration failed");
+        explore(&problem(), &ExplorerConfig::complete()).expect("exploration failed");
         contrarc_obs::flush_sink();
     });
 
@@ -80,59 +72,28 @@ fn jsonl_trace_is_schema_valid_and_names_every_phase() {
 }
 
 #[test]
-fn spans_nest_and_workers_attribute_per_thread() {
+fn spans_nest_under_open_parents() {
     let _serial = serialize();
-    for threads in [1usize, 4] {
-        let sink = Arc::new(MemorySink::default());
-        let events = contrarc_obs::with_sink(Arc::<MemorySink>::clone(&sink), || {
-            explore(&problem(), &config(threads)).expect("exploration failed");
-            sink.events()
-        });
-        assert!(!events.is_empty(), "no events at threads={threads}");
+    let sink = Arc::new(MemorySink::default());
+    let events = contrarc_obs::with_sink(Arc::<MemorySink>::clone(&sink), || {
+        explore(&problem(), &ExplorerConfig::complete()).expect("exploration failed");
+        sink.events()
+    });
+    assert!(!events.is_empty(), "no events");
 
-        // Every non-root parent must refer to a span that was opened.
-        let opened: BTreeSet<u64> = events
-            .iter()
-            .filter(|e| e.kind.wire_name() == "open")
-            .map(|e| e.span)
-            .collect();
-        for e in &events {
-            assert!(
-                e.parent == 0 || opened.contains(&e.parent),
-                "event '{}' at threads={threads} has dangling parent {}",
-                e.name,
-                e.parent
-            );
-        }
-
-        // Worker-thread attribution: pool threads label themselves
-        // `worker-{i}`; the serial run never fans out.
-        let workers: BTreeSet<&str> = events
-            .iter()
-            .map(|e| e.thread.as_ref())
-            .filter(|t| t.starts_with("worker-"))
-            .collect();
-        if threads == 1 {
-            assert!(
-                workers.is_empty(),
-                "serial run attributed events to workers: {workers:?}"
-            );
-        } else {
-            assert!(
-                !workers.is_empty(),
-                "parallel run never attributed an event to a worker thread"
-            );
-            // Worker events must still nest under a span from the
-            // coordinating thread (the fan-out site's parent).
-            let worker_spans_parented = events
-                .iter()
-                .filter(|e| e.thread.starts_with("worker-"))
-                .all(|e| e.parent != 0);
-            assert!(
-                worker_spans_parented,
-                "worker events must nest under the fan-out span"
-            );
-        }
+    // Every non-root parent must refer to a span that was opened.
+    let opened: BTreeSet<u64> = events
+        .iter()
+        .filter(|e| e.kind.wire_name() == "open")
+        .map(|e| e.span)
+        .collect();
+    for e in &events {
+        assert!(
+            e.parent == 0 || opened.contains(&e.parent),
+            "event '{}' has dangling parent {}",
+            e.name,
+            e.parent
+        );
     }
 }
 
@@ -140,7 +101,7 @@ fn spans_nest_and_workers_attribute_per_thread() {
 fn metrics_registry_mirrors_exploration_stats() {
     let _serial = serialize();
     let (result, report) = contrarc_obs::metrics::with_metrics(|| {
-        explore(&problem(), &config(1)).expect("exploration failed")
+        explore(&problem(), &ExplorerConfig::complete()).expect("exploration failed")
     });
     let stats = result.stats();
     assert!(!report.is_empty(), "no metrics recorded");
@@ -175,41 +136,23 @@ fn metrics_registry_mirrors_exploration_stats() {
 }
 
 #[test]
-fn live_gauges_are_populated_and_thread_count_invariant() {
+fn live_gauges_are_populated() {
     let _serial = serialize();
-    let run = |threads: usize| {
-        let (result, report) = contrarc_obs::metrics::with_metrics(|| {
-            explore(&problem(), &config(threads)).expect("exploration failed")
-        });
-        (result, report)
-    };
-    let (result_1, report_1) = run(1);
+    let (result, report) = contrarc_obs::metrics::with_metrics(|| {
+        explore(&problem(), &ExplorerConfig::complete()).expect("exploration failed")
+    });
     for name in ["milp.frontier", "explore.cut_pool", "refine.cache_entries"] {
-        let g = report_1
+        let g = report
             .gauge(name)
             .unwrap_or_else(|| panic!("gauge '{name}' never set during exploration"));
         assert!(g.max > 0, "gauge '{name}' never rose above zero");
     }
-    // Cut-pool and cache gauges end at the values the statistics imply.
+    // The cut-pool gauge ends at the value the statistics imply.
     assert_eq!(
-        report_1.gauge("explore.cut_pool").unwrap().value,
-        result_1.stats().cuts_added as i64,
+        report.gauge("explore.cut_pool").unwrap().value,
+        result.stats().cuts_added as i64,
         "final cut-pool gauge disagrees with cuts_added"
     );
-    // Gauges are set only at serial commit points, so value and high-water
-    // mark are identical for every thread count.
-    let (_, report_4) = run(4);
-    for name in ["milp.frontier", "explore.cut_pool", "refine.cache_entries"] {
-        let (g1, g4) = (report_1.gauge(name).unwrap(), report_4.gauge(name).unwrap());
-        assert_eq!(
-            g1.value, g4.value,
-            "gauge '{name}' value differs at threads=4"
-        );
-        assert_eq!(
-            g1.max, g4.max,
-            "gauge '{name}' high-water differs at threads=4"
-        );
-    }
 }
 
 #[test]
@@ -217,8 +160,9 @@ fn exploration_is_unchanged_with_metrics_sampler_live() {
     let _serial = serialize();
     // Sinks (and samplers) observe, never steer: an exploration sampled at a
     // fast interval must produce bit-identical results to an unsampled one.
-    let (baseline, _) =
-        contrarc_obs::metrics::with_metrics(|| explore(&problem(), &config(4)).unwrap());
+    let (baseline, _) = contrarc_obs::metrics::with_metrics(|| {
+        explore(&problem(), &ExplorerConfig::complete()).unwrap()
+    });
     let path =
         std::env::temp_dir().join(format!("contrarc_obs_sampled_{}.jsonl", std::process::id()));
     let (sampled, _) = contrarc_obs::metrics::with_metrics(|| {
@@ -227,7 +171,7 @@ fn exploration_is_unchanged_with_metrics_sampler_live() {
             &path,
         )
         .expect("create sampler output");
-        let result = explore(&problem(), &config(4)).unwrap();
+        let result = explore(&problem(), &ExplorerConfig::complete()).unwrap();
         sampler.stop();
         result
     });
