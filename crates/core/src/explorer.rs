@@ -10,7 +10,7 @@ use crate::refinement::{check_candidate_all_cached, RefinementCache, RefinementC
 use crate::sym::SymmetryConfig;
 use contrarc_contracts::{EncodeOptions, RefinementChecker};
 use contrarc_graph::Automorphisms;
-use contrarc_milp::{Budget, LinExpr, SolveError, SolveOptions, VarDef, VarId};
+use contrarc_milp::{Budget, Deadline, LinExpr, SolveError, SolveOptions, VarDef, VarId};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -40,7 +40,9 @@ pub struct ExplorerConfig {
     pub dominance_widening: bool,
     /// Iteration cap for the lazy loop.
     pub max_iterations: usize,
-    /// Optional wall-clock budget for the whole exploration.
+    /// Optional wall-clock budget for the whole exploration, counted from
+    /// the start of [`Explorer::new`] (encoding and automorphism search
+    /// included).
     pub time_limit_secs: Option<f64>,
     /// MILP solver options (shared by candidate selection and refinement
     /// queries).
@@ -131,7 +133,8 @@ pub struct ExplorationStats {
     pub refine_time: f64,
     /// Seconds spent generating certificates.
     pub cert_time: f64,
-    /// Total wall-clock seconds.
+    /// Total wall-clock seconds, counted from the start of
+    /// [`Explorer::new`].
     pub total_time: f64,
     /// Path timing checks answered by the refinement-verdict cache.
     pub cache_hits: u64,
@@ -660,6 +663,9 @@ impl<'p> Explorer<'p> {
     ///
     /// Returns [`ExploreError::Solve`] when the problem fails validation.
     pub fn new(problem: &'p Problem, mut config: ExplorerConfig) -> Result<Self, ExploreError> {
+        // The exploration's clock and its time limit start here, so both
+        // charge the encodings and the automorphism search below.
+        let start = Instant::now();
         // Wire the configured sink (if any) into the process-global event
         // stream before the first instrumented call site runs. Sinks observe
         // only: nothing below ever reads them back.
@@ -686,15 +692,15 @@ impl<'p> Explorer<'p> {
             ..ExplorationStats::default()
         };
         // One budget for the whole exploration: the config's time limit
-        // becomes an *absolute* deadline now, shared (together with the node
-        // and pivot counters) by every candidate-selection solve, every
-        // refinement query, and every certificate-strengthening solve. Each
-        // solve therefore sees the remaining allowance, not a fresh one.
-        let deadline = config
-            .solve_options
-            .budget
-            .deadline()
-            .tightened_by_secs(config.time_limit_secs);
+        // becomes an *absolute* deadline counted from `start`, shared
+        // (together with the node and pivot counters) by every
+        // candidate-selection solve, every refinement query, and every
+        // certificate-strengthening solve. Each solve therefore sees the
+        // remaining allowance, not a fresh one.
+        let mut deadline = config.solve_options.budget.deadline();
+        if let Some(secs) = config.time_limit_secs {
+            deadline = deadline.min(Deadline::in_secs_from(start, secs));
+        }
         let budget = config.solve_options.budget.clone().with_deadline(deadline);
         config.solve_options.budget = budget.clone();
         let checker =
@@ -731,10 +737,13 @@ impl<'p> Explorer<'p> {
             enc,
             checker,
             ref_config,
-            stats,
+            stats: ExplorationStats {
+                total_time: start.elapsed().as_secs_f64(),
+                ..stats
+            },
             cut_seq: 0,
             cost_floor: None,
-            start: Instant::now(),
+            start,
             prior_secs: 0.0,
             finished: false,
             budget,

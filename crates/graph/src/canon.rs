@@ -8,42 +8,44 @@
 //! are built from these orbits — see `contrarc-graph::iso` and the `sym`
 //! module of `contrarc-core`.
 //!
-//! The algorithm is classic individualization–refinement:
+//! The algorithm is individualization–refinement with first-path pruning
+//! (McKay and Piperno, *Practical graph isomorphism II*, 2014):
 //!
 //! 1. color nodes by their label bytes;
 //! 2. refine with Weisfeiler–Leman sweeps (a node's new color is its old
 //!    color plus the multisets of its in- and out-neighbor colors) until the
 //!    partition stabilizes;
-//! 3. if cells remain with two or more nodes, individualize each member of
-//!    the lowest-colored such cell in turn and recurse;
-//! 4. every branch ends in a discrete coloring, i.e. a candidate canonical
-//!    ordering; two leaves with equal encodings differ by an automorphism.
+//! 3. follow the *first path* down to a discrete leaf: at each level,
+//!    individualize the lowest-indexed member `v_k` of the lowest-colored
+//!    non-singleton cell and refine;
+//! 4. deepest level first, for each other member `w` of level `k`'s cell
+//!    that the generators found so far do not already map onto `v_k`,
+//!    search `w`'s subtree for one leaf whose position map to the first
+//!    leaf preserves labels and edges, and keep that map as a generator.
 //!
-//! The target-cell choice (lowest non-singleton color) is invariant under
-//! relabeling, so the search visits every leaf of an automorphism class. The
-//! search is exponential in the worst case but the templates this workload
-//! analyses, whose labels separate most nodes, refine to discrete almost
-//! immediately.
+//! A generator found at level `k` fixes `v_0, …, v_{k-1}` and maps `w` to
+//! `v_k`, so by the Schreier argument the generators of all levels together
+//! generate the whole group, and a member already known to share `v_k`'s
+//! orbit needs no search. The subtree search skips every node whose
+//! color-class sizes differ from the first path's at the same depth, since
+//! an automorphism preserves them. The search is still exponential in the
+//! worst case, but it visits one subtree per orbit member rather than one
+//! leaf per automorphism: twenty individualize-and-refine steps on six
+//! interchangeable lines, whose group has 720 elements.
 
 use crate::digraph::DiGraph;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// The automorphism structure of a labeled digraph: a generating set of
 /// label-preserving permutations plus the node-orbit partition they induce.
 ///
-/// Produced by [`automorphisms`] from an exhaustive
-/// individualization–refinement search. Two discrete colorings of the *same*
-/// graph with equal encodings differ by an automorphism (map each node to the
-/// node occupying its canonical position in the other coloring), and the
-/// exhaustive search visits every coloring in an automorphism class of
-/// leaves, so the union-find closure over the derived permutations yields the
-/// exact orbit partition of `Aut(G)`.
-///
-/// The stored generators may generate a proper subgroup of `Aut(G)` —
-/// permutations that merge no new orbit pair are discarded — but the orbit
-/// partition of that subgroup is identical to the full group's, which is the
-/// invariant orbit-pruned matching relies on (see `contrarc-graph::iso`).
+/// Produced by [`automorphisms`] from a first-path
+/// individualization–refinement search. Each generator maps a discrete leaf
+/// of the search tree onto the first leaf (node `v` goes to the node that
+/// holds `v`'s position in the first leaf); together they generate the full
+/// group `Aut(G)`, not just a subgroup with the same orbits. Every generator
+/// joins two orbits of the generators before it, so there are at most
+/// `n − 1`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Automorphisms {
     n: usize,
@@ -112,8 +114,9 @@ impl Automorphisms {
 
 /// Compute the automorphism structure of `graph` under the node labeling
 /// `label` (each node's label rendered as bytes; labels take part in the
-/// isomorphism, edge weights do not) by an exhaustive
-/// individualization–refinement search over discrete colorings.
+/// isomorphism, edge weights do not) by a first-path
+/// individualization–refinement search. Adds the search's
+/// individualize-and-refine steps to the `aut.search_nodes` counter.
 #[must_use]
 pub fn automorphisms<N, E, F>(graph: &DiGraph<N, E>, label: F) -> Automorphisms
 where
@@ -126,10 +129,13 @@ where
     let labels: Vec<Vec<u8>> = graph.nodes().map(|(_, w)| label(w)).collect();
     let mut adj_out: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut adj_in: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut edges: Vec<(usize, usize)> = Vec::new();
     for e in graph.edges() {
         adj_out[e.src.index()].push(e.dst.index());
         adj_in[e.dst.index()].push(e.src.index());
+        edges.push((e.src.index(), e.dst.index()));
     }
+    edges.sort_unstable();
     let mut uniq: Vec<&Vec<u8>> = labels.iter().collect();
     uniq.sort();
     uniq.dedup();
@@ -139,75 +145,132 @@ where
         .collect();
     refine(&mut colors, &adj_out, &adj_in);
 
-    let mut collect = AutCollect {
-        first: HashMap::new(),
-        generators: Vec::new(),
-        uf: (0..n).collect(),
+    let mut search = Search {
+        labels,
+        adj_out,
+        adj_in,
+        edges,
+        steps: 0,
     };
-    search_aut(&colors, &labels, &adj_out, &adj_in, &mut collect);
+    // The first path: `path[k]` is the coloring at depth `k`, and `chosen[k]`
+    // the node individualized to reach depth `k + 1`.
+    let mut path = vec![colors];
+    let mut chosen = Vec::new();
+    while let Some(&v) = target_cell(&path[path.len() - 1]).first() {
+        let child = search.individualize(&path[path.len() - 1], v);
+        chosen.push(v);
+        path.push(child);
+    }
+    let shapes: Vec<Vec<usize>> = path.iter().map(|c| class_sizes(c)).collect();
+    let mut leaf_node = vec![0usize; n];
+    for (v, &c) in path[path.len() - 1].iter().enumerate() {
+        leaf_node[c] = v;
+    }
+
+    let mut generators = Vec::new();
+    let mut uf: Vec<usize> = (0..n).collect();
+    for (k, &vk) in chosen.iter().enumerate().rev() {
+        for w in target_cell(&path[k]) {
+            if uf_find(&mut uf, w) == uf_find(&mut uf, vk) {
+                continue;
+            }
+            let child = search.individualize(&path[k], w);
+            if let Some(perm) = search.find_leaf(&child, k + 1, &shapes, &leaf_node) {
+                for (v, &pv) in perm.iter().enumerate() {
+                    let a = uf_find(&mut uf, v);
+                    let b = uf_find(&mut uf, pv);
+                    uf[a.max(b)] = a.min(b);
+                }
+                generators.push(perm);
+            }
+        }
+    }
+    contrarc_obs::metrics::counter_add("aut.search_nodes", search.steps);
 
     let mut orbit_rep = vec![usize::MAX; n];
     for v in 0..n {
-        let r = uf_find(&mut collect.uf, v);
+        let r = uf_find(&mut uf, v);
         orbit_rep[r] = orbit_rep[r].min(v);
     }
     let reps = orbit_rep.clone();
     for v in 0..n {
-        orbit_rep[v] = reps[uf_find(&mut collect.uf, v)];
+        orbit_rep[v] = reps[uf_find(&mut uf, v)];
     }
     Automorphisms {
         n,
-        generators: collect.generators,
+        generators,
         orbit_rep,
     }
 }
 
-/// Leaf accumulator for [`automorphisms`]: the first discrete coloring seen
-/// per encoding, the union-find over orbit merges, and the generators kept
-/// (only permutations that merged at least one new pair — dropping the rest
-/// shrinks the generated group without changing its orbits, since a
-/// permutation that merges nothing maps every node within its existing
-/// orbit).
-struct AutCollect {
-    first: HashMap<Vec<u8>, Vec<usize>>,
-    generators: Vec<Vec<usize>>,
-    uf: Vec<usize>,
+/// The graph in index form for [`automorphisms`], plus its count of
+/// individualize-and-refine steps.
+struct Search {
+    labels: Vec<Vec<u8>>,
+    adj_out: Vec<Vec<usize>>,
+    adj_in: Vec<Vec<usize>>,
+    /// The sorted edge multiset a candidate automorphism must preserve.
+    edges: Vec<(usize, usize)>,
+    steps: u64,
 }
 
-impl AutCollect {
-    fn leaf(&mut self, colors: &[usize], labels: &[Vec<u8>], adj_out: &[Vec<usize>]) {
-        let n = colors.len();
-        let enc = encode(colors, labels, adj_out);
-        match self.first.entry(enc) {
-            Entry::Vacant(e) => {
-                e.insert(colors.to_vec());
-            }
-            Entry::Occupied(e) => {
-                // Equal encodings: node `v` of this coloring plays the same
-                // canonical position as node `node_at0[colors[v]]` of the
-                // stored one, and that position-matching map is an
-                // automorphism (labels and the position-space edge multiset
-                // agree byte for byte).
-                let c0 = e.get();
-                let mut node_at0 = vec![0usize; n];
-                for (v, &c) in c0.iter().enumerate() {
-                    node_at0[c] = v;
-                }
-                let perm: Vec<usize> = colors.iter().map(|&c| node_at0[c]).collect();
-                let mut novel = false;
-                for (v, &pv) in perm.iter().enumerate() {
-                    let a = uf_find(&mut self.uf, v);
-                    let b = uf_find(&mut self.uf, pv);
-                    if a != b {
-                        self.uf[a.max(b)] = a.min(b);
-                        novel = true;
-                    }
-                }
-                if novel {
-                    self.generators.push(perm);
-                }
+impl Search {
+    /// Separate `v` from its cell and refine.
+    fn individualize(&mut self, colors: &[usize], v: usize) -> Vec<usize> {
+        self.steps += 1;
+        let mut split = colors.to_vec();
+        // A fresh color beyond every rank: the next refine pass renormalizes
+        // it while keeping v separated from its cell.
+        split[v] = colors.len();
+        refine(&mut split, &self.adj_out, &self.adj_in);
+        split
+    }
+
+    /// Depth-first search of the subtree rooted at `colors` (at `depth`),
+    /// children in index order, for a discrete leaf whose position map onto
+    /// the first leaf (`leaf_node[p]` is the first leaf's node at position
+    /// `p`) is an automorphism. Nodes whose color-class sizes differ from the
+    /// first path's at the same depth (`shapes`) are skipped.
+    fn find_leaf(
+        &mut self,
+        colors: &[usize],
+        depth: usize,
+        shapes: &[Vec<usize>],
+        leaf_node: &[usize],
+    ) -> Option<Vec<usize>> {
+        if class_sizes(colors) != shapes[depth] {
+            return None;
+        }
+        let cell = target_cell(colors);
+        if cell.is_empty() {
+            let perm: Vec<usize> = colors.iter().map(|&c| leaf_node[c]).collect();
+            return self.is_automorphism(&perm).then_some(perm);
+        }
+        for v in cell {
+            let child = self.individualize(colors, v);
+            if let Some(perm) = self.find_leaf(&child, depth + 1, shapes, leaf_node) {
+                return Some(perm);
             }
         }
+        None
+    }
+
+    /// Whether `perm` preserves every node label and the edge multiset.
+    fn is_automorphism(&self, perm: &[usize]) -> bool {
+        if perm
+            .iter()
+            .enumerate()
+            .any(|(v, &pv)| self.labels[v] != self.labels[pv])
+        {
+            return false;
+        }
+        let mut mapped: Vec<(usize, usize)> = self
+            .edges
+            .iter()
+            .map(|&(a, b)| (perm[a], perm[b]))
+            .collect();
+        mapped.sort_unstable();
+        mapped == self.edges
     }
 }
 
@@ -223,31 +286,6 @@ fn uf_find(uf: &mut [usize], v: usize) -> usize {
         c = next;
     }
     r
-}
-
-/// The individualization–refinement recursion: individualize each member of
-/// the lowest non-singleton cell in turn, refine, and hand every discrete
-/// leaf to `collect`.
-fn search_aut(
-    colors: &[usize],
-    labels: &[Vec<u8>],
-    adj_out: &[Vec<usize>],
-    adj_in: &[Vec<usize>],
-    collect: &mut AutCollect,
-) {
-    match first_non_singleton(colors) {
-        None => collect.leaf(colors, labels, adj_out),
-        Some(cell) => {
-            for v in (0..colors.len()).filter(|&v| colors[v] == cell) {
-                let mut split = colors.to_vec();
-                // A fresh color beyond every rank: the next refine pass
-                // renormalizes it while keeping v separated from its cell.
-                split[v] = colors.len();
-                refine(&mut split, adj_out, adj_in);
-                search_aut(&split, labels, adj_out, adj_in, collect);
-            }
-        }
-    }
 }
 
 /// Weisfeiler–Leman color refinement: repeatedly re-rank nodes by
@@ -280,52 +318,22 @@ fn refine(colors: &mut Vec<usize>, adj_out: &[Vec<usize>], adj_in: &[Vec<usize>]
     }
 }
 
-/// The lowest color shared by two or more nodes, if any.
-fn first_non_singleton(colors: &[usize]) -> Option<usize> {
-    let n = colors.len();
-    let mut count = vec![0usize; n];
+/// The number of nodes of each color.
+fn class_sizes(colors: &[usize]) -> Vec<usize> {
+    let mut count = vec![0usize; colors.len()];
     for &c in colors {
         count[c] += 1;
     }
-    (0..n).find(|&c| count[c] >= 2)
+    count
 }
 
-/// Encode a graph under a discrete coloring (node at canonical position `p`
-/// is the one with color `p`): node count, per-position length-prefixed label
-/// bytes, then the sorted edge list in position space.
-fn encode(colors: &[usize], labels: &[Vec<u8>], adj_out: &[Vec<usize>]) -> Vec<u8> {
-    let n = colors.len();
-    let mut node_at = vec![0usize; n];
-    for (v, &c) in colors.iter().enumerate() {
-        node_at[c] = v;
+/// The members, ascending, of the lowest color shared by two or more nodes;
+/// empty when the coloring is discrete.
+fn target_cell(colors: &[usize]) -> Vec<usize> {
+    match class_sizes(colors).iter().position(|&k| k >= 2) {
+        Some(cell) => (0..colors.len()).filter(|&v| colors[v] == cell).collect(),
+        None => Vec::new(),
     }
-    let mut out = Vec::new();
-    push_u32(&mut out, u32::try_from(n).expect("graph fits in u32"));
-    for &v in &node_at {
-        let l = &labels[v];
-        push_u32(&mut out, u32::try_from(l.len()).expect("label fits in u32"));
-        out.extend_from_slice(l);
-    }
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    for (v, dsts) in adj_out.iter().enumerate() {
-        for &u in dsts {
-            edges.push((colors[v] as u32, colors[u] as u32));
-        }
-    }
-    edges.sort_unstable();
-    push_u32(
-        &mut out,
-        u32::try_from(edges.len()).expect("edges fit in u32"),
-    );
-    for (a, b) in edges {
-        push_u32(&mut out, a);
-        push_u32(&mut out, b);
-    }
-    out
-}
-
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 #[cfg(test)]
@@ -345,15 +353,16 @@ mod tests {
         g
     }
 
-    /// Orbit partition by brute force: union-find over every label- and
-    /// edge-preserving permutation of the node set.
-    fn brute_force_orbits(g: &DiGraph<String, ()>) -> Vec<usize> {
+    /// Orbit partition and group order by brute force: union-find over
+    /// every label- and edge-preserving permutation of the node set.
+    fn brute_force(g: &DiGraph<String, ()>) -> (Vec<usize>, usize) {
         let n = g.num_nodes();
         let labels: Vec<String> = g.nodes().map(|(_, w)| w.clone()).collect();
         let mut edges: Vec<(usize, usize)> =
             g.edges().map(|e| (e.src.index(), e.dst.index())).collect();
         edges.sort_unstable();
         let mut uf: Vec<usize> = (0..n).collect();
+        let mut order = 0;
         let mut perm: Vec<usize> = (0..n).collect();
         permute_all(&mut perm, 0, &mut |p: &[usize]| {
             if (0..n).any(|v| labels[p[v]] != labels[v]) {
@@ -365,6 +374,7 @@ mod tests {
             if mapped != edges {
                 return;
             }
+            order += 1;
             for (v, &pv) in p.iter().enumerate() {
                 let a = uf_find(&mut uf, v);
                 let b = uf_find(&mut uf, pv);
@@ -379,7 +389,7 @@ mod tests {
         for (v, &r) in reps.iter().enumerate() {
             min_of[r] = min_of[r].min(v);
         }
-        reps.iter().map(|&r| min_of[r]).collect()
+        (reps.iter().map(|&r| min_of[r]).collect(), order)
     }
 
     fn permute_all(perm: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize])) {
@@ -422,11 +432,121 @@ mod tests {
             graph(&["a"; 6], &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
         ];
         for (i, g) in cases.iter().enumerate() {
-            let expect = brute_force_orbits(g);
+            let (expect, _) = brute_force(g);
             let got = aut(g);
             let got_reps: Vec<usize> = (0..g.num_nodes()).map(|v| got.orbit_rep(v)).collect();
             assert_eq!(got_reps, expect, "case {i}");
         }
+    }
+
+    /// A tiny deterministic RNG (xorshift*), so the oracle needs no
+    /// dependencies and is stable across platforms.
+    struct Rng(u64);
+
+    impl Rng {
+        fn new(seed: u64) -> Self {
+            Rng(seed.wrapping_mul(2685821657736338717).max(1))
+        }
+        /// Uniform in `0..n`.
+        fn below(&mut self, n: usize) -> usize {
+            let mut x = self.0;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.0 = x;
+            (x.wrapping_mul(2685821657736338717) % n as u64) as usize
+        }
+    }
+
+    /// A seeded random labeled digraph of at most seven nodes over two or
+    /// three labels, with parallel edges and self-loops. Odd seeds make it
+    /// two to seven disjoint copies of one random component, so that some
+    /// groups are large (seven isolated equal nodes give all 5,040
+    /// permutations).
+    fn random_digraph(seed: u64) -> DiGraph<String, ()> {
+        let mut rng = Rng::new(seed);
+        let alphabet = ["a", "b", "c"];
+        let num_labels = 2 + rng.below(2);
+        let (size, copies) = if seed.is_multiple_of(2) {
+            (1 + rng.below(7), 1)
+        } else {
+            let size = 1 + rng.below(3);
+            (size, 2 + rng.below(7 / size - 1))
+        };
+        let labels: Vec<&str> = (0..size).map(|_| alphabet[rng.below(num_labels)]).collect();
+        let edges: Vec<(usize, usize)> = (0..rng.below(2 * size + 2))
+            .map(|_| (rng.below(size), rng.below(size)))
+            .collect();
+        let mut all_labels = Vec::new();
+        let mut all_edges = Vec::new();
+        for c in 0..copies {
+            all_labels.extend_from_slice(&labels);
+            all_edges.extend(edges.iter().map(|&(a, b)| (c * size + a, c * size + b)));
+        }
+        graph(&all_labels, &all_edges)
+    }
+
+    /// Number of elements of the group the permutations `gens` generate.
+    fn closure_size(n: usize, gens: &[Vec<usize>]) -> usize {
+        let identity: Vec<usize> = (0..n).collect();
+        let mut seen = std::collections::HashSet::from([identity.clone()]);
+        let mut stack = vec![identity];
+        while let Some(p) = stack.pop() {
+            for g in gens {
+                let q: Vec<usize> = p.iter().map(|&v| g[v]).collect();
+                if seen.insert(q.clone()) {
+                    stack.push(q);
+                }
+            }
+        }
+        seen.len()
+    }
+
+    #[test]
+    fn automorphisms_match_brute_force_on_random_digraphs() {
+        let mut largest = 0;
+        for seed in 0..200 {
+            let g = random_digraph(seed);
+            let n = g.num_nodes();
+            let (expect_reps, order) = brute_force(&g);
+            let got = aut(&g);
+            let got_reps: Vec<usize> = (0..n).map(|v| got.orbit_rep(v)).collect();
+            assert_eq!(got_reps, expect_reps, "seed {seed}: orbits");
+            let labels: Vec<&String> = g.nodes().map(|(_, l)| l).collect();
+            let mut edges: Vec<(usize, usize)> =
+                g.edges().map(|e| (e.src.index(), e.dst.index())).collect();
+            edges.sort_unstable();
+            for p in got.generators() {
+                let mut image = p.clone();
+                image.sort_unstable();
+                assert_eq!(image, (0..n).collect::<Vec<_>>(), "seed {seed}: {p:?}");
+                assert!(
+                    (0..n).all(|v| labels[p[v]] == labels[v]),
+                    "seed {seed}: generator {p:?} must preserve labels"
+                );
+                let mut mapped: Vec<(usize, usize)> =
+                    edges.iter().map(|&(a, b)| (p[a], p[b])).collect();
+                mapped.sort_unstable();
+                assert_eq!(
+                    mapped, edges,
+                    "seed {seed}: generator {p:?} must preserve edges"
+                );
+            }
+            assert_eq!(
+                closure_size(n, got.generators()),
+                order,
+                "seed {seed}: the generators must generate the whole group"
+            );
+            assert!(
+                got.generators().len() < n,
+                "seed {seed}: at most n - 1 generators"
+            );
+            largest = largest.max(order);
+        }
+        assert_eq!(
+            largest, 5040,
+            "some seed must reach the full symmetric group"
+        );
     }
 
     #[test]

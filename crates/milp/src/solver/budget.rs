@@ -54,14 +54,20 @@ impl Deadline {
     /// yields an unlimited one.
     #[must_use]
     pub fn in_secs(secs: f64) -> Self {
+        Deadline::in_secs_from(Instant::now(), secs)
+    }
+
+    /// A deadline `secs` after `start`, under the rules of
+    /// [`Deadline::in_secs`].
+    #[must_use]
+    pub fn in_secs_from(start: Instant, secs: f64) -> Self {
         if !secs.is_finite() || secs >= 1e15 {
             return Deadline::unlimited();
         }
-        let now = Instant::now();
         let expires_at = if secs <= 0.0 {
-            Some(now)
+            Some(start)
         } else {
-            now.checked_add(Duration::from_secs_f64(secs))
+            start.checked_add(Duration::from_secs_f64(secs))
         };
         match expires_at {
             Some(t) => Deadline {
@@ -323,6 +329,19 @@ mod tests {
         assert!(d.expired());
         let d = Deadline::unlimited().tightened_by_secs(None);
         assert!(d.is_unlimited());
+    }
+
+    #[test]
+    fn deadline_counts_from_its_start() {
+        let start = Instant::now()
+            .checked_sub(Duration::from_millis(50))
+            .expect("the monotonic clock has run for 50 ms");
+        let d = Deadline::in_secs_from(start, 0.01);
+        assert!(d.expired(), "10 ms after an instant 50 ms ago has passed");
+        assert_eq!(d.nominal_secs(), Some(0.01));
+        let d = Deadline::in_secs_from(start, 1000.0);
+        assert!(!d.expired());
+        assert!(d.remaining_secs().unwrap() < 1000.0 - 0.04);
     }
 
     #[test]
