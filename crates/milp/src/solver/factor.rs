@@ -21,9 +21,14 @@
 //!
 //! Both kernels touch only nonzeros. [`LuFactors::build`] costs
 //! O(nnz(L + U) + the rows each column touches), times a log factor for the
-//! ordered reach set and the sort of each L column: a slack (singleton)
-//! column whose row is still free costs O(1). An eta stores only the
-//! nonzeros of its FTRAN image, so applying it costs O(nnz) too.
+//! ordered reach set and the sort of each L and U column. It reads each
+//! basis column in place, as the row and value slices of the standard form,
+//! and stores L and U as one flat entry array each with per-step offsets, so
+//! a build makes a handful of allocations whatever the basis size. The
+//! leading run of singleton columns on free rows (the slacks of a canonical
+//! order) costs O(1) per column, and a later column's entries in those rows
+//! go straight into U. An eta stores only the nonzeros of its FTRAN image,
+//! so applying it costs O(nnz) too.
 //!
 //! # Arithmetic
 //!
@@ -58,17 +63,24 @@ pub(crate) struct LuFactors {
     colorder: Vec<usize>,
     /// `perm[k]` = original row index chosen as the pivot row at step `k`.
     perm: Vec<usize>,
-    /// `L` multipliers per step: `(row, l)` entries below the diagonal, in
-    /// original-row space, in ascending row order.
-    l_cols: Vec<Vec<(usize, f64)>>,
-    /// `U` off-diagonal entries per step: `(t, u)` with `t < k`, in
+    /// `L` multipliers of step `k` are `l_entries[l_start[k]..l_start[k + 1]]`:
+    /// `(row, l)` entries below the diagonal, in original-row space, in
+    /// ascending row order.
+    l_start: Vec<usize>,
+    l_entries: Vec<(usize, f64)>,
+    /// `U` off-diagonal entries of step `k` are
+    /// `u_entries[u_start[k]..u_start[k + 1]]`: `(t, u)` with `t < k`, in
     /// ascending `t`.
-    u_cols: Vec<Vec<(usize, f64)>>,
+    u_start: Vec<usize>,
+    u_entries: Vec<(usize, f64)>,
     udiag: Vec<f64>,
 }
 
 /// Pivot elements smaller than this make the basis numerically singular.
 const SINGULAR_TOL: f64 = 1e-11;
+
+/// `step_of_row` value of a row that is not yet pivotal.
+const FREE: usize = usize::MAX;
 
 /// Scratch of one column's elimination: the rows it touches and the
 /// earlier steps those rows reach.
@@ -94,12 +106,12 @@ impl ColumnWork {
 
     /// Note that row `r` now holds a value; if it is pivotal, its step
     /// joins the reach set.
-    fn touch(&mut self, r: usize, step_of_row: &[Option<usize>]) {
+    fn touch(&mut self, r: usize, step_of_row: &[usize]) {
         if !self.is_touched[r] {
             self.is_touched[r] = true;
             self.touched.push(r);
-            if let Some(t) = step_of_row[r] {
-                self.reach.push(Reverse(t));
+            if step_of_row[r] != FREE {
+                self.reach.push(Reverse(step_of_row[r]));
             }
         }
     }
@@ -115,46 +127,92 @@ impl ColumnWork {
 }
 
 impl LuFactors {
-    /// Factorize a basis given per-position sparse columns (original-row
-    /// space). `order` is the canonical processing order: a permutation of
-    /// basis positions. Returns `None` when the matrix is singular.
-    pub(crate) fn build(
-        m: usize,
-        cols: &[Vec<(usize, f64)>],
-        order: &[usize],
+    /// Factorize a basis. `order` is the canonical processing order, a
+    /// permutation of the basis positions `0..m`; `col(p)` is the column at
+    /// basis position `p` as parallel row-index and value slices in
+    /// original-row space, rows ascending. Returns `None` when the matrix is
+    /// singular.
+    pub(crate) fn build<'c>(
+        order: Vec<usize>,
+        col: impl Fn(usize) -> (&'c [u32], &'c [f64]),
     ) -> Option<LuFactors> {
-        debug_assert_eq!(cols.len(), m);
-        debug_assert_eq!(order.len(), m);
+        let m = order.len();
         let mut f = LuFactors {
             m,
-            colorder: order.to_vec(),
+            colorder: order,
             perm: Vec::with_capacity(m),
-            l_cols: Vec::with_capacity(m),
-            u_cols: Vec::with_capacity(m),
+            l_start: Vec::with_capacity(m + 1),
+            l_entries: Vec::new(),
+            u_start: Vec::with_capacity(m + 1),
+            u_entries: Vec::new(),
             udiag: Vec::with_capacity(m),
         };
-        // step_of_row[r] = Some(k) once row r became pivotal at step k.
-        let mut step_of_row: Vec<Option<usize>> = vec![None; m];
+        f.l_start.push(0);
+        f.u_start.push(0);
+        // step_of_row[r] = k once row r became pivotal at step k.
+        let mut step_of_row = vec![FREE; m];
+        // The leading run of singleton columns on free rows: each column's
+        // one entry is its pivot, with nothing to apply and nothing below it,
+        // so the general step below would reject it exactly when `|a|` is
+        // below `SINGULAR_TOL` or NaN, and otherwise produce empty L and U
+        // columns.
+        let mut prefix = 0;
+        while prefix < m {
+            let (rows, vals) = col(f.colorder[prefix]);
+            let (&[r], &[a]) = (rows, vals) else {
+                break;
+            };
+            let r = r as usize;
+            if step_of_row[r] != FREE {
+                break;
+            }
+            if a.abs() < SINGULAR_TOL || a.is_nan() {
+                return None;
+            }
+            step_of_row[r] = prefix;
+            f.perm.push(r);
+            f.udiag.push(a);
+            f.l_start.push(0);
+            f.u_start.push(0);
+            prefix += 1;
+        }
         let mut work = ColumnWork::new(m);
         let mut free_rows = Vec::new();
-        for k in 0..m {
-            for &(r, a) in &cols[f.colorder[k]] {
-                work.values[r] = a;
-                work.touch(r, &step_of_row);
+        for k in prefix..m {
+            // A row pivoted in the prefix never enters an L column (a prefix
+            // step has none, and a later step's L holds only rows free at
+            // that step), so no step changes its value: the column's entry
+            // there is its U entry as it stands, and needs no touch and no
+            // reach. Those steps precede every step the heap yields, so
+            // sorting them first keeps U in ascending step order.
+            let (rows, vals) = col(f.colorder[k]);
+            let u_begin = f.u_entries.len();
+            for (&r, &a) in rows.iter().zip(vals) {
+                let r = r as usize;
+                let t = step_of_row[r];
+                if t < prefix {
+                    if a != 0.0 {
+                        f.u_entries.push((t, a));
+                    }
+                } else {
+                    work.values[r] = a;
+                    work.touch(r, &step_of_row);
+                }
             }
+            f.u_entries[u_begin..].sort_unstable_by_key(|&(t, _)| t);
             // Left-looking update: apply earlier elimination steps in
             // ascending order, harvesting the U entries as we go. Only a
             // step whose pivot row holds a value can apply. Step t touches
-            // the rows of l_cols[t]; those that are pivotal became so after
-            // t, so the heap yields every step a dense `for t in 0..k` (the
-            // tests' reference build) would apply, in the same order, and
-            // each row receives the same subtractions in the same order.
-            let mut u_col = Vec::new();
+            // the rows of its L column; those that are pivotal became so
+            // after t, so the heap yields every step a dense
+            // `for t in 0..k` (the tests' reference build) would apply, in
+            // the same order, and each row receives the same subtractions
+            // in the same order.
             while let Some(Reverse(t)) = work.reach.pop() {
                 let u = work.values[f.perm[t]];
                 if u != 0.0 {
-                    u_col.push((t, u));
-                    for &(r, l) in &f.l_cols[t] {
+                    f.u_entries.push((t, u));
+                    for &(r, l) in &f.l_entries[f.l_start[t]..f.l_start[t + 1]] {
                         work.values[r] -= l * u;
                         work.touch(r, &step_of_row);
                     }
@@ -162,14 +220,14 @@ impl LuFactors {
             }
             // Partial pivoting among the touched rows not yet pivotal (every
             // other free row holds zero); ties break toward the smallest
-            // row index (deterministic). Ascending rows also give l_col the
-            // order `solve_transposed` sums in.
+            // row index (deterministic). Ascending rows also give the L
+            // column the order `solve_transposed` sums in.
             free_rows.clear();
             free_rows.extend(
                 work.touched
                     .iter()
                     .copied()
-                    .filter(|&r| step_of_row[r].is_none()),
+                    .filter(|&r| step_of_row[r] == FREE),
             );
             free_rows.sort_unstable();
             let mut pivot_row = usize::MAX;
@@ -184,19 +242,30 @@ impl LuFactors {
                 return None;
             }
             let d = work.values[pivot_row];
-            let l_col = free_rows
-                .iter()
-                .filter(|&&r| r != pivot_row && work.values[r] != 0.0)
-                .map(|&r| (r, work.values[r] / d))
-                .collect();
-            step_of_row[pivot_row] = Some(k);
+            f.l_entries.extend(
+                free_rows
+                    .iter()
+                    .filter(|&&r| r != pivot_row && work.values[r] != 0.0)
+                    .map(|&r| (r, work.values[r] / d)),
+            );
+            step_of_row[pivot_row] = k;
             f.perm.push(pivot_row);
             f.udiag.push(d);
-            f.u_cols.push(u_col);
-            f.l_cols.push(l_col);
+            f.l_start.push(f.l_entries.len());
+            f.u_start.push(f.u_entries.len());
             work.clear();
         }
         Some(f)
+    }
+
+    /// `L` multipliers of step `k`: `(row, l)`, rows ascending.
+    fn l_col(&self, k: usize) -> &[(usize, f64)] {
+        &self.l_entries[self.l_start[k]..self.l_start[k + 1]]
+    }
+
+    /// `U` off-diagonal entries of step `k`: `(t, u)`, steps ascending.
+    fn u_col(&self, k: usize) -> &[(usize, f64)] {
+        &self.u_entries[self.u_start[k]..self.u_start[k + 1]]
     }
 
     /// Solve `B x = b`: input in original-row space, output indexed by basis
@@ -207,7 +276,7 @@ impl LuFactors {
             let zk = b[self.perm[k]];
             z[k] = zk;
             if zk != 0.0 {
-                for &(r, l) in &self.l_cols[k] {
+                for &(r, l) in self.l_col(k) {
                     b[r] -= l * zk;
                 }
             }
@@ -218,7 +287,7 @@ impl LuFactors {
             let xk = z[k] / self.udiag[k];
             out[self.colorder[k]] = xk;
             if xk != 0.0 {
-                for &(t, u) in &self.u_cols[k] {
+                for &(t, u) in self.u_col(k) {
                     z[t] -= u * xk;
                 }
             }
@@ -231,16 +300,17 @@ impl LuFactors {
         // Forward: Uᵀ v = d with d_k = c[colorder[k]], in step order.
         for k in 0..self.m {
             let mut d = c[self.colorder[k]];
-            for &(t, u) in &self.u_cols[k] {
+            for &(t, u) in self.u_col(k) {
                 d -= u * v[t];
             }
             v[k] = d / self.udiag[k];
         }
         // Backward: Lᵀ y = v, in reverse step order. Rows appearing in
-        // `l_cols[k]` are pivotal at later steps, so their `y` is known.
+        // step k's L column are pivotal at later steps, so their `y` is
+        // known.
         for k in (0..self.m).rev() {
             let mut yk = v[k];
-            for &(r, l) in &self.l_cols[k] {
+            for &(r, l) in self.l_col(k) {
                 yk -= l * out[r];
             }
             out[self.perm[k]] = yk;
@@ -342,6 +412,15 @@ mod tests {
             .collect()
     }
 
+    /// `LuFactors::build` over columns given as `(row, value)` lists.
+    fn build(cols: &[Vec<(usize, f64)>], order: &[usize]) -> Option<LuFactors> {
+        let split: Vec<(Vec<u32>, Vec<f64>)> = cols
+            .iter()
+            .map(|col| col.iter().map(|&(r, a)| (r as u32, a)).unzip())
+            .collect();
+        LuFactors::build(order.to_vec(), |p| (&split[p].0, &split[p].1))
+    }
+
     fn mat_vec(mat: &[&[f64]], x: &[f64]) -> Vec<f64> {
         mat.iter()
             .map(|row| row.iter().zip(x).map(|(a, b)| a * b).sum())
@@ -365,7 +444,7 @@ mod tests {
         ];
         let cols = dense_cols(&mat);
         let order = vec![2, 0, 3, 1]; // arbitrary canonical order
-        let f = LuFactors::build(4, &cols, &order).expect("nonsingular");
+        let f = build(&cols, &order).expect("nonsingular");
         let mut basis = FactorizedBasis::new(f);
 
         // FTRAN: solve B x = b, check B x == b.
@@ -389,7 +468,7 @@ mod tests {
     fn singular_matrix_rejected() {
         let mat: Vec<&[f64]> = vec![&[1.0, 2.0], &[2.0, 4.0]];
         let cols = dense_cols(&mat);
-        assert!(LuFactors::build(2, &cols, &[0, 1]).is_none());
+        assert!(build(&cols, &[0, 1]).is_none());
     }
 
     #[test]
@@ -399,7 +478,7 @@ mod tests {
         let m = 3;
         let id_cols: Vec<Vec<(usize, f64)>> = (0..m).map(|r| vec![(r, 1.0)]).collect();
         let order: Vec<usize> = (0..m).collect();
-        let f = LuFactors::build(m, &id_cols, &order).unwrap();
+        let f = build(&id_cols, &order).unwrap();
         let mut basis = FactorizedBasis::new(f);
 
         // New column a = (1, 2, 1)ᵀ enters position 1: w = B⁻¹ a = a.
@@ -424,7 +503,7 @@ mod tests {
 
         // Refactorizing the updated basis gives the same operator.
         let upd_cols = dense_cols(&mat);
-        let f2 = LuFactors::build(m, &upd_cols, &order).unwrap();
+        let f2 = build(&upd_cols, &order).unwrap();
         let mut fresh = FactorizedBasis::new(f2);
         let x2 = fresh.ftran(b);
         for (a, b) in x.iter().zip(&x2) {
@@ -440,8 +519,8 @@ mod tests {
         // same basis set — build() must be deterministic in (cols, order).
         let mat: Vec<&[f64]> = vec![&[4.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 1.0, 2.0]];
         let cols = dense_cols(&mat);
-        let f1 = LuFactors::build(3, &cols, &[0, 1, 2]).unwrap();
-        let f2 = LuFactors::build(3, &cols, &[0, 1, 2]).unwrap();
+        let f1 = build(&cols, &[0, 1, 2]).unwrap();
+        let f2 = build(&cols, &[0, 1, 2]).unwrap();
         let b = vec![1.0, 2.0, 3.0];
         let x1 = FactorizedBasis::new(f1).ftran(b.clone());
         let x2 = FactorizedBasis::new(f2).ftran(b);
@@ -450,12 +529,22 @@ mod tests {
 
     // ---- differential check against the dense kernels ---------------------
 
+    /// Factors as the dense build stores them: one `Vec` per step.
+    struct DenseFactors {
+        m: usize,
+        colorder: Vec<usize>,
+        perm: Vec<usize>,
+        l_cols: Vec<Vec<(usize, f64)>>,
+        u_cols: Vec<Vec<(usize, f64)>>,
+        udiag: Vec<f64>,
+    }
+
     /// The dense left-looking build that `LuFactors::build` replaced, kept
     /// verbatim: the bitwise reference for the sparse build.
-    fn dense_build(m: usize, cols: &[Vec<(usize, f64)>], order: &[usize]) -> Option<LuFactors> {
+    fn dense_build(m: usize, cols: &[Vec<(usize, f64)>], order: &[usize]) -> Option<DenseFactors> {
         debug_assert_eq!(cols.len(), m);
         debug_assert_eq!(order.len(), m);
-        let mut f = LuFactors {
+        let mut f = DenseFactors {
             m,
             colorder: order.to_vec(),
             perm: Vec::with_capacity(m),
@@ -749,7 +838,7 @@ mod tests {
         col.iter().map(|&(i, x)| (i, x.to_bits())).collect()
     }
 
-    fn assert_same_factors(got: &LuFactors, want: &LuFactors, case: &str) {
+    fn assert_same_factors(got: &LuFactors, want: &DenseFactors, case: &str) {
         assert_eq!(got.m, want.m, "{case}: m");
         assert_eq!(got.colorder, want.colorder, "{case}: colorder");
         assert_eq!(got.perm, want.perm, "{case}: perm");
@@ -757,12 +846,12 @@ mod tests {
         assert_eq!(bits(&got.udiag), bits(&want.udiag), "{case}: udiag");
         for k in 0..got.m {
             assert_eq!(
-                entry_bits(&got.l_cols[k]),
+                entry_bits(got.l_col(k)),
                 entry_bits(&want.l_cols[k]),
                 "{case}: l_cols[{k}]"
             );
             assert_eq!(
-                entry_bits(&got.u_cols[k]),
+                entry_bits(got.u_col(k)),
                 entry_bits(&want.u_cols[k]),
                 "{case}: u_cols[{k}]"
             );
@@ -776,12 +865,12 @@ mod tests {
         (0..f.m)
             .map(|k| {
                 let mut rows: Vec<usize> = cols[f.colorder[k]].iter().map(|&(r, _)| r).collect();
-                for &(t, _) in &f.u_cols[k] {
-                    rows.extend(f.l_cols[t].iter().map(|&(r, _)| r));
+                for &(t, _) in f.u_col(k) {
+                    rows.extend(f.l_col(t).iter().map(|&(r, _)| r));
                 }
                 rows.sort_unstable();
                 rows.dedup();
-                rows.len() - (f.u_cols[k].len() + 1 + f.l_cols[k].len())
+                rows.len() - (f.u_col(k).len() + 1 + f.l_col(k).len())
             })
             .sum()
     }
@@ -844,44 +933,117 @@ mod tests {
         }
     }
 
+    /// Build with the flat and the dense kernels and require the same
+    /// verdict and, when nonsingular, the same factors bit for bit.
+    fn assert_builds_agree(
+        cols: &[Vec<(usize, f64)>],
+        order: &[usize],
+        case: &str,
+    ) -> Option<LuFactors> {
+        let got = build(cols, order);
+        match (&got, dense_build(cols.len(), cols, order)) {
+            (None, None) => {}
+            (Some(got), Some(want)) => assert_same_factors(got, &want, case),
+            (got, want) => panic!(
+                "{case}: flat build nonsingular: {}, dense build nonsingular: {}",
+                got.is_some(),
+                want.is_some()
+            ),
+        }
+        got
+    }
+
+    /// Columns after the singleton prefix whose U holds both a prefix step
+    /// and a later one.
+    fn mixed_columns(f: &LuFactors, cols: &[Vec<(usize, f64)>]) -> usize {
+        let prefix = (0..f.m)
+            .take_while(|&k| cols[f.colorder[k]].len() == 1)
+            .count();
+        (prefix..f.m)
+            .filter(|&k| {
+                let u = f.u_col(k);
+                u.iter().any(|&(t, _)| t < prefix) && u.iter().any(|&(t, _)| t >= prefix)
+            })
+            .count()
+    }
+
     #[test]
     fn sparse_factorization_matches_dense_reference_bitwise() {
         let mut singular = 0;
         let mut cancelled = 0;
+        let mut mixed = 0;
         for shape in SHAPES {
             for seed in 0..40u64 {
                 let case = format!("{shape:?} seed {seed}");
                 let mut rng = StdRng::seed_from_u64(seed * 31 + shape as u64);
                 let cols = random_basis(&mut rng, shape);
                 let order = random_order(&mut rng, &cols);
-                let m = cols.len();
-                let got = LuFactors::build(m, &cols, &order);
-                let want = dense_build(m, &cols, &order);
-                match (got, want) {
-                    (None, None) => singular += 1,
-                    (Some(got), Some(want)) => {
-                        assert_same_factors(&got, &want, &case);
+                match assert_builds_agree(&cols, &order, &case) {
+                    None => singular += 1,
+                    Some(got) => {
                         cancelled += exact_cancellations(&got, &cols);
+                        mixed += mixed_columns(&got, &cols);
                         check_etas(&mut rng, got, &case);
                     }
-                    (got, want) => panic!(
-                        "{case}: sparse says {}, dense says {}",
-                        if got.is_some() {
-                            "nonsingular"
-                        } else {
-                            "singular"
-                        },
-                        if want.is_some() {
-                            "nonsingular"
-                        } else {
-                            "singular"
-                        },
-                    ),
                 }
             }
         }
-        // The seeds must reach both verdicts and the exact-zero paths.
+        // The seeds must reach both verdicts, the exact-zero paths, and
+        // columns that meet both the singleton prefix and later steps.
         assert!(singular >= 10, "only {singular} singular bases");
         assert!(cancelled >= 10, "only {cancelled} exact cancellations");
+        assert!(mixed >= 10, "only {mixed} columns past the prefix mix");
+    }
+
+    #[test]
+    fn two_singletons_on_one_row_are_singular() {
+        // Rows 0 and 1; both columns hold row 0 only.
+        let cols = vec![vec![(0, 1.0)], vec![(0, 2.0)]];
+        for order in [[0, 1], [1, 0]] {
+            assert!(assert_builds_agree(&cols, &order, "two singletons").is_none());
+        }
+    }
+
+    #[test]
+    fn singleton_pivots_are_rejected_as_the_general_path_rejects_them() {
+        let values = [
+            SINGULAR_TOL / 2.0,
+            -SINGULAR_TOL / 2.0,
+            0.0,
+            f64::NAN,
+            SINGULAR_TOL,
+            -SINGULAR_TOL,
+            1.0,
+        ];
+        for a in values {
+            let nonsingular = a.abs() >= SINGULAR_TOL;
+            // After a unit slack, the singleton is in the leading prefix.
+            let in_prefix = vec![vec![(0, 1.0)], vec![(1, a)]];
+            let got = assert_builds_agree(&in_prefix, &[0, 1], &format!("prefix {a}"));
+            assert_eq!(got.is_some(), nonsingular, "prefix singleton {a}");
+            // After a two-entry column, the general path takes it.
+            let after = vec![vec![(0, 1.0), (2, 1.0)], vec![(1, a)], vec![(2, 1.0)]];
+            let got = assert_builds_agree(&after, &[0, 1, 2], &format!("general {a}"));
+            assert_eq!(got.is_some(), nonsingular, "general singleton {a}");
+        }
+    }
+
+    #[test]
+    fn column_reaching_prefix_and_structural_steps_keeps_u_in_step_order() {
+        // Steps 0 and 1 are the slacks of rows 3 and 0 (the prefix). Step 2
+        // holds rows 1 and 2 and prefix row 3; it pivots on row 1 and leaves
+        // an L entry in row 2. Step 3 holds prefix rows 0 and 3 (in row order
+        // their steps are 1, 0), row 1 of step 2, and row 2, which step 2
+        // updates.
+        let cols = vec![
+            vec![(3, 1.0)],
+            vec![(0, 1.0)],
+            vec![(1, 2.0), (2, 1.0), (3, 0.5)],
+            vec![(0, 3.0), (1, 1.0), (2, 4.0), (3, -1.0)],
+        ];
+        let f = assert_builds_agree(&cols, &[0, 1, 2, 3], "mixed column").expect("nonsingular");
+        let u: Vec<(usize, f64)> = f.u_col(3).to_vec();
+        assert_eq!(u, vec![(0, -1.0), (1, 3.0), (2, 1.0)]);
+        assert_eq!(f.udiag[3], 3.5);
     }
 }

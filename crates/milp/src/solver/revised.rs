@@ -90,8 +90,10 @@ pub(crate) struct RevisedSimplex<'a> {
     m: usize,
     /// Total columns including artificials.
     total_cols: usize,
-    /// Artificial columns: `(row, sign)` with a single `±1` entry.
-    artificials: Vec<(usize, f64)>,
+    /// Artificial column `art_base + k` holds the single entry
+    /// `art_signs[k]` (`±1`) in row `art_rows[k]`.
+    art_rows: Vec<u32>,
+    art_signs: Vec<f64>,
     /// First artificial column index (== sf.num_cols()).
     art_base: usize,
     /// Factorized basis operator; `None` only before the first factorization.
@@ -125,7 +127,8 @@ impl<'a> RevisedSimplex<'a> {
             opts,
             m,
             total_cols: sf.num_cols(),
-            artificials: Vec::new(),
+            art_rows: Vec::new(),
+            art_signs: Vec::new(),
             art_base: sf.num_cols(),
             basis_op: None,
             basis: vec![usize::MAX; m],
@@ -293,7 +296,8 @@ impl<'a> RevisedSimplex<'a> {
         if snap.basis.len() != self.m || snap.state.len() != self.sf.num_cols() {
             return false;
         }
-        self.artificials.clear();
+        self.art_rows.clear();
+        self.art_signs.clear();
         self.total_cols = self.sf.num_cols();
         self.state.truncate(self.sf.num_cols());
         for (j, &s) in snap.state.iter().enumerate() {
@@ -524,25 +528,24 @@ impl<'a> RevisedSimplex<'a> {
                 };
                 let rem = res - clamped;
                 let sign = if rem >= 0.0 { 1.0 } else { -1.0 };
-                let art_col = self.art_base + self.artificials.len();
-                self.artificials.push((r, sign));
+                let art_col = self.art_base + self.art_rows.len();
+                self.art_rows.push(r as u32);
+                self.art_signs.push(sign);
                 self.state.push(ColState::Basic(r as u32));
                 self.basis[r] = art_col;
                 self.xb[r] = rem.abs();
             }
         }
-        self.total_cols = self.art_base + self.artificials.len();
+        self.total_cols = self.art_base + self.art_rows.len();
     }
 
     fn phase1_needed(&self) -> bool {
-        !self.artificials.is_empty()
+        !self.art_rows.is_empty()
     }
 
     fn set_phase1_costs(&mut self) {
         self.costs = vec![0.0; self.total_cols];
-        for k in 0..self.artificials.len() {
-            self.costs[self.art_base + k] = 1.0;
-        }
+        self.costs[self.art_base..].fill(1.0);
     }
 
     fn set_phase2_costs(&mut self) {
@@ -552,8 +555,8 @@ impl<'a> RevisedSimplex<'a> {
     }
 
     fn phase1_objective(&self) -> f64 {
-        (0..self.artificials.len())
-            .map(|k| self.col_value(self.art_base + k).max(0.0))
+        (self.art_base..self.total_cols)
+            .map(|j| self.col_value(j).max(0.0))
             .sum()
     }
 
@@ -592,32 +595,47 @@ impl<'a> RevisedSimplex<'a> {
 
     // ---- basis operator ----------------------------------------------------
 
-    /// Sparse column of the *working* matrix (structural/slack or
-    /// artificial) in original-row space.
-    fn gather_col(&self, j: usize) -> Vec<(usize, f64)> {
+    /// Column `j` of the *working* matrix (structural/slack or artificial)
+    /// in original-row space, as parallel row-index and value slices.
+    fn column(&self, j: usize) -> (&[u32], &[f64]) {
         if j >= self.art_base {
-            let (r, sign) = self.artificials[j - self.art_base];
-            vec![(r, sign)]
+            let k = j - self.art_base;
+            (&self.art_rows[k..=k], &self.art_signs[k..=k])
         } else {
-            self.sf.cols[j].iter().collect()
+            let col = &self.sf.cols[j];
+            (&col.rows, &col.vals)
         }
     }
 
-    fn col_nnz(&self, j: usize) -> usize {
-        if j >= self.art_base {
-            1
-        } else {
-            self.sf.cols[j].nnz()
-        }
+    /// Basis positions in the canonical factorization order, ascending
+    /// `(column nnz, column index)`, read off the standard form's ranking.
+    /// Artificials hold one entry each and have the highest indices, so the
+    /// basic ones go right after the last column with at most one entry.
+    /// `None` when a column fills two basis positions (a singular basis).
+    fn canonical_order(&self) -> Option<Vec<usize>> {
+        let ranked = &self.sf.nnz_order;
+        let split = ranked.partition_point(|&j| self.sf.cols[j as usize].nnz() <= 1);
+        let (low, high) = ranked.split_at(split);
+        let order: Vec<usize> = low
+            .iter()
+            .map(|&j| j as usize)
+            .chain(self.art_base..self.total_cols)
+            .chain(high.iter().map(|&j| j as usize))
+            .filter_map(|j| match self.state[j] {
+                ColState::Basic(r) => Some(r as usize),
+                _ => None,
+            })
+            .collect();
+        (order.len() == self.m).then_some(order)
     }
 
     /// Collapse the eta file into a fresh factorization of the current basis
     /// using the canonical column order. Returns `false` on a singular basis.
     fn refactorize(&mut self) -> bool {
-        let cols: Vec<Vec<(usize, f64)>> = self.basis.iter().map(|&j| self.gather_col(j)).collect();
-        let mut order: Vec<usize> = (0..self.m).collect();
-        order.sort_by_key(|&r| (self.col_nnz(self.basis[r]), self.basis[r]));
-        match LuFactors::build(self.m, &cols, &order) {
+        let Some(order) = self.canonical_order() else {
+            return false;
+        };
+        match LuFactors::build(order, |p| self.column(self.basis[p])) {
             Some(f) => {
                 self.basis_op = Some(FactorizedBasis::new(f));
                 self.refactorizations += 1;
@@ -630,8 +648,9 @@ impl<'a> RevisedSimplex<'a> {
     /// `w = B⁻¹ A_j` via the factorized operator (basis-position space).
     fn ftran_col(&mut self, j: usize) -> Vec<f64> {
         let mut b = vec![0.0; self.m];
-        for (r, a) in self.gather_col(j) {
-            b[r] = a;
+        let (rows, vals) = self.column(j);
+        for (&r, &a) in rows.iter().zip(vals) {
+            b[r as usize] = a;
         }
         self.basis_op
             .as_mut()
@@ -696,8 +715,8 @@ impl<'a> RevisedSimplex<'a> {
     /// Dot of a dense original-row-space vector with column `j`.
     fn col_dot(&self, y: &[f64], j: usize) -> f64 {
         if j >= self.art_base {
-            let (r, sign) = self.artificials[j - self.art_base];
-            y[r] * sign
+            let k = j - self.art_base;
+            y[self.art_rows[k] as usize] * self.art_signs[k]
         } else {
             self.sf.cols[j].iter().map(|(r, a)| y[r] * a).sum()
         }
@@ -917,8 +936,8 @@ impl<'a> RevisedSimplex<'a> {
             let x = self.nonbasic_value(j);
             if x != 0.0 {
                 if j >= self.art_base {
-                    let (r, sign) = self.artificials[j - self.art_base];
-                    v[r] -= sign * x;
+                    let k = j - self.art_base;
+                    v[self.art_rows[k] as usize] -= self.art_signs[k] * x;
                 } else {
                     for (r, a) in self.sf.cols[j].iter() {
                         v[r] -= a * x;
@@ -1158,6 +1177,88 @@ mod tests {
         for (a, b) in v1.iter().zip(v2.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    /// The canonical order as `refactorize` used to derive it: basis
+    /// positions sorted by `(column nnz, column index)`.
+    fn sorted_order(sx: &RevisedSimplex<'_>) -> Vec<usize> {
+        let col_nnz = |j: usize| sx.column(j).0.len();
+        let mut order: Vec<usize> = (0..sx.m).collect();
+        order.sort_by_key(|&r| (col_nnz(sx.basis[r]), sx.basis[r]));
+        order
+    }
+
+    #[test]
+    fn canonical_order_of_a_phase1_basis_matches_the_sort() {
+        // Equality and ≥ rows whose slacks cannot absorb the residual get
+        // artificials; x and y hold two entries, z three, w one.
+        let mut m = Model::new("t");
+        let x = m.add_continuous("x", 0.0, f64::INFINITY);
+        let y = m.add_continuous("y", 0.0, f64::INFINITY);
+        let z = m.add_continuous("z", 0.0, f64::INFINITY);
+        let w = m.add_continuous("w", 0.0, f64::INFINITY);
+        m.add_constr("e", x + y + z, Cmp::Eq, 10.0).unwrap();
+        m.add_constr("le", x + 2.0 * z, Cmp::Le, 8.0).unwrap();
+        m.add_constr("ge", y + z + w, Cmp::Ge, 3.0).unwrap();
+        m.add_constr("le2", 1.0 * w, Cmp::Le, 4.0).unwrap();
+        m.set_objective(Sense::Minimize, x + y + z + w);
+        let sf = StandardForm::build(&m, None);
+        let opts = SolveOptions::default();
+        let mut sx = RevisedSimplex::new(&sf, &opts, Deadline::unlimited());
+        sx.init_phase1();
+        assert_eq!(sx.art_rows.len(), 2, "rows e and ge need artificials");
+        assert_eq!(sx.canonical_order(), Some(sorted_order(&sx)));
+        // Pivot structurals in, so the basis mixes structurals, slacks and
+        // artificials, and compare again after every pivot.
+        assert!(sx.refactorize());
+        sx.set_phase1_costs();
+        let mut mixed = 0;
+        for _ in 0..3 {
+            sx.recompute_reduced_costs();
+            let Some((j, dir)) = sx.price_cached(false) else {
+                break;
+            };
+            let col = sx.ftran_col(j);
+            let RatioResult::Pivot { row, t, hit } = sx.ratio_test(j, dir, &col, false) else {
+                break;
+            };
+            let enter_val = sx.nonbasic_value(j) + dir * t;
+            sx.pivot(j, row, &col, enter_val, hit).unwrap();
+            assert_eq!(sx.canonical_order(), Some(sorted_order(&sx)));
+            let basic = |range: std::ops::Range<usize>| sx.basis.iter().any(|b| range.contains(b));
+            if basic(0..sf.num_structural) && basic(sx.art_base..sx.total_cols) {
+                mixed += 1;
+            }
+        }
+        assert!(mixed >= 1, "no basis held structurals and artificials");
+    }
+
+    #[test]
+    fn canonical_order_of_a_remapped_warm_basis_matches_the_sort() {
+        let mut m = Model::new("t");
+        let x = m.add_continuous("x", 0.0, 10.0);
+        let y = m.add_continuous("y", 0.0, 10.0);
+        m.add_constr("c1", x + y, Cmp::Le, 8.0).unwrap();
+        m.add_constr("c2", 2.0 * x + y, Cmp::Le, 12.0).unwrap();
+        m.set_objective(Sense::Maximize, 3.0 * x + 2.0 * y);
+        let opts = SolveOptions::default();
+        let sf = StandardForm::build(&m, None);
+        let mut sx = RevisedSimplex::new(&sf, &opts, Deadline::unlimited());
+        assert!(matches!(sx.solve().unwrap(), LpOutcome::Optimal { .. }));
+        let snap = sx.snapshot().expect("clean basis");
+        assert!(snap.basis.iter().all(|&b| b < 2), "x and y end basic");
+
+        // Grow the model as the cut loop does: one auxiliary column and one
+        // cut row, which shifts the slacks' indices.
+        let a = m.add_continuous("a", 0.0, 1.0);
+        m.add_constr("cut", x + y + a, Cmp::Le, 7.0).unwrap();
+        let grown = StandardForm::build(&m, None);
+        let remapped = snap
+            .remap(grown.num_structural, grown.num_rows)
+            .expect("the model grew");
+        let mut warm = RevisedSimplex::new(&grown, &opts, Deadline::unlimited());
+        assert!(warm.install(&remapped));
+        assert_eq!(warm.canonical_order(), Some(sorted_order(&warm)));
     }
 
     #[test]

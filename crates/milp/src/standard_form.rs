@@ -149,6 +149,9 @@ pub(crate) struct StandardForm {
     /// Shared column data: [`StandardForm::rebind`] clones the form with new
     /// bounds without copying the matrix.
     pub cols: Arc<Vec<SparseCol>>,
+    /// Every column index, ascending by `(nnz, column index)`: the ranking
+    /// the canonical factorization order is read from. Shared like `cols`.
+    pub nnz_order: Arc<Vec<u32>>,
     pub lower: Vec<f64>,
     pub upper: Vec<f64>,
     pub rhs: Vec<f64>,
@@ -215,10 +218,14 @@ impl StandardForm {
         }
 
         let col_scale = equilibrate(m, &mut cols, &mut lower, &mut upper, &mut rhs, &mut obj);
+        let num_cols = u32::try_from(cols.len()).expect("column count fits in u32");
+        let mut nnz_order: Vec<u32> = (0..num_cols).collect();
+        nnz_order.sort_unstable_by_key(|&j| (cols[j as usize].nnz(), j));
         StandardForm {
             num_structural: n,
             num_rows: m,
             cols: Arc::new(cols),
+            nnz_order: Arc::new(nnz_order),
             lower,
             upper,
             rhs,
@@ -244,6 +251,7 @@ impl StandardForm {
             num_structural: self.num_structural,
             num_rows: self.num_rows,
             cols: Arc::clone(&self.cols),
+            nnz_order: Arc::clone(&self.nnz_order),
             lower,
             upper,
             rhs: self.rhs.clone(),
@@ -314,6 +322,21 @@ mod tests {
         let ubs = [3.0];
         let sf = StandardForm::build(&m, Some((&lbs, &ubs)));
         assert_eq!((sf.lower[0], sf.upper[0]), (2.0, 3.0));
+    }
+
+    #[test]
+    fn nnz_order_ranks_columns_and_is_shared_by_rebind() {
+        let mut m = Model::new("t");
+        let x = m.add_continuous("x", 0.0, 10.0);
+        let y = m.add_continuous("y", 0.0, 10.0);
+        let z = m.add_continuous("z", 0.0, 10.0);
+        m.add_constr("a", x + y + z, Cmp::Le, 5.0).unwrap();
+        m.add_constr("b", 1.0 * x + z, Cmp::Le, 4.0).unwrap();
+        let sf = StandardForm::build(&m, None);
+        // y and the two slacks hold one entry, x and z two: ties by index.
+        assert_eq!(*sf.nnz_order, vec![1, 3, 4, 0, 2]);
+        let child = sf.rebind(&[0.0, 1.0, 0.0], &[1.0, 1.0, 1.0]);
+        assert!(Arc::ptr_eq(&child.nnz_order, &sf.nnz_order));
     }
 
     #[test]
