@@ -1,5 +1,5 @@
 //! Diagnostic probe for exploration performance (not part of the paper).
-//! Usage: probe [lineA|both] [warm|cold] [iso|noiso] [comp|mono] [n] [stages] [archex]
+//! Usage: `probe [lineA|both] [warm|cold] [iso|noiso] [comp|mono] [n] [stages] [archex]`
 //!
 //! `cold` turns off `SolveOptions::warm_start`, solving every LP from the
 //! slack basis; anything else keeps the default root and node dual-simplex

@@ -1,7 +1,6 @@
 //! Assume-guarantee contracts and their algebra.
 
 use crate::pred::Pred;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An assume-guarantee contract `C = (A, G)` over a shared
@@ -22,7 +21,7 @@ use std::fmt;
 /// // Saturation: the guarantee holds vacuously when assumptions fail.
 /// assert!(c.saturated_guarantees().eval(&[-3.0], 1e-9));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Contract {
     name: String,
     assumptions: Pred,

@@ -7,13 +7,12 @@
 //! later encoded with a small ε margin.
 
 use contrarc_milp::{LinExpr, VarId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Comparison operator of a predicate atom (a superset of the MILP
 /// comparisons: negation introduces strict variants).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AtomCmp {
     /// `expr ≤ rhs`
     Le,
@@ -70,7 +69,7 @@ impl fmt::Display for AtomCmp {
 }
 
 /// A linear atom `expr ⋈ rhs`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Atom {
     /// Left-hand side.
     pub expr: LinExpr,
@@ -109,7 +108,7 @@ impl fmt::Display for Atom {
 /// assert!(p.eval(&[3.0], 1e-9));
 /// assert!(!p.eval(&[7.0], 1e-9));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum Pred {
     /// Always true.
     #[default]

@@ -21,11 +21,10 @@ use crate::encode::{assert_pred, EncodeOptions};
 use crate::pred::Pred;
 use crate::vocabulary::Vocabulary;
 use contrarc_milp::{Model, SolveError, SolveOptions};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which refinement condition failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RefinementFailure {
     /// The refining contract's assumptions are not weak enough
     /// (`A' ∧ ¬A` is satisfiable).
@@ -45,7 +44,7 @@ impl fmt::Display for RefinementFailure {
 }
 
 /// Result of a refinement check.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Refinement {
     failure: Option<(RefinementFailure, Vec<f64>)>,
 }

@@ -1,7 +1,6 @@
 //! The shared variable space that contracts are written over.
 
 use contrarc_milp::{Model, SolveError, VarId, VarType};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -23,13 +22,13 @@ use std::fmt;
 /// assert_eq!(voc.name(t), "t");
 /// assert_eq!(voc.len(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Vocabulary {
     defs: Vec<VarDecl>,
     by_name: HashMap<String, VarId>,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct VarDecl {
     name: String,
     ty: VarType,

@@ -5,7 +5,6 @@
 //! for the viewpoints the paper uses; the exploration engine reads exactly
 //! these keys.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -37,7 +36,7 @@ pub const FLOW_CONS: &str = "flow_cons";
 /// assert_eq!(a.get(COST), 5.0);
 /// assert_eq!(a.get(THROUGHPUT), f64::INFINITY);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Attrs(BTreeMap<String, f64>);
 
 impl Attrs {

@@ -5,13 +5,12 @@ use crate::library::ImplId;
 use crate::problem::Problem;
 use contrarc_graph::{DiGraph, EdgeId, NodeId};
 use contrarc_milp::Solution;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A node of a candidate architecture: an instantiated template component
 /// with its selected implementation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchNode {
     /// The template node this instantiates.
     pub template_node: NodeId,
@@ -24,7 +23,7 @@ pub struct ArchNode {
 }
 
 /// An edge of a candidate architecture: a selected connection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchEdge {
     /// The template candidate edge this selects.
     pub template_edge: EdgeId,
@@ -34,7 +33,7 @@ pub struct ArchEdge {
 
 /// A candidate architecture `𝒜_map`: the instantiated subgraph of the
 /// template together with the implementation mapping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Architecture {
     graph: DiGraph<ArchNode, ArchEdge>,
     /// Template node → architecture node.

@@ -141,11 +141,6 @@ pub fn apply_cuts(
         pattern_nodes = scope_size,
     );
     contrarc_obs::metrics::counter_add("cert.scopes", 1);
-    contrarc_obs::metrics::observe_hist(
-        "cert.scope_size",
-        contrarc_obs::metrics::COUNT_BUCKETS,
-        scope_size as f64,
-    );
 
     // --- pattern graph 𝒢 (implementation nodes detached) --------------------
     // Pattern nodes carry their type; `scope_arch_nodes[i]` is the
@@ -325,11 +320,6 @@ pub fn apply_cuts(
     cert_span.record("embeddings", embeddings.len());
     cert_span.record("cuts", added);
     contrarc_obs::metrics::counter_add("cert.embeddings", embeddings.len() as u64);
-    contrarc_obs::metrics::observe_hist(
-        "cert.cuts_per_scope",
-        contrarc_obs::metrics::COUNT_BUCKETS,
-        added as f64,
-    );
     Ok(added)
 }
 

@@ -23,7 +23,6 @@
 use crate::explorer::{ExplorationStats, ExplorerConfig};
 use crate::problem::SystemSpec;
 use contrarc_milp::{Cmp, Model, Sense, VarType};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -33,7 +32,7 @@ const HEADER: &str = "contrarc-checkpoint v1";
 /// One certificate cut, stored model-independently as `(variable index,
 /// coefficient)` terms against the baseline encoding's variable order
 /// (auxiliary cut variables follow the baseline block in creation order).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CutRecord {
     /// Constraint name (diagnostics only).
     pub name: String,
@@ -48,7 +47,7 @@ pub struct CutRecord {
 /// An auxiliary variable created by certificate generation (e.g. the `y`
 /// indicator of a whole-scope cut), replayed on resume so cut terms can
 /// reference it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuxVarRecord {
     /// Variable name (diagnostics only).
     pub name: String,
@@ -61,7 +60,7 @@ pub struct AuxVarRecord {
 }
 
 /// A resumable snapshot of an exploration in progress.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExplorerCheckpoint {
     /// Fingerprint of the baseline encoding + pruning configuration the cuts
     /// belong to.

@@ -11,7 +11,6 @@ use crate::sym::SymmetryConfig;
 use contrarc_contracts::{EncodeOptions, RefinementChecker};
 use contrarc_graph::Automorphisms;
 use contrarc_milp::{Budget, Deadline, LinExpr, SolveError, SolveOptions, VarDef, VarId};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -117,7 +116,7 @@ impl ExplorerConfig {
 
 /// Statistics of one exploration run (the measurements behind Fig. 5 and
 /// Table II of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ExplorationStats {
     /// Lazy-loop iterations (MILP solve + refinement check rounds).
     pub iterations: usize,
@@ -319,55 +318,6 @@ impl StopReason {
             SolveError::IterationLimit { limit } => Some(StopReason::PivotLimit { limit: *limit }),
             SolveError::NodeLimit { limit } => Some(StopReason::NodeLimit { limit: *limit }),
             _ => None,
-        }
-    }
-
-    /// Compact machine-readable tag, round-trippable via
-    /// [`StopReason::from_tag`]. Integer limits are decimal; the time limit
-    /// uses its 16-hex-digit IEEE-754 bit pattern so the round trip is
-    /// bit-exact (the same convention as the checkpoint stats line).
-    #[must_use]
-    pub fn to_tag(&self) -> String {
-        match self {
-            StopReason::IterationLimit { limit } => format!("iter:{limit}"),
-            StopReason::TimeLimit { limit_secs } => {
-                format!("time:{:016x}", limit_secs.to_bits())
-            }
-            StopReason::NodeLimit { limit } => format!("node:{limit}"),
-            StopReason::PivotLimit { limit } => format!("pivot:{limit}"),
-            StopReason::Cancelled => "cancel".to_string(),
-        }
-    }
-
-    /// Parse a tag produced by [`StopReason::to_tag`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the malformed tag.
-    pub fn from_tag(tag: &str) -> Result<StopReason, String> {
-        if tag == "cancel" {
-            return Ok(StopReason::Cancelled);
-        }
-        let (kind, value) = tag
-            .split_once(':')
-            .ok_or_else(|| format!("bad stop-reason tag '{tag}'"))?;
-        let bad = || format!("bad stop-reason value in '{tag}'");
-        match kind {
-            "iter" => Ok(StopReason::IterationLimit {
-                limit: value.parse().map_err(|_| bad())?,
-            }),
-            "time" => Ok(StopReason::TimeLimit {
-                limit_secs: u64::from_str_radix(value, 16)
-                    .map(f64::from_bits)
-                    .map_err(|_| bad())?,
-            }),
-            "node" => Ok(StopReason::NodeLimit {
-                limit: value.parse().map_err(|_| bad())?,
-            }),
-            "pivot" => Ok(StopReason::PivotLimit {
-                limit: value.parse().map_err(|_| bad())?,
-            }),
-            _ => Err(format!("unknown stop-reason kind '{kind}'")),
         }
     }
 }
@@ -1588,26 +1538,6 @@ mod tests {
         assert!(texts[2].contains("node budget"));
         assert!(texts[3].contains("pivot budget"));
         assert!(texts[4].contains("cancelled"));
-    }
-
-    #[test]
-    fn stop_reason_tag_round_trips_every_variant_bit_exactly() {
-        for reason in all_stop_reasons() {
-            let back = StopReason::from_tag(&reason.to_tag()).unwrap();
-            assert_eq!(back, reason, "tag {}", reason.to_tag());
-        }
-        // Bit-exactness beyond PartialEq for the f64-carrying variant.
-        let awkward = StopReason::TimeLimit {
-            limit_secs: f64::MIN_POSITIVE,
-        };
-        let StopReason::TimeLimit { limit_secs } = StopReason::from_tag(&awkward.to_tag()).unwrap()
-        else {
-            panic!("wrong variant");
-        };
-        assert_eq!(limit_secs.to_bits(), f64::MIN_POSITIVE.to_bits());
-        for bad in ["", "iter", "iter:x", "time:zz", "warp:3", "cancel:1"] {
-            assert!(StopReason::from_tag(bad).is_err(), "tag '{bad}' accepted");
-        }
     }
 
     #[test]

@@ -2,11 +2,10 @@
 
 use crate::attr::Attrs;
 use crate::template::TypeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Opaque handle to a library implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ImplId(pub(crate) u32);
 
 impl ImplId {
@@ -31,7 +30,7 @@ impl fmt::Display for ImplId {
 }
 
 /// A concrete implementation a component node can be mapped to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Implementation {
     /// Implementation name (e.g. `M_fast`).
     pub name: String,
@@ -53,7 +52,7 @@ pub struct Implementation {
 /// let slow = lib.add("slow", mach, Attrs::new().with(COST, 3.0));
 /// assert_eq!(lib.impls_of_type(mach), &[fast, slow]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Library {
     impls: Vec<Implementation>,
     by_type: Vec<Vec<ImplId>>,

@@ -4,11 +4,10 @@ use crate::attr;
 use crate::library::Library;
 use crate::template::Template;
 use crate::viewpoint::Viewpoint;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// System-level flow requirements (`C_s^F`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowSpec {
     /// Bound `F_s^S` on total flow generated by instantiated sources.
     pub max_supply: f64,
@@ -17,7 +16,7 @@ pub struct FlowSpec {
 }
 
 /// System-level timing requirements (`C_s^T`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingSpec {
     /// Maximum end-to-end latency `L_s` from any source to any sink.
     pub max_latency: f64,
@@ -29,7 +28,7 @@ pub struct TimingSpec {
 
 /// Per-viewpoint system contracts plus the variable domains contracts are
 /// encoded over.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemSpec {
     /// Flow viewpoint requirements; `None` disables the viewpoint.
     pub flow: Option<FlowSpec>,
@@ -70,7 +69,7 @@ impl SystemSpec {
 
 /// A complete architecture-exploration problem instance (Problem 1 of the
 /// paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     /// The architecture template `𝒯`.
     pub template: Template,

@@ -9,13 +9,12 @@ use contrarc_contracts::RefinementChecker;
 use contrarc_graph::paths::all_simple_paths;
 use contrarc_graph::NodeId;
 use contrarc_milp::SolveError;
-use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
 
 /// The invalid sub-architecture `𝒢_map` a failed refinement identifies.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ViolationScope {
     /// A single source→sink path (architecture node ids, in path order).
     Path(Vec<NodeId>),
@@ -25,7 +24,7 @@ pub enum ViolationScope {
 
 /// A refinement failure: the violated viewpoint `d_v` plus the invalid
 /// sub-architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// The viewpoint whose system contract is not refined.
     pub viewpoint: Viewpoint,
@@ -262,7 +261,6 @@ fn check_timing_path(
     checker: &RefinementChecker,
 ) -> Result<bool, SolveError> {
     let mut path_span = contrarc_obs::span!("refine.path", nodes = path.len());
-    let timer = contrarc_obs::metrics::metrics_enabled().then(std::time::Instant::now);
     let edges: Vec<(NodeId, NodeId)> = path.windows(2).map(|w| (w[0], w[1])).collect();
     let model = build_timing_model(
         problem,
@@ -274,13 +272,6 @@ fn check_timing_path(
     );
     let verdict = refines(&model, checker);
     contrarc_obs::metrics::counter_add("refine.path_checks", 1);
-    if let Some(t0) = timer {
-        contrarc_obs::metrics::observe_hist(
-            "refine.path_check_secs",
-            contrarc_obs::metrics::SECONDS_BUCKETS,
-            t0.elapsed().as_secs_f64(),
-        );
-    }
     if let Ok(holds) = &verdict {
         path_span.record("holds", *holds);
     }

@@ -81,60 +81,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Render a [`MetricsReport`](contrarc_obs::metrics::MetricsReport) as two
-/// aligned text tables: counters (name, value) and histograms (name, count,
-/// mean, min, max). Empty sections are omitted; an empty report renders as a
-/// single explanatory line.
-#[must_use]
-pub fn render_metrics(report: &contrarc_obs::metrics::MetricsReport) -> String {
-    if report.is_empty() {
-        return "no metrics recorded\n".to_string();
-    }
-    let mut out = String::new();
-    if !report.counters.is_empty() {
-        let rows: Vec<Vec<String>> = report
-            .counters
-            .iter()
-            .map(|c| vec![c.name.to_string(), c.value.to_string()])
-            .collect();
-        out.push_str(&render_table(&["counter", "value"], &rows));
-    }
-    if !report.gauges.is_empty() {
-        if !out.is_empty() {
-            out.push('\n');
-        }
-        let rows: Vec<Vec<String>> = report
-            .gauges
-            .iter()
-            .map(|g| vec![g.name.to_string(), g.value.to_string(), g.max.to_string()])
-            .collect();
-        out.push_str(&render_table(&["gauge", "value", "max"], &rows));
-    }
-    if !report.histograms.is_empty() {
-        if !out.is_empty() {
-            out.push('\n');
-        }
-        let rows: Vec<Vec<String>> = report
-            .histograms
-            .iter()
-            .map(|h| {
-                vec![
-                    h.name.to_string(),
-                    h.count.to_string(),
-                    format!("{:.4}", h.mean()),
-                    format!("{:.4}", if h.count == 0 { 0.0 } else { h.min }),
-                    format!("{:.4}", if h.count == 0 { 0.0 } else { h.max }),
-                ]
-            })
-            .collect();
-        out.push_str(&render_table(
-            &["histogram", "count", "mean", "min", "max"],
-            &rows,
-        ));
-    }
-    out
-}
-
 /// Describe an exploration outcome, including the architecture when found.
 #[must_use]
 pub fn describe_outcome(problem: &Problem, e: &Exploration) -> String {
@@ -237,40 +183,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("long-header"));
         assert!(lines[1].starts_with('-'));
-    }
-
-    #[test]
-    fn metrics_tables_render() {
-        use contrarc_obs::metrics::{
-            CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsReport,
-        };
-        assert!(render_metrics(&MetricsReport::default()).contains("no metrics"));
-        let report = MetricsReport {
-            counters: vec![CounterSnapshot {
-                name: "milp.nodes",
-                value: 12,
-            }],
-            gauges: vec![GaugeSnapshot {
-                name: "serve.queue.depth",
-                value: 2,
-                max: 5,
-            }],
-            histograms: vec![HistogramSnapshot {
-                name: "milp.node_depth",
-                bounds: vec![1.0, 2.0],
-                counts: vec![1, 1, 0],
-                count: 2,
-                sum: 3.0,
-                min: 1.0,
-                max: 2.0,
-            }],
-        };
-        let text = render_metrics(&report);
-        assert!(text.contains("milp.nodes"));
-        assert!(text.contains("12"));
-        assert!(text.contains("milp.node_depth"));
-        assert!(text.contains("serve.queue.depth"));
-        assert!(text.contains("1.5000"), "mean column expected: {text}");
     }
 
     #[test]

@@ -13,10 +13,9 @@ use crate::attr::{Attrs, COST, FLOW_CONS, FLOW_GEN, JITTER_OUT, LATENCY, THROUGH
 use crate::library::Library;
 use crate::problem::{FlowSpec, Problem, SystemSpec, TimingSpec};
 use crate::template::{Template, TypeConfig};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the random-problem generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthConfig {
     /// RNG seed; equal seeds give equal problems.
     pub seed: u64,

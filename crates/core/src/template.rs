@@ -1,11 +1,10 @@
 //! Architecture templates: typed component nodes and candidate connections.
 
 use contrarc_graph::{DiGraph, EdgeId, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Opaque handle to a component type (a partition `Π_k` of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TypeId(pub(crate) u32);
 
 impl TypeId {
@@ -30,7 +29,7 @@ impl fmt::Display for TypeId {
 }
 
 /// Configuration of a component type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TypeConfig {
     /// Whether nodes of this type are system sources (partition `Π_1`).
     pub source: bool,
@@ -83,14 +82,14 @@ impl TypeConfig {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct TypeInfo {
     name: String,
     config: TypeConfig,
 }
 
 /// A component node of the template.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TemplateNode {
     /// Human-readable node name (e.g. `M_A1`).
     pub name: String,
@@ -117,7 +116,7 @@ pub struct TemplateNode {
 /// assert_eq!(t.num_nodes(), 2);
 /// assert_eq!(t.num_candidate_edges(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Template {
     name: String,
     graph: DiGraph<TemplateNode, ()>,

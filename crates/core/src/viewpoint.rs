@@ -1,6 +1,5 @@
 //! Requirement viewpoints.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A requirement viewpoint `d ∈ 𝐝` (Section III of the paper).
@@ -8,7 +7,7 @@ use std::fmt;
 /// Viewpoints partition into *path-specific* ones — requirements stated along
 /// source→sink paths, checked compositionally per path by Algorithm 1 — and
 /// whole-architecture ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Viewpoint {
     /// Structural interconnection and mapping constraints (`C^C`). Fully
     /// enforced by the candidate-selection MILP; never re-checked at the

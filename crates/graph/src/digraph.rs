@@ -1,10 +1,9 @@
 //! Arena-style directed graph with typed node and edge weights.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Opaque handle to a node of a [`DiGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
@@ -29,7 +28,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Opaque handle to an edge of a [`DiGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub(crate) u32);
 
 impl EdgeId {
@@ -53,7 +52,7 @@ impl fmt::Display for EdgeId {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct EdgeData<E> {
     src: NodeId,
     dst: NodeId,
@@ -97,7 +96,7 @@ pub struct EdgeRef<'a, E> {
 /// assert_eq!(*g.edge_weight(e), 3.5);
 /// assert_eq!(g.out_degree(a), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiGraph<N, E> {
     nodes: Vec<N>,
     edges: Vec<EdgeData<E>>,

@@ -16,12 +16,11 @@
 
 use crate::canon::Automorphisms;
 use crate::digraph::{DiGraph, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Matching semantics for [`subgraph_isomorphisms`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MatchMode {
     /// Pattern edges must exist in the target; extra target edges are fine.
     Monomorphism,
@@ -30,7 +29,7 @@ pub enum MatchMode {
 }
 
 /// An injective mapping from pattern nodes to target nodes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Embedding {
     map: Vec<NodeId>,
 }
@@ -131,16 +130,11 @@ where
     state.out
 }
 
-/// Shared close-out for the plain and orbit-pruned enumerators: counters,
-/// the recursion-depth histogram, and the close-time span fields.
+/// Shared close-out for the plain and orbit-pruned enumerators: counters
+/// and the close-time span fields.
 fn record_search_metrics(span: &mut contrarc_obs::SpanGuard, embeddings: usize, max_depth: usize) {
     contrarc_obs::metrics::counter_add("vf2.searches", 1);
     contrarc_obs::metrics::counter_add("vf2.embeddings", embeddings as u64);
-    contrarc_obs::metrics::observe_hist(
-        "vf2.max_depth",
-        contrarc_obs::metrics::COUNT_BUCKETS,
-        max_depth as f64,
-    );
     span.record("embeddings", embeddings);
     span.record("max_depth", max_depth);
 }

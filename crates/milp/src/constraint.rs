@@ -1,11 +1,10 @@
 //! Linear constraints.
 
 use crate::expr::LinExpr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Opaque handle to a constraint inside a [`Model`](crate::Model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConstrId(pub(crate) u32);
 
 impl ConstrId {
@@ -23,7 +22,7 @@ impl fmt::Display for ConstrId {
 }
 
 /// Comparison operator of a linear constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cmp {
     /// `expr ≤ rhs`
     Le,
@@ -70,7 +69,7 @@ impl fmt::Display for Cmp {
 /// The expression's additive constant is folded into the right-hand side when
 /// the constraint enters the solver, so `x + 1 ≤ 3` and `x ≤ 2` are the same
 /// constraint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
     /// Human-readable name used in diagnostics.
     pub name: String,

@@ -1,7 +1,6 @@
 //! Linear expressions over decision variables.
 
 use crate::var::VarId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
@@ -25,7 +24,7 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 /// Terms with duplicate variables are merged and zero-coefficient terms are
 /// dropped eagerly, so the representation is canonical: two expressions are
 /// `==` iff they denote the same linear function.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LinExpr {
     terms: BTreeMap<VarId, f64>,
     constant: f64,

@@ -6,11 +6,10 @@ use crate::expr::LinExpr;
 use crate::solution::Outcome;
 use crate::solver::{SolveOptions, Solver};
 use crate::var::{VarDef, VarId, VarType};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Objective sense.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Sense {
     /// Minimize the objective (default).
     #[default]
@@ -29,7 +28,7 @@ impl fmt::Display for Sense {
 }
 
 /// Size statistics of a model, as reported in the paper's Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelStats {
     /// Total number of decision variables.
     pub num_vars: usize,
@@ -73,7 +72,7 @@ impl fmt::Display for ModelStats {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Model {
     name: String,
     vars: Vec<VarDef>,
@@ -81,8 +80,7 @@ pub struct Model {
     objective: LinExpr,
     sense: Sense,
     /// Branching priority multipliers indexed by variable; absent entries
-    /// (and models serialized before the field existed) read as `1.0`.
-    #[serde(default)]
+    /// read as `1.0`.
     branch_priorities: Vec<f64>,
 }
 

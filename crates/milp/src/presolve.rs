@@ -7,11 +7,10 @@
 
 use crate::constraint::Cmp;
 use crate::model::Model;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Outcome summary of a presolve pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PresolveReport {
     /// Fixpoint rounds executed.
     pub rounds: usize,

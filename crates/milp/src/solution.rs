@@ -2,11 +2,10 @@
 
 use crate::error::SolveError;
 use crate::var::VarId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Terminal status of a solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Status {
     /// An optimal solution was found.
     Optimal,
@@ -27,7 +26,7 @@ impl fmt::Display for Status {
 }
 
 /// Statistics collected during a solve.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SolveStats {
     /// Total simplex pivots across all LP relaxations.
     pub simplex_iterations: u64,
@@ -57,7 +56,7 @@ impl fmt::Display for SolveStats {
 }
 
 /// A feasible assignment with its objective value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     values: Vec<f64>,
     objective: f64,
@@ -109,7 +108,7 @@ impl Solution {
 /// `Outcome` separates *answers* (optimal/infeasible/unbounded) from *errors*
 /// (limits, numerical failures), which are carried by
 /// [`SolveError`](crate::SolveError) instead.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Outcome {
     /// Optimal solution found.
     Optimal {

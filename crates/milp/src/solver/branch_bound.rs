@@ -231,21 +231,11 @@ pub(crate) fn solve(
         contrarc_obs::metrics::counter_add("milp.nodes", 1);
         // Open-node frontier after this pop.
         contrarc_obs::metrics::gauge_set("milp.frontier", heap.len() as i64);
-        contrarc_obs::metrics::observe_hist(
-            "milp.node_depth",
-            contrarc_obs::metrics::COUNT_BUCKETS,
-            f64::from(node.depth),
-        );
 
         let (lbs, ubs) = node.materialize(&root_lbs, &root_ubs);
         let eval = eval_node(&sf_root, &lbs, &ubs, node.warm.as_deref(), opts, deadline);
         stats.simplex_iterations += eval.pivots;
         node_span.record("pivots", eval.pivots);
-        contrarc_obs::metrics::observe_hist(
-            "milp.pivots_per_node",
-            contrarc_obs::metrics::COUNT_BUCKETS,
-            eval.pivots as f64,
-        );
         if eval.warm_attempted {
             if eval.warm_used {
                 contrarc_obs::metrics::counter_add("milp.warm_start_hits", 1);

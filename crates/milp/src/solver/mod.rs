@@ -19,7 +19,6 @@ use crate::error::SolveError;
 use crate::model::Model;
 use crate::solution::Outcome;
 use budget::Budget;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Opaque reusable solver state: the optimal basis of a previous solve,
@@ -34,15 +33,11 @@ pub struct WarmStart {
     pub(crate) snap: Arc<BasisSnapshot>,
 }
 
-fn default_refactor_every() -> u64 {
-    64
-}
-
 /// Tunable parameters of the solver.
 ///
 /// The defaults are appropriate for the contract-exploration workloads this
 /// crate was built for; they favour exactness over speed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolveOptions {
     /// Primal feasibility tolerance.
     pub feas_tol: f64,
@@ -91,7 +86,6 @@ pub struct SolveOptions {
     /// Collapse the revised simplex's eta file into a fresh basis
     /// factorization every this many pivots. Lower is numerically safer and
     /// slower; the retry ladder drops it to 1.
-    #[serde(default = "default_refactor_every")]
     pub refactor_every: u64,
     /// A proven floor on the objective (model sense): the caller knows no
     /// feasible solution is better than this. Branch-and-bound stops as soon
@@ -124,7 +118,7 @@ impl Default for SolveOptions {
             force_bland: false,
             presolve: true,
             warm_start: true,
-            refactor_every: default_refactor_every(),
+            refactor_every: 64,
             objective_floor: None,
             threads: 1,
             #[cfg(feature = "fault-injection")]

@@ -1,6 +1,5 @@
 //! Decision variables: identifiers, kinds, and definitions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Opaque handle to a decision variable inside a [`Model`](crate::Model).
@@ -14,7 +13,7 @@ use std::fmt;
 /// let x = m.add_continuous("x", 0.0, 1.0);
 /// assert_eq!(m.var_name(x), "x");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VarId(pub(crate) u32);
 
 impl VarId {
@@ -39,7 +38,7 @@ impl fmt::Display for VarId {
 }
 
 /// The kind of a decision variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VarType {
     /// Real-valued variable.
     Continuous,
@@ -68,7 +67,7 @@ impl fmt::Display for VarType {
 }
 
 /// Full definition of a variable stored by the model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VarDef {
     /// Human-readable name (used in diagnostics and reports).
     pub name: String,

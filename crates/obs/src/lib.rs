@@ -2,7 +2,7 @@
 //!
 //! Zero-dependency observability substrate for the ContrArc workspace:
 //! structured spans and events with pluggable sinks, plus a process-global
-//! metrics registry (counters and fixed-bucket histograms).
+//! metrics registry (counters, and gauges with high-water marks).
 //!
 //! ## Design contract
 //!
@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod export;
 pub mod json;
 pub mod metrics;
 pub mod sinks;

@@ -34,14 +34,11 @@
 //! - **Observability**: aggregate metrics (`serve.*` counters and gauges —
 //!   queue depth, running jobs, busy workers, retries, recoveries,
 //!   quarantines, checkpoint writes and corruptions) through
-//!   `contrarc-obs`; a Prometheus-format scrape via
-//!   [`JobServer::metrics_text`] with per-tenant/per-job label dimensions
-//!   and a periodic snapshot stream via [`JobServer::metrics_watch`];
-//!   per-job JSONL lifecycle traces via [`ServerConfig::trace_dir`], each
-//!   closed by a final metrics snapshot; and an anytime incumbent stream
-//!   via [`ServerConfig::on_incumbent`].
+//!   `contrarc-obs`; per-job JSONL lifecycle traces via
+//!   [`ServerConfig::trace_dir`], each closed by a final metrics snapshot;
+//!   and an anytime incumbent stream via [`ServerConfig::on_incumbent`].
 //!
-//! With the `fault-injection` cargo feature, [`ChaosConfig`] arms a
+//! With the `fault-injection` cargo feature, `ChaosConfig` arms a
 //! deterministic chaos schedule (seeded worker panics and torn checkpoint
 //! writes) used by the chaos test suite to prove the recovery claims.
 //!
@@ -52,7 +49,6 @@
 #![warn(missing_docs)]
 
 mod job;
-mod metrics;
 mod server;
 mod trace;
 
@@ -62,5 +58,4 @@ mod chaos;
 #[cfg(feature = "fault-injection")]
 pub use chaos::ChaosConfig;
 pub use job::{AdmissionError, IncumbentCallback, IncumbentEvent, JobId, JobSpec, JobStatus};
-pub use metrics::MetricsWatch;
 pub use server::{JobConfig, JobServer, ServerConfig};

@@ -21,10 +21,8 @@
 //! every one of these paths.
 
 use crate::job::{AdmissionError, IncumbentEvent, JobId, JobSpec, JobStatus};
-use crate::metrics::MetricsWatch;
 use crate::trace::{Field, TraceSink};
 use contrarc::{Exploration, ExploreError, Explorer, ExplorerConfig, Step, StopReason};
-use contrarc_obs::export::{expose_metrics, push_header, push_sample};
 use contrarc_obs::metrics::{counter_add, gauge_add, gauge_set, snapshot};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -112,7 +110,6 @@ impl std::fmt::Debug for ServerConfig {
 struct CkptSlots {
     latest: Option<String>,
     prev: Option<String>,
-    writes: u64,
 }
 
 impl CkptSlots {
@@ -122,7 +119,6 @@ impl CkptSlots {
     fn store(&mut self, text: String) {
         self.prev = self.latest.take();
         self.latest = Some(text);
-        self.writes += 1;
     }
 }
 
@@ -199,64 +195,6 @@ impl State {
             .count();
         gauge_set("serve.jobs.running", running as i64);
     }
-
-    /// Append the server's per-tenant and per-job label dimensions to an
-    /// exposition document: job counts by `{tenant, phase}` plus per-job
-    /// attempts, recoveries, checkpoint writes, and weight keyed by
-    /// `{tenant, job}`. Tenant names are free-form user input; the exporter
-    /// escapes them.
-    fn exposition_extras(&self, out: &mut String) {
-        let mut tenant_phase: BTreeMap<(&str, &'static str), u64> = BTreeMap::new();
-        for job in self.jobs.values() {
-            let phase = match &job.phase {
-                Phase::Queued { .. } => "queued",
-                Phase::Running => "running",
-                Phase::Done { .. } => "done",
-                Phase::Cancelled => "cancelled",
-                Phase::Quarantined { .. } => "quarantined",
-            };
-            *tenant_phase.entry((&job.spec.name, phase)).or_insert(0) += 1;
-        }
-        push_header(
-            out,
-            "contrarc_serve_tenant_jobs",
-            "gauge",
-            "jobs per tenant and phase",
-        );
-        for ((tenant, phase), n) in &tenant_phase {
-            push_sample(
-                out,
-                "contrarc_serve_tenant_jobs",
-                &[("tenant", tenant), ("phase", phase)],
-                *n as f64,
-            );
-        }
-        for (family, help) in [
-            ("contrarc_serve_job_attempts", "execution attempts so far"),
-            ("contrarc_serve_job_recoveries", "retries after a failure"),
-            (
-                "contrarc_serve_job_checkpoint_writes",
-                "checkpoint slot writes",
-            ),
-            ("contrarc_serve_job_weight", "admission weight"),
-        ] {
-            push_header(out, family, "gauge", help);
-            for (&id, job) in &self.jobs {
-                let job_label = JobId(id).to_string();
-                let labels = [
-                    ("tenant", job.spec.name.as_str()),
-                    ("job", job_label.as_str()),
-                ];
-                let value = match family {
-                    "contrarc_serve_job_attempts" => f64::from(job.attempts),
-                    "contrarc_serve_job_recoveries" => f64::from(job.recoveries),
-                    "contrarc_serve_job_checkpoint_writes" => lock(&job.ckpt).writes as f64,
-                    _ => job.spec.weight,
-                };
-                push_sample(out, family, &labels, value);
-            }
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -269,17 +207,6 @@ struct Inner {
     settled: Condvar,
     shutdown: AtomicBool,
     trace: TraceSink,
-}
-
-impl Inner {
-    /// Render the full exposition document: the process-global registry
-    /// (every `contrarc_*` counter, gauge, and histogram) followed by the
-    /// server's per-tenant and per-job dimensions.
-    fn metrics_text(&self) -> String {
-        let mut out = expose_metrics(&snapshot());
-        lock(&self.state).exposition_extras(&mut out);
-        out
-    }
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -509,42 +436,6 @@ impl JobServer {
     #[must_use]
     pub fn queue_depth(&self) -> usize {
         lock(&self.inner.state).queue.len()
-    }
-
-    /// One metrics scrape in the Prometheus text exposition format — the
-    /// future wire API's `/metrics` endpoint body.
-    ///
-    /// The document is the process-global `contrarc-obs` registry (all
-    /// `contrarc_*` counters, gauges with `_max` high-water companions, and
-    /// histograms with quantile estimates) rendered by
-    /// [`contrarc_obs::export::expose_metrics`], followed by the server's
-    /// label dimensions: `contrarc_serve_tenant_jobs{tenant,phase}` job
-    /// counts and per-job `contrarc_serve_job_*{tenant,job}` gauges
-    /// (attempts, recoveries, checkpoint writes, weight). Registry metrics
-    /// only accumulate inside a [`contrarc_obs::metrics::with_metrics`]
-    /// scope; the server's own dimensions are always present.
-    #[must_use]
-    pub fn metrics_text(&self) -> String {
-        self.inner.metrics_text()
-    }
-
-    /// Stream [`Self::metrics_text`] snapshots to `writer` every `interval`
-    /// until the returned [`MetricsWatch`] is dropped (one final snapshot is
-    /// written on stop). The watch holds only a weak server reference, so it
-    /// cannot keep a dropped server alive; it ends on its own once the
-    /// server is gone.
-    #[must_use]
-    pub fn metrics_watch(
-        &self,
-        interval: std::time::Duration,
-        writer: Box<dyn std::io::Write + Send>,
-    ) -> MetricsWatch {
-        let weak = Arc::downgrade(&self.inner);
-        MetricsWatch::spawn(
-            interval,
-            writer,
-            Box::new(move || weak.upgrade().map(|inner| inner.metrics_text())),
-        )
     }
 }
 
@@ -979,7 +870,6 @@ mod tests {
         slots.store("b".into());
         assert_eq!(slots.latest.as_deref(), Some("b"));
         assert_eq!(slots.prev.as_deref(), Some("a"));
-        assert_eq!(slots.writes, 2);
     }
 
     #[test]

@@ -2,11 +2,9 @@
 //! metrics registry is process-global, and sharing a process with other
 //! server tests would mix their counters into the snapshot.
 
-use contrarc_obs::export::validate_exposition;
 use contrarc_obs::metrics::with_metrics;
 use contrarc_serve::{JobServer, JobSpec, ServerConfig};
 use contrarc_systems::rpl::{build as build_rpl, RplConfig, RplLines};
-use std::sync::{Arc, Mutex};
 
 fn rpl_problem() -> contrarc::Problem {
     build_rpl(
@@ -16,26 +14,6 @@ fn rpl_problem() -> contrarc::Problem {
         },
         RplLines::LineA,
     )
-}
-
-/// A `Write` handle tests can read back from.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl SharedBuf {
-    fn text(&self) -> String {
-        String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
-    }
-}
-
-impl std::io::Write for SharedBuf {
-    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(data);
-        Ok(data.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
 }
 
 #[test]
@@ -66,87 +44,6 @@ fn server_publishes_queue_retry_and_checkpoint_metrics() {
     let busy = report.gauge("serve.workers.busy").expect("gauge published");
     assert_eq!(busy.value, 0, "all workers idle by the end");
     assert!(busy.max >= 1, "some worker must have been busy");
-}
-
-#[test]
-fn metrics_text_is_valid_exposition_with_tenant_and_job_dimensions() {
-    let problem = rpl_problem();
-    let ((), _report) = with_metrics(|| {
-        let server = JobServer::new(ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        });
-        // A tenant name exercising every label-value escape the format has.
-        let nasty = "acme \"prod\"\\eu\nwest";
-        let a = server.submit(JobSpec::new(nasty, problem.clone())).unwrap();
-        let b = server
-            .submit(JobSpec::new("beta", problem.clone()))
-            .unwrap();
-        assert!(server.wait(a).unwrap().is_terminal());
-        assert!(server.wait(b).unwrap().is_terminal());
-        let text = server.metrics_text();
-        let doc = validate_exposition(&text).expect("scrape must be valid exposition");
-        // At least one gauge and one histogram with quantiles, as the
-        // acceptance criteria require.
-        assert!(doc.types.iter().any(|(_, t)| t == "gauge"));
-        assert!(doc.types.iter().any(|(_, t)| t == "histogram"));
-        assert!(
-            doc.samples
-                .iter()
-                .any(|s| s.name.ends_with("_quantile") && s.label("quantile") == Some("0.99")),
-            "histogram quantile estimates must be exposed"
-        );
-        // Per-tenant dimension: both tenants appear, escaping round-trips.
-        let tenants = doc.samples_named("contrarc_serve_tenant_jobs");
-        assert!(tenants.iter().any(|s| s.label("tenant") == Some(nasty)));
-        assert!(tenants
-            .iter()
-            .any(|s| s.label("tenant") == Some("beta") && s.label("phase") == Some("done")));
-        // Per-job dimension: attempts for both jobs.
-        let attempts = doc.samples_named("contrarc_serve_job_attempts");
-        assert_eq!(attempts.len(), 2);
-        assert!(attempts.iter().all(|s| s.value >= 1.0));
-        assert!(attempts.iter().any(|s| s.label("job") == Some("job-0")));
-    });
-}
-
-#[test]
-fn metrics_watch_streams_snapshots_until_stopped() {
-    let problem = rpl_problem();
-    let ((), _report) = with_metrics(|| {
-        let buf = SharedBuf::default();
-        let server = JobServer::new(ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        });
-        let watch =
-            server.metrics_watch(std::time::Duration::from_millis(5), Box::new(buf.clone()));
-        let id = server
-            .submit(JobSpec::new("watched", problem.clone()))
-            .unwrap();
-        assert!(server.wait(id).unwrap().is_terminal());
-        watch.stop();
-        let text = buf.text();
-        let headers: Vec<&str> = text
-            .lines()
-            .filter(|l| l.starts_with("# contrarc-serve metrics snapshot"))
-            .collect();
-        assert!(headers.len() >= 2, "initial + final snapshots: {headers:?}");
-        assert!(
-            headers.last().unwrap().ends_with(" final"),
-            "stream must end with the terminal snapshot"
-        );
-        // Each snapshot (and hence the concatenation, after deduplicating
-        // repeated TYPE lines) parses as exposition text; check the final
-        // snapshot sees the settled job.
-        let last_start = text.rfind("# contrarc-serve metrics snapshot").unwrap();
-        let last = &text[last_start..];
-        let doc = validate_exposition(last).expect("snapshot must be valid exposition");
-        assert!(doc
-            .samples_named("contrarc_serve_tenant_jobs")
-            .iter()
-            .any(|s| s.label("tenant") == Some("watched") && s.label("phase") == Some("done")));
-    });
 }
 
 #[test]

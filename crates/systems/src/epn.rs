@@ -16,10 +16,9 @@
 
 use contrarc::attr::{Attrs, COST, FLOW_CONS, FLOW_GEN, JITTER_OUT, LATENCY, THROUGHPUT};
 use contrarc::{FlowSpec, Library, Problem, SystemSpec, Template, TimingSpec, TypeConfig};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of an EPN instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpnConfig {
     /// Candidates of each type on the left side (`L`).
     pub left: usize,

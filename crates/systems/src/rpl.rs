@@ -17,10 +17,9 @@
 
 use contrarc::attr::{Attrs, COST, FLOW_CONS, FLOW_GEN, JITTER_OUT, LATENCY, THROUGHPUT};
 use contrarc::{FlowSpec, Library, Problem, SystemSpec, Template, TimingSpec, TypeConfig};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of an RPL instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RplConfig {
     /// Candidate slots per stage on the product-A line (`n_A`).
     pub n_a: usize,
@@ -60,7 +59,7 @@ impl RplConfig {
 
 /// Which lines to include in the template (used by the compositional
 /// exploration of Fig. 5(b)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RplLines {
     /// Both product lines in one template (monolithic exploration).
     Both,

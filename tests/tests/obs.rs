@@ -121,16 +121,11 @@ fn metrics_registry_mirrors_exploration_stats() {
         Some(stats.cache_misses),
         "cache-miss counter disagrees with ExplorationStats"
     );
-    let path_checks = report
-        .counter("refine.path_checks")
-        .expect("refinement ran");
-    assert!(path_checks > 0);
-    let hist = report
-        .histogram("refine.path_check_secs")
-        .expect("path-check latency histogram present");
+    assert!(stats.cache_misses > 0, "refinement ran");
     assert_eq!(
-        hist.count, path_checks,
-        "latency histogram must see every path check"
+        report.counter("refine.path_checks"),
+        Some(stats.cache_misses),
+        "every cache miss is one path check"
     );
     assert!(report.counter("milp.nodes").unwrap_or(0) > 0);
 }
@@ -152,53 +147,6 @@ fn live_gauges_are_populated() {
         report.gauge("explore.cut_pool").unwrap().value,
         result.stats().cuts_added as i64,
         "final cut-pool gauge disagrees with cuts_added"
-    );
-}
-
-#[test]
-fn exploration_is_unchanged_with_metrics_sampler_live() {
-    let _serial = serialize();
-    // Sinks (and samplers) observe, never steer: an exploration sampled at a
-    // fast interval must produce bit-identical results to an unsampled one.
-    let (baseline, _) = contrarc_obs::metrics::with_metrics(|| {
-        explore(&problem(), &ExplorerConfig::complete()).unwrap()
-    });
-    let path =
-        std::env::temp_dir().join(format!("contrarc_obs_sampled_{}.jsonl", std::process::id()));
-    let (sampled, _) = contrarc_obs::metrics::with_metrics(|| {
-        let sampler = contrarc_obs::export::MetricsSampler::create(
-            std::time::Duration::from_millis(1),
-            &path,
-        )
-        .expect("create sampler output");
-        let result = explore(&problem(), &ExplorerConfig::complete()).unwrap();
-        sampler.stop();
-        result
-    });
-    assert_eq!(
-        baseline.architecture().map(|a| a.cost().to_bits()),
-        sampled.architecture().map(|a| a.cost().to_bits()),
-        "sampler changed the optimum"
-    );
-    assert_eq!(baseline.stats().iterations, sampled.stats().iterations);
-    assert_eq!(baseline.stats().cuts_added, sampled.stats().cuts_added);
-    assert_eq!(baseline.stats().cache_hits, sampled.stats().cache_hits);
-
-    // And the samples themselves are well-formed: parseable JSON with a
-    // strictly increasing sequence number.
-    let text = std::fs::read_to_string(&path).expect("read samples back");
-    let _ = std::fs::remove_file(&path);
-    let mut last_seq = -1i64;
-    for line in text.lines() {
-        let doc = contrarc_obs::json::parse(line).expect("sample line is valid JSON");
-        let seq = doc.get("seq").and_then(|v| v.as_num()).expect("seq") as i64;
-        assert!(seq > last_seq, "sample seq must be strictly increasing");
-        last_seq = seq;
-        assert!(doc.get("metrics").is_some(), "sample carries the registry");
-    }
-    assert!(
-        last_seq >= 1,
-        "sampler must write at least first + final samples"
     );
 }
 
