@@ -12,6 +12,7 @@
 //! redirects the full span/event stream to a JSONL trace instead.
 
 use contrarc::{Explorer, ExplorerConfig, Step};
+use contrarc_milp::{Budget, Deadline, SolveOptions};
 use contrarc_obs::event;
 use contrarc_systems::rpl::{build, RplConfig, RplLines};
 use std::time::Instant;
@@ -40,10 +41,9 @@ fn main() {
     cfg.compositional = comp;
     if args.get(6).map(String::as_str) == Some("archex") {
         let t0 = Instant::now();
-        let r = contrarc::baseline::solve_monolithic(
-            &p,
-            &contrarc_milp::SolveOptions::default().with_time_limit(120.0),
-        );
+        let budget = Budget::unlimited().with_deadline(Deadline::in_secs(120.0));
+        let r =
+            contrarc::baseline::solve_monolithic(&p, &SolveOptions::default().with_budget(budget));
         match r {
             Ok(e) => event!(
                 "probe.archex",

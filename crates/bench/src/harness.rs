@@ -4,7 +4,7 @@ use contrarc::baseline::solve_monolithic;
 use contrarc::encode::encode_problem2;
 use contrarc::report::{fmt_time, render_table};
 use contrarc::{explore, Exploration, ExploreError, ExplorerConfig, Problem};
-use contrarc_milp::{SolveError, SolveOptions};
+use contrarc_milp::{Budget, Deadline, SolveError, SolveOptions};
 use contrarc_systems::decompose::{explore_decomposed, explore_monolithic};
 use contrarc_systems::epn::{build as build_epn, EpnConfig};
 use contrarc_systems::rpl::{build as build_rpl, RplConfig, RplLines};
@@ -20,12 +20,14 @@ pub fn time_limit_secs() -> f64 {
         .unwrap_or(900.0)
 }
 
+/// Options whose solves must finish within `secs` from now.
 fn limited_solve_options(secs: f64) -> SolveOptions {
-    SolveOptions::default().with_time_limit(secs)
+    SolveOptions::default().with_budget(Budget::unlimited().with_deadline(Deadline::in_secs(secs)))
 }
 
+/// `cfg` with a `secs` budget for each exploration, which bounds every solve
+/// of the run.
 fn limited_explorer(mut cfg: ExplorerConfig, secs: f64) -> ExplorerConfig {
-    cfg.solve_options = limited_solve_options(secs);
     cfg.time_limit_secs = Some(secs);
     cfg
 }

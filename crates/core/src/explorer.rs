@@ -63,12 +63,6 @@ pub struct ExplorerConfig {
     /// exploration benchmark still sets it; it will be removed, together
     /// with `contrarc-par`, in the next change to the benchmark.
     pub threads: usize,
-    /// Optional trace sink, installed as the process-global event
-    /// destination by [`Explorer::new`]. Sinks observe the exploration —
-    /// spans, events, metrics — but never steer it: no control-flow decision
-    /// reads sink state, so any run is bit-for-bit identical with tracing on
-    /// or off. Not part of the checkpoint fingerprint for that reason.
-    pub observer: contrarc_obs::Observer,
 }
 
 impl Default for ExplorerConfig {
@@ -83,7 +77,6 @@ impl Default for ExplorerConfig {
             max_paths: 100_000,
             symmetry: SymmetryConfig::default(),
             threads: 0,
-            observer: contrarc_obs::Observer::none(),
         }
     }
 }
@@ -616,10 +609,6 @@ impl<'p> Explorer<'p> {
         // The exploration's clock and its time limit start here, so both
         // charge the encodings and the automorphism search below.
         let start = Instant::now();
-        // Wire the configured sink (if any) into the process-global event
-        // stream before the first instrumented call site runs. Sinks observe
-        // only: nothing below ever reads them back.
-        config.observer.install();
         let enc = encode_problem2_sym(problem, &config.symmetry)?;
         // Orbit-pruned matching uses the *matcher* group (type labels only —
         // the compatibility VF2 matches under), computed once per run.
@@ -716,9 +705,9 @@ impl<'p> Explorer<'p> {
     /// charging the already-spent nodes/pivots against the budget).
     ///
     /// `config` may differ from the interrupted run's in its *budget* knobs
-    /// (`max_iterations`, `time_limit_secs`, `solve_options.budget`,
-    /// tolerances) — raising them is exactly how an exhausted run is
-    /// continued. The semantic knobs (`iso_pruning`, `compositional`,
+    /// (`max_iterations`, `time_limit_secs`, `solve_options.budget`) —
+    /// raising them is exactly how an exhausted run is continued. The
+    /// semantic knobs (`iso_pruning`, `compositional`,
     /// `dominance_widening`, `max_paths`) and the problem itself are part of
     /// the checkpoint fingerprint and must match.
     ///

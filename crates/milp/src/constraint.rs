@@ -33,16 +33,6 @@ pub enum Cmp {
 }
 
 impl Cmp {
-    /// The comparison satisfied by negating both sides.
-    #[must_use]
-    pub fn flipped(self) -> Cmp {
-        match self {
-            Cmp::Le => Cmp::Ge,
-            Cmp::Ge => Cmp::Le,
-            Cmp::Eq => Cmp::Eq,
-        }
-    }
-
     /// Whether `lhs cmp rhs` holds within `tol`.
     #[must_use]
     pub fn holds(self, lhs: f64, rhs: f64, tol: f64) -> bool {
@@ -154,8 +144,17 @@ mod tests {
 
     #[test]
     fn cmp_flip_and_holds() {
-        assert_eq!(Cmp::Le.flipped(), Cmp::Ge);
-        assert_eq!(Cmp::Eq.flipped(), Cmp::Eq);
+        // Negating both sides turns `≤` into `≥` and keeps `=`.
+        for (lhs, rhs) in [(0.0, 1.0), (1.0, 0.0), (2.0, 2.0)] {
+            assert_eq!(
+                Cmp::Le.holds(lhs, rhs, 1e-9),
+                Cmp::Ge.holds(-lhs, -rhs, 1e-9)
+            );
+            assert_eq!(
+                Cmp::Eq.holds(lhs, rhs, 1e-9),
+                Cmp::Eq.holds(-lhs, -rhs, 1e-9)
+            );
+        }
         assert!(Cmp::Eq.holds(1.0, 1.0 + 1e-12, 1e-9));
         assert!(!Cmp::Ge.holds(0.0, 1.0, 1e-9));
     }

@@ -1,9 +1,10 @@
 //! Encoding helpers for the logical constructs that assume-guarantee
-//! contracts compile into: guarded (big-M) implications, disjunctions,
-//! selection-weighted attribute sums, and absolute-value bounds.
+//! contracts compile into: guarded (big-M) implications and the
+//! "instantiated iff connected" indicator link. Disjunctions of contract
+//! formulas are encoded by `contrarc_contracts::encode` on top of these.
 //!
-//! All helpers compute conservative big-M constants from the current variable
-//! bounds via interval arithmetic, and refuse (with
+//! The implications compute conservative big-M constants from the current
+//! variable bounds via interval arithmetic, and refuse (with
 //! [`SolveError::InvalidModel`]) to encode an implication whose body is
 //! unbounded — a silent, too-small M would make the encoding unsound.
 
@@ -14,16 +15,7 @@ use crate::model::Model;
 use crate::var::VarId;
 
 /// Interval `[lo, hi]` of an expression under the model's variable bounds.
-///
-/// ```rust
-/// use contrarc_milp::{encode, Model};
-/// let mut m = Model::new("e");
-/// let x = m.add_continuous("x", -1.0, 2.0);
-/// let (lo, hi) = encode::expr_range(&m, &(3.0 * x + 1.0));
-/// assert_eq!((lo, hi), (-2.0, 7.0));
-/// ```
-#[must_use]
-pub fn expr_range(model: &Model, expr: &LinExpr) -> (f64, f64) {
+fn expr_range(model: &Model, expr: &LinExpr) -> (f64, f64) {
     let mut lo = expr.constant();
     let mut hi = expr.constant();
     for (v, c) in expr.iter() {
@@ -103,151 +95,6 @@ pub fn implies_eq(
     let le = implies_le(model, format!("{name}.le"), guard, expr.clone(), rhs)?;
     let ge = implies_ge(model, format!("{name}.ge"), guard, expr, rhs)?;
     Ok((le, ge))
-}
-
-/// Add `guard = 1 → |expr − center| ≤ bound` (two guarded inequalities).
-///
-/// # Errors
-///
-/// Returns [`SolveError::InvalidModel`] when `expr` is unbounded or `guard`
-/// is not binary.
-pub fn implies_abs_le(
-    model: &mut Model,
-    name: impl Into<String>,
-    guard: VarId,
-    expr: LinExpr,
-    center: f64,
-    bound: f64,
-) -> Result<(ConstrId, ConstrId), SolveError> {
-    let name = name.into();
-    let hi = implies_le(
-        model,
-        format!("{name}.hi"),
-        guard,
-        expr.clone(),
-        center + bound,
-    )?;
-    let lo = implies_ge(model, format!("{name}.lo"), guard, expr, center - bound)?;
-    Ok((hi, lo))
-}
-
-/// One atom of a disjunct: `expr cmp rhs`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Atom {
-    /// Left-hand side.
-    pub expr: LinExpr,
-    /// Comparison.
-    pub cmp: Cmp,
-    /// Right-hand side.
-    pub rhs: f64,
-}
-
-impl Atom {
-    /// Build an atom.
-    #[must_use]
-    pub fn new(expr: impl Into<LinExpr>, cmp: Cmp, rhs: f64) -> Self {
-        Atom {
-            expr: expr.into(),
-            cmp,
-            rhs,
-        }
-    }
-}
-
-/// Add a disjunction `D₁ ∨ D₂ ∨ …` where each disjunct `Dₖ` is a conjunction
-/// of [`Atom`]s. Returns the selector binaries (one per disjunct, `Σ yₖ ≥ 1`).
-///
-/// This is the encoding used for negated contract formulas: the negation of a
-/// conjunction of linear constraints is a disjunction of their (closed,
-/// ε-strict) complements.
-///
-/// # Errors
-///
-/// Returns [`SolveError::InvalidModel`] when any atom's expression is
-/// unbounded in the direction its guard needs.
-pub fn disjunction(
-    model: &mut Model,
-    name: impl Into<String>,
-    disjuncts: &[Vec<Atom>],
-) -> Result<Vec<VarId>, SolveError> {
-    let name = name.into();
-    if disjuncts.is_empty() {
-        // An empty disjunction is `false`: make the model infeasible in a
-        // recognizable way.
-        let zero = LinExpr::new();
-        model.add_constr(format!("{name}.false"), zero, Cmp::Ge, 1.0)?;
-        return Ok(Vec::new());
-    }
-    let mut selectors = Vec::with_capacity(disjuncts.len());
-    for (k, _) in disjuncts.iter().enumerate() {
-        selectors.push(model.add_binary(format!("{name}.y{k}")));
-    }
-    model.add_constr(
-        format!("{name}.cover"),
-        LinExpr::sum(selectors.iter().copied()),
-        Cmp::Ge,
-        1.0,
-    )?;
-    for (k, atoms) in disjuncts.iter().enumerate() {
-        for (a, atom) in atoms.iter().enumerate() {
-            let cname = format!("{name}.d{k}a{a}");
-            match atom.cmp {
-                Cmp::Le => {
-                    implies_le(model, cname, selectors[k], atom.expr.clone(), atom.rhs)?;
-                }
-                Cmp::Ge => {
-                    implies_ge(model, cname, selectors[k], atom.expr.clone(), atom.rhs)?;
-                }
-                Cmp::Eq => {
-                    implies_eq(model, cname, selectors[k], atom.expr.clone(), atom.rhs)?;
-                }
-            }
-        }
-    }
-    Ok(selectors)
-}
-
-/// Add `target = Σₓ selectorₓ · valueₓ`, the attribute-selection equality
-/// `u_{j,i} = Σ_x m_{i,x} · U_{j,x}` from the paper's interconnection
-/// contract.
-///
-/// # Errors
-///
-/// Propagates model validation errors.
-pub fn selection_value(
-    model: &mut Model,
-    name: impl Into<String>,
-    target: VarId,
-    choices: &[(VarId, f64)],
-) -> Result<ConstrId, SolveError> {
-    let sum = LinExpr::weighted_sum(choices.iter().copied());
-    model.add_constr(name, LinExpr::var(target) - sum, Cmp::Eq, 0.0)
-}
-
-/// Add `Σ vars ≤ 1`.
-///
-/// # Errors
-///
-/// Propagates model validation errors.
-pub fn at_most_one(
-    model: &mut Model,
-    name: impl Into<String>,
-    vars: &[VarId],
-) -> Result<ConstrId, SolveError> {
-    model.add_constr(name, LinExpr::sum(vars.iter().copied()), Cmp::Le, 1.0)
-}
-
-/// Add `Σ vars = 1`.
-///
-/// # Errors
-///
-/// Propagates model validation errors.
-pub fn exactly_one(
-    model: &mut Model,
-    name: impl Into<String>,
-    vars: &[VarId],
-) -> Result<ConstrId, SolveError> {
-    model.add_constr(name, LinExpr::sum(vars.iter().copied()), Cmp::Eq, 1.0)
 }
 
 /// Add the pair of implications `indicator = 1 ↔ Σ vars ≥ 1` for binary
@@ -372,70 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn abs_le_window() {
-        let mut m = Model::new("t");
-        let g = m.add_binary("g");
-        let t = m.add_continuous("t", 0.0, 100.0);
-        implies_abs_le(&mut m, "jitter", g, LinExpr::var(t), 50.0, 2.0).unwrap();
-        m.add_constr("force", LinExpr::var(g), Cmp::Ge, 1.0)
-            .unwrap();
-        m.set_objective(Sense::Maximize, 1.0 * t);
-        let sol = solve(&m).expect_optimal().unwrap();
-        assert!((sol.value(t) - 52.0).abs() < 1e-6);
-        m.set_objective(Sense::Minimize, 1.0 * t);
-        let sol = solve(&m).expect_optimal().unwrap();
-        assert!((sol.value(t) - 48.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn disjunction_requires_one_branch() {
-        // x in [0,10]; (x ≤ 1) ∨ (x ≥ 9); maximize x → 10; minimize → 0.
-        let mut m = Model::new("t");
-        let x = m.add_continuous("x", 0.0, 10.0);
-        disjunction(
-            &mut m,
-            "d",
-            &[
-                vec![Atom::new(LinExpr::var(x), Cmp::Le, 1.0)],
-                vec![Atom::new(LinExpr::var(x), Cmp::Ge, 9.0)],
-            ],
-        )
-        .unwrap();
-        m.set_objective(Sense::Maximize, 1.0 * x);
-        let sol = solve(&m).expect_optimal().unwrap();
-        assert!(sol.value(x) >= 9.0 - 1e-6);
-
-        // Force the middle: infeasible.
-        m.add_constr("mid_lo", LinExpr::var(x), Cmp::Ge, 2.0)
-            .unwrap();
-        m.add_constr("mid_hi", LinExpr::var(x), Cmp::Le, 8.0)
-            .unwrap();
-        assert!(!solve(&m).is_feasible());
-    }
-
-    #[test]
-    fn empty_disjunction_is_false() {
-        let mut m = Model::new("t");
-        let _x = m.add_continuous("x", 0.0, 1.0);
-        disjunction(&mut m, "d", &[]).unwrap();
-        assert!(!solve(&m).is_feasible());
-    }
-
-    #[test]
-    fn selection_value_links_attribute() {
-        let mut m = Model::new("t");
-        let m1 = m.add_binary("m1");
-        let m2 = m.add_binary("m2");
-        let u = m.add_continuous("u", 0.0, 100.0);
-        exactly_one(&mut m, "one", &[m1, m2]).unwrap();
-        selection_value(&mut m, "attr", u, &[(m1, 10.0), (m2, 25.0)]).unwrap();
-        m.set_objective(Sense::Minimize, LinExpr::var(u));
-        let sol = solve(&m).expect_optimal().unwrap();
-        assert!((sol.value(u) - 10.0).abs() < 1e-6);
-        assert!(sol.is_set(m1));
-    }
-
-    #[test]
     fn indicator_or_links_both_directions() {
         let mut m = Model::new("t");
         let b = m.add_binary("b");
@@ -459,16 +242,5 @@ mod tests {
         m.set_objective(Sense::Maximize, LinExpr::var(b));
         let sol = solve(&m).expect_optimal().unwrap();
         assert!(!sol.is_set(b));
-    }
-
-    #[test]
-    fn at_most_one_works() {
-        let mut m = Model::new("t");
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        at_most_one(&mut m, "amo", &[a, b]).unwrap();
-        m.set_objective(Sense::Maximize, a + b);
-        let sol = solve(&m).expect_optimal().unwrap();
-        assert!((sol.objective() - 1.0).abs() < 1e-6);
     }
 }

@@ -128,12 +128,6 @@ impl LinExpr {
         self.terms.len()
     }
 
-    /// Whether the expression has no variable terms.
-    #[must_use]
-    pub fn is_constant(&self) -> bool {
-        self.terms.is_empty()
-    }
-
     /// Iterate over `(variable, coefficient)` pairs in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (VarId, f64)> + '_ {
         self.terms.iter().map(|(&v, &c)| (v, c))
@@ -330,7 +324,7 @@ mod tests {
     #[test]
     fn zero_coeff_dropped() {
         let e = LinExpr::term(v(3), 0.0);
-        assert!(e.is_constant());
+        assert_eq!(e.num_terms(), 0);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * a best-bound **branch-and-bound** search for integer feasibility
 //!   ([`Solver`]);
 //! * encoding helpers ([`encode`]) for the logical constructs used by
-//!   assume-guarantee contracts: implications, disjunctions,
-//!   selection-weighted sums, and absolute-value bounds.
+//!   assume-guarantee contracts: guarded (big-M) implications and the
+//!   indicator link between a binary and a set of binaries.
 //!
 //! The paper used Gurobi; this crate replaces it with an exact, dependency-free
 //! implementation so the full methodology can run anywhere. Absolute solve
@@ -60,7 +60,6 @@ pub use constraint::{Cmp, ConstrId, Constraint};
 pub use error::SolveError;
 pub use expr::LinExpr;
 pub use model::{Model, ModelStats, Sense};
-pub use presolve::{presolve, PresolveReport};
 pub use solution::{Outcome, Solution, SolveStats, Status};
 pub use solver::budget::{Budget, Deadline};
 #[cfg(feature = "fault-injection")]

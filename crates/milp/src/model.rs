@@ -191,25 +191,6 @@ impl Model {
             .unwrap_or(1.0)
     }
 
-    /// Tighten the bounds of a variable (used by branch-and-bound and
-    /// presolve). The new bounds need not be contained in the old ones.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::InvalidModel`] if `lb > ub` or a bound is NaN.
-    pub fn set_bounds(&mut self, v: VarId, lb: f64, ub: f64) -> Result<(), SolveError> {
-        if lb.is_nan() || ub.is_nan() || lb > ub {
-            return Err(SolveError::InvalidModel(format!(
-                "invalid bounds [{lb}, {ub}] for variable {}",
-                self.var_name(v)
-            )));
-        }
-        let d = &mut self.vars[v.index()];
-        d.lb = lb;
-        d.ub = ub;
-        Ok(())
-    }
-
     // ---- constraints -----------------------------------------------------
 
     /// Add the constraint `expr cmp rhs` and return its handle.
@@ -242,16 +223,6 @@ impl Model {
     #[must_use]
     pub fn num_constrs(&self) -> usize {
         self.constrs.len()
-    }
-
-    /// Look up a constraint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` does not belong to this model.
-    #[must_use]
-    pub fn constr(&self, c: ConstrId) -> &Constraint {
-        &self.constrs[c.index()]
     }
 
     /// Iterate over all constraints.
@@ -419,15 +390,6 @@ mod tests {
             "constraint violation"
         );
         assert!(!m.is_feasible_point(&[1.0], 1e-9), "short vector");
-    }
-
-    #[test]
-    fn set_bounds_validates() {
-        let mut m = Model::new("t");
-        let x = m.add_continuous("x", 0.0, 1.0);
-        m.set_bounds(x, 0.25, 0.75).unwrap();
-        assert_eq!(m.var(x).lb, 0.25);
-        assert!(m.set_bounds(x, 1.0, 0.0).is_err());
     }
 
     #[test]

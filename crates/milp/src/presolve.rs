@@ -7,69 +7,9 @@
 
 use crate::constraint::Cmp;
 use crate::model::Model;
-use std::fmt;
-
-/// Outcome summary of a presolve pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PresolveReport {
-    /// Fixpoint rounds executed.
-    pub rounds: usize,
-    /// Number of individual bound tightenings applied.
-    pub tightened: usize,
-    /// Whether presolve proved the model infeasible.
-    pub infeasible: bool,
-}
-
-impl fmt::Display for PresolveReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.infeasible {
-            write!(f, "presolve: infeasible after {} rounds", self.rounds)
-        } else {
-            write!(
-                f,
-                "presolve: {} tightenings in {} rounds",
-                self.tightened, self.rounds
-            )
-        }
-    }
-}
 
 const MAX_ROUNDS: usize = 16;
 const TIGHTEN_EPS: f64 = 1e-9;
-
-/// Run presolve on a model and return the tightened bounds together with a
-/// report.
-///
-/// ```rust
-/// use contrarc_milp::{presolve, Cmp, Model};
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut m = Model::new("p");
-/// let x = m.add_continuous("x", 0.0, 100.0);
-/// let y = m.add_continuous("y", 0.0, 100.0);
-/// m.add_constr("c", x + y, Cmp::Le, 5.0)?;
-/// let (lbs, ubs, report) = presolve(&m);
-/// assert!(ubs[x.index()] <= 5.0);
-/// assert!(ubs[y.index()] <= 5.0);
-/// assert!(!report.infeasible);
-/// # let _ = lbs;
-/// # Ok(())
-/// # }
-/// ```
-#[must_use]
-pub fn presolve(model: &Model) -> (Vec<f64>, Vec<f64>, PresolveReport) {
-    let mut lbs: Vec<f64> = model.vars().map(|(_, d)| d.lb).collect();
-    let mut ubs: Vec<f64> = model.vars().map(|(_, d)| d.ub).collect();
-    let mut report = PresolveReport::default();
-    report.infeasible = !tighten_with_report(model, &mut lbs, &mut ubs, &mut report);
-    (lbs, ubs, report)
-}
-
-/// Tighten `lbs`/`ubs` in place. Returns `false` when the model is proven
-/// infeasible.
-pub(crate) fn tighten_bounds(model: &Model, lbs: &mut [f64], ubs: &mut [f64]) -> bool {
-    let mut report = PresolveReport::default();
-    tighten_with_report(model, lbs, ubs, &mut report)
-}
 
 /// Root bounds for branch-and-bound: model bounds with integral bounds
 /// rounded inward, then (when `presolve_enabled`) activity-tightened. `None`
@@ -87,21 +27,17 @@ pub(crate) fn root_bounds(model: &Model, presolve_enabled: bool) -> Option<(Vec<
             return None;
         }
     }
-    if presolve_enabled && !tighten_bounds(model, &mut lbs, &mut ubs) {
+    if presolve_enabled && !tighten(model, &mut lbs, &mut ubs) {
         return None;
     }
     Some((lbs, ubs))
 }
 
-fn tighten_with_report(
-    model: &Model,
-    lbs: &mut [f64],
-    ubs: &mut [f64],
-    report: &mut PresolveReport,
-) -> bool {
+/// Propagate row activities into `lbs`/`ubs` in place, for at most
+/// `MAX_ROUNDS` rounds. Returns `false` when the model is proven infeasible.
+fn tighten(model: &Model, lbs: &mut [f64], ubs: &mut [f64]) -> bool {
     let integral: Vec<bool> = model.vars().map(|(_, d)| d.ty.is_integral()).collect();
-    for round in 0..MAX_ROUNDS {
-        report.rounds = round + 1;
+    for _ in 0..MAX_ROUNDS {
         let mut changed = false;
         for c in model.constrs() {
             // Treat `=` as both `≤` and `≥`.
@@ -159,7 +95,6 @@ fn tighten_with_report(
                         }
                         if new_ub < ubs[i] - TIGHTEN_EPS {
                             ubs[i] = new_ub;
-                            report.tightened += 1;
                             changed = true;
                         }
                     } else {
@@ -169,7 +104,6 @@ fn tighten_with_report(
                         }
                         if new_lb > lbs[i] + TIGHTEN_EPS {
                             lbs[i] = new_lb;
-                            report.tightened += 1;
                             changed = true;
                         }
                     }
@@ -201,8 +135,7 @@ mod tests {
         let x = m.add_continuous("x", 0.0, 100.0);
         let y = m.add_continuous("y", 0.0, 100.0);
         m.add_constr("c", x + y, Cmp::Le, 5.0).unwrap();
-        let (lbs, ubs, rep) = presolve(&m);
-        assert!(!rep.infeasible);
+        let (lbs, ubs) = root_bounds(&m, true).expect("feasible");
         assert!(ubs[0] <= 5.0 + 1e-9);
         assert!(ubs[1] <= 5.0 + 1e-9);
         assert_eq!(lbs[0], 0.0);
@@ -214,8 +147,7 @@ mod tests {
         let x = m.add_continuous("x", 0.0, 1.0);
         let y = m.add_continuous("y", 0.0, 1.0);
         m.add_constr("c", x + y, Cmp::Ge, 3.0).unwrap();
-        let (_, _, rep) = presolve(&m);
-        assert!(rep.infeasible);
+        assert_eq!(root_bounds(&m, true), None);
     }
 
     #[test]
@@ -223,7 +155,7 @@ mod tests {
         let mut m = Model::new("p");
         let x = m.add_integer("x", 0.0, 100.0);
         m.add_constr("c", 2.0 * x, Cmp::Le, 7.0).unwrap();
-        let (_, ubs, _) = presolve(&m);
+        let (_, ubs) = root_bounds(&m, true).expect("feasible");
         assert_eq!(ubs[0], 3.0);
     }
 
@@ -233,8 +165,7 @@ mod tests {
         let x = m.add_continuous("x", 0.0, 10.0);
         let y = m.add_continuous("y", 0.0, 2.0);
         m.add_constr("c", x + y, Cmp::Ge, 8.0).unwrap();
-        let (lbs, _, rep) = presolve(&m);
-        assert!(!rep.infeasible);
+        let (lbs, _) = root_bounds(&m, true).expect("feasible");
         assert!(lbs[0] >= 6.0 - 1e-9, "x >= 8 - max(y) = 6, got {}", lbs[0]);
     }
 
@@ -244,7 +175,7 @@ mod tests {
         let x = m.add_continuous("x", 0.0, 10.0);
         let y = m.add_continuous("y", 3.0, 4.0);
         m.add_constr("c", x + y, Cmp::Eq, 6.0).unwrap();
-        let (lbs, ubs, _) = presolve(&m);
+        let (lbs, ubs) = root_bounds(&m, true).expect("feasible");
         assert!(ubs[0] <= 3.0 + 1e-9);
         assert!(lbs[0] >= 2.0 - 1e-9);
     }
@@ -255,8 +186,7 @@ mod tests {
         let x = m.add_free("x");
         let y = m.add_free("y");
         m.add_constr("c", x + y, Cmp::Le, 5.0).unwrap();
-        let (_, _, rep) = presolve(&m);
-        assert!(!rep.infeasible);
+        assert!(root_bounds(&m, true).is_some());
     }
 
     #[test]
@@ -266,23 +196,7 @@ mod tests {
         let _x = m.add_free("x");
         let _y = m.add_continuous("y", 0.0, 1.0);
         m.add_constr("c", _x + _y, Cmp::Le, 5.0).unwrap();
-        let (_, ubs, _) = presolve(&m);
+        let (_, ubs) = root_bounds(&m, true).expect("feasible");
         assert!(ubs[0] <= 5.0 + 1e-9);
-    }
-
-    #[test]
-    fn report_display() {
-        let rep = PresolveReport {
-            rounds: 2,
-            tightened: 5,
-            infeasible: false,
-        };
-        assert!(rep.to_string().contains("5 tightenings"));
-        let bad = PresolveReport {
-            rounds: 1,
-            tightened: 0,
-            infeasible: true,
-        };
-        assert!(bad.to_string().contains("infeasible"));
     }
 }

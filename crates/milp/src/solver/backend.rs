@@ -11,7 +11,7 @@
 use crate::error::SolveError;
 use crate::solver::budget::Deadline;
 use crate::solver::revised::RevisedSimplex;
-use crate::solver::SolveOptions;
+use crate::solver::{Numerics, SolveOptions};
 use crate::standard_form::StandardForm;
 use std::sync::Arc;
 
@@ -104,6 +104,9 @@ impl BasisSnapshot {
 pub(crate) struct LpRequest<'a> {
     pub sf: &'a StandardForm,
     pub opts: &'a SolveOptions,
+    /// The retry-ladder rung's tolerances, pricing and refactorization
+    /// cadence.
+    pub numerics: &'a Numerics,
     pub deadline: Deadline,
     /// Snapshot to warm-start from; ignored unless `opts.warm_start`.
     pub warm: Option<&'a BasisSnapshot>,
@@ -133,7 +136,8 @@ pub(crate) struct LpSolve {
 /// Solve one LP, warm-starting when the request carries a usable snapshot
 /// and falling back to a cold solve otherwise.
 pub(crate) fn solve_lp(req: &LpRequest<'_>) -> LpSolve {
-    let mut engine = RevisedSimplex::new(req.sf, req.opts, req.deadline);
+    let new_engine = || RevisedSimplex::new(req.sf, &req.opts.budget, *req.numerics, req.deadline);
+    let mut engine = new_engine();
     let warm_attempted = req.opts.warm_start && req.warm.is_some();
     let mut warm_used = false;
     let mut refactorizations = 0u64;
@@ -159,7 +163,7 @@ pub(crate) fn solve_lp(req: &LpRequest<'_>) -> LpSolve {
                     .opts
                     .budget
                     .charge_pivots(engine.take_uncharged_pivots());
-                engine = RevisedSimplex::new(req.sf, req.opts, req.deadline);
+                engine = new_engine();
                 match settled {
                     Ok(()) => engine.solve(),
                     Err(e) => Err(e),
@@ -204,7 +208,7 @@ pub(crate) fn solve_lp(req: &LpRequest<'_>) -> LpSolve {
 mod tests {
     use super::*;
     use crate::solver::budget::Deadline;
-    use crate::solver::{Solver, WarmStart};
+    use crate::solver::{branch_bound, Solver};
     use crate::{Cmp, Model, Sense};
 
     /// An LP and a snapshot whose dual repair pivots into a singular basis:
@@ -222,7 +226,7 @@ mod tests {
     /// basis {x1, x2} has an LU pivot of δ/1024, below the factorization's
     /// singularity floor. With `refactor_every: 1` that refactorization
     /// follows the pivot at once and fails.
-    fn singular_repair() -> (Model, BasisSnapshot, SolveOptions) {
+    fn singular_repair() -> (Model, BasisSnapshot, Numerics) {
         let delta = 4e-9;
         let mut m = Model::new("singular-repair");
         let x1 = m.add_continuous("x1", 0.0, f64::INFINITY);
@@ -238,25 +242,29 @@ mod tests {
             basis: vec![0, 4],
             state: vec![3, 0, 0, 0, 3],
         };
-        let opts = SolveOptions {
-            warm_start: true,
+        let numerics = Numerics {
             refactor_every: 1,
-            ..SolveOptions::default()
+            ..Numerics::at_rung(0)
         };
-        (m, snap, opts)
+        (m, snap, numerics)
     }
 
     #[test]
     fn numerical_failure_on_the_warm_path_falls_back_to_a_cold_solve() {
-        let (m, snap, opts) = singular_repair();
+        let (m, snap, numerics) = singular_repair();
+        let opts = SolveOptions {
+            warm_start: true,
+            ..SolveOptions::default()
+        };
         let sf = StandardForm::build(&m, None);
-        let request = |warm, opts| LpRequest {
+        let request = |warm| LpRequest {
             sf: &sf,
-            opts,
+            opts: &opts,
+            numerics: &numerics,
             deadline: Deadline::unlimited(),
             warm,
         };
-        let cold = solve_lp(&request(None, &opts));
+        let cold = solve_lp(&request(None));
         let Ok(LpOutcome::Optimal {
             values: cold_values,
             ..
@@ -264,7 +272,7 @@ mod tests {
         else {
             panic!("cold solve failed: {:?}", cold.result);
         };
-        let warm = solve_lp(&request(Some(&snap), &opts));
+        let warm = solve_lp(&request(Some(&snap)));
         assert!(warm.warm_attempted);
         assert!(!warm.warm_used, "the dual repair cannot have succeeded");
         match warm.result {
@@ -275,20 +283,18 @@ mod tests {
             other => panic!("expected the cold optimum, got {other:?}"),
         }
 
-        // Through the solver: the fallback absorbs the failure, so the
-        // retry ladder never runs.
-        let warm_start = WarmStart {
-            snap: Arc::new(snap),
-        };
-        let (outcome, _) = Solver::new(opts.clone())
-            .solve_with_state(&m, Some(&warm_start))
+        // Through branch-and-bound, which each rung of the solver's retry
+        // ladder runs: the fallback absorbs the failure, so the solve
+        // returns `Ok` and the ladder, which only a numerical error climbs,
+        // never runs.
+        let (outcome, _) = branch_bound::solve(&m, &opts, &numerics, Some(&snap))
             .expect("the cold fallback solves the LP");
         let cold_opts = SolveOptions {
             warm_start: false,
             ..opts
         };
         let reference = Solver::new(cold_opts).solve(&m).unwrap();
-        assert_eq!(outcome.stats().numerical_retries, 0);
+        assert_eq!(reference.stats().numerical_retries, 0);
         assert_eq!(
             outcome.expect_optimal().unwrap().objective().to_bits(),
             reference.expect_optimal().unwrap().objective().to_bits()

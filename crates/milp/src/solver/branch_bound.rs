@@ -10,12 +10,19 @@ use crate::presolve;
 use crate::solution::{Outcome, Solution, SolveStats};
 use crate::solver::backend::{solve_lp, LpRequest, LpSolve};
 use crate::solver::budget::Deadline;
-use crate::solver::{BasisSnapshot, LpOutcome, SolveOptions};
+use crate::solver::{BasisSnapshot, LpOutcome, Numerics, SolveOptions};
 use crate::standard_form::StandardForm;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Integrality tolerance: `x` counts as integral if `|x − round(x)| ≤ INT_TOL`.
+const INT_TOL: f64 = 1e-6;
+/// Absolute optimality gap at which branch-and-bound stops refining.
+const ABS_GAP: f64 = 1e-6;
+/// Branch-and-bound nodes one solve may process.
+const MAX_NODES: u64 = 2_000_000;
 
 /// One branching tightening relative to the parent node.
 #[derive(Debug, Clone, Copy)]
@@ -98,6 +105,7 @@ fn eval_node(
     ubs: &[f64],
     warm: Option<&BasisSnapshot>,
     opts: &SolveOptions,
+    numerics: &Numerics,
     deadline: Deadline,
 ) -> LpSolve {
     let mut lp_span = contrarc_obs::span!("milp.lp");
@@ -105,6 +113,7 @@ fn eval_node(
     let solve = solve_lp(&LpRequest {
         sf: &sf,
         opts,
+        numerics,
         deadline,
         warm,
     });
@@ -112,25 +121,23 @@ fn eval_node(
     solve
 }
 
-/// Solve a MILP. `root_warm` optionally warm-starts the root relaxation from
-/// a basis of a *previous* solve of a monotonically grown model (the cut
-/// loop); it is remapped to this model's shape and silently dropped when it
-/// does not fit. Returns the outcome together with the basis of the final
-/// incumbent (root basis when no incumbent improved on it; `None` with warm
-/// starts off), for the caller to feed into the next solve.
+/// Solve a MILP with the settings `numerics` of one retry-ladder rung.
+/// `root_warm` optionally warm-starts the root relaxation from a basis of a
+/// *previous* solve of a monotonically grown model (the cut loop); it is
+/// remapped to this model's shape and silently dropped when it does not fit.
+/// Returns the outcome together with the basis of the final incumbent (root
+/// basis when no incumbent improved on it; `None` with warm starts off), for
+/// the caller to feed into the next solve.
 pub(crate) fn solve(
     model: &Model,
     opts: &SolveOptions,
+    numerics: &Numerics,
     root_warm: Option<&BasisSnapshot>,
 ) -> Result<(Outcome, Option<Arc<BasisSnapshot>>), SolveError> {
     let start = Instant::now();
-    // One absolute deadline for the whole solve: the shared budget's expiry
-    // tightened by the per-solve relative limit. Every LP below inherits it,
-    // so a long branch-and-bound cannot restart the clock per relaxation.
-    let deadline = opts
-        .budget
-        .deadline()
-        .tightened_by_secs(opts.time_limit_secs);
+    // One absolute deadline, the shared budget's: every LP below inherits
+    // it, so a long branch-and-bound cannot restart the clock per relaxation.
+    let deadline = opts.budget.deadline();
     let mut stats = SolveStats::default();
     let mut solve_span = contrarc_obs::span!(
         "milp.solve",
@@ -139,7 +146,7 @@ pub(crate) fn solve(
     );
 
     // Presolve: detect trivial infeasibility and tighten bounds.
-    let (root_lbs, root_ubs) = match presolve::root_bounds(model, opts.presolve) {
+    let (root_lbs, root_ubs) = match presolve::root_bounds(model, numerics.presolve) {
         Some(bounds) => bounds,
         None => {
             stats.time_secs = start.elapsed().as_secs_f64();
@@ -203,25 +210,21 @@ pub(crate) fn solve(
         .map(|f| sf_root.obj_sign * (f - sf_root.obj_offset));
     let reached_floor = |inc: &Option<(Vec<f64>, f64, f64)>| -> bool {
         match (inc, floor_min) {
-            (Some((_, min_inc, _)), Some(fl)) => *min_inc <= fl + opts.abs_gap,
+            (Some((_, min_inc, _)), Some(fl)) => *min_inc <= fl + ABS_GAP,
             _ => false,
         }
     };
 
     while let Some(HeapEntry(node)) = heap.pop() {
-        if stats.nodes >= opts.max_nodes {
-            return Err(SolveError::NodeLimit {
-                limit: opts.max_nodes,
-            });
+        if stats.nodes >= MAX_NODES {
+            return Err(SolveError::NodeLimit { limit: MAX_NODES });
         }
-        // `to_error` reports the nominal seconds of whichever limit was
-        // tighter (the budget's or this solve's relative one).
         if deadline.expired() {
             return Err(deadline.to_error());
         }
         // Bound-based pruning against the incumbent.
         if let Some((_, inc, _)) = &incumbent {
-            if node.bound >= *inc - opts.abs_gap {
+            if node.bound >= *inc - ABS_GAP {
                 continue;
             }
         }
@@ -233,7 +236,15 @@ pub(crate) fn solve(
         contrarc_obs::metrics::gauge_set("milp.frontier", heap.len() as i64);
 
         let (lbs, ubs) = node.materialize(&root_lbs, &root_ubs);
-        let eval = eval_node(&sf_root, &lbs, &ubs, node.warm.as_deref(), opts, deadline);
+        let eval = eval_node(
+            &sf_root,
+            &lbs,
+            &ubs,
+            node.warm.as_deref(),
+            opts,
+            numerics,
+            deadline,
+        );
         stats.simplex_iterations += eval.pivots;
         node_span.record("pivots", eval.pivots);
         if eval.warm_attempted {
@@ -281,18 +292,18 @@ pub(crate) fn solve(
         };
 
         if let Some((_, inc, _)) = &incumbent {
-            if min_obj >= *inc - opts.abs_gap {
+            if min_obj >= *inc - ABS_GAP {
                 continue; // dominated
             }
         }
 
         // Branching variable: most fractional integral variable.
-        let branch = most_fractional(&values, &int_vars, opts.int_tol, &branch_weight);
+        let branch = most_fractional(&values, &int_vars, INT_TOL, &branch_weight);
 
         match branch {
             None => {
                 // Integral within tolerance. Near-integral values leak
-                // through big-M constraints (M·int_tol can exceed the
+                // through big-M constraints (M·INT_TOL can exceed the
                 // constraint margin), so verify by fixing every integer to
                 // its rounded value and re-solving the LP exactly.
                 let mut lbs_fix = lbs.clone();
@@ -323,6 +334,7 @@ pub(crate) fn solve(
                     let fixed = solve_lp(&LpRequest {
                         sf: &sf_fix,
                         opts,
+                        numerics,
                         deadline,
                         warm: None,
                     });
@@ -347,7 +359,7 @@ pub(crate) fn solve(
                         } => {
                             if incumbent
                                 .as_ref()
-                                .is_none_or(|(_, inc, _)| fobj < *inc - opts.abs_gap)
+                                .is_none_or(|(_, inc, _)| fobj < *inc - ABS_GAP)
                             {
                                 let mut vals = fvals;
                                 for &vi in &int_vars {
@@ -378,7 +390,6 @@ pub(crate) fn solve(
                                     vi,
                                     x,
                                     min_obj,
-                                    opts,
                                     &node_snapshot,
                                     &mut next_seq,
                                 );
@@ -396,7 +407,6 @@ pub(crate) fn solve(
                                     vi,
                                     x,
                                     min_obj,
-                                    opts,
                                     &node_snapshot,
                                     &mut next_seq,
                                 );
@@ -417,7 +427,6 @@ pub(crate) fn solve(
                     vi,
                     x,
                     min_obj,
-                    opts,
                     &node_snapshot,
                     &mut next_seq,
                 );
@@ -476,7 +485,7 @@ const ROW_TOL: f64 = 1e-6;
 /// Check an incumbent against the model's own (unscaled) rows. The simplex
 /// judges feasibility on the equilibrated standard form with its own
 /// tolerances, and on rare ill-conditioned bases the point it reports as
-/// optimal misses a model row by far more than `feas_tol`. A violating
+/// optimal misses a model row by far more than its feasibility tolerance. A violating
 /// incumbent is reported as a numerical failure, so the solver's retry
 /// ladder re-solves with safer settings instead of returning an infeasible
 /// "optimum".
@@ -506,13 +515,12 @@ fn push_children(
     vi: usize,
     x: f64,
     bound: f64,
-    opts: &SolveOptions,
     warm: &Option<Arc<BasisSnapshot>>,
     next_seq: &mut u64,
 ) {
     let (lbs, ubs) = bounds;
     let floor = x.floor();
-    if floor >= lbs[vi] - opts.int_tol {
+    if floor >= lbs[vi] - INT_TOL {
         let mut steps = node.steps.clone();
         steps.push(BranchStep::Upper {
             var: vi,
@@ -527,7 +535,7 @@ fn push_children(
         }));
         *next_seq += 1;
     }
-    if floor + 1.0 <= ubs[vi] + opts.int_tol {
+    if floor + 1.0 <= ubs[vi] + INT_TOL {
         let mut steps = node.steps.clone();
         steps.push(BranchStep::Lower {
             var: vi,
@@ -549,6 +557,16 @@ mod tests {
     use super::*;
     use crate::solver::budget::Budget;
     use crate::{Cmp, LinExpr, Model, Sense};
+
+    /// [`super::solve`] at rung 0 of the retry ladder, where every solve
+    /// starts.
+    fn solve(
+        m: &Model,
+        opts: &SolveOptions,
+        root_warm: Option<&BasisSnapshot>,
+    ) -> Result<(Outcome, Option<Arc<BasisSnapshot>>), SolveError> {
+        super::solve(m, opts, &Numerics::at_rung(0), root_warm)
+    }
 
     fn solve_default(m: &Model) -> Outcome {
         solve(m, &SolveOptions::default(), None)
@@ -678,7 +696,7 @@ mod tests {
         m.add_constr("c", e.clone(), Cmp::Le, 40.0).unwrap();
         m.set_objective(Sense::Maximize, e);
         let opts = SolveOptions {
-            max_nodes: 1,
+            budget: Budget::unlimited().with_node_limit(1),
             ..SolveOptions::default()
         };
         // One node is not enough to finish branching here.

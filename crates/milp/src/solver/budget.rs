@@ -1,11 +1,8 @@
 //! Shared wall-clock and work budgets for anytime solving.
 //!
 //! An exploration issues many MILP solves (candidate selection, refinement
-//! queries, certificate strengthening). Before this module each solve
-//! restarted its own clock from [`SolveOptions::time_limit_secs`], so an
-//! exploration with a 10 s limit could happily run for minutes as long as no
-//! *single* solve exceeded 10 s. A [`Deadline`] is an **absolute** expiry
-//! instant: create it once per exploration, clone it into every
+//! queries, certificate strengthening). A [`Deadline`] is an **absolute**
+//! expiry instant: create it once per exploration, clone it into every
 //! `SolveOptions`, and every simplex pivot loop and branch-and-bound node
 //! naturally sees the remaining — not the full — allowance.
 //!
@@ -13,8 +10,6 @@
 //! whose counters are *shared across clones* (`Arc<AtomicU64>`), so the total
 //! work of an exploration is capped even though each solve clones the
 //! options.
-//!
-//! [`SolveOptions::time_limit_secs`]: crate::SolveOptions::time_limit_secs
 
 use crate::error::SolveError;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,21 +73,6 @@ impl Deadline {
         }
     }
 
-    /// A deadline at an explicit instant.
-    #[must_use]
-    pub fn at(instant: Instant) -> Self {
-        Deadline {
-            expires_at: Some(instant),
-            nominal_secs: None,
-        }
-    }
-
-    /// Whether this deadline never expires.
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.expires_at.is_none()
-    }
-
     /// Whether the deadline has passed.
     #[must_use]
     pub fn expired(&self) -> bool {
@@ -100,13 +80,6 @@ impl Deadline {
             Some(t) => Instant::now() >= t,
             None => false,
         }
-    }
-
-    /// Seconds until expiry (`None` when unlimited, `0.0` once expired).
-    #[must_use]
-    pub fn remaining_secs(&self) -> Option<f64> {
-        self.expires_at
-            .map(|t| t.saturating_duration_since(Instant::now()).as_secs_f64())
     }
 
     /// The total seconds this deadline was created with, when known.
@@ -132,9 +105,8 @@ impl Deadline {
     }
 
     /// This deadline tightened by a relative limit starting now; `None`
-    /// leaves it unchanged. This is how a per-solve
-    /// `SolveOptions::time_limit_secs` composes with an exploration-wide
-    /// deadline: the solve stops at whichever comes first.
+    /// leaves it unchanged: a run limited both ways stops at whichever
+    /// comes first.
     #[must_use]
     pub fn tightened_by_secs(self, limit: Option<f64>) -> Self {
         match limit {
@@ -212,18 +184,6 @@ impl Budget {
         self.deadline
     }
 
-    /// The cumulative node limit, if any.
-    #[must_use]
-    pub fn node_limit(&self) -> Option<u64> {
-        self.node_limit
-    }
-
-    /// The cumulative pivot limit, if any.
-    #[must_use]
-    pub fn pivot_limit(&self) -> Option<u64> {
-        self.pivot_limit
-    }
-
     /// Nodes charged so far across every clone.
     #[must_use]
     pub fn nodes_used(&self) -> u64 {
@@ -269,19 +229,6 @@ impl Budget {
             _ => Ok(()),
         }
     }
-
-    /// Check the wall clock.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::TimeLimit`] once the deadline has passed.
-    pub fn check_time(&self) -> Result<(), SolveError> {
-        if self.deadline.expired() {
-            Err(self.deadline.to_error())
-        } else {
-            Ok(())
-        }
-    }
 }
 
 #[cfg(test)]
@@ -292,8 +239,8 @@ mod tests {
     fn unlimited_never_expires() {
         let d = Deadline::unlimited();
         assert!(!d.expired());
-        assert!(d.is_unlimited());
-        assert_eq!(d.remaining_secs(), None);
+        assert_eq!(d, Deadline::default());
+        assert_eq!(d.nominal_secs(), None);
     }
 
     #[test]
@@ -307,8 +254,8 @@ mod tests {
         let d = Deadline::in_secs(3600.0);
         let c = d;
         assert_eq!(d, c);
-        let (a, b) = (d.remaining_secs().unwrap(), c.remaining_secs().unwrap());
-        assert!((a - b).abs() < 1.0);
+        assert_eq!(d.expires_at, c.expires_at);
+        assert!(d.expires_at.is_some());
     }
 
     #[test]
@@ -328,7 +275,7 @@ mod tests {
         let d = Deadline::in_secs(0.0).tightened_by_secs(Some(1000.0));
         assert!(d.expired());
         let d = Deadline::unlimited().tightened_by_secs(None);
-        assert!(d.is_unlimited());
+        assert_eq!(d, Deadline::unlimited());
     }
 
     #[test]
@@ -341,7 +288,8 @@ mod tests {
         assert_eq!(d.nominal_secs(), Some(0.01));
         let d = Deadline::in_secs_from(start, 1000.0);
         assert!(!d.expired());
-        assert!(d.remaining_secs().unwrap() < 1000.0 - 0.04);
+        let remaining = d.expires_at.unwrap().duration_since(Instant::now());
+        assert!(remaining.as_secs_f64() < 1000.0 - 0.04);
     }
 
     #[test]

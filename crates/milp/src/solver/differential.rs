@@ -6,10 +6,10 @@
 //! the polytope the rows and bounds leave. It shares no code with the
 //! standard form, presolve, the simplex or branch-and-bound, so a defect in
 //! any of those cannot pass by agreeing with itself. Seeded random LPs and
-//! MILPs, solved with warm starts off and on, must match its status and
-//! optimum.
+//! MILPs, solved at every rung of the numerical retry ladder with warm
+//! starts off and on, must match its status and optimum.
 
-use crate::solver::{branch_bound, SolveOptions};
+use crate::solver::{branch_bound, Numerics, SolveOptions};
 use crate::{Cmp, LinExpr, Model, Sense, Status, VarDef, VarType};
 
 /// Tiny deterministic xorshift64* generator; no external RNG crates.
@@ -298,24 +298,31 @@ fn without_last_row(m: &Model) -> Model {
     prefix
 }
 
-/// Solves `m` and compares the result with the oracle's `expected` optimum.
-/// With warm starts on, the solve starts from the optimal basis of `m`
-/// without its last row — the cut-loop pattern — so the dual simplex repairs
-/// an appended row and every branch-and-bound child starts from its parent.
-fn check_solve(m: &Model, expected: Option<f64>, warm_start: bool) -> Result<(), String> {
+/// Solves `m` with the settings of retry-ladder rung `rung` and compares the
+/// result with the oracle's `expected` optimum. With warm starts on, the
+/// solve starts from the optimal basis of `m` without its last row — the
+/// cut-loop pattern — so the dual simplex repairs an appended row and every
+/// branch-and-bound child starts from its parent.
+fn check_solve(
+    m: &Model,
+    expected: Option<f64>,
+    rung: u64,
+    warm_start: bool,
+) -> Result<(), String> {
     let opts = SolveOptions {
         warm_start,
         ..SolveOptions::default()
     };
+    let numerics = Numerics::at_rung(rung);
     let root_warm = if warm_start {
-        branch_bound::solve(&without_last_row(m), &opts, None)
+        branch_bound::solve(&without_last_row(m), &opts, &numerics, None)
             .map_err(|e| format!("solving without the last row: {e}"))?
             .1
     } else {
         None
     };
-    let (outcome, _) =
-        branch_bound::solve(m, &opts, root_warm.as_deref()).map_err(|e| e.to_string())?;
+    let (outcome, _) = branch_bound::solve(m, &opts, &numerics, root_warm.as_deref())
+        .map_err(|e| e.to_string())?;
     match (expected, outcome.status()) {
         (None, Status::Infeasible) => Ok(()),
         (Some(opt), Status::Optimal) => {
@@ -337,9 +344,9 @@ fn check_solve(m: &Model, expected: Option<f64>, warm_start: bool) -> Result<(),
     }
 }
 
-/// Checks 200 seeded models, each solved with warm starts off and on,
-/// against the oracle; panics listing every disagreement. Returns how many
-/// of the models are feasible.
+/// Checks 200 seeded models against the oracle, each solved at every
+/// retry-ladder rung with warm starts off and on; panics listing every
+/// disagreement. Returns how many of the models are feasible.
 fn check_population(mixed: bool) -> usize {
     let mut feasible = 0;
     let mut mismatches = Vec::new();
@@ -347,15 +354,20 @@ fn check_population(mixed: bool) -> usize {
         let m = random_model(seed, mixed);
         let expected = oracle_optimum(&m);
         feasible += usize::from(expected.is_some());
-        for warm_start in [false, true] {
-            if let Err(e) = check_solve(&m, expected, warm_start) {
-                mismatches.push(format!("{} warm_start={warm_start}: {e}", m.name()));
+        for rung in 0..=Numerics::TOP_RUNG {
+            for warm_start in [false, true] {
+                if let Err(e) = check_solve(&m, expected, rung, warm_start) {
+                    mismatches.push(format!(
+                        "{} rung={rung} warm_start={warm_start}: {e}",
+                        m.name()
+                    ));
+                }
             }
         }
     }
     assert!(
         mismatches.is_empty(),
-        "{} of 400 solves disagree with the oracle:\n{}",
+        "{} of 1,600 solves disagree with the oracle:\n{}",
         mismatches.len(),
         mismatches.join("\n")
     );
@@ -433,7 +445,7 @@ mod tests {
                     warm_start,
                     ..SolveOptions::default()
                 };
-                branch_bound::solve(&m, &opts, None)
+                branch_bound::solve(&m, &opts, &Numerics::at_rung(0), None)
                     .unwrap()
                     .0
                     .expect_optimal()

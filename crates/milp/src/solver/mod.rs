@@ -33,39 +33,18 @@ pub struct WarmStart {
     pub(crate) snap: Arc<BasisSnapshot>,
 }
 
-/// Tunable parameters of the solver.
-///
-/// The defaults are appropriate for the contract-exploration workloads this
-/// crate was built for; they favour exactness over speed.
+/// What a caller sets on a solve: its work budget, warm starting and a
+/// known objective floor. Tolerances, pivot and node limits, pricing,
+/// refactorization cadence and presolve are the solver's own: they are fixed,
+/// or set by the numerical retry ladder (see [`Solver::solve`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveOptions {
-    /// Primal feasibility tolerance.
-    pub feas_tol: f64,
-    /// Dual feasibility (reduced-cost) tolerance.
-    pub dual_tol: f64,
-    /// Integrality tolerance: `x` counts as integral if `|x - round(x)| ≤ int_tol`.
-    pub int_tol: f64,
-    /// Absolute optimality gap at which branch-and-bound stops refining.
-    pub abs_gap: f64,
-    /// Maximum simplex pivots per LP relaxation.
-    pub max_simplex_iters: u64,
-    /// Maximum branch-and-bound nodes.
-    pub max_nodes: u64,
-    /// Optional wall-clock limit in seconds for a whole solve. Composes with
-    /// [`SolveOptions::budget`]: the solve stops at whichever deadline comes
-    /// first.
-    pub time_limit_secs: Option<f64>,
     /// Shared work budget: an absolute deadline plus cumulative node/pivot
-    /// allowances. Unlike `time_limit_secs`, cloning the options does **not**
-    /// restart this budget — every solve of an exploration charges the same
-    /// counters and races the same expiry instant. Unlimited by default.
+    /// allowances. Cloning the options does **not** restart this budget —
+    /// every solve of an exploration charges the same counters and races the
+    /// same expiry instant. Unlimited by default; a per-solve time limit is
+    /// a budget with a deadline, `Budget::unlimited().with_deadline(..)`.
     pub budget: Budget,
-    /// Always price with Bland's rule instead of Dantzig pricing. Slower but
-    /// cycle-proof; the retry ladder switches this on after a numerical
-    /// failure.
-    pub force_bland: bool,
-    /// Whether to run the presolve pass before solving.
-    pub presolve: bool,
     /// Dual-simplex warm starts (on by default; any trouble falls back to a
     /// cold solve). The root relaxation starts from the [`WarmStart`] passed
     /// to [`Solver::solve_with_state`] — the cut-loop pattern — and every
@@ -83,10 +62,6 @@ pub struct SolveOptions {
     /// the slack basis. That is the reference the warm path is tested
     /// against, and its pivots and nodes are pinned exactly.
     pub warm_start: bool,
-    /// Collapse the revised simplex's eta file into a fresh basis
-    /// factorization every this many pivots. Lower is numerically safer and
-    /// slower; the retry ladder drops it to 1.
-    pub refactor_every: u64,
     /// A proven floor on the objective (model sense): the caller knows no
     /// feasible solution is better than this. Branch-and-bound stops as soon
     /// as an incumbent reaches the floor, skipping the (often expensive)
@@ -107,18 +82,8 @@ pub struct SolveOptions {
 impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
-            feas_tol: 1e-7,
-            dual_tol: 1e-7,
-            int_tol: 1e-6,
-            abs_gap: 1e-6,
-            max_simplex_iters: 500_000,
-            max_nodes: 2_000_000,
-            time_limit_secs: None,
             budget: Budget::unlimited(),
-            force_bland: false,
-            presolve: true,
             warm_start: true,
-            refactor_every: 64,
             objective_floor: None,
             threads: 1,
             #[cfg(feature = "fault-injection")]
@@ -128,18 +93,60 @@ impl Default for SolveOptions {
 }
 
 impl SolveOptions {
-    /// Options with a wall-clock limit.
-    #[must_use]
-    pub fn with_time_limit(mut self, secs: f64) -> Self {
-        self.time_limit_secs = Some(secs);
-        self
-    }
-
     /// Options charging work to (and racing the deadline of) `budget`.
     #[must_use]
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
         self
+    }
+}
+
+/// The settings the numerical retry ladder changes. Every solve starts at
+/// rung 0; each later rung keeps the changes of the rungs below it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Numerics {
+    /// Primal feasibility tolerance.
+    pub feas_tol: f64,
+    /// Dual feasibility (reduced-cost) tolerance.
+    pub dual_tol: f64,
+    /// Price with Bland's rule from the first pivot instead of Dantzig's:
+    /// slower, but cycle-proof.
+    pub force_bland: bool,
+    /// Collapse the revised simplex's eta file into a fresh basis
+    /// factorization every this many pivots.
+    pub refactor_every: u64,
+    /// Tighten the root bounds by activity presolve.
+    pub presolve: bool,
+}
+
+impl Numerics {
+    /// The last rung: a numerical failure there ends the solve.
+    pub(crate) const TOP_RUNG: u64 = 3;
+
+    /// The settings of ladder rung `rung`: rung 1 prices with Bland's rule,
+    /// rung 2 multiplies both tolerances by 0.1 and refactorizes after every
+    /// pivot, so no eta drift survives the tighter tolerances, and rung 3
+    /// turns presolve off.
+    pub(crate) fn at_rung(rung: u64) -> Self {
+        let mut numerics = Numerics {
+            feas_tol: 1e-7,
+            dual_tol: 1e-7,
+            force_bland: false,
+            refactor_every: 64,
+            presolve: true,
+        };
+        if rung >= 1 {
+            numerics.force_bland = true;
+        }
+        if rung >= 2 {
+            numerics.feas_tol *= 0.1;
+            numerics.dual_tol *= 0.1;
+            numerics.refactor_every = 1;
+        }
+        if rung >= 3 {
+            numerics.presolve = false;
+        }
+        numerics
     }
 }
 
@@ -181,11 +188,16 @@ impl Solver {
 
     /// Solve a model to proven optimality (or infeasibility/unboundedness).
     ///
-    /// [`SolveError::Numerical`] failures are absorbed by a three-stage retry
-    /// ladder, each stage re-solving with progressively more conservative
-    /// settings: Bland's rule pricing (cycle-proof), then tightened
-    /// feasibility/optimality tolerances, then presolve disabled. The number
-    /// of stages consumed is reported in
+    /// Each LP relaxation may take at most 500,000 simplex pivots and each
+    /// solve at most 2,000,000 branch-and-bound nodes; [`SolveOptions::budget`]
+    /// caps the work and wall time of a whole sequence of solves.
+    ///
+    /// [`SolveError::Numerical`] failures are absorbed by a three-rung retry
+    /// ladder. Each rung re-solves with more conservative settings than the
+    /// one below it, keeping their changes: Bland's rule pricing
+    /// (cycle-proof), then 10× tighter feasibility and optimality tolerances
+    /// with a fresh basis factorization after every pivot, then presolve
+    /// off. The number of rungs climbed is reported in
     /// [`SolveStats::numerical_retries`](crate::SolveStats::numerical_retries).
     ///
     /// # Errors
@@ -219,15 +231,14 @@ impl Solver {
         model: &Model,
         warm: Option<&WarmStart>,
     ) -> Result<(Outcome, Option<WarmStart>), SolveError> {
-        let mut opts = self.options.clone();
-        let mut retries = 0u64;
+        let mut rung = 0u64;
         loop {
             #[cfg(feature = "fault-injection")]
-            if let Some(plan) = &opts.fault_plan {
+            if let Some(plan) = &self.options.fault_plan {
                 if let Some(kind) = plan.on_solve_call() {
-                    let err = faults::FaultPlan::to_error(kind, opts.max_simplex_iters);
+                    let err = faults::FaultPlan::to_error(kind, revised::MAX_LP_PIVOTS);
                     if let SolveError::Numerical(msg) = err {
-                        match Self::escalate(&mut opts, &mut retries) {
+                        match Self::escalate(&mut rung) {
                             true => continue,
                             false => return Err(SolveError::Numerical(msg)),
                         }
@@ -235,14 +246,20 @@ impl Solver {
                     return Err(err);
                 }
             }
-            match branch_bound::solve(model, &opts, warm.map(|w| w.snap.as_ref())) {
+            let numerics = Numerics::at_rung(rung);
+            match branch_bound::solve(
+                model,
+                &self.options,
+                &numerics,
+                warm.map(|w| w.snap.as_ref()),
+            ) {
                 Err(SolveError::Numerical(msg)) => {
-                    if !Self::escalate(&mut opts, &mut retries) {
+                    if !Self::escalate(&mut rung) {
                         return Err(SolveError::Numerical(msg));
                     }
                 }
                 Ok((mut outcome, state)) => {
-                    outcome.stats_mut().numerical_retries = retries;
+                    outcome.stats_mut().numerical_retries = rung;
                     return Ok((outcome, state.map(|snap| WarmStart { snap })));
                 }
                 Err(err) => return Err(err),
@@ -250,23 +267,11 @@ impl Solver {
         }
     }
 
-    /// Advance the retry ladder one rung; `false` when it is exhausted.
-    fn escalate(opts: &mut SolveOptions, retries: &mut u64) -> bool {
-        *retries += 1;
+    /// Climb the retry ladder one rung; `false` when it is exhausted.
+    fn escalate(rung: &mut u64) -> bool {
+        *rung += 1;
         contrarc_obs::metrics::counter_add("milp.retries", 1);
-        contrarc_obs::event!("milp.retry", rung = *retries);
-        match *retries {
-            1 => opts.force_bland = true,
-            2 => {
-                opts.feas_tol *= 0.1;
-                opts.dual_tol *= 0.1;
-                // Refactorize after every pivot so no eta drift can survive
-                // the tightened tolerances.
-                opts.refactor_every = 1;
-            }
-            3 => opts.presolve = false,
-            _ => return false,
-        }
-        true
+        contrarc_obs::event!("milp.retry", rung = *rung);
+        *rung <= Numerics::TOP_RUNG
     }
 }

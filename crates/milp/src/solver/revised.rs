@@ -6,13 +6,14 @@
 //! inverse is never formed: all linear algebra goes through a sparse LU
 //! factorization plus a product-form eta file ([`FactorizedBasis`]): FTRAN
 //! for entering columns and basic values, BTRAN for duals and `B⁻¹` rows. The
-//! eta file is collapsed into a fresh factorization every
-//! [`SolveOptions::refactor_every`] pivots (the retry ladder drops this to 1,
-//! making every pivot a fresh factorization).
+//! eta file is collapsed into a fresh factorization every 64 pivots (the
+//! retry ladder's rung 2 drops this to 1, making every pivot a fresh
+//! factorization). Tolerances, pricing and this cadence come from the
+//! ladder rung's `Numerics`.
 //!
 //! A cold solve therefore factorizes its slack/artificial start basis,
-//! refactorizes every `refactor_every` pivots, and refactorizes once more at
-//! the canonical finish unless the eta file is empty. The factorization and
+//! refactorizes every 64 pivots, and refactorizes once more at the canonical
+//! finish unless the eta file is empty. The factorization and
 //! the etas cost time in proportion to their nonzeros, so the start basis,
 //! all singleton columns, factorizes in O(m).
 //!
@@ -30,14 +31,18 @@
 //! bases the dual repair of a warm start may land on a different one than
 //! the cold path: warm starts ([`SolveOptions::warm_start`], on by default)
 //! accept the weaker tie guarantee documented on that flag.
+//!
+//! [`SolveOptions::warm_start`]: crate::SolveOptions::warm_start
 
 use crate::error::SolveError;
 use crate::solver::backend::{BasisSnapshot, LpOutcome};
-use crate::solver::budget::Deadline;
+use crate::solver::budget::{Budget, Deadline};
 use crate::solver::factor::{FactorizedBasis, LuFactors};
-use crate::solver::SolveOptions;
+use crate::solver::Numerics;
 use crate::standard_form::StandardForm;
 
+/// Simplex pivots one LP solve may take.
+pub(crate) const MAX_LP_PIVOTS: u64 = 500_000;
 /// Hard floor below which a pivot element is considered numerically zero.
 const PIVOT_TOL: f64 = 1e-9;
 /// Non-improving pivots tolerated before switching to Bland's rule.
@@ -86,7 +91,9 @@ enum DualEnd {
 #[derive(Debug)]
 pub(crate) struct RevisedSimplex<'a> {
     sf: &'a StandardForm,
-    opts: &'a SolveOptions,
+    /// The shared budget this engine's pivots are charged to.
+    budget: &'a Budget,
+    numerics: Numerics,
     m: usize,
     /// Total columns including artificials.
     total_cols: usize,
@@ -116,15 +123,20 @@ pub(crate) struct RevisedSimplex<'a> {
     /// Optimal finishes that reused the current factorization (see
     /// `finalize_canonical`).
     pub refactor_reuses: u64,
-    refactor_every: u64,
 }
 
 impl<'a> RevisedSimplex<'a> {
-    pub fn new(sf: &'a StandardForm, opts: &'a SolveOptions, deadline: Deadline) -> Self {
+    pub fn new(
+        sf: &'a StandardForm,
+        budget: &'a Budget,
+        numerics: Numerics,
+        deadline: Deadline,
+    ) -> Self {
         let m = sf.num_rows;
         RevisedSimplex {
             sf,
-            opts,
+            budget,
+            numerics,
             m,
             total_cols: sf.num_cols(),
             art_rows: Vec::new(),
@@ -143,7 +155,6 @@ impl<'a> RevisedSimplex<'a> {
             charged: 0,
             refactorizations: 0,
             refactor_reuses: 0,
-            refactor_every: opts.refactor_every.max(1),
         }
     }
 
@@ -156,7 +167,7 @@ impl<'a> RevisedSimplex<'a> {
     fn check_budget(&mut self) -> Result<(), SolveError> {
         let newly = self.pivots - self.charged;
         self.charged = self.pivots;
-        self.opts.budget.charge_pivots(newly)?;
+        self.budget.charge_pivots(newly)?;
         if self.deadline.expired() {
             return Err(self.deadline.to_error());
         }
@@ -192,7 +203,7 @@ impl<'a> RevisedSimplex<'a> {
                     "phase-1 infeasibility measure is non-finite".into(),
                 ));
             }
-            if infeas > self.opts.feas_tol.max(1e-9) * (1.0 + self.rhs_norm().sqrt()) {
+            if infeas > self.numerics.feas_tol.max(1e-9) * (1.0 + self.rhs_norm().sqrt()) {
                 return Ok(LpOutcome::Infeasible);
             }
             self.expel_artificials()?;
@@ -345,9 +356,9 @@ impl<'a> RevisedSimplex<'a> {
         let budget = 4 * (self.m as u64) + 64;
         let mut used = 0u64;
         loop {
-            if self.pivots >= self.opts.max_simplex_iters {
+            if self.pivots >= MAX_LP_PIVOTS {
                 return Err(SolveError::IterationLimit {
-                    limit: self.opts.max_simplex_iters,
+                    limit: MAX_LP_PIVOTS,
                 });
             }
             if used >= budget {
@@ -361,12 +372,12 @@ impl<'a> RevisedSimplex<'a> {
                 let lb = self.col_lower(j);
                 let ub = self.col_upper(j);
                 let x = self.xb[r];
-                if x < lb - self.opts.feas_tol {
+                if x < lb - self.numerics.feas_tol {
                     let v = lb - x;
                     if leave.as_ref().is_none_or(|&(_, bv, _)| v > bv) {
                         leave = Some((r, v, true));
                     }
-                } else if x > ub + self.opts.feas_tol {
+                } else if x > ub + self.numerics.feas_tol {
                     let v = x - ub;
                     if leave.as_ref().is_none_or(|&(_, bv, _)| v > bv) {
                         leave = Some((r, v, false));
@@ -735,9 +746,9 @@ impl<'a> RevisedSimplex<'a> {
 
     fn iterate(&mut self) -> Result<IterEnd, SolveError> {
         loop {
-            if self.pivots >= self.opts.max_simplex_iters {
+            if self.pivots >= MAX_LP_PIVOTS {
                 return Err(SolveError::IterationLimit {
-                    limit: self.opts.max_simplex_iters,
+                    limit: MAX_LP_PIVOTS,
                 });
             }
             if self.pivots % 256 == 255 {
@@ -745,7 +756,7 @@ impl<'a> RevisedSimplex<'a> {
                 self.check_budget()?;
             }
             self.recompute_reduced_costs();
-            let bland = self.opts.force_bland || self.degenerate_run >= BLAND_TRIGGER;
+            let bland = self.numerics.force_bland || self.degenerate_run >= BLAND_TRIGGER;
             let Some((j, dir)) = self.price_cached(bland) else {
                 return Ok(IterEnd::Optimal);
             };
@@ -779,7 +790,7 @@ impl<'a> RevisedSimplex<'a> {
     /// Choose an entering column from the cached reduced costs; returns
     /// `(col, direction)`.
     fn price_cached(&self, bland: bool) -> Option<(usize, f64)> {
-        let tol = self.opts.dual_tol;
+        let tol = self.numerics.dual_tol;
         let mut best: Option<(usize, f64, f64)> = None; // (col, dj, dir)
         for j in 0..self.total_cols {
             let st = self.state[j];
@@ -892,7 +903,7 @@ impl<'a> RevisedSimplex<'a> {
     }
 
     /// Commit a basis change: update states and values, append the eta, and
-    /// refactorize once the eta file reaches `refactor_every`.
+    /// refactorize once the eta file reaches the rung's `refactor_every`.
     fn pivot(
         &mut self,
         j: usize,
@@ -915,7 +926,7 @@ impl<'a> RevisedSimplex<'a> {
             .as_mut()
             .expect("basis factorized before any pivot");
         op.push_eta(row, w);
-        if op.num_etas() as u64 >= self.refactor_every {
+        if op.num_etas() as u64 >= self.numerics.refactor_every {
             if !self.refactorize() {
                 return Err(SolveError::Numerical(
                     "basis refactorization failed (singular basis)".into(),
@@ -964,21 +975,22 @@ mod tests {
     use super::*;
     use crate::{Cmp, Model, Sense};
 
+    /// An engine with no deadline at rung 0 of the retry ladder, where
+    /// every solve starts.
+    fn engine<'a>(sf: &'a StandardForm, budget: &'a Budget) -> RevisedSimplex<'a> {
+        RevisedSimplex::new(sf, budget, Numerics::at_rung(0), Deadline::unlimited())
+    }
+
     fn lp(model: &Model) -> LpOutcome {
         let sf = StandardForm::build(model, None);
-        let opts = SolveOptions::default();
-        RevisedSimplex::new(&sf, &opts, Deadline::unlimited())
+        engine(&sf, &Budget::unlimited())
             .solve()
             .expect("no iteration limit expected")
     }
 
     fn optimal_obj(model: &Model) -> f64 {
         let sf = StandardForm::build(model, None);
-        let opts = SolveOptions::default();
-        match RevisedSimplex::new(&sf, &opts, Deadline::unlimited())
-            .solve()
-            .unwrap()
-        {
+        match engine(&sf, &Budget::unlimited()).solve().unwrap() {
             LpOutcome::Optimal { min_obj, .. } => sf.model_objective(min_obj),
             other => panic!("expected optimal, got {other:?}"),
         }
@@ -1125,11 +1137,12 @@ mod tests {
         m.add_constr("c3", x - y, Cmp::Le, 2.0).unwrap();
         m.set_objective(Sense::Maximize, 3.0 * x + 4.0 * y);
         let sf = StandardForm::build(&m, None);
-        let opts = SolveOptions {
+        let numerics = Numerics {
             refactor_every: 1,
-            ..SolveOptions::default()
+            ..Numerics::at_rung(0)
         };
-        let mut sx = RevisedSimplex::new(&sf, &opts, Deadline::unlimited());
+        let budget = Budget::unlimited();
+        let mut sx = RevisedSimplex::new(&sf, &budget, numerics, Deadline::unlimited());
         match sx.solve().unwrap() {
             LpOutcome::Optimal { min_obj, .. } => {
                 assert!((sf.model_objective(min_obj) - 34.0).abs() < 1e-6);
@@ -1158,12 +1171,13 @@ mod tests {
         m.add_constr("c3", x - y, Cmp::Le, 2.0).unwrap();
         m.set_objective(Sense::Maximize, 3.0 * x + 4.0 * y);
         let sf = StandardForm::build(&m, None);
+        let budget = Budget::unlimited();
         let solve_with = |refactor_every: u64| {
-            let opts = SolveOptions {
+            let numerics = Numerics {
                 refactor_every,
-                ..SolveOptions::default()
+                ..Numerics::at_rung(0)
             };
-            let mut sx = RevisedSimplex::new(&sf, &opts, Deadline::unlimited());
+            let mut sx = RevisedSimplex::new(&sf, &budget, numerics, Deadline::unlimited());
             let out = sx.solve().unwrap();
             let LpOutcome::Optimal { values, min_obj } = out else {
                 panic!("expected optimal");
@@ -1171,7 +1185,7 @@ mod tests {
             (values, min_obj, sx.refactor_reuses)
         };
         let (v1, o1, reuses1) = solve_with(1);
-        let (v2, o2, _) = solve_with(SolveOptions::default().refactor_every);
+        let (v2, o2, _) = solve_with(Numerics::at_rung(0).refactor_every);
         assert!(reuses1 >= 1, "reuse path must be exercised");
         assert_eq!(o1.to_bits(), o2.to_bits());
         for (a, b) in v1.iter().zip(v2.iter()) {
@@ -1203,8 +1217,8 @@ mod tests {
         m.add_constr("le2", 1.0 * w, Cmp::Le, 4.0).unwrap();
         m.set_objective(Sense::Minimize, x + y + z + w);
         let sf = StandardForm::build(&m, None);
-        let opts = SolveOptions::default();
-        let mut sx = RevisedSimplex::new(&sf, &opts, Deadline::unlimited());
+        let budget = Budget::unlimited();
+        let mut sx = engine(&sf, &budget);
         sx.init_phase1();
         assert_eq!(sx.art_rows.len(), 2, "rows e and ge need artificials");
         assert_eq!(sx.canonical_order(), Some(sorted_order(&sx)));
@@ -1241,9 +1255,9 @@ mod tests {
         m.add_constr("c1", x + y, Cmp::Le, 8.0).unwrap();
         m.add_constr("c2", 2.0 * x + y, Cmp::Le, 12.0).unwrap();
         m.set_objective(Sense::Maximize, 3.0 * x + 2.0 * y);
-        let opts = SolveOptions::default();
+        let budget = Budget::unlimited();
         let sf = StandardForm::build(&m, None);
-        let mut sx = RevisedSimplex::new(&sf, &opts, Deadline::unlimited());
+        let mut sx = engine(&sf, &budget);
         assert!(matches!(sx.solve().unwrap(), LpOutcome::Optimal { .. }));
         let snap = sx.snapshot().expect("clean basis");
         assert!(snap.basis.iter().all(|&b| b < 2), "x and y end basic");
@@ -1256,7 +1270,7 @@ mod tests {
         let remapped = snap
             .remap(grown.num_structural, grown.num_rows)
             .expect("the model grew");
-        let mut warm = RevisedSimplex::new(&grown, &opts, Deadline::unlimited());
+        let mut warm = engine(&grown, &budget);
         assert!(warm.install(&remapped));
         assert_eq!(warm.canonical_order(), Some(sorted_order(&warm)));
     }
@@ -1271,9 +1285,9 @@ mod tests {
         m.add_constr("c1", x + y, Cmp::Le, 8.0).unwrap();
         m.add_constr("c2", 2.0 * x + y, Cmp::Le, 12.0).unwrap();
         m.set_objective(Sense::Maximize, 3.0 * x + 2.0 * y);
-        let opts = SolveOptions::default();
+        let budget = Budget::unlimited();
         let sf = StandardForm::build(&m, None);
-        let mut sx = RevisedSimplex::new(&sf, &opts, Deadline::unlimited());
+        let mut sx = engine(&sf, &budget);
         let first = sx.solve().unwrap();
         let LpOutcome::Optimal { values, .. } = &first else {
             panic!("expected optimal, got {first:?}");
@@ -1285,12 +1299,12 @@ mod tests {
         let lbs: Vec<f64> = vec![0.0, 0.0];
         let ubs: Vec<f64> = vec![(x0 - 1.0).max(0.0), 10.0];
         let sf2 = sf.rebind(&lbs, &ubs);
-        let mut warm_sx = RevisedSimplex::new(&sf2, &opts, Deadline::unlimited());
+        let mut warm_sx = engine(&sf2, &budget);
         let warm = warm_sx
             .solve_warm(&snap)
             .unwrap()
             .expect("snapshot should install");
-        let mut cold_sx = RevisedSimplex::new(&sf2, &opts, Deadline::unlimited());
+        let mut cold_sx = engine(&sf2, &budget);
         let cold = cold_sx.solve().unwrap();
         match (warm, cold) {
             (

@@ -1,26 +1,28 @@
-//! Textbook LPs solved end to end through the public [`Solver`]: presolve,
-//! the standard form, the revised simplex and postsolve together.
+//! Textbook LPs solved end to end through branch-and-bound, as the
+//! [`Solver`](crate::Solver) runs it: presolve, the standard form, the
+//! revised simplex and postsolve together.
 //!
 //! The engine's own tests in `revised` start from a `StandardForm`, so they
 //! skip presolve and postsolve. Here each model is solved twice, with
-//! presolve off (the model goes straight to the revised simplex) and on
-//! (presolve may settle a model with no rows or fixed columns without
-//! the engine), and both runs must give the same answer.
+//! presolve off (the model goes straight to the revised simplex, as at the
+//! retry ladder's last rung) and on (presolve may settle a model with no
+//! rows or fixed columns without the engine), and both runs must give the
+//! same answer.
 
-use crate::solver::{SolveOptions, Solver};
+use crate::solver::{branch_bound, Numerics, SolveOptions};
 use crate::{Model, Outcome, Status};
 
 /// Solves `m` with presolve off and on, asserting that both runs end in the
 /// same status; returns both outcomes.
 fn solve_both_ways(m: &Model) -> [Outcome; 2] {
     let outcomes = [false, true].map(|presolve| {
-        let opts = SolveOptions {
+        let numerics = Numerics {
             presolve,
-            ..SolveOptions::default()
+            ..Numerics::at_rung(0)
         };
-        Solver::new(opts)
-            .solve(m)
+        branch_bound::solve(m, &SolveOptions::default(), &numerics, None)
             .expect("no limit is reached on a textbook LP")
+            .0
     });
     assert_eq!(
         outcomes[0].status(),

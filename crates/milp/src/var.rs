@@ -107,12 +107,6 @@ impl VarDef {
             ub,
         }
     }
-
-    /// Whether the bounds pin the variable to a single value.
-    #[must_use]
-    pub fn is_fixed(&self) -> bool {
-        self.lb == self.ub
-    }
 }
 
 #[cfg(test)]
@@ -143,11 +137,5 @@ mod tests {
     #[should_panic(expected = "exceeds upper bound")]
     fn inverted_bounds_panic() {
         let _ = VarDef::new("x", VarType::Continuous, 2.0, 1.0);
-    }
-
-    #[test]
-    fn fixed_detection() {
-        assert!(VarDef::new("x", VarType::Continuous, 2.0, 2.0).is_fixed());
-        assert!(!VarDef::new("x", VarType::Continuous, 2.0, 3.0).is_fixed());
     }
 }

@@ -2,7 +2,7 @@
 //! degenerate geometry, big-M structures like the contract encodings
 //! produce, and scaling behaviour.
 
-use contrarc_milp::{encode, Cmp, LinExpr, Model, Outcome, Sense, SolveOptions};
+use contrarc_milp::{Budget, Cmp, Deadline, LinExpr, Model, Outcome, Sense, SolveOptions};
 
 #[test]
 fn klee_minty_style_cube_terminates() {
@@ -92,16 +92,26 @@ fn bigm_indicator_lattice() {
             slot_sel.push(b);
             cost.add_term(b, cost_of(s, o));
         }
-        encode::exactly_one(&mut m, format!("one{s}"), &slot_sel).unwrap();
-        encode::selection_value(
-            &mut m,
-            format!("lvl_sel{s}"),
-            lv,
-            &slot_sel
+        // Exactly one option per slot, and the slot's level is the chosen
+        // option's: lvl − Σ_o level_o · b_o = 0.
+        m.add_constr(
+            format!("one{s}"),
+            LinExpr::sum(slot_sel.iter().copied()),
+            Cmp::Eq,
+            1.0,
+        )
+        .unwrap();
+        let chosen = LinExpr::weighted_sum(
+            slot_sel
                 .iter()
                 .enumerate()
-                .map(|(o, &b)| (b, level_of(s, o)))
-                .collect::<Vec<_>>(),
+                .map(|(o, &b)| (b, level_of(s, o))),
+        );
+        m.add_constr(
+            format!("lvl_sel{s}"),
+            LinExpr::var(lv) - chosen,
+            Cmp::Eq,
+            0.0,
         )
         .unwrap();
         sel.push(slot_sel);
@@ -273,7 +283,8 @@ fn time_limit_enforced() {
     m.add_constr("parity", e, Cmp::Eq, (n * n / 2) as f64 + 0.5)
         .unwrap();
     m.set_objective(Sense::Minimize, LinExpr::sum(xs.iter().copied()));
-    let opts = SolveOptions::default().with_time_limit(0.05);
+    let budget = Budget::unlimited().with_deadline(Deadline::in_secs(0.05));
+    let opts = SolveOptions::default().with_budget(budget);
     match m.solve(&opts) {
         Err(contrarc_milp::SolveError::TimeLimit { .. }) => {}
         Ok(out) => {

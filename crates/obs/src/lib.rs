@@ -420,64 +420,6 @@ macro_rules! event {
     };
 }
 
-/// A cloneable handle to an optional sink, suitable for embedding in a
-/// configuration struct (`ExplorerConfig::observer`). Equality is identity:
-/// two observers compare equal iff they hold the same sink allocation (or
-/// both hold none), so configs stay `PartialEq` without requiring sinks to be.
-#[derive(Clone, Default)]
-pub struct Observer(Option<Arc<dyn Sink>>);
-
-impl Observer {
-    /// An observer that installs nothing.
-    #[must_use]
-    pub fn none() -> Self {
-        Observer(None)
-    }
-
-    /// An observer wrapping `sink`.
-    #[must_use]
-    pub fn new(sink: Arc<dyn Sink>) -> Self {
-        Observer(Some(sink))
-    }
-
-    /// Whether a sink is present.
-    #[must_use]
-    pub fn is_some(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Install the wrapped sink as the process-global destination (see
-    /// [`install_sink`]). Returns whether anything was installed.
-    pub fn install(&self) -> bool {
-        match &self.0 {
-            Some(sink) => {
-                install_sink(Arc::clone(sink));
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-impl fmt::Debug for Observer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.0 {
-            Some(_) => f.write_str("Observer(sink)"),
-            None => f.write_str("Observer(none)"),
-        }
-    }
-}
-
-impl PartialEq for Observer {
-    fn eq(&self, other: &Self) -> bool {
-        match (&self.0, &other.0) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            (None, None) => true,
-            _ => false,
-        }
-    }
-}
-
 /// If `CONTRARC_TRACE` is set, install a [`sinks::JsonlSink`] writing to that
 /// path and return `Ok(true)`; otherwise return `Ok(false)`.
 ///
@@ -556,15 +498,5 @@ mod tests {
             vec![("result", Value::U64(42))],
             "close-time fields survive"
         );
-    }
-
-    #[test]
-    fn observer_equality_is_identity() {
-        let a = Observer::new(Arc::new(MemorySink::default()));
-        let b = Observer::new(Arc::new(MemorySink::default()));
-        assert_ne!(a, b);
-        assert_eq!(a, a.clone());
-        assert_eq!(Observer::none(), Observer::default());
-        assert_ne!(a, Observer::none());
     }
 }
