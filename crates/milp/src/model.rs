@@ -7,6 +7,7 @@ use crate::solution::Outcome;
 use crate::solver::{SolveOptions, Solver};
 use crate::var::{VarDef, VarId, VarType};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Objective sense.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -72,7 +73,7 @@ impl fmt::Display for ModelStats {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub struct Model {
     name: String,
     vars: Vec<VarDef>,
@@ -82,6 +83,75 @@ pub struct Model {
     /// Branching priority multipliers indexed by variable; absent entries
     /// read as `1.0`.
     branch_priorities: Vec<f64>,
+    /// Identifies this model's history of appends: fresh for every new and
+    /// every cloned model, so two states of a model share it only when one
+    /// is the other with variables and constraints appended. Not content:
+    /// nothing but [`Model::revision`] reads it.
+    lineage: u64,
+    /// Bumped by every [`Model::set_objective`].
+    objective_rev: u64,
+}
+
+/// A fresh [`Model`] lineage id.
+fn next_lineage() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+impl Default for Model {
+    fn default() -> Self {
+        Model {
+            name: String::new(),
+            vars: Vec::new(),
+            constrs: Vec::new(),
+            objective: LinExpr::default(),
+            sense: Sense::default(),
+            branch_priorities: Vec::new(),
+            lineage: next_lineage(),
+            objective_rev: 0,
+        }
+    }
+}
+
+/// A clone starts a lineage of its own: growing it must not look like
+/// growing the original.
+impl Clone for Model {
+    fn clone(&self) -> Self {
+        Model {
+            name: self.name.clone(),
+            vars: self.vars.clone(),
+            constrs: self.constrs.clone(),
+            objective: self.objective.clone(),
+            sense: self.sense,
+            branch_priorities: self.branch_priorities.clone(),
+            lineage: next_lineage(),
+            objective_rev: self.objective_rev,
+        }
+    }
+}
+
+/// Where a model stands in its history of appends, for a solver that carries
+/// work from one solve to the next: compare with [`Revision::extends`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Revision {
+    lineage: u64,
+    objective_rev: u64,
+    num_vars: usize,
+    num_constrs: usize,
+}
+
+impl Revision {
+    /// Whether the model at `self` is the model at `older` with variables
+    /// and constraints appended and nothing else changed. A model changes
+    /// only by appends and [`Model::set_objective`] (branch priorities aside,
+    /// which no carried work depends on), so the same lineage, the same
+    /// objective and no fewer variables or constraints prove it in O(1).
+    pub(crate) fn extends(&self, older: &Revision) -> bool {
+        self.lineage == older.lineage
+            && self.objective_rev == older.objective_rev
+            && self.num_vars >= older.num_vars
+            && self.num_constrs >= older.num_constrs
+    }
 }
 
 impl Model {
@@ -236,6 +306,7 @@ impl Model {
     pub fn set_objective(&mut self, sense: Sense, expr: impl Into<LinExpr>) {
         self.sense = sense;
         self.objective = expr.into();
+        self.objective_rev += 1;
     }
 
     /// Current objective expression.
@@ -251,6 +322,16 @@ impl Model {
     }
 
     // ---- queries ---------------------------------------------------------
+
+    /// Where this model stands in its history of appends.
+    pub(crate) fn revision(&self) -> Revision {
+        Revision {
+            lineage: self.lineage,
+            objective_rev: self.objective_rev,
+            num_vars: self.vars.len(),
+            num_constrs: self.constrs.len(),
+        }
+    }
 
     /// Size statistics (vars/binaries/integers/constraints).
     #[must_use]
@@ -390,6 +471,28 @@ mod tests {
             "constraint violation"
         );
         assert!(!m.is_feasible_point(&[1.0], 1e-9), "short vector");
+    }
+
+    #[test]
+    fn revisions_tell_appends_from_other_changes() {
+        let mut m = Model::new("t");
+        let x = m.add_continuous("x", 0.0, 1.0);
+        m.add_constr("c", LinExpr::var(x), Cmp::Le, 0.5).unwrap();
+        let before = m.revision();
+        assert!(before.extends(&before));
+
+        let b = m.add_binary("b");
+        m.add_constr("d", x + b, Cmp::Le, 1.0).unwrap();
+        m.set_branch_priority(b, 2.0);
+        let grown = m.revision();
+        assert!(grown.extends(&before));
+        assert!(!before.extends(&grown), "a model does not shrink");
+
+        // A clone starts a lineage of its own, and a new objective bumps
+        // the revision.
+        assert!(!m.clone().revision().extends(&grown));
+        m.set_objective(Sense::Minimize, LinExpr::var(x));
+        assert!(!m.revision().extends(&grown));
     }
 
     #[test]

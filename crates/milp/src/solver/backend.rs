@@ -208,7 +208,7 @@ pub(crate) fn solve_lp(req: &LpRequest<'_>) -> LpSolve {
 mod tests {
     use super::*;
     use crate::solver::budget::Deadline;
-    use crate::solver::{branch_bound, Solver};
+    use crate::solver::{branch_bound, Solver, WarmStart};
     use crate::{Cmp, Model, Sense};
 
     /// An LP and a snapshot whose dual repair pivots into a singular basis:
@@ -287,8 +287,9 @@ mod tests {
         // ladder runs: the fallback absorbs the failure, so the solve
         // returns `Ok` and the ladder, which only a numerical error climbs,
         // never runs.
-        let (outcome, _) = branch_bound::solve(&m, &opts, &numerics, Some(&snap))
-            .expect("the cold fallback solves the LP");
+        let (outcome, _) =
+            branch_bound::solve(&m, &opts, &numerics, Some(&WarmStart::from_basis(snap)))
+                .expect("the cold fallback solves the LP");
         let cold_opts = SolveOptions {
             warm_start: false,
             ..opts

@@ -6,11 +6,11 @@
 
 use crate::error::SolveError;
 use crate::model::Model;
-use crate::presolve;
 use crate::solution::{Outcome, Solution, SolveStats};
 use crate::solver::backend::{solve_lp, LpRequest, LpSolve};
 use crate::solver::budget::Deadline;
-use crate::solver::{BasisSnapshot, LpOutcome, Numerics, SolveOptions};
+use crate::solver::setup::RootSetup;
+use crate::solver::{BasisSnapshot, LpOutcome, Numerics, SolveOptions, WarmStart};
 use crate::standard_form::StandardForm;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -122,18 +122,20 @@ fn eval_node(
 }
 
 /// Solve a MILP with the settings `numerics` of one retry-ladder rung.
-/// `root_warm` optionally warm-starts the root relaxation from a basis of a
-/// *previous* solve of a monotonically grown model (the cut loop); it is
-/// remapped to this model's shape and silently dropped when it does not fit.
-/// Returns the outcome together with the basis of the final incumbent (root
-/// basis when no incumbent improved on it; `None` with warm starts off), for
-/// the caller to feed into the next solve.
+/// `root_warm` optionally carries state from a *previous* solve of a
+/// monotonically grown model (the cut loop): its basis warm-starts the root
+/// relaxation, remapped to this model's shape and silently dropped when it
+/// does not fit, and its root setup is extended where it fits (see the
+/// `setup` module). Returns the outcome together with the state for the
+/// caller to feed into the next solve: the basis of the final incumbent
+/// (root basis when no incumbent improved on it) and this solve's root
+/// setup; `None` with warm starts off.
 pub(crate) fn solve(
     model: &Model,
     opts: &SolveOptions,
     numerics: &Numerics,
-    root_warm: Option<&BasisSnapshot>,
-) -> Result<(Outcome, Option<Arc<BasisSnapshot>>), SolveError> {
+    root_warm: Option<&WarmStart>,
+) -> Result<(Outcome, Option<WarmStart>), SolveError> {
     let start = Instant::now();
     // One absolute deadline, the shared budget's: every LP below inherits
     // it, so a long branch-and-bound cannot restart the clock per relaxation.
@@ -145,14 +147,21 @@ pub(crate) fn solve(
         constraints = model.stats().num_constraints,
     );
 
-    // Presolve: detect trivial infeasibility and tighten bounds.
-    let (root_lbs, root_ubs) = match presolve::root_bounds(model, numerics.presolve) {
-        Some(bounds) => bounds,
-        None => {
-            stats.time_secs = start.elapsed().as_secs_f64();
-            return Ok((Outcome::Infeasible { stats }, None));
-        }
+    // Root setup: presolve (detect trivial infeasibility, tighten bounds),
+    // then build and equilibrate the matrix once; nodes only rebind bounds.
+    // A setup carried from the previous cut-loop solve is extended where
+    // that equals a rebuild. Warm starts off rebuild every time.
+    let carried = root_warm
+        .filter(|_| opts.warm_start)
+        .and_then(|w| w.take_setup(model, numerics.presolve));
+    let (setup, setup_report) = RootSetup::prepare(model, numerics.presolve, carried);
+    let Some(setup) = setup else {
+        stats.time_secs = start.elapsed().as_secs_f64();
+        setup_report.emit();
+        return Ok((Outcome::Infeasible { stats }, None));
     };
+    let (root_lbs, root_ubs) = (&setup.lbs, &setup.ubs);
+    let sf_root = &setup.form.sf;
 
     let int_vars: Vec<usize> = model
         .vars()
@@ -173,14 +182,11 @@ pub(crate) fn solve(
         *w = (1.0 + *w / wmax) * model.branch_priority(crate::VarId::from_index(i));
     }
 
-    // Build (and equilibrate) the matrix once; nodes only rebind bounds.
-    let sf_root = StandardForm::build(model, Some((&root_lbs, &root_ubs)));
-
     // Cut-loop warm start: remap the previous solve's basis to this model's
     // shape (cuts append rows and auxiliary columns; the snapshot grows to
     // match, or is dropped when the model shrank).
     let root_warm: Option<Arc<BasisSnapshot>> = root_warm
-        .and_then(|s| s.remap(sf_root.num_structural, sf_root.num_rows))
+        .and_then(|w| w.snap.remap(sf_root.num_structural, sf_root.num_rows))
         .map(Arc::new);
 
     let mut next_seq: u64 = 0;
@@ -235,9 +241,9 @@ pub(crate) fn solve(
         // Open-node frontier after this pop.
         contrarc_obs::metrics::gauge_set("milp.frontier", heap.len() as i64);
 
-        let (lbs, ubs) = node.materialize(&root_lbs, &root_ubs);
+        let (lbs, ubs) = node.materialize(root_lbs, root_ubs);
         let eval = eval_node(
-            &sf_root,
+            sf_root,
             &lbs,
             &ubs,
             node.warm.as_deref(),
@@ -437,6 +443,7 @@ pub(crate) fn solve(
     stats.time_secs = start.elapsed().as_secs_f64();
     solve_span.record("nodes", stats.nodes);
     solve_span.record("pivots", stats.simplex_iterations);
+    setup_report.emit();
     if root_unbounded {
         return Ok((Outcome::Unbounded { stats }, None));
     }
@@ -446,7 +453,7 @@ pub(crate) fn solve(
                 solution: Solution::new(values, objective),
                 stats,
             },
-            warm_out,
+            warm_out.map(|snap| WarmStart::new(snap, setup)),
         )),
         None => Ok((Outcome::Infeasible { stats }, None)),
     }
@@ -563,8 +570,8 @@ mod tests {
     fn solve(
         m: &Model,
         opts: &SolveOptions,
-        root_warm: Option<&BasisSnapshot>,
-    ) -> Result<(Outcome, Option<Arc<BasisSnapshot>>), SolveError> {
+        root_warm: Option<&WarmStart>,
+    ) -> Result<(Outcome, Option<WarmStart>), SolveError> {
         super::solve(m, opts, &Numerics::at_rung(0), root_warm)
     }
 

@@ -13,10 +13,10 @@ use crate::solver::{branch_bound, Numerics, SolveOptions};
 use crate::{Cmp, LinExpr, Model, Sense, Status, VarDef, VarType};
 
 /// Tiny deterministic xorshift64* generator; no external RNG crates.
-struct Rng(u64);
+pub(super) struct Rng(u64);
 
 impl Rng {
-    fn new(seed: u64) -> Self {
+    pub(super) fn new(seed: u64) -> Self {
         Rng(seed.wrapping_mul(2685821657736338717).max(1))
     }
     fn next_u64(&mut self) -> u64 {
@@ -33,12 +33,12 @@ impl Rng {
         let steps = ((hi - lo) * 64.0) as u64;
         lo + (self.next_u64() % steps.max(1)) as f64 / 64.0
     }
-    fn below(&mut self, n: u64) -> u64 {
+    pub(super) fn below(&mut self, n: u64) -> u64 {
         self.next_u64() % n
     }
     /// A multiple of 1/4 in `[lo, hi]`: exact in binary, so sums of products
     /// of these stay exact.
-    fn quarter(&mut self, lo: f64, hi: f64) -> f64 {
+    pub(super) fn quarter(&mut self, lo: f64, hi: f64) -> f64 {
         lo + self.below(((hi - lo) * 4.0) as u64 + 1) as f64 / 4.0
     }
 }
@@ -321,8 +321,8 @@ fn check_solve(
     } else {
         None
     };
-    let (outcome, _) = branch_bound::solve(m, &opts, &numerics, root_warm.as_deref())
-        .map_err(|e| e.to_string())?;
+    let (outcome, _) =
+        branch_bound::solve(m, &opts, &numerics, root_warm.as_ref()).map_err(|e| e.to_string())?;
     match (expected, outcome.status()) {
         (None, Status::Infeasible) => Ok(()),
         (Some(opt), Status::Optimal) => {

@@ -10,6 +10,7 @@ mod factor;
 #[cfg(feature = "fault-injection")]
 pub mod faults;
 mod revised;
+mod setup;
 #[cfg(test)]
 mod simplex;
 
@@ -19,18 +20,73 @@ use crate::error::SolveError;
 use crate::model::Model;
 use crate::solution::Outcome;
 use budget::Budget;
-use std::sync::Arc;
+use setup::RootSetup;
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// Opaque reusable solver state: the optimal basis of a previous solve,
-/// usable to warm-start a later solve of the *same model grown monotonically*
-/// (bounds changed, cut rows and auxiliary columns appended — the exploration
-/// cut-loop pattern). Obtained from [`Solver::solve_with_state`] when
-/// [`SolveOptions::warm_start`] is on (the default); treat it as a black box.
-/// An unusable state, or a numerical failure while repairing from it, falls
-/// back to a cold solve.
-#[derive(Debug, Clone)]
+/// Opaque solver state one solve of the exploration cut loop hands to the
+/// next, from [`Solver::solve_with_state`] with [`SolveOptions::warm_start`]
+/// on (the default). It holds two things:
+///
+/// - the basis of the solve's final incumbent, which warm-starts the next
+///   solve's root relaxation by dual simplex when the next model has at
+///   least its rows and columns (the cut loop appends both). A basis that
+///   does not fit is ignored, and a numerical failure while repairing from
+///   it falls back to a cold solve;
+/// - the solve's root setup: its presolved root bounds with the record of
+///   the presolve run, and its equilibrated standard form with the record
+///   of the scaling. The next solve extends them instead of starting over
+///   when its model is *this* model (not a clone of it) with variables and
+///   constraints appended and no new objective, at the same presolve
+///   setting, and only where the extension provably equals a rebuild bit
+///   for bit. The first solve the setup fits takes it; a state from another
+///   model leaves it unused, and a clone of the state starts without one.
+///
+/// The root setup changes only the work: a solve that extends it is, bit
+/// for bit, the solve that would rebuild it.
+#[derive(Debug)]
 pub struct WarmStart {
     pub(crate) snap: Arc<BasisSnapshot>,
+    setup: Mutex<Option<RootSetup>>,
+}
+
+impl WarmStart {
+    fn new(snap: Arc<BasisSnapshot>, setup: RootSetup) -> Self {
+        WarmStart {
+            snap,
+            setup: Mutex::new(Some(setup)),
+        }
+    }
+
+    /// A state holding only a basis.
+    #[cfg(test)]
+    pub(crate) fn from_basis(snap: BasisSnapshot) -> Self {
+        WarmStart {
+            snap: Arc::new(snap),
+            setup: Mutex::new(None),
+        }
+    }
+
+    /// Take the carried root setup if it fits a solve of `model` at presolve
+    /// setting `presolve`.
+    fn take_setup(&self, model: &Model, presolve: bool) -> Option<RootSetup> {
+        let mut slot = self.setup.lock().unwrap_or_else(PoisonError::into_inner);
+        if slot.as_ref()?.fits(model, presolve) {
+            slot.take()
+        } else {
+            None
+        }
+    }
+}
+
+/// The clone shares the basis but not the root setup, which only one solve
+/// can extend.
+impl Clone for WarmStart {
+    fn clone(&self) -> Self {
+        WarmStart {
+            snap: Arc::clone(&self.snap),
+            setup: Mutex::new(None),
+        }
+    }
 }
 
 /// What a caller sets on a solve: its work budget, warm starting and a
@@ -211,13 +267,19 @@ impl Solver {
     }
 
     /// Like [`Solver::solve`], but additionally accepts and returns reusable
-    /// solver state for warm-starting across a *monotonically growing*
-    /// sequence of solves (the exploration cut loop: each iteration only
-    /// appends cut rows and auxiliary columns). Pass the [`WarmStart`]
-    /// returned by the previous solve; an incompatible or unusable state is
-    /// silently ignored (cold solve). The returned state is `None` when
-    /// [`SolveOptions::warm_start`] is off, the outcome was not optimal, or
-    /// no clean basis was available.
+    /// solver state for a *monotonically growing* sequence of solves (the
+    /// exploration cut loop: each iteration only appends cut rows and
+    /// auxiliary columns). Pass the [`WarmStart`] returned by the previous
+    /// solve of the same model. Its basis warm-starts the root relaxation,
+    /// and its root setup (presolved bounds and equilibrated standard form)
+    /// is extended instead of rebuilt where that gives the rebuild's result
+    /// bit for bit; see [`WarmStart`] for when each applies. What does not
+    /// fit is silently ignored: a basis of the wrong shape gives a cold
+    /// start, and the setup of another model (a clone included) a setup
+    /// from scratch. The returned state is `None` when
+    /// [`SolveOptions::warm_start`] is off, which also ignores any state
+    /// passed in, when the outcome was not optimal, or when no clean basis
+    /// was available.
     ///
     /// With warm starts off this is exactly [`Solver::solve`]. With them on
     /// (the default) the optimum is the same, but on ties it may be a
@@ -247,12 +309,7 @@ impl Solver {
                 }
             }
             let numerics = Numerics::at_rung(rung);
-            match branch_bound::solve(
-                model,
-                &self.options,
-                &numerics,
-                warm.map(|w| w.snap.as_ref()),
-            ) {
+            match branch_bound::solve(model, &self.options, &numerics, warm) {
                 Err(SolveError::Numerical(msg)) => {
                     if !Self::escalate(&mut rung) {
                         return Err(SolveError::Numerical(msg));
@@ -260,7 +317,7 @@ impl Solver {
                 }
                 Ok((mut outcome, state)) => {
                     outcome.stats_mut().numerical_retries = rung;
-                    return Ok((outcome, state.map(|snap| WarmStart { snap })));
+                    return Ok((outcome, state));
                 }
                 Err(err) => return Err(err),
             }
