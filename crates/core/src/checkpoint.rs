@@ -7,16 +7,20 @@
 //! where it stopped: [`Explorer::checkpoint`] /
 //! [`Explorer::resume`](crate::Explorer::resume).
 //!
-//! The checkpoint is validated against a **fingerprint** of the baseline
-//! Problem-2 encoding plus the pruning-semantics configuration, so cuts are
-//! never replayed into a different problem. Budget knobs (iteration caps,
-//! time limits, solver tolerances) are deliberately excluded from the
-//! fingerprint — raising them is the normal reason to resume.
+//! The checkpoint is validated against a **fingerprint** of the Problem-2
+//! model the loop solves (symmetry rows included), the system-level spec and
+//! the pruning-semantics configuration, so cuts are never replayed into a
+//! different model. A checkpoint therefore resumes only in the build and
+//! under the `symmetry.milp_rows` setting that wrote it: a different encoding
+//! is a [`CheckpointMismatch`](crate::ExploreError::CheckpointMismatch),
+//! never a silent misreplay. Budget knobs (iteration caps, time limits,
+//! solver options) are deliberately excluded from the fingerprint — raising
+//! them is the normal reason to resume.
 //!
 //! Persistence uses a small line-oriented text format
 //! ([`ExplorerCheckpoint::to_text`] / [`ExplorerCheckpoint::from_text`])
 //! with `f64`s round-tripped bit-exactly through their IEEE-754
-//! representation.
+//! representation. This module is its only codec.
 //!
 //! [`Explorer::checkpoint`]: crate::Explorer::checkpoint
 
@@ -68,7 +72,8 @@ pub struct ExplorerCheckpoint {
     /// Variable count of the freshly encoded model (auxiliary cut variables
     /// start after it).
     pub baseline_vars: usize,
-    /// Constraint count of the freshly encoded model (cuts start after it).
+    /// Constraint count of the freshly encoded model, symmetry rows included
+    /// (cuts start after it).
     pub baseline_constrs: usize,
     /// Next certificate sequence number.
     pub cut_seq: u32,
@@ -131,6 +136,30 @@ fn parse_int<T: std::str::FromStr>(line: usize, s: &str) -> Result<T, Checkpoint
         .map_err(|_| err(line, format!("bad integer '{s}'")))
 }
 
+fn parse_stats(line: usize, s: &str) -> Result<ExplorationStats, CheckpointParseError> {
+    let tok: Vec<&str> = s.split(' ').collect();
+    match tok[..] {
+        [iterations, cuts_added, milp_vars, milp_constraints, milp_time, refine_time, cert_time, total_time, cache_hits, cache_misses] => {
+            Ok(ExplorationStats {
+                iterations: parse_int(line, iterations)?,
+                cuts_added: parse_int(line, cuts_added)?,
+                milp_vars: parse_int(line, milp_vars)?,
+                milp_constraints: parse_int(line, milp_constraints)?,
+                milp_time: parse_f64(line, milp_time)?,
+                refine_time: parse_f64(line, refine_time)?,
+                cert_time: parse_f64(line, cert_time)?,
+                total_time: parse_f64(line, total_time)?,
+                cache_hits: parse_int(line, cache_hits)?,
+                cache_misses: parse_int(line, cache_misses)?,
+            })
+        }
+        _ => Err(err(
+            line,
+            format!("stats needs 10 fields, found {}", tok.len()),
+        )),
+    }
+}
+
 fn cmp_tag(cmp: Cmp) -> &'static str {
     match cmp {
         Cmp::Le => "le",
@@ -180,9 +209,27 @@ impl ExplorerCheckpoint {
             Some(v) => out.push_str(&format!("cost_floor {}\n", f64_hex(v))),
             None => out.push_str("cost_floor -\n"),
         }
-        // The stats record is owned by `ExplorationStats` itself (one field
-        // list generates the renderer, the parser, and `Display`).
-        out.push_str(&format!("stats {}\n", self.stats.to_stats_line()));
+        // No `..`: a new stats field fails to compile here until it is
+        // written, and `parse_stats` builds the struct with a literal.
+        let ExplorationStats {
+            iterations,
+            cuts_added,
+            milp_vars,
+            milp_constraints,
+            milp_time,
+            refine_time,
+            cert_time,
+            total_time,
+            cache_hits,
+            cache_misses,
+        } = self.stats;
+        out.push_str(&format!(
+            "stats {iterations} {cuts_added} {milp_vars} {milp_constraints} {} {} {} {} {cache_hits} {cache_misses}\n",
+            f64_hex(milp_time),
+            f64_hex(refine_time),
+            f64_hex(cert_time),
+            f64_hex(total_time)
+        ));
         out.push_str(&format!("usage {} {}\n", self.nodes_used, self.pivots_used));
         out.push_str(&format!("aux_vars {}\n", self.aux_vars.len()));
         for v in &self.aux_vars {
@@ -256,9 +303,7 @@ impl ExplorerCheckpoint {
             Some(parse_f64(ln, cf)?)
         };
         let (ln, st) = field(&mut lines, "stats")?;
-        // Legacy 8-field (pre-cache-counter) lines are accepted by the
-        // parser; see `ExplorationStats::from_stats_line`.
-        let stats = ExplorationStats::from_stats_line(st).map_err(|m| err(ln, m))?;
+        let stats = parse_stats(ln, st)?;
         let (ln, us) = field(&mut lines, "usage")?;
         let (nodes, pivots) = us
             .split_once(' ')
@@ -397,13 +442,14 @@ impl Fnv {
     }
 }
 
-/// Fingerprint the baseline Problem-2 encoding, the system-level spec, and
-/// the pruning-semantics configuration. Two explorations share a fingerprint
-/// exactly when cuts learned by one are sound for the other, so budget knobs
-/// (iteration caps, time limits, solver options) are excluded. The spec must
-/// be hashed explicitly: system-level contracts are checked lazily by
-/// refinement and never appear in the Problem-2 model, yet the cuts they
-/// produce depend on them.
+/// Fingerprint the Problem-2 model the loop solves, the system-level spec,
+/// and the pruning-semantics configuration. Two explorations share a
+/// fingerprint when they solve the same model under the same spec and
+/// pruning semantics; cuts learned by one are then sound for the other.
+/// Budget knobs (iteration caps, time limits, solver options) are excluded.
+/// The spec must be hashed explicitly: system-level contracts are checked
+/// lazily by refinement and never appear in the Problem-2 model, yet the
+/// cuts they produce depend on them.
 pub(crate) fn fingerprint(model: &Model, spec: &SystemSpec, config: &ExplorerConfig) -> u64 {
     let mut h = Fnv::new();
     match &spec.flow {
@@ -462,11 +508,9 @@ pub(crate) fn fingerprint(model: &Model, spec: &SystemSpec, config: &ExplorerCon
         h.usize(v.index());
         h.f64(coeff);
     }
-    // `config.symmetry` is deliberately absent: callers fingerprint the
-    // symmetry-free baseline model, and symmetry reduction is an
-    // accelerator that never changes the optimum or the
-    // soundness of learned cuts, so checkpoints remain interchangeable
-    // across symmetry settings and with pre-symmetry checkpoint files.
+    // `config.symmetry` needs no hash of its own: `milp_rows` shows in the
+    // model wherever it adds rows, and `orbit_pruning` changes neither the
+    // model nor the cut set.
     h.bool(config.iso_pruning);
     h.bool(config.compositional);
     h.bool(config.dominance_widening);
@@ -534,18 +578,25 @@ mod tests {
     fn round_trip_preserves_awkward_floats() {
         let mut ckpt = sample();
         ckpt.cost_floor = Some(0.1 + 0.2); // not representable exactly
-        ckpt.stats.total_time = f64::MIN_POSITIVE;
         ckpt.cuts[0].rhs = -0.0;
-        let back = ExplorerCheckpoint::from_text(&ckpt.to_text()).unwrap();
-        assert_eq!(
-            ckpt.cost_floor.unwrap().to_bits(),
-            back.cost_floor.unwrap().to_bits()
-        );
-        assert_eq!(
-            ckpt.stats.total_time.to_bits(),
-            back.stats.total_time.to_bits()
-        );
-        assert_eq!(ckpt.cuts[0].rhs.to_bits(), back.cuts[0].rhs.to_bits());
+        ckpt.stats = ExplorationStats {
+            iterations: 17,
+            cuts_added: 5,
+            milp_vars: 120,
+            milp_constraints: 240,
+            milp_time: 0.1 + 0.2,
+            refine_time: f64::MIN_POSITIVE,
+            cert_time: -0.0,
+            total_time: 123.456_789,
+            cache_hits: u64::MAX,
+            cache_misses: 3,
+        };
+        let text = ckpt.to_text();
+        let back = ExplorerCheckpoint::from_text(&text).unwrap();
+        assert_eq!(back, ckpt);
+        // PartialEq equates −0.0 and 0.0; the text holds every f64's bits,
+        // so equal texts make the round trip bit for bit.
+        assert_eq!(back.to_text(), text);
     }
 
     #[test]
@@ -556,25 +607,21 @@ mod tests {
         assert_eq!(back.cost_floor, None);
     }
 
-    #[test]
-    fn legacy_eight_field_stats_line_parses_with_zero_cache_counters() {
+    /// The sample's text with its `stats` line (line 7) replaced by each
+    /// malformed one: the legacy 8 fields, 11 fields, and a non-numeric
+    /// token.
+    fn bad_stats_texts() -> Vec<String> {
         let text = sample().to_text();
-        let legacy: String = text
-            .lines()
-            .map(|l| {
-                if let Some(rest) = l.strip_prefix("stats ") {
-                    let fields: Vec<&str> = rest.split(' ').collect();
-                    format!("stats {}", fields[..8].join(" "))
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        let back = ExplorerCheckpoint::from_text(&legacy).unwrap();
-        assert_eq!(back.stats.iterations, sample().stats.iterations);
-        assert_eq!(back.stats.cache_hits, 0);
-        assert_eq!(back.stats.cache_misses, 0);
+        let good = text.lines().nth(6).unwrap();
+        assert!(good.starts_with("stats 3 "));
+        [
+            good.split(' ').take(9).collect::<Vec<_>>().join(" "),
+            format!("{good} 0"),
+            good.replacen("stats 3 ", "stats three ", 1),
+        ]
+        .iter()
+        .map(|bad| text.replacen(good, bad, 1))
+        .collect()
     }
 
     #[test]
@@ -588,6 +635,9 @@ mod tests {
             .collect::<Vec<_>>()
             .join("\n");
         assert!(ExplorerCheckpoint::from_text(&truncated).is_err());
+        for text in bad_stats_texts() {
+            assert!(ExplorerCheckpoint::from_text(&text).is_err(), "{text}");
+        }
     }
 
     #[test]
@@ -597,5 +647,10 @@ mod tests {
         let e = ExplorerCheckpoint::from_text(&text).unwrap_err();
         assert_eq!(e.line, 5);
         assert!(e.to_string().contains("line 5"));
+        for text in bad_stats_texts() {
+            let e = ExplorerCheckpoint::from_text(&text).unwrap_err();
+            assert_eq!(e.line, 7, "{e}");
+            assert!(e.to_string().contains("line 7"));
+        }
     }
 }

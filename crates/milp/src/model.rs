@@ -302,7 +302,8 @@ impl Model {
 
     // ---- objective -------------------------------------------------------
 
-    /// Set the objective function and sense.
+    /// Set the objective function and sense. The expression is checked when
+    /// the model is solved, as [`Model::add_constr`] checks a row's.
     pub fn set_objective(&mut self, sense: Sense, expr: impl Into<LinExpr>) {
         self.sense = sense;
         self.objective = expr.into();
@@ -381,7 +382,7 @@ impl Model {
         Solver::new(options.clone()).solve(self)
     }
 
-    fn validate_expr(&self, expr: &LinExpr) -> Result<(), SolveError> {
+    pub(crate) fn validate_expr(&self, expr: &LinExpr) -> Result<(), SolveError> {
         if let Some(max) = expr.max_var_index() {
             if max >= self.vars.len() {
                 return Err(SolveError::InvalidModel(format!(

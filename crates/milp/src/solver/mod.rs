@@ -258,8 +258,10 @@ impl Solver {
     ///
     /// # Errors
     ///
-    /// Returns a [`SolveError`] when the model is malformed, an iteration,
-    /// node, or time limit is exhausted before the outcome is proven, or a
+    /// Returns a [`SolveError`] when the model is malformed (an objective
+    /// that mentions a variable the model does not have, or a non-finite
+    /// coefficient, is [`SolveError::InvalidModel`]), an iteration, node,
+    /// or time limit is exhausted before the outcome is proven, or a
     /// numerical failure survives every rung of the retry ladder.
     pub fn solve(&self, model: &Model) -> Result<Outcome, SolveError> {
         self.solve_with_state(model, None)
@@ -293,6 +295,8 @@ impl Solver {
         model: &Model,
         warm: Option<&WarmStart>,
     ) -> Result<(Outcome, Option<WarmStart>), SolveError> {
+        // Rows are checked as they enter; the objective is set unchecked.
+        model.validate_expr(model.objective())?;
         let mut rung = 0u64;
         loop {
             #[cfg(feature = "fault-injection")]

@@ -2,7 +2,9 @@
 //! degenerate geometry, big-M structures like the contract encodings
 //! produce, and scaling behaviour.
 
-use contrarc_milp::{Budget, Cmp, Deadline, LinExpr, Model, Outcome, Sense, SolveOptions};
+use contrarc_milp::{
+    Budget, Cmp, Deadline, LinExpr, Model, Outcome, Sense, SolveError, SolveOptions, VarId,
+};
 
 #[test]
 fn klee_minty_style_cube_terminates() {
@@ -286,11 +288,29 @@ fn time_limit_enforced() {
     let budget = Budget::unlimited().with_deadline(Deadline::in_secs(0.05));
     let opts = SolveOptions::default().with_budget(budget);
     match m.solve(&opts) {
-        Err(contrarc_milp::SolveError::TimeLimit { .. }) => {}
+        Err(SolveError::TimeLimit { .. }) => {}
         Ok(out) => {
             // Fine if the solver proves infeasibility fast enough.
             assert!(matches!(out, Outcome::Infeasible { .. }));
         }
         Err(e) => panic!("unexpected error: {e}"),
+    }
+}
+
+#[test]
+fn an_invalid_objective_is_an_invalid_model_error() {
+    // One variable and two rows, so index 1 names no variable although the
+    // standard form has a slack column there.
+    let mut m = Model::new("bad-objective");
+    let x = m.add_continuous("x", 0.0, 10.0);
+    m.add_constr("lo", LinExpr::var(x), Cmp::Ge, 1.0).unwrap();
+    m.add_constr("hi", LinExpr::var(x), Cmp::Le, 5.0).unwrap();
+    for objective in [
+        LinExpr::var(x) + LinExpr::term(VarId::from_index(1), 5.0),
+        LinExpr::term(x, f64::NAN),
+    ] {
+        m.set_objective(Sense::Minimize, objective);
+        let err = m.solve(&SolveOptions::default()).unwrap_err();
+        assert!(matches!(err, SolveError::InvalidModel(_)), "{err}");
     }
 }

@@ -168,60 +168,6 @@ fn checkpoint_resume_reaches_same_optimum_on_epn() {
     assert_resume_matches_full(&build_epn(&EpnConfig::default()));
 }
 
-/// A checkpoint captured from a build **predating the revised-simplex LP
-/// core** (RPL both-lines, two iterations). The LP rewrite deliberately keeps
-/// warm-start basis state out of the checkpoint — it is in-memory-only
-/// acceleration — so this text must keep parsing, fingerprint-matching, and
-/// resuming to the same optimum forever.
-const PRE_LP_CORE_CHECKPOINT: &str = "\
-contrarc-checkpoint v1
-fingerprint 007504ad895f8bdf
-baseline_vars 90
-baseline_constrs 170
-cut_seq 8
-cost_floor 403b000000000000
-stats 2 8 90 170 3f83e88282483ba5 3f6c6dd4105a629a 3f318a523a1abf30 3f8bcf17a22a842f 2 4
-usage 10 96
-aux_vars 0
-cuts 8
-le 4028000000000000 13 0:3ff0000000000000 1:3ff0000000000000 2:3ff0000000000000 3:3ff0000000000000 4:3ff0000000000000 5:3ff0000000000000 12:3ff0000000000000 14:3ff0000000000000 17:3ff0000000000000 21:3ff0000000000000 24:3ff0000000000000 28:3ff0000000000000 31:3ff0000000000000\tcut0[path]
-le 4028000000000000 13 6:3ff0000000000000 7:3ff0000000000000 8:3ff0000000000000 9:3ff0000000000000 10:3ff0000000000000 11:3ff0000000000000 33:3ff0000000000000 35:3ff0000000000000 38:3ff0000000000000 42:3ff0000000000000 45:3ff0000000000000 49:3ff0000000000000 52:3ff0000000000000\tcut1[path]
-le 4028000000000000 13 0:3ff0000000000000 1:3ff0000000000000 2:3ff0000000000000 3:3ff0000000000000 4:3ff0000000000000 5:3ff0000000000000 12:3ff0000000000000 14:3ff0000000000000 17:3ff0000000000000 21:3ff0000000000000 24:3ff0000000000000 28:3ff0000000000000 31:3ff0000000000000\tcut2[path]
-le 4028000000000000 13 6:3ff0000000000000 7:3ff0000000000000 8:3ff0000000000000 9:3ff0000000000000 10:3ff0000000000000 11:3ff0000000000000 33:3ff0000000000000 35:3ff0000000000000 38:3ff0000000000000 42:3ff0000000000000 45:3ff0000000000000 49:3ff0000000000000 52:3ff0000000000000\tcut3[path]
-le 4028000000000000 14 0:3ff0000000000000 1:3ff0000000000000 2:3ff0000000000000 3:3ff0000000000000 4:3ff0000000000000 5:3ff0000000000000 12:3ff0000000000000 14:3ff0000000000000 17:3ff0000000000000 18:3ff0000000000000 21:3ff0000000000000 24:3ff0000000000000 28:3ff0000000000000 31:3ff0000000000000\tcut4[path]
-le 4028000000000000 14 6:3ff0000000000000 7:3ff0000000000000 8:3ff0000000000000 9:3ff0000000000000 10:3ff0000000000000 11:3ff0000000000000 33:3ff0000000000000 35:3ff0000000000000 38:3ff0000000000000 39:3ff0000000000000 42:3ff0000000000000 45:3ff0000000000000 49:3ff0000000000000 52:3ff0000000000000\tcut5[path]
-le 4028000000000000 14 0:3ff0000000000000 1:3ff0000000000000 2:3ff0000000000000 3:3ff0000000000000 4:3ff0000000000000 5:3ff0000000000000 12:3ff0000000000000 14:3ff0000000000000 17:3ff0000000000000 18:3ff0000000000000 21:3ff0000000000000 24:3ff0000000000000 28:3ff0000000000000 31:3ff0000000000000\tcut6[path]
-le 4028000000000000 14 6:3ff0000000000000 7:3ff0000000000000 8:3ff0000000000000 9:3ff0000000000000 10:3ff0000000000000 11:3ff0000000000000 33:3ff0000000000000 35:3ff0000000000000 38:3ff0000000000000 39:3ff0000000000000 42:3ff0000000000000 45:3ff0000000000000 49:3ff0000000000000 52:3ff0000000000000\tcut7[path]
-";
-
-#[test]
-fn pre_lp_core_checkpoint_still_resumes() {
-    let ckpt = ExplorerCheckpoint::from_text(PRE_LP_CORE_CHECKPOINT)
-        .expect("checkpoints from before the LP-core rewrite must keep parsing");
-    assert_eq!(ckpt.stats.iterations, 2);
-    assert_eq!(ckpt.stats.cuts_added, 8);
-
-    let p = build_rpl(&RplConfig::default(), RplLines::Both);
-    let fresh = explore(&p, &ExplorerConfig::complete()).unwrap();
-    let fresh_cost = fresh.architecture().expect("feasible").cost();
-
-    // The fingerprint covers spec + model + semantic config, *not* solver
-    // acceleration state, so the old text must resume under the new core.
-    let resumed = Explorer::resume(&p, ExplorerConfig::complete(), &ckpt)
-        .expect("fingerprint must still match: basis state is not fingerprinted");
-    let result = resumed.run().unwrap();
-    let arch = result.architecture().expect("resumed run must converge");
-    assert!(
-        (arch.cost() - fresh_cost).abs() < 1e-6,
-        "resumed optimum {} differs from fresh {fresh_cost}",
-        arch.cost()
-    );
-    assert!(
-        result.stats().iterations > 2,
-        "resume must continue, not restart"
-    );
-}
-
 fn assert_time_invariant(stats: &contrarc::ExplorationStats) {
     let parts = stats.milp_time + stats.refine_time + stats.cert_time;
     assert!(
