@@ -192,7 +192,10 @@ pub enum StopReason {
 
 impl StopReason {
     /// The stop reason corresponding to a budget-exhaustion solver error, or
-    /// `None` when the error is a genuine failure that should propagate.
+    /// `None` when the error is a genuine failure that should propagate. A
+    /// solver that reached one of its own caps
+    /// ([`SolveError::EngineLimit`]) failed: no budget of the caller's ran
+    /// out.
     #[must_use]
     pub fn from_solve_error(e: &SolveError) -> Option<StopReason> {
         match e {
@@ -1401,6 +1404,14 @@ mod tests {
             ),
             (SolveError::InvalidModel("x".into()), None),
             (SolveError::Numerical("y".into()), None),
+            // The solver's own caps are failures, not a caller's budget.
+            (
+                SolveError::EngineLimit {
+                    what: "simplex pivots per LP",
+                    limit: 500_000,
+                },
+                None,
+            ),
         ];
         for (e, expected) in cases {
             assert_eq!(StopReason::from_solve_error(&e), expected, "{e}");

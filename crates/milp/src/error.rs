@@ -15,13 +15,13 @@ pub enum SolveError {
     /// The model is structurally invalid (unknown variable, NaN coefficient,
     /// inverted bounds, ...).
     InvalidModel(String),
-    /// The simplex iteration limit was exceeded before convergence.
+    /// The caller's simplex pivot budget was exhausted before convergence.
     IterationLimit {
         /// Limit that was hit.
         limit: u64,
     },
-    /// The branch-and-bound node limit was exceeded before the tree was
-    /// exhausted.
+    /// The caller's branch-and-bound node budget was exhausted before the
+    /// tree was.
     NodeLimit {
         /// Limit that was hit.
         limit: u64,
@@ -33,6 +33,15 @@ pub enum SolveError {
     },
     /// The solver detected numerical trouble it could not recover from.
     Numerical(String),
+    /// The solver reached one of its own caps: 500,000 simplex pivots in one
+    /// LP, or 2,000,000 branch-and-bound nodes in one solve. A failure of
+    /// the solver, not the exhaustion of a caller's budget.
+    EngineLimit {
+        /// What the cap counts.
+        what: &'static str,
+        /// The cap.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for SolveError {
@@ -49,6 +58,9 @@ impl fmt::Display for SolveError {
                 write!(f, "time limit of {limit_secs} s exceeded")
             }
             SolveError::Numerical(msg) => write!(f, "numerical failure: {msg}"),
+            SolveError::EngineLimit { what, limit } => {
+                write!(f, "solver engine cap of {limit} {what} reached")
+            }
         }
     }
 }
@@ -74,6 +86,14 @@ mod tests {
         assert!(SolveError::Numerical("bad pivot".into())
             .to_string()
             .contains("bad pivot"));
+        let cap = SolveError::EngineLimit {
+            what: "simplex pivots per LP",
+            limit: 500_000,
+        };
+        assert_eq!(
+            cap.to_string(),
+            "solver engine cap of 500000 simplex pivots per LP reached"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::error::SolveError;
 use crate::solver::budget::Deadline;
-use crate::solver::revised::RevisedSimplex;
+use crate::solver::revised::{LpWorkspace, RevisedSimplex};
 use crate::solver::{Numerics, SolveOptions};
 use crate::standard_form::StandardForm;
 use std::sync::Arc;
@@ -133,11 +133,19 @@ pub(crate) struct LpSolve {
     pub refactor_reuses: u64,
 }
 
-/// Solve one LP, warm-starting when the request carries a usable snapshot
-/// and falling back to a cold solve otherwise.
-pub(crate) fn solve_lp(req: &LpRequest<'_>) -> LpSolve {
-    let new_engine = || RevisedSimplex::new(req.sf, &req.opts.budget, *req.numerics, req.deadline);
-    let mut engine = new_engine();
+#[cfg(test)]
+thread_local! {
+    /// Refactorizations of the LP solves this thread has run, for tests
+    /// that compare the work of two solves.
+    pub(crate) static REFACTORIZATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Solve one LP on workspace `ws`, warm-starting when the request carries a
+/// usable snapshot and falling back to a cold solve otherwise.
+pub(crate) fn solve_lp(req: &LpRequest<'_>, ws: &mut LpWorkspace) -> LpSolve {
+    let new_engine =
+        |ws| RevisedSimplex::new(req.sf, &req.opts.budget, *req.numerics, req.deadline, ws);
+    let mut engine = new_engine(ws);
     let warm_attempted = req.opts.warm_start && req.warm.is_some();
     let mut warm_used = false;
     let mut refactorizations = 0u64;
@@ -152,8 +160,9 @@ pub(crate) fn solve_lp(req: &LpRequest<'_>) -> LpSolve {
             Ok(None) | Err(SolveError::Numerical(_)) => {
                 // Unusable snapshot (singular basis, lost dual feasibility)
                 // or a numerical failure during the repair (a singular
-                // refactorization, say): cold start on a fresh engine,
-                // keeping the pivots already spent so budgets stay exact.
+                // refactorization, say): cold start on a fresh engine over
+                // the same workspace, keeping the pivots already spent so
+                // budgets stay exact.
                 // The cold solve owns the outcome, so the retry ladder only
                 // sees numerical trouble the cold path hits too.
                 pivots += engine.pivots;
@@ -163,7 +172,7 @@ pub(crate) fn solve_lp(req: &LpRequest<'_>) -> LpSolve {
                     .opts
                     .budget
                     .charge_pivots(engine.take_uncharged_pivots());
-                engine = new_engine();
+                engine = new_engine(engine.into_workspace());
                 match settled {
                     Ok(()) => engine.solve(),
                     Err(e) => Err(e),
@@ -176,6 +185,8 @@ pub(crate) fn solve_lp(req: &LpRequest<'_>) -> LpSolve {
     pivots += engine.pivots;
     refactorizations += engine.refactorizations;
     refactor_reuses += engine.refactor_reuses;
+    #[cfg(test)]
+    REFACTORIZATIONS.with(|n| n.set(n.get() + refactorizations));
     // Settle the shared budget at the LP boundary; exhaustion takes
     // precedence over the LP outcome, matching the serial control flow.
     let charged = req
@@ -264,7 +275,8 @@ mod tests {
             deadline: Deadline::unlimited(),
             warm,
         };
-        let cold = solve_lp(&request(None));
+        let mut ws = LpWorkspace::default();
+        let cold = solve_lp(&request(None), &mut ws);
         let Ok(LpOutcome::Optimal {
             values: cold_values,
             ..
@@ -272,7 +284,7 @@ mod tests {
         else {
             panic!("cold solve failed: {:?}", cold.result);
         };
-        let warm = solve_lp(&request(Some(&snap)));
+        let warm = solve_lp(&request(Some(&snap)), &mut ws);
         assert!(warm.warm_attempted);
         assert!(!warm.warm_used, "the dual repair cannot have succeeded");
         match warm.result {

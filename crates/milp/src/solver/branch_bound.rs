@@ -10,10 +10,11 @@ use crate::solution::{Outcome, Solution, SolveStats};
 use crate::solver::backend::{solve_lp, LpRequest, LpSolve};
 use crate::solver::budget::Deadline;
 use crate::solver::setup::RootSetup;
-use crate::solver::{BasisSnapshot, LpOutcome, Numerics, SolveOptions, WarmStart};
+use crate::solver::{BasisSnapshot, LpOutcome, LpWorkspace, Numerics, SolveOptions, WarmStart};
 use crate::standard_form::StandardForm;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::mem;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -35,7 +36,7 @@ enum BranchStep {
 
 /// A subproblem, stored as the *delta* from the shared root bounds: the chain
 /// of branching steps on the path from the root to this node. Materializing
-/// the full bound vectors costs one clone of the root bounds at pop time;
+/// the full bound vectors costs one copy of the root bounds at pop time;
 /// nodes that are pruned before being processed never materialize at all.
 /// This keeps pushing children O(depth) instead of O(vars).
 #[derive(Debug, Clone)]
@@ -53,17 +54,25 @@ struct Node {
 }
 
 impl Node {
-    /// Rebuild this node's full bound vectors from the shared root bounds.
-    fn materialize(&self, root_lbs: &[f64], root_ubs: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let mut lbs = root_lbs.to_vec();
-        let mut ubs = root_ubs.to_vec();
+    /// Write this node's full bound vectors, from the shared root bounds,
+    /// into `lbs` and `ubs`.
+    fn materialize(
+        &self,
+        root_lbs: &[f64],
+        root_ubs: &[f64],
+        lbs: &mut Vec<f64>,
+        ubs: &mut Vec<f64>,
+    ) {
+        lbs.clear();
+        lbs.extend_from_slice(root_lbs);
+        ubs.clear();
+        ubs.extend_from_slice(root_ubs);
         for step in &self.steps {
             match *step {
                 BranchStep::Upper { var, value } => ubs[var] = value,
                 BranchStep::Lower { var, value } => lbs[var] = value,
             }
         }
-        (lbs, ubs)
     }
 }
 
@@ -97,26 +106,30 @@ impl Ord for HeapEntry {
     }
 }
 
-/// Solve one node's LP relaxation (with optional dual-simplex warm start),
-/// charging pivots to the shared budget.
+/// Solve one node's LP relaxation under bounds `ws.lbs`/`ws.ubs` (with
+/// optional dual-simplex warm start) on workspace `ws`, charging pivots to
+/// the shared budget.
 fn eval_node(
     sf_root: &StandardForm,
-    lbs: &[f64],
-    ubs: &[f64],
     warm: Option<&BasisSnapshot>,
     opts: &SolveOptions,
     numerics: &Numerics,
     deadline: Deadline,
+    ws: &mut LpWorkspace,
 ) -> LpSolve {
     let mut lp_span = contrarc_obs::span!("milp.lp");
-    let sf = sf_root.rebind(lbs, ubs);
-    let solve = solve_lp(&LpRequest {
-        sf: &sf,
-        opts,
-        numerics,
-        deadline,
-        warm,
-    });
+    let sf = sf_root.rebind(&ws.lbs, &ws.ubs, mem::take(&mut ws.bounds));
+    let solve = solve_lp(
+        &LpRequest {
+            sf: &sf,
+            opts,
+            numerics,
+            deadline,
+            warm,
+        },
+        ws,
+    );
+    ws.bounds = sf.into_bounds();
     lp_span.record("pivots", solve.pivots);
     solve
 }
@@ -125,16 +138,32 @@ fn eval_node(
 /// `root_warm` optionally carries state from a *previous* solve of a
 /// monotonically grown model (the cut loop): its basis warm-starts the root
 /// relaxation, remapped to this model's shape and silently dropped when it
-/// does not fit, and its root setup is extended where it fits (see the
-/// `setup` module). Returns the outcome together with the state for the
-/// caller to feed into the next solve: the basis of the final incumbent
-/// (root basis when no incumbent improved on it) and this solve's root
-/// setup; `None` with warm starts off.
+/// does not fit, its root setup is extended where it fits (see the `setup`
+/// module), and its LP workspace, if it still has one, serves this solve's
+/// node LPs. Returns the outcome together with the state for the caller to
+/// feed into the next solve: the basis of the final incumbent (root basis
+/// when no incumbent improved on it), this solve's root setup and its LP
+/// workspace; `None` with warm starts off.
 pub(crate) fn solve(
     model: &Model,
     opts: &SolveOptions,
     numerics: &Numerics,
     root_warm: Option<&WarmStart>,
+) -> Result<(Outcome, Option<WarmStart>), SolveError> {
+    let ws = root_warm
+        .filter(|_| opts.warm_start)
+        .and_then(WarmStart::take_workspace)
+        .unwrap_or_default();
+    solve_on(model, opts, numerics, root_warm, ws)
+}
+
+/// [`solve`] with its node LPs on workspace `ws`, whatever its buffers hold.
+pub(crate) fn solve_on(
+    model: &Model,
+    opts: &SolveOptions,
+    numerics: &Numerics,
+    root_warm: Option<&WarmStart>,
+    mut ws: LpWorkspace,
 ) -> Result<(Outcome, Option<WarmStart>), SolveError> {
     let start = Instant::now();
     // One absolute deadline, the shared budget's: every LP below inherits
@@ -223,7 +252,10 @@ pub(crate) fn solve(
 
     while let Some(HeapEntry(node)) = heap.pop() {
         if stats.nodes >= MAX_NODES {
-            return Err(SolveError::NodeLimit { limit: MAX_NODES });
+            return Err(SolveError::EngineLimit {
+                what: "branch-and-bound nodes per solve",
+                limit: MAX_NODES,
+            });
         }
         if deadline.expired() {
             return Err(deadline.to_error());
@@ -241,15 +273,14 @@ pub(crate) fn solve(
         // Open-node frontier after this pop.
         contrarc_obs::metrics::gauge_set("milp.frontier", heap.len() as i64);
 
-        let (lbs, ubs) = node.materialize(root_lbs, root_ubs);
+        node.materialize(root_lbs, root_ubs, &mut ws.lbs, &mut ws.ubs);
         let eval = eval_node(
             sf_root,
-            &lbs,
-            &ubs,
             node.warm.as_deref(),
             opts,
             numerics,
             deadline,
+            &mut ws,
         );
         stats.simplex_iterations += eval.pivots;
         node_span.record("pivots", eval.pivots);
@@ -312,16 +343,16 @@ pub(crate) fn solve(
                 // through big-M constraints (M·INT_TOL can exceed the
                 // constraint margin), so verify by fixing every integer to
                 // its rounded value and re-solving the LP exactly.
-                let mut lbs_fix = lbs.clone();
-                let mut ubs_fix = ubs.clone();
+                ws.fixed_lbs.clone_from(&ws.lbs);
+                ws.fixed_ubs.clone_from(&ws.ubs);
                 let mut exact = true;
                 for &vi in &int_vars {
-                    let r = values[vi].round().clamp(lbs[vi], ubs[vi]);
+                    let r = values[vi].round().clamp(ws.lbs[vi], ws.ubs[vi]);
                     if (values[vi] - r).abs() > 1e-12 {
                         exact = false;
                     }
-                    lbs_fix[vi] = r;
-                    ubs_fix[vi] = r;
+                    ws.fixed_lbs[vi] = r;
+                    ws.fixed_ubs[vi] = r;
                 }
                 if exact {
                     check_rows(model, &values)?;
@@ -336,14 +367,18 @@ pub(crate) fn solve(
                         break;
                     }
                 } else {
-                    let sf_fix = sf_root.rebind(&lbs_fix, &ubs_fix);
-                    let fixed = solve_lp(&LpRequest {
-                        sf: &sf_fix,
-                        opts,
-                        numerics,
-                        deadline,
-                        warm: None,
-                    });
+                    let bounds = mem::take(&mut ws.bounds);
+                    let sf_fix = sf_root.rebind(&ws.fixed_lbs, &ws.fixed_ubs, bounds);
+                    let fixed = solve_lp(
+                        &LpRequest {
+                            sf: &sf_fix,
+                            opts,
+                            numerics,
+                            deadline,
+                            warm: None,
+                        },
+                        &mut ws,
+                    );
                     stats.simplex_iterations += fixed.pivots;
                     if fixed.refactorizations > 0 {
                         contrarc_obs::metrics::counter_add(
@@ -357,6 +392,7 @@ pub(crate) fn solve(
                             fixed.refactor_reuses,
                         );
                     }
+                    ws.bounds = sf_fix.into_bounds();
                     let fixed_basis = fixed.basis;
                     match fixed.result? {
                         LpOutcome::Optimal {
@@ -372,7 +408,7 @@ pub(crate) fn solve(
                                     vals[vi] = vals[vi].round();
                                 }
                                 check_rows(model, &vals)?;
-                                let objective = sf_fix.model_objective(fobj);
+                                let objective = sf_root.model_objective(fobj);
                                 contrarc_obs::event!("milp.incumbent", objective = objective);
                                 contrarc_obs::metrics::counter_add("milp.incumbents", 1);
                                 incumbent = Some((vals, fobj, objective));
@@ -392,7 +428,7 @@ pub(crate) fn solve(
                                 push_children(
                                     &mut heap,
                                     &node,
-                                    (&lbs, &ubs),
+                                    (&ws.lbs, &ws.ubs),
                                     vi,
                                     x,
                                     min_obj,
@@ -409,7 +445,7 @@ pub(crate) fn solve(
                                 push_children(
                                     &mut heap,
                                     &node,
-                                    (&lbs, &ubs),
+                                    (&ws.lbs, &ws.ubs),
                                     vi,
                                     x,
                                     min_obj,
@@ -429,7 +465,7 @@ pub(crate) fn solve(
                 push_children(
                     &mut heap,
                     &node,
-                    (&lbs, &ubs),
+                    (&ws.lbs, &ws.ubs),
                     vi,
                     x,
                     min_obj,
@@ -453,7 +489,7 @@ pub(crate) fn solve(
                 solution: Solution::new(values, objective),
                 stats,
             },
-            warm_out.map(|snap| WarmStart::new(snap, setup)),
+            warm_out.map(|snap| WarmStart::new(snap, setup, ws)),
         )),
         None => Ok((Outcome::Infeasible { stats }, None)),
     }
@@ -886,7 +922,9 @@ mod tests {
             seq: 7,
             warm: None,
         };
-        let (lbs, ubs) = node.materialize(&[0.0, 0.0, 0.0], &[5.0, 5.0, 5.0]);
+        // Bound vectors holding another node's values are overwritten.
+        let (mut lbs, mut ubs) = (vec![f64::NAN; 5], vec![f64::NAN; 1]);
+        node.materialize(&[0.0, 0.0, 0.0], &[5.0, 5.0, 5.0], &mut lbs, &mut ubs);
         assert_eq!(lbs, vec![2.0, 0.0, 0.0]);
         // Later steps override earlier ones on the same variable.
         assert_eq!(ubs, vec![5.0, 1.0, 5.0]);

@@ -9,8 +9,9 @@
 //! MILPs, solved at every rung of the numerical retry ladder with warm
 //! starts off and on, must match its status and optimum.
 
-use crate::solver::{branch_bound, Numerics, SolveOptions};
-use crate::{Cmp, LinExpr, Model, Sense, Status, VarDef, VarType};
+use crate::solver::backend::REFACTORIZATIONS;
+use crate::solver::{branch_bound, LpWorkspace, Numerics, SolveOptions, WarmStart};
+use crate::{Cmp, LinExpr, Model, Outcome, Sense, Status, VarDef, VarType};
 
 /// Tiny deterministic xorshift64* generator; no external RNG crates.
 pub(super) struct Rng(u64);
@@ -344,6 +345,70 @@ fn check_solve(
     }
 }
 
+/// Everything a solve reports, as bits: the outcome's status, objective and
+/// values, its nodes and pivots, the basis it hands on, and the
+/// refactorizations of its LPs; or its error.
+type SolveBits = Result<
+    (
+        Status,
+        Option<(u64, Vec<u64>)>,
+        u64,
+        u64,
+        Option<(Vec<u32>, Vec<u8>)>,
+    ),
+    String,
+>;
+
+/// Solves `m` as [`check_solve`] does, but with its node LPs on workspace
+/// `ws`; returns what the solve reported with its refactorizations, and the
+/// workspace when the solve hands it on.
+fn solve_on(
+    m: &Model,
+    rung: u64,
+    warm_start: bool,
+    ws: LpWorkspace,
+) -> ((SolveBits, u64), Option<LpWorkspace>) {
+    let opts = SolveOptions {
+        warm_start,
+        ..SolveOptions::default()
+    };
+    let numerics = Numerics::at_rung(rung);
+    let root_warm = warm_start
+        .then(|| branch_bound::solve(&without_last_row(m), &opts, &numerics, None).ok())
+        .flatten()
+        .and_then(|(_, state)| state);
+    let before = REFACTORIZATIONS.with(|n| n.get());
+    let result = branch_bound::solve_on(m, &opts, &numerics, root_warm.as_ref(), ws);
+    let refactorizations = REFACTORIZATIONS.with(|n| n.get()) - before;
+    let bits = |outcome: &Outcome, state: &Option<WarmStart>| {
+        let solution = outcome.solution().map(|s| {
+            (
+                s.objective().to_bits(),
+                s.values().iter().map(|v| v.to_bits()).collect(),
+            )
+        });
+        let basis = state
+            .as_ref()
+            .map(|w| (w.snap.basis.clone(), w.snap.state.clone()));
+        let stats = outcome.stats();
+        (
+            outcome.status(),
+            solution,
+            stats.nodes,
+            stats.simplex_iterations,
+            basis,
+        )
+    };
+    match result {
+        Ok((outcome, state)) => {
+            let reported = bits(&outcome, &state);
+            let ws = state.as_ref().and_then(WarmStart::take_workspace);
+            ((Ok(reported), refactorizations), ws)
+        }
+        Err(e) => ((Err(e.to_string()), refactorizations), None),
+    }
+}
+
 /// Checks 200 seeded models against the oracle, each solved at every
 /// retry-ladder rung with warm starts off and on; panics listing every
 /// disagreement. Returns how many of the models are feasible.
@@ -432,6 +497,40 @@ mod tests {
             (100..200).contains(&feasible),
             "the generator must keep making feasible and infeasible MILPs: {feasible} of 200 feasible"
         );
+    }
+
+    /// Every solve of the oracle's 400 models and of the bit-identity test's
+    /// MILPs, at every rung with warm starts off and on, reports the same
+    /// bits on a reused workspace poisoned with NaN as on a fresh one: a
+    /// workspace carries capacity, never values.
+    #[test]
+    fn a_poisoned_reused_workspace_changes_no_bit() {
+        let models = (0..200)
+            .flat_map(|seed| [random_model(seed, false), random_model(seed, true)])
+            .chain((0..25).map(random_milp));
+        let mut used = LpWorkspace::default();
+        let (mut solves, mut poisoned) = (0, 0);
+        for m in models {
+            for rung in 0..=Numerics::TOP_RUNG {
+                for warm_start in [false, true] {
+                    let (fresh, _) = solve_on(&m, rung, warm_start, LpWorkspace::default());
+                    poisoned += usize::from(used.poison() > 0);
+                    let (reused, handed_on) = solve_on(&m, rung, warm_start, used.clone());
+                    assert_eq!(
+                        reused,
+                        fresh,
+                        "{} rung={rung} warm_start={warm_start}",
+                        m.name()
+                    );
+                    used = handed_on.unwrap_or(used);
+                    solves += 1;
+                }
+            }
+        }
+        // Only the first model's first two solves, which no solve handed a
+        // workspace on to, start from an empty one.
+        assert_eq!(solves, 425 * 8);
+        assert_eq!(poisoned, solves - 2, "workspaces that held buffers");
     }
 
     /// Warm-started and cold solves agree bit-for-bit on the final

@@ -1,6 +1,7 @@
 //! Sparse LU factorization of a simplex basis with product-form eta updates.
 //!
-//! The revised simplex never forms `B⁻¹` explicitly. Instead it keeps
+//! The revised simplex never forms `B⁻¹` explicitly. Instead it keeps, in a
+//! [`FactorizedBasis`],
 //!
 //! * an [`LuFactors`] — a left-looking sparse LU of the basis matrix, built
 //!   with partial pivoting over a **canonical column order** (ascending
@@ -23,12 +24,20 @@
 //! O(nnz(L + U) + the rows each column touches), times a log factor for the
 //! ordered reach set and the sort of each L and U column. It reads each
 //! basis column in place, as the row and value slices of the standard form,
-//! and stores L and U as one flat entry array each with per-step offsets, so
-//! a build makes a handful of allocations whatever the basis size. The
-//! leading run of singleton columns on free rows (the slacks of a canonical
-//! order) costs O(1) per column, and a later column's entries in those rows
-//! go straight into U. An eta stores only the nonzeros of its FTRAN image,
-//! so applying it costs O(nnz) too.
+//! and stores L and U as one flat entry array each with per-step offsets.
+//! The leading run of singleton columns on free rows (the slacks of a
+//! canonical order) costs O(1) per column, and a later column's entries in
+//! those rows go straight into U. An eta stores only the nonzeros of its
+//! FTRAN image, in one flat array for the whole eta file, so applying it
+//! costs O(nnz) too.
+//!
+//! Nothing here allocates once its buffers are at size. A refactorization
+//! refills a spare [`LuFactors`] and the build's scratch, and swaps the
+//! spare in only when the basis is nonsingular, so a singular build leaves
+//! the operator as it was. FTRAN and BTRAN write into the caller's output
+//! buffer and consume the caller's input as scratch. The operator lives in
+//! a branch-and-bound solve's LP workspace, so the node LPs of one solve,
+//! and the selections of a cut loop, reuse the same arrays.
 //!
 //! # Arithmetic
 //!
@@ -41,21 +50,43 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::mem;
 
 /// One product-form update: basis position `pos` was replaced by a column
 /// whose FTRAN image (through the basis *before* this update) is `w`.
-#[derive(Debug, Clone)]
-pub(crate) struct Eta {
+#[derive(Debug, Clone, Copy)]
+struct Eta {
     pos: usize,
     /// `w[pos]`, the pivot element.
     pivot: f64,
-    /// `(i, w[i])` for every `i ≠ pos` with `w[i] ≠ 0`, in ascending `i`.
+    /// Its entries are `EtaFile::entries[start..end]`: `(i, w[i])` for every
+    /// `i ≠ pos` with `w[i] ≠ 0`, in ascending `i`.
+    start: usize,
+    end: usize,
+}
+
+/// The etas since the last refactorization, oldest first, with their
+/// entries in one flat array.
+#[derive(Debug, Clone, Default)]
+struct EtaFile {
+    etas: Vec<Eta>,
     entries: Vec<(usize, f64)>,
+}
+
+impl EtaFile {
+    fn entries(&self, eta: &Eta) -> &[(usize, f64)] {
+        &self.entries[eta.start..eta.end]
+    }
+
+    fn clear(&mut self) {
+        self.etas.clear();
+        self.entries.clear();
+    }
 }
 
 /// Sparse LU factors of an `m × m` basis matrix, `P B Q = L U` with unit
 /// lower-triangular `L`, stored column-wise in elimination-step order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct LuFactors {
     m: usize,
     /// `colorder[k]` = basis position whose column was pivotal at step `k`
@@ -84,6 +115,7 @@ const FREE: usize = usize::MAX;
 
 /// Scratch of one column's elimination: the rows it touches and the
 /// earlier steps those rows reach.
+#[derive(Debug, Clone, Default)]
 struct ColumnWork {
     /// Column values in original-row space; zero outside `touched`.
     values: Vec<f64>,
@@ -95,13 +127,15 @@ struct ColumnWork {
 }
 
 impl ColumnWork {
-    fn new(m: usize) -> Self {
-        ColumnWork {
-            values: vec![0.0; m],
-            touched: Vec::new(),
-            is_touched: vec![false; m],
-            reach: BinaryHeap::new(),
-        }
+    /// Empty scratch for columns of `m` rows. A build that fails part way
+    /// leaves its last column's marks behind, so every build starts here.
+    fn reset(&mut self, m: usize) {
+        self.values.clear();
+        self.values.resize(m, 0.0);
+        self.touched.clear();
+        self.is_touched.clear();
+        self.is_touched.resize(m, false);
+        self.reach.clear();
     }
 
     /// Note that row `r` now holds a value; if it is pivotal, its step
@@ -126,31 +160,48 @@ impl ColumnWork {
     }
 }
 
+/// The scratch a build needs besides the factors it fills.
+#[derive(Debug, Clone, Default)]
+struct BuildScratch {
+    /// `step_of_row[r] = k` once row `r` became pivotal at step `k`.
+    step_of_row: Vec<usize>,
+    work: ColumnWork,
+    free_rows: Vec<usize>,
+}
+
 impl LuFactors {
-    /// Factorize a basis. `order` is the canonical processing order, a
-    /// permutation of the basis positions `0..m`; `col(p)` is the column at
-    /// basis position `p` as parallel row-index and value slices in
-    /// original-row space, rows ascending. Returns `None` when the matrix is
-    /// singular.
-    pub(crate) fn build<'c>(
-        order: Vec<usize>,
+    /// Refill these factors with a factorization of a basis. `order` is the
+    /// canonical processing order, a permutation of the basis positions
+    /// `0..m`; `col(p)` is the column at basis position `p` as parallel
+    /// row-index and value slices in original-row space, rows ascending.
+    /// Returns `false` when the matrix is singular, leaving the factors
+    /// half built.
+    fn build<'c>(
+        &mut self,
+        order: &[usize],
         col: impl Fn(usize) -> (&'c [u32], &'c [f64]),
-    ) -> Option<LuFactors> {
+        scratch: &mut BuildScratch,
+    ) -> bool {
         let m = order.len();
-        let mut f = LuFactors {
-            m,
-            colorder: order,
-            perm: Vec::with_capacity(m),
-            l_start: Vec::with_capacity(m + 1),
-            l_entries: Vec::new(),
-            u_start: Vec::with_capacity(m + 1),
-            u_entries: Vec::new(),
-            udiag: Vec::with_capacity(m),
-        };
-        f.l_start.push(0);
-        f.u_start.push(0);
-        // step_of_row[r] = k once row r became pivotal at step k.
-        let mut step_of_row = vec![FREE; m];
+        self.m = m;
+        self.colorder.clear();
+        self.colorder.extend_from_slice(order);
+        self.perm.clear();
+        self.l_start.clear();
+        self.l_entries.clear();
+        self.u_start.clear();
+        self.u_entries.clear();
+        self.udiag.clear();
+        self.l_start.push(0);
+        self.u_start.push(0);
+        let BuildScratch {
+            step_of_row,
+            work,
+            free_rows,
+        } = scratch;
+        step_of_row.clear();
+        step_of_row.resize(m, FREE);
+        work.reset(m);
         // The leading run of singleton columns on free rows: each column's
         // one entry is its pivot, with nothing to apply and nothing below it,
         // so the general step below would reject it exactly when `|a|` is
@@ -158,7 +209,7 @@ impl LuFactors {
         // columns.
         let mut prefix = 0;
         while prefix < m {
-            let (rows, vals) = col(f.colorder[prefix]);
+            let (rows, vals) = col(self.colorder[prefix]);
             let (&[r], &[a]) = (rows, vals) else {
                 break;
             };
@@ -167,17 +218,15 @@ impl LuFactors {
                 break;
             }
             if a.abs() < SINGULAR_TOL || a.is_nan() {
-                return None;
+                return false;
             }
             step_of_row[r] = prefix;
-            f.perm.push(r);
-            f.udiag.push(a);
-            f.l_start.push(0);
-            f.u_start.push(0);
+            self.perm.push(r);
+            self.udiag.push(a);
+            self.l_start.push(0);
+            self.u_start.push(0);
             prefix += 1;
         }
-        let mut work = ColumnWork::new(m);
-        let mut free_rows = Vec::new();
         for k in prefix..m {
             // A row pivoted in the prefix never enters an L column (a prefix
             // step has none, and a later step's L holds only rows free at
@@ -185,21 +234,21 @@ impl LuFactors {
             // there is its U entry as it stands, and needs no touch and no
             // reach. Those steps precede every step the heap yields, so
             // sorting them first keeps U in ascending step order.
-            let (rows, vals) = col(f.colorder[k]);
-            let u_begin = f.u_entries.len();
+            let (rows, vals) = col(self.colorder[k]);
+            let u_begin = self.u_entries.len();
             for (&r, &a) in rows.iter().zip(vals) {
                 let r = r as usize;
                 let t = step_of_row[r];
                 if t < prefix {
                     if a != 0.0 {
-                        f.u_entries.push((t, a));
+                        self.u_entries.push((t, a));
                     }
                 } else {
                     work.values[r] = a;
-                    work.touch(r, &step_of_row);
+                    work.touch(r, step_of_row);
                 }
             }
-            f.u_entries[u_begin..].sort_unstable_by_key(|&(t, _)| t);
+            self.u_entries[u_begin..].sort_unstable_by_key(|&(t, _)| t);
             // Left-looking update: apply earlier elimination steps in
             // ascending order, harvesting the U entries as we go. Only a
             // step whose pivot row holds a value can apply. Step t touches
@@ -209,12 +258,12 @@ impl LuFactors {
             // the same order, and each row receives the same subtractions
             // in the same order.
             while let Some(Reverse(t)) = work.reach.pop() {
-                let u = work.values[f.perm[t]];
+                let u = work.values[self.perm[t]];
                 if u != 0.0 {
-                    f.u_entries.push((t, u));
-                    for &(r, l) in &f.l_entries[f.l_start[t]..f.l_start[t + 1]] {
+                    self.u_entries.push((t, u));
+                    for &(r, l) in &self.l_entries[self.l_start[t]..self.l_start[t + 1]] {
                         work.values[r] -= l * u;
-                        work.touch(r, &step_of_row);
+                        work.touch(r, step_of_row);
                     }
                 }
             }
@@ -232,30 +281,30 @@ impl LuFactors {
             free_rows.sort_unstable();
             let mut pivot_row = usize::MAX;
             let mut pivot_abs = 0.0_f64;
-            for &r in &free_rows {
+            for &r in free_rows.iter() {
                 if work.values[r].abs() > pivot_abs {
                     pivot_abs = work.values[r].abs();
                     pivot_row = r;
                 }
             }
             if pivot_abs < SINGULAR_TOL {
-                return None;
+                return false;
             }
             let d = work.values[pivot_row];
-            f.l_entries.extend(
+            self.l_entries.extend(
                 free_rows
                     .iter()
                     .filter(|&&r| r != pivot_row && work.values[r] != 0.0)
                     .map(|&r| (r, work.values[r] / d)),
             );
             step_of_row[pivot_row] = k;
-            f.perm.push(pivot_row);
-            f.udiag.push(d);
-            f.l_start.push(f.l_entries.len());
-            f.u_start.push(f.u_entries.len());
+            self.perm.push(pivot_row);
+            self.udiag.push(d);
+            self.l_start.push(self.l_entries.len());
+            self.u_start.push(self.u_entries.len());
             work.clear();
         }
-        Some(f)
+        true
     }
 
     /// `L` multipliers of step `k`: `(row, l)`, rows ascending.
@@ -269,7 +318,8 @@ impl LuFactors {
     }
 
     /// Solve `B x = b`: input in original-row space, output indexed by basis
-    /// position. `z` is scratch of length `m`.
+    /// position. `z` is scratch of length `m`. Every position of `z` and
+    /// `out` is written before it is read, so neither needs clearing.
     fn solve(&self, b: &mut [f64], z: &mut [f64], out: &mut [f64]) {
         // Forward: L z = P b, in step order.
         for k in 0..self.m {
@@ -295,7 +345,8 @@ impl LuFactors {
     }
 
     /// Solve `Bᵀ y = c`: input indexed by basis position, output in
-    /// original-row space. `v` is scratch of length `m`.
+    /// original-row space. `v` is scratch of length `m`. Every position of
+    /// `v` and `out` is written before it is read.
     fn solve_transposed(&self, c: &[f64], v: &mut [f64], out: &mut [f64]) {
         // Forward: Uᵀ v = d with d_k = c[colorder[k]], in step order.
         for k in 0..self.m {
@@ -316,80 +367,151 @@ impl LuFactors {
             out[self.perm[k]] = yk;
         }
     }
+
+    /// Fill every array, to its capacity, with values no build leaves;
+    /// returns how many entries that wrote.
+    #[cfg(test)]
+    fn poison(&mut self) -> usize {
+        self.m = usize::MAX;
+        let indices: usize = [
+            &mut self.colorder,
+            &mut self.perm,
+            &mut self.l_start,
+            &mut self.u_start,
+        ]
+        .into_iter()
+        .map(|v| poison(v, usize::MAX))
+        .sum();
+        indices
+            + poison(&mut self.l_entries, (usize::MAX, f64::NAN))
+            + poison(&mut self.u_entries, (usize::MAX, f64::NAN))
+            + poison(&mut self.udiag, f64::NAN)
+    }
+}
+
+/// Fill `v` to its capacity with `x`; returns its new length.
+#[cfg(test)]
+pub(crate) fn poison<T: Clone>(v: &mut Vec<T>, x: T) -> usize {
+    v.clear();
+    v.resize(v.capacity(), x);
+    v.len()
 }
 
 /// A factorized basis plus its eta file: the complete `B⁻¹` operator of the
-/// revised simplex between two refactorizations.
-#[derive(Debug, Clone)]
+/// revised simplex between two refactorizations, with every buffer its
+/// refactorizations and solves reuse. An empty one (the default) holds no
+/// operator until its first [`refactorize`](FactorizedBasis::refactorize).
+#[derive(Debug, Clone, Default)]
 pub(crate) struct FactorizedBasis {
     factor: LuFactors,
-    etas: Vec<Eta>,
-    /// Scratch buffers reused across solves.
+    /// The factors the next refactorization fills, swapped in when it
+    /// succeeds.
+    spare: LuFactors,
+    build: BuildScratch,
+    etas: EtaFile,
+    /// Scratch of the LU solves.
     scratch: Vec<f64>,
 }
 
 impl FactorizedBasis {
-    pub(crate) fn new(factor: LuFactors) -> Self {
-        let m = factor.m;
-        FactorizedBasis {
-            factor,
-            etas: Vec::new(),
-            scratch: vec![0.0; m],
+    /// Factorize a basis, as [`LuFactors`] describes its `order` and `col`,
+    /// and empty the eta file. Returns `false` on a singular basis, leaving
+    /// the operator as it was.
+    pub(crate) fn refactorize<'c>(
+        &mut self,
+        order: &[usize],
+        col: impl Fn(usize) -> (&'c [u32], &'c [f64]),
+    ) -> bool {
+        if !self.spare.build(order, col, &mut self.build) {
+            return false;
         }
+        mem::swap(&mut self.factor, &mut self.spare);
+        self.etas.clear();
+        self.scratch.resize(order.len(), 0.0);
+        true
     }
 
     /// Etas accumulated since the factorization was built.
     pub(crate) fn num_etas(&self) -> usize {
-        self.etas.len()
+        self.etas.etas.len()
     }
 
     /// Record a pivot: basis position `pos` replaced by the column whose
     /// current FTRAN image is `w`.
     pub(crate) fn push_eta(&mut self, pos: usize, w: &[f64]) {
-        let entries = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &wi)| i != pos && wi != 0.0)
-            .map(|(i, &wi)| (i, wi))
-            .collect();
-        self.etas.push(Eta {
+        let start = self.etas.entries.len();
+        self.etas.entries.extend(
+            w.iter()
+                .enumerate()
+                .filter(|&(i, &wi)| i != pos && wi != 0.0)
+                .map(|(i, &wi)| (i, wi)),
+        );
+        self.etas.etas.push(Eta {
             pos,
             pivot: w[pos],
-            entries,
+            start,
+            end: self.etas.entries.len(),
         });
     }
 
-    /// FTRAN: `x = B⁻¹ b`, input in original-row space, output indexed by
-    /// basis position. Consumes `b` as workspace.
-    pub(crate) fn ftran(&mut self, mut b: Vec<f64>) -> Vec<f64> {
-        let m = self.factor.m;
-        let mut out = vec![0.0; m];
-        self.factor.solve(&mut b, &mut self.scratch, &mut out);
-        for eta in &self.etas {
+    /// FTRAN: `out = B⁻¹ b`, input in original-row space, output indexed by
+    /// basis position. Consumes `b` as scratch; writes every position of
+    /// `out`. Both have length `m`.
+    pub(crate) fn ftran(&mut self, b: &mut [f64], out: &mut [f64]) {
+        self.factor.solve(b, &mut self.scratch, out);
+        for eta in &self.etas.etas {
             let t = out[eta.pos] / eta.pivot;
-            for &(i, wi) in &eta.entries {
+            for &(i, wi) in self.etas.entries(eta) {
                 out[i] -= wi * t;
             }
             out[eta.pos] = t;
         }
-        out
     }
 
-    /// BTRAN: `y = B⁻ᵀ c`, input indexed by basis position, output in
-    /// original-row space. Consumes `c` as workspace.
-    pub(crate) fn btran(&mut self, mut c: Vec<f64>) -> Vec<f64> {
-        for eta in self.etas.iter().rev() {
+    /// BTRAN: `out = B⁻ᵀ c`, input indexed by basis position, output in
+    /// original-row space. Consumes `c` as scratch; writes every position of
+    /// `out`. Both have length `m`.
+    pub(crate) fn btran(&mut self, c: &mut [f64], out: &mut [f64]) {
+        for eta in self.etas.etas.iter().rev() {
             let mut dot = 0.0;
-            for &(i, wi) in &eta.entries {
+            for &(i, wi) in self.etas.entries(eta) {
                 dot += c[i] * wi;
             }
             c[eta.pos] = (c[eta.pos] - dot) / eta.pivot;
         }
-        let m = self.factor.m;
-        let mut out = vec![0.0; m];
-        self.factor
-            .solve_transposed(&c, &mut self.scratch, &mut out);
-        out
+        self.factor.solve_transposed(c, &mut self.scratch, out);
+    }
+
+    /// Fill every buffer, the current and the spare factors included, to
+    /// its capacity with values no solve leaves; returns how many entries
+    /// that wrote.
+    #[cfg(test)]
+    pub(crate) fn poison(&mut self) -> usize {
+        let BuildScratch {
+            step_of_row,
+            work,
+            free_rows,
+        } = &mut self.build;
+        while work.reach.len() < work.reach.capacity() {
+            work.reach.push(Reverse(usize::MAX));
+        }
+        let eta = Eta {
+            pos: usize::MAX,
+            pivot: f64::NAN,
+            start: usize::MAX,
+            end: usize::MAX,
+        };
+        self.factor.poison()
+            + self.spare.poison()
+            + poison(step_of_row, usize::MAX)
+            + poison(free_rows, usize::MAX)
+            + poison(&mut work.values, f64::NAN)
+            + poison(&mut work.touched, usize::MAX)
+            + poison(&mut work.is_touched, true)
+            + work.reach.len()
+            + poison(&mut self.etas.etas, eta)
+            + poison(&mut self.etas.entries, (usize::MAX, f64::NAN))
+            + poison(&mut self.scratch, f64::NAN)
     }
 }
 
@@ -412,13 +534,47 @@ mod tests {
             .collect()
     }
 
-    /// `LuFactors::build` over columns given as `(row, value)` lists.
-    fn build(cols: &[Vec<(usize, f64)>], order: &[usize]) -> Option<LuFactors> {
-        let split: Vec<(Vec<u32>, Vec<f64>)> = cols
-            .iter()
+    /// Columns given as `(row, value)` lists, as parallel row and value
+    /// arrays.
+    fn split(cols: &[Vec<(usize, f64)>]) -> Vec<(Vec<u32>, Vec<f64>)> {
+        cols.iter()
             .map(|col| col.iter().map(|&(r, a)| (r as u32, a)).unzip())
-            .collect();
-        LuFactors::build(order.to_vec(), |p| (&split[p].0, &split[p].1))
+            .collect()
+    }
+
+    /// `LuFactors::build` into fresh factors.
+    fn build(cols: &[Vec<(usize, f64)>], order: &[usize]) -> Option<LuFactors> {
+        let split = split(cols);
+        let mut f = LuFactors::default();
+        f.build(
+            order,
+            |p| (&split[p].0, &split[p].1),
+            &mut BuildScratch::default(),
+        )
+        .then_some(f)
+    }
+
+    /// The operator of factors `f` with an empty eta file.
+    fn operator(f: LuFactors) -> FactorizedBasis {
+        FactorizedBasis {
+            scratch: vec![0.0; f.m],
+            factor: f,
+            ..FactorizedBasis::default()
+        }
+    }
+
+    /// `B⁻¹ b` into a fresh vector.
+    fn ftran(op: &mut FactorizedBasis, mut b: Vec<f64>) -> Vec<f64> {
+        let mut out = vec![0.0; b.len()];
+        op.ftran(&mut b, &mut out);
+        out
+    }
+
+    /// `B⁻ᵀ c` into a fresh vector.
+    fn btran(op: &mut FactorizedBasis, mut c: Vec<f64>) -> Vec<f64> {
+        let mut out = vec![0.0; c.len()];
+        op.btran(&mut c, &mut out);
+        out
     }
 
     fn mat_vec(mat: &[&[f64]], x: &[f64]) -> Vec<f64> {
@@ -445,11 +601,11 @@ mod tests {
         let cols = dense_cols(&mat);
         let order = vec![2, 0, 3, 1]; // arbitrary canonical order
         let f = build(&cols, &order).expect("nonsingular");
-        let mut basis = FactorizedBasis::new(f);
+        let mut basis = operator(f);
 
         // FTRAN: solve B x = b, check B x == b.
         let b = vec![1.0, -2.0, 0.5, 3.0];
-        let x = basis.ftran(b.clone());
+        let x = ftran(&mut basis, b.clone());
         let back = mat_vec(&mat, &x);
         for (got, want) in back.iter().zip(&b) {
             assert!((got - want).abs() < 1e-10, "{got} vs {want}");
@@ -457,7 +613,7 @@ mod tests {
 
         // BTRAN: solve Bᵀ y = c, check Bᵀ y == c.
         let c = vec![0.5, 1.0, -1.0, 2.0];
-        let y = basis.btran(c.clone());
+        let y = btran(&mut basis, c.clone());
         let back = mat_t_vec(&mat, &y);
         for (got, want) in back.iter().zip(&c) {
             assert!((got - want).abs() < 1e-10, "{got} vs {want}");
@@ -479,23 +635,23 @@ mod tests {
         let id_cols: Vec<Vec<(usize, f64)>> = (0..m).map(|r| vec![(r, 1.0)]).collect();
         let order: Vec<usize> = (0..m).collect();
         let f = build(&id_cols, &order).unwrap();
-        let mut basis = FactorizedBasis::new(f);
+        let mut basis = operator(f);
 
         // New column a = (1, 2, 1)ᵀ enters position 1: w = B⁻¹ a = a.
         let a = vec![1.0, 2.0, 1.0];
-        let w = basis.ftran(a.clone());
+        let w = ftran(&mut basis, a.clone());
         basis.push_eta(1, &w);
 
         // Updated basis matrix: columns e0, a, e2.
         let mat: Vec<&[f64]> = vec![&[1.0, 1.0, 0.0], &[0.0, 2.0, 0.0], &[0.0, 1.0, 1.0]];
         let b = vec![3.0, 4.0, 5.0];
-        let x = basis.ftran(b.clone());
+        let x = ftran(&mut basis, b.clone());
         let back = mat_vec(&mat, &x);
         for (got, want) in back.iter().zip(&b) {
             assert!((got - want).abs() < 1e-10, "{got} vs {want}");
         }
         let c = vec![1.0, -1.0, 0.5];
-        let y = basis.btran(c.clone());
+        let y = btran(&mut basis, c.clone());
         let back = mat_t_vec(&mat, &y);
         for (got, want) in back.iter().zip(&c) {
             assert!((got - want).abs() < 1e-10, "{got} vs {want}");
@@ -504,8 +660,7 @@ mod tests {
         // Refactorizing the updated basis gives the same operator.
         let upd_cols = dense_cols(&mat);
         let f2 = build(&upd_cols, &order).unwrap();
-        let mut fresh = FactorizedBasis::new(f2);
-        let x2 = fresh.ftran(b);
+        let x2 = ftran(&mut operator(f2), b);
         for (a, b) in x.iter().zip(&x2) {
             assert!((a - b).abs() < 1e-10);
         }
@@ -522,8 +677,8 @@ mod tests {
         let f1 = build(&cols, &[0, 1, 2]).unwrap();
         let f2 = build(&cols, &[0, 1, 2]).unwrap();
         let b = vec![1.0, 2.0, 3.0];
-        let x1 = FactorizedBasis::new(f1).ftran(b.clone());
-        let x2 = FactorizedBasis::new(f2).ftran(b);
+        let x1 = ftran(&mut operator(f1), b.clone());
+        let x2 = ftran(&mut operator(f2), b);
         assert_eq!(x1, x2, "identical inputs must give bit-identical solves");
     }
 
@@ -858,6 +1013,27 @@ mod tests {
         }
     }
 
+    /// Panic unless two factorizations agree bit for bit.
+    fn assert_same_lu(got: &LuFactors, want: &LuFactors, case: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.m, want.m, "{case}: reused m");
+        assert_eq!(got.colorder, want.colorder, "{case}: reused colorder");
+        assert_eq!(got.perm, want.perm, "{case}: reused perm");
+        assert_eq!(got.l_start, want.l_start, "{case}: reused l_start");
+        assert_eq!(got.u_start, want.u_start, "{case}: reused u_start");
+        assert_eq!(
+            entry_bits(&got.l_entries),
+            entry_bits(&want.l_entries),
+            "{case}: reused L"
+        );
+        assert_eq!(
+            entry_bits(&got.u_entries),
+            entry_bits(&want.u_entries),
+            "{case}: reused U"
+        );
+        assert_eq!(bits(&got.udiag), bits(&want.udiag), "{case}: reused udiag");
+    }
+
     /// Entries that elimination cancelled to exactly zero: rows a column
     /// touches (its own nonzeros plus the L rows of every step applied to
     /// it) that end up neither in U, nor the pivot, nor L.
@@ -902,10 +1078,10 @@ mod tests {
     fn check_etas(rng: &mut StdRng, f: LuFactors, case: &str) {
         let m = f.m;
         let mut dense = DenseBasis::new(f.clone());
-        let mut sparse = FactorizedBasis::new(f);
+        let mut sparse = operator(f);
         for step in 0..rng.random_range(1..=64usize) {
             let entering = random_vector(rng, m);
-            let w = sparse.ftran(entering.clone());
+            let w = ftran(&mut sparse, entering.clone());
             assert_eq!(w, dense.ftran(entering), "{case}: entering FTRAN {step}");
             let mut pos = 0;
             for i in 1..m {
@@ -920,13 +1096,13 @@ mod tests {
             dense.push_eta(pos, w);
             let b = random_vector(rng, m);
             assert_eq!(
-                sparse.ftran(b.clone()),
+                ftran(&mut sparse, b.clone()),
                 dense.ftran(b),
                 "{case}: FTRAN {step}"
             );
             let c = random_vector(rng, m);
             assert_eq!(
-                sparse.btran(c.clone()),
+                btran(&mut sparse, c.clone()),
                 dense.btran(c),
                 "{case}: BTRAN {step}"
             );
@@ -972,13 +1148,24 @@ mod tests {
         let mut singular = 0;
         let mut cancelled = 0;
         let mut mixed = 0;
+        // One operator refactorized for every case, its buffers poisoned
+        // first: what earlier builds leave in them must not matter.
+        let mut reused = FactorizedBasis::default();
         for shape in SHAPES {
             for seed in 0..40u64 {
                 let case = format!("{shape:?} seed {seed}");
                 let mut rng = StdRng::seed_from_u64(seed * 31 + shape as u64);
                 let cols = random_basis(&mut rng, shape);
                 let order = random_order(&mut rng, &cols);
-                match assert_builds_agree(&cols, &order, &case) {
+                let split = split(&cols);
+                reused.poison();
+                let reused_ok = reused.refactorize(&order, |p| (&split[p].0, &split[p].1));
+                let fresh = assert_builds_agree(&cols, &order, &case);
+                assert_eq!(reused_ok, fresh.is_some(), "{case}: reused verdict");
+                if let Some(fresh) = &fresh {
+                    assert_same_lu(&reused.factor, fresh, &case);
+                }
+                match fresh {
                     None => singular += 1,
                     Some(got) => {
                         cancelled += exact_cancellations(&got, &cols);

@@ -15,6 +15,7 @@ mod setup;
 mod simplex;
 
 pub(crate) use backend::{BasisSnapshot, LpOutcome};
+pub(crate) use revised::LpWorkspace;
 
 use crate::error::SolveError;
 use crate::model::Model;
@@ -25,7 +26,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 /// Opaque solver state one solve of the exploration cut loop hands to the
 /// next, from [`Solver::solve_with_state`] with [`SolveOptions::warm_start`]
-/// on (the default). It holds two things:
+/// on (the default). It holds three things:
 ///
 /// - the basis of the solve's final incumbent, which warm-starts the next
 ///   solve's root relaxation by dual simplex when the next model has at
@@ -39,21 +40,27 @@ use std::sync::{Arc, Mutex, PoisonError};
 ///   constraints appended and no new objective, at the same presolve
 ///   setting, and only where the extension provably equals a rebuild bit
 ///   for bit. The first solve the setup fits takes it; a state from another
-///   model leaves it unused, and a clone of the state starts without one.
+///   model leaves it unused, and a clone of the state starts without one;
+/// - the buffers the solve's node LPs worked in, already at size. The first
+///   solve that receives the state takes them, whatever its model; a clone
+///   of the state starts without them.
 ///
-/// The root setup changes only the work: a solve that extends it is, bit
-/// for bit, the solve that would rebuild it.
+/// The root setup and the buffers change only the work: a solve that
+/// extends the setup is, bit for bit, the solve that would rebuild it, and
+/// the buffers carry capacity, not values.
 #[derive(Debug)]
 pub struct WarmStart {
     pub(crate) snap: Arc<BasisSnapshot>,
     setup: Mutex<Option<RootSetup>>,
+    workspace: Mutex<Option<LpWorkspace>>,
 }
 
 impl WarmStart {
-    fn new(snap: Arc<BasisSnapshot>, setup: RootSetup) -> Self {
+    fn new(snap: Arc<BasisSnapshot>, setup: RootSetup, workspace: LpWorkspace) -> Self {
         WarmStart {
             snap,
             setup: Mutex::new(Some(setup)),
+            workspace: Mutex::new(Some(workspace)),
         }
     }
 
@@ -63,7 +70,16 @@ impl WarmStart {
         WarmStart {
             snap: Arc::new(snap),
             setup: Mutex::new(None),
+            workspace: Mutex::new(None),
         }
+    }
+
+    /// Take the carried LP workspace, if no solve has taken it yet.
+    fn take_workspace(&self) -> Option<LpWorkspace> {
+        self.workspace
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
     }
 
     /// Take the carried root setup if it fits a solve of `model` at presolve
@@ -78,13 +94,14 @@ impl WarmStart {
     }
 }
 
-/// The clone shares the basis but not the root setup, which only one solve
-/// can extend.
+/// The clone shares the basis but neither the root setup, which only one
+/// solve can extend, nor the LP workspace, which only one solve can use.
 impl Clone for WarmStart {
     fn clone(&self) -> Self {
         WarmStart {
             snap: Arc::clone(&self.snap),
             setup: Mutex::new(None),
+            workspace: Mutex::new(None),
         }
     }
 }
@@ -245,8 +262,10 @@ impl Solver {
     /// Solve a model to proven optimality (or infeasibility/unboundedness).
     ///
     /// Each LP relaxation may take at most 500,000 simplex pivots and each
-    /// solve at most 2,000,000 branch-and-bound nodes; [`SolveOptions::budget`]
-    /// caps the work and wall time of a whole sequence of solves.
+    /// solve at most 2,000,000 branch-and-bound nodes; reaching either cap
+    /// is [`SolveError::EngineLimit`], and the retry ladder does not re-solve
+    /// it. [`SolveOptions::budget`] caps the work and wall time of a whole
+    /// sequence of solves.
     ///
     /// [`SolveError::Numerical`] failures are absorbed by a three-rung retry
     /// ladder. Each rung re-solves with more conservative settings than the
@@ -260,9 +279,10 @@ impl Solver {
     ///
     /// Returns a [`SolveError`] when the model is malformed (an objective
     /// that mentions a variable the model does not have, or a non-finite
-    /// coefficient, is [`SolveError::InvalidModel`]), an iteration, node,
-    /// or time limit is exhausted before the outcome is proven, or a
-    /// numerical failure survives every rung of the retry ladder.
+    /// coefficient, is [`SolveError::InvalidModel`]), the budget's pivots,
+    /// nodes or time run out before the outcome is proven, the solver
+    /// reaches one of its own caps, or a numerical failure survives every
+    /// rung of the retry ladder.
     pub fn solve(&self, model: &Model) -> Result<Outcome, SolveError> {
         self.solve_with_state(model, None)
             .map(|(outcome, _)| outcome)

@@ -17,7 +17,21 @@
 //! the etas cost time in proportion to their nonzeros, so the start basis,
 //! all singleton columns, factorizes in O(m).
 //!
+//! # Cost
+//!
+//! An engine keeps every per-LP vector — basis, column states, basic
+//! values, costs, reduced costs, the FTRAN/BTRAN inputs and outputs, the
+//! canonical order and the basis operator — in an [`LpWorkspace`] it
+//! borrows, so an LP allocates only what outlives it: the solution vector
+//! and the basis snapshot. Each pivot recomputes the reduced costs of the
+//! columns pricing reads, the nonbasic unfixed ones, with one BTRAN and a
+//! dot product per such column.
+//!
 //! # Determinism
+//!
+//! A workspace carries capacity, never values: an engine writes every
+//! buffer before reading it, so the workspace a previous solve left behind
+//! changes no bit.
 //!
 //! Refactorization processes basis columns in a canonical order — ascending
 //! `(nonzero count, column index)` — so the factors depend only on the *set*
@@ -37,7 +51,7 @@
 use crate::error::SolveError;
 use crate::solver::backend::{BasisSnapshot, LpOutcome};
 use crate::solver::budget::{Budget, Deadline};
-use crate::solver::factor::{FactorizedBasis, LuFactors};
+use crate::solver::factor::FactorizedBasis;
 use crate::solver::Numerics;
 use crate::standard_form::StandardForm;
 
@@ -87,31 +101,103 @@ enum DualEnd {
     LostDualFeasibility,
 }
 
-/// Revised simplex over a [`StandardForm`].
+/// Every buffer a node LP needs, lent to each LP solve of a
+/// branch-and-bound run so that node LPs allocate nothing but what outlives
+/// them.
+///
+/// A workspace carries capacity, never values: every buffer is zero-filled
+/// or fully overwritten before it is read, so a solve on a reused workspace
+/// is bit for bit a solve on a fresh one (`LpWorkspace::poison` tests
+/// this).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LpWorkspace {
+    /// A node's structural bounds in model space, written by
+    /// branch-and-bound.
+    pub(crate) lbs: Vec<f64>,
+    pub(crate) ubs: Vec<f64>,
+    /// The same with every integer variable fixed at its rounded value.
+    pub(crate) fixed_lbs: Vec<f64>,
+    pub(crate) fixed_ubs: Vec<f64>,
+    /// The bound vectors [`StandardForm::rebind`] fills.
+    pub(crate) bounds: (Vec<f64>, Vec<f64>),
+    /// The basis operator: LU factors, a spare set the next
+    /// refactorization fills, the build's scratch and the eta file.
+    basis_op: FactorizedBasis,
+    /// Artificial column `art_base + k` holds the single entry
+    /// `art_signs[k]` (`±1`) in row `art_rows[k]`.
+    art_rows: Vec<u32>,
+    art_signs: Vec<f64>,
+    basis: Vec<usize>,
+    state: Vec<ColState>,
+    xb: Vec<f64>,
+    /// Current phase costs per column.
+    costs: Vec<f64>,
+    /// Cached reduced costs per column, recomputed each pivot for the
+    /// columns pricing reads.
+    dvec: Vec<f64>,
+    /// The canonical factorization order.
+    order: Vec<usize>,
+    /// The input of the next FTRAN or BTRAN, which consumes it.
+    input: Vec<f64>,
+    /// The entering column's FTRAN image `B⁻¹ A_j`, by basis position.
+    w: Vec<f64>,
+    /// The duals `c_Bᵀ B⁻¹`, by row.
+    y: Vec<f64>,
+    /// A row of `B⁻¹`, by row.
+    rho: Vec<f64>,
+}
+
+impl LpWorkspace {
+    /// Fill every buffer, to its capacity, with values no solve leaves
+    /// (NaN where it holds floats); returns how many entries that wrote.
+    #[cfg(test)]
+    pub(crate) fn poison(&mut self) -> usize {
+        use crate::solver::factor::poison;
+        let floats: usize = [
+            &mut self.lbs,
+            &mut self.ubs,
+            &mut self.fixed_lbs,
+            &mut self.fixed_ubs,
+            &mut self.bounds.0,
+            &mut self.bounds.1,
+            &mut self.art_signs,
+            &mut self.xb,
+            &mut self.costs,
+            &mut self.dvec,
+            &mut self.input,
+            &mut self.w,
+            &mut self.y,
+            &mut self.rho,
+        ]
+        .into_iter()
+        .map(|v| poison(v, f64::NAN))
+        .sum();
+        floats
+            + self.basis_op.poison()
+            + poison(&mut self.art_rows, u32::MAX)
+            + poison(&mut self.basis, usize::MAX)
+            + poison(&mut self.order, usize::MAX)
+            + poison(&mut self.state, ColState::Basic(u32::MAX))
+    }
+}
+
+/// Revised simplex over a [`StandardForm`], on a borrowed [`LpWorkspace`].
 #[derive(Debug)]
 pub(crate) struct RevisedSimplex<'a> {
     sf: &'a StandardForm,
     /// The shared budget this engine's pivots are charged to.
     budget: &'a Budget,
     numerics: Numerics,
+    ws: &'a mut LpWorkspace,
     m: usize,
     /// Total columns including artificials.
     total_cols: usize,
-    /// Artificial column `art_base + k` holds the single entry
-    /// `art_signs[k]` (`±1`) in row `art_rows[k]`.
-    art_rows: Vec<u32>,
-    art_signs: Vec<f64>,
     /// First artificial column index (== sf.num_cols()).
     art_base: usize,
-    /// Factorized basis operator; `None` only before the first factorization.
-    basis_op: Option<FactorizedBasis>,
-    basis: Vec<usize>,
-    state: Vec<ColState>,
-    xb: Vec<f64>,
-    /// Current phase costs per column.
-    costs: Vec<f64>,
-    /// Cached reduced costs per column (recomputed each pivot).
-    dvec: Vec<f64>,
+    /// Whether `ws.basis_op` holds this engine's basis: false until the
+    /// first factorization, since the workspace's operator is a previous
+    /// solve's.
+    factorized: bool,
     /// Fixed-at-zero artificial bounds during phase 2.
     art_fixed: bool,
     pub pivots: u64,
@@ -131,23 +217,28 @@ impl<'a> RevisedSimplex<'a> {
         budget: &'a Budget,
         numerics: Numerics,
         deadline: Deadline,
+        ws: &'a mut LpWorkspace,
     ) -> Self {
         let m = sf.num_rows;
+        ws.art_rows.clear();
+        ws.art_signs.clear();
+        ws.basis.clear();
+        ws.basis.resize(m, usize::MAX);
+        ws.state.clear();
+        ws.state.resize(sf.num_cols(), ColState::AtLower);
+        ws.xb.clear();
+        ws.xb.resize(m, 0.0);
+        ws.costs.clear();
+        ws.dvec.clear();
         RevisedSimplex {
             sf,
             budget,
             numerics,
+            ws,
             m,
             total_cols: sf.num_cols(),
-            art_rows: Vec::new(),
-            art_signs: Vec::new(),
             art_base: sf.num_cols(),
-            basis_op: None,
-            basis: vec![usize::MAX; m],
-            state: vec![ColState::AtLower; sf.num_cols()],
-            xb: vec![0.0; m],
-            costs: Vec::new(),
-            dvec: Vec::new(),
+            factorized: false,
             art_fixed: false,
             pivots: 0,
             degenerate_run: 0,
@@ -156,6 +247,11 @@ impl<'a> RevisedSimplex<'a> {
             refactorizations: 0,
             refactor_reuses: 0,
         }
+    }
+
+    /// End this engine, handing its workspace back for the next.
+    pub fn into_workspace(self) -> &'a mut LpWorkspace {
+        self.ws
     }
 
     pub fn take_uncharged_pivots(&mut self) -> u64 {
@@ -171,7 +267,7 @@ impl<'a> RevisedSimplex<'a> {
         if self.deadline.expired() {
             return Err(self.deadline.to_error());
         }
-        if self.xb.iter().any(|v| !v.is_finite()) {
+        if self.ws.xb.iter().any(|v| !v.is_finite()) {
             return Err(SolveError::Numerical(
                 "basic solution went non-finite during pivoting".into(),
             ));
@@ -262,12 +358,10 @@ impl<'a> RevisedSimplex<'a> {
     /// recomputed (which the rebuild path does too, keeping the extracted
     /// solution bit-identical).
     fn finalize_canonical(&mut self) {
-        if let Some(op) = &self.basis_op {
-            if op.num_etas() == 0 {
-                self.refactor_reuses += 1;
-                self.refresh_xb();
-                return;
-            }
+        if self.factorized && self.ws.basis_op.num_etas() == 0 {
+            self.refactor_reuses += 1;
+            self.refresh_xb();
+            return;
         }
         if self.refactorize() {
             self.refresh_xb();
@@ -283,11 +377,11 @@ impl<'a> RevisedSimplex<'a> {
     }
 
     pub fn snapshot(&self) -> Option<BasisSnapshot> {
-        if self.basis.iter().any(|&b| b >= self.art_base) {
+        if self.ws.basis.iter().any(|&b| b >= self.art_base) {
             return None;
         }
         let state = (0..self.sf.num_cols())
-            .map(|j| match self.state[j] {
+            .map(|j| match self.ws.state[j] {
                 ColState::AtLower => 0,
                 ColState::AtUpper => 1,
                 ColState::FreeZero => 2,
@@ -295,7 +389,7 @@ impl<'a> RevisedSimplex<'a> {
             })
             .collect();
         Some(BasisSnapshot {
-            basis: self.basis.iter().map(|&b| b as u32).collect(),
+            basis: self.ws.basis.iter().map(|&b| b as u32).collect(),
             state,
         })
     }
@@ -307,12 +401,12 @@ impl<'a> RevisedSimplex<'a> {
         if snap.basis.len() != self.m || snap.state.len() != self.sf.num_cols() {
             return false;
         }
-        self.art_rows.clear();
-        self.art_signs.clear();
+        self.ws.art_rows.clear();
+        self.ws.art_signs.clear();
         self.total_cols = self.sf.num_cols();
-        self.state.truncate(self.sf.num_cols());
+        self.ws.state.truncate(self.sf.num_cols());
         for (j, &s) in snap.state.iter().enumerate() {
-            self.state[j] = match s {
+            self.ws.state[j] = match s {
                 0 => ColState::AtLower,
                 1 => ColState::AtUpper,
                 2 => ColState::FreeZero,
@@ -320,20 +414,20 @@ impl<'a> RevisedSimplex<'a> {
             };
         }
         for (r, &col) in snap.basis.iter().enumerate() {
-            self.basis[r] = col as usize;
-            self.state[col as usize] = ColState::Basic(r as u32);
+            self.ws.basis[r] = col as usize;
+            self.ws.state[col as usize] = ColState::Basic(r as u32);
         }
         for j in 0..self.sf.num_cols() {
-            match self.state[j] {
+            match self.ws.state[j] {
                 ColState::AtLower if !self.sf.lower[j].is_finite() => {
-                    self.state[j] = if self.sf.upper[j].is_finite() {
+                    self.ws.state[j] = if self.sf.upper[j].is_finite() {
                         ColState::AtUpper
                     } else {
                         ColState::FreeZero
                     };
                 }
                 ColState::AtUpper if !self.sf.upper[j].is_finite() => {
-                    self.state[j] = if self.sf.lower[j].is_finite() {
+                    self.ws.state[j] = if self.sf.lower[j].is_finite() {
                         ColState::AtLower
                     } else {
                         ColState::FreeZero
@@ -357,9 +451,7 @@ impl<'a> RevisedSimplex<'a> {
         let mut used = 0u64;
         loop {
             if self.pivots >= MAX_LP_PIVOTS {
-                return Err(SolveError::IterationLimit {
-                    limit: MAX_LP_PIVOTS,
-                });
+                return Err(engine_pivot_limit());
             }
             if used >= budget {
                 return Ok(DualEnd::LostDualFeasibility);
@@ -368,10 +460,10 @@ impl<'a> RevisedSimplex<'a> {
             // Leaving row: the most violated basic variable.
             let mut leave: Option<(usize, f64, bool)> = None; // (row, violation, below)
             for r in 0..self.m {
-                let j = self.basis[r];
+                let j = self.ws.basis[r];
                 let lb = self.col_lower(j);
                 let ub = self.col_upper(j);
-                let x = self.xb[r];
+                let x = self.ws.xb[r];
                 if x < lb - self.numerics.feas_tol {
                     let v = lb - x;
                     if leave.as_ref().is_none_or(|&(_, bv, _)| v > bv) {
@@ -388,23 +480,20 @@ impl<'a> RevisedSimplex<'a> {
                 return Ok(DualEnd::PrimalFeasible);
             };
 
-            let y = self.btran_costs();
-            let rho = self.binv_row(row);
+            self.btran_costs();
+            self.binv_row(row);
 
             // Entering column: dual ratio test among eligible nonbasics.
             let mut best: Option<(usize, f64, f64)> = None; // (col, ratio, |alpha|)
             for j in 0..self.total_cols {
-                if matches!(self.state[j], ColState::Basic(_)) {
+                if self.unpriced(j) {
                     continue;
                 }
-                if self.col_lower(j) >= self.col_upper(j) {
-                    continue; // fixed
-                }
-                let alpha = self.col_dot(&rho, j);
+                let alpha = self.col_dot(&self.ws.rho, j);
                 if alpha.abs() <= PIVOT_TOL {
                     continue;
                 }
-                let eligible = match (self.state[j], below) {
+                let eligible = match (self.ws.state[j], below) {
                     (ColState::AtLower, true) => alpha < 0.0,
                     (ColState::AtLower, false) => alpha > 0.0,
                     (ColState::AtUpper, true) => alpha > 0.0,
@@ -415,7 +504,7 @@ impl<'a> RevisedSimplex<'a> {
                 if !eligible {
                     continue;
                 }
-                let dj = self.costs[j] - self.col_dot(&y, j);
+                let dj = self.ws.costs[j] - self.col_dot(&self.ws.y, j);
                 let ratio = dj.abs() / alpha.abs();
                 match best {
                     None => best = Some((j, ratio, alpha.abs())),
@@ -435,8 +524,9 @@ impl<'a> RevisedSimplex<'a> {
                 return Ok(DualEnd::LostDualFeasibility);
             }
 
-            let w = self.ftran_col(enter);
-            if w[row].abs() <= PIVOT_TOL {
+            self.ftran_col(enter);
+            let w_row = self.ws.w[row];
+            if w_row.abs() <= PIVOT_TOL {
                 return Ok(DualEnd::LostDualFeasibility);
             }
             let hit = if below {
@@ -444,20 +534,20 @@ impl<'a> RevisedSimplex<'a> {
             } else {
                 BoundHit::Upper
             };
-            let leaving_col = self.basis[row];
+            let leaving_col = self.ws.basis[row];
             let bound = if below {
                 self.col_lower(leaving_col)
             } else {
                 self.col_upper(leaving_col)
             };
-            let t = (self.xb[row] - bound) / w[row];
+            let t = (self.ws.xb[row] - bound) / w_row;
             let enter_val = self.nonbasic_value(enter) + t;
-            for (r, &wr) in w.iter().enumerate() {
+            for (r, (xb, &wr)) in self.ws.xb.iter_mut().zip(&self.ws.w).enumerate() {
                 if r != row {
-                    self.xb[r] -= t * wr;
+                    *xb -= t * wr;
                 }
             }
-            self.pivot(enter, row, &w, enter_val, hit)?;
+            self.pivot(enter, row, enter_val, hit)?;
             self.pivots += 1;
             if self.pivots % 64 == 63 {
                 self.refresh_xb();
@@ -510,58 +600,63 @@ impl<'a> RevisedSimplex<'a> {
     }
 
     fn init_phase1(&mut self) {
-        let n = self.sf.num_structural;
+        let sf = self.sf;
+        let n = sf.num_structural;
         for j in 0..n {
-            self.state[j] = self.initial_nonbasic_state(j);
+            self.ws.state[j] = self.initial_nonbasic_state(j);
         }
-        let mut residual = self.sf.rhs.clone();
+        self.ws.input.clear();
+        self.ws.input.extend_from_slice(&sf.rhs);
         for j in 0..n {
             let v = self.nonbasic_value(j);
             if v != 0.0 {
-                for (r, a) in self.sf.cols[j].iter() {
-                    residual[r] -= a * v;
+                for (r, a) in sf.cols[j].iter() {
+                    self.ws.input[r] -= a * v;
                 }
             }
         }
-        for (r, &res) in residual.iter().enumerate() {
+        let ws = &mut *self.ws;
+        for (r, &res) in ws.input.iter().enumerate() {
             let slack = n + r;
-            let (slb, sub) = (self.sf.lower[slack], self.sf.upper[slack]);
+            let (slb, sub) = (sf.lower[slack], sf.upper[slack]);
             if res >= slb && res <= sub {
-                self.state[slack] = ColState::Basic(r as u32);
-                self.basis[r] = slack;
-                self.xb[r] = res;
+                ws.state[slack] = ColState::Basic(r as u32);
+                ws.basis[r] = slack;
+                ws.xb[r] = res;
             } else {
                 let clamped = res.clamp(slb, sub);
-                self.state[slack] = if clamped == slb {
+                ws.state[slack] = if clamped == slb {
                     ColState::AtLower
                 } else {
                     ColState::AtUpper
                 };
                 let rem = res - clamped;
                 let sign = if rem >= 0.0 { 1.0 } else { -1.0 };
-                let art_col = self.art_base + self.art_rows.len();
-                self.art_rows.push(r as u32);
-                self.art_signs.push(sign);
-                self.state.push(ColState::Basic(r as u32));
-                self.basis[r] = art_col;
-                self.xb[r] = rem.abs();
+                let art_col = self.art_base + ws.art_rows.len();
+                ws.art_rows.push(r as u32);
+                ws.art_signs.push(sign);
+                ws.state.push(ColState::Basic(r as u32));
+                ws.basis[r] = art_col;
+                ws.xb[r] = rem.abs();
             }
         }
-        self.total_cols = self.art_base + self.art_rows.len();
+        self.total_cols = self.art_base + self.ws.art_rows.len();
     }
 
     fn phase1_needed(&self) -> bool {
-        !self.art_rows.is_empty()
+        !self.ws.art_rows.is_empty()
     }
 
     fn set_phase1_costs(&mut self) {
-        self.costs = vec![0.0; self.total_cols];
-        self.costs[self.art_base..].fill(1.0);
+        self.ws.costs.clear();
+        self.ws.costs.resize(self.total_cols, 0.0);
+        self.ws.costs[self.art_base..].fill(1.0);
     }
 
     fn set_phase2_costs(&mut self) {
-        self.costs = vec![0.0; self.total_cols];
-        self.costs[..self.sf.num_cols()].copy_from_slice(&self.sf.obj);
+        self.ws.costs.clear();
+        self.ws.costs.resize(self.total_cols, 0.0);
+        self.ws.costs[..self.sf.num_cols()].copy_from_slice(&self.sf.obj);
         self.art_fixed = true;
     }
 
@@ -579,26 +674,26 @@ impl<'a> RevisedSimplex<'a> {
     /// pin them at zero if their row is linearly dependent.
     fn expel_artificials(&mut self) -> Result<(), SolveError> {
         for r in 0..self.m {
-            let bcol = self.basis[r];
+            let bcol = self.ws.basis[r];
             if bcol < self.art_base {
                 continue;
             }
-            let rho = self.binv_row(r);
+            self.binv_row(r);
             let mut entering = None;
             for j in 0..self.sf.num_cols() {
-                if matches!(self.state[j], ColState::Basic(_)) {
+                if matches!(self.ws.state[j], ColState::Basic(_)) {
                     continue;
                 }
-                let wr = self.col_dot(&rho, j);
+                let wr = self.col_dot(&self.ws.rho, j);
                 if wr.abs() > 1e-7 {
                     entering = Some(j);
                     break;
                 }
             }
             if let Some(j) = entering {
-                let w = self.ftran_col(j);
+                self.ftran_col(j);
                 let enter_val = self.nonbasic_value(j);
-                self.pivot(j, r, &w, enter_val, BoundHit::Lower)?;
+                self.pivot(j, r, enter_val, BoundHit::Lower)?;
             }
         }
         Ok(())
@@ -606,86 +701,81 @@ impl<'a> RevisedSimplex<'a> {
 
     // ---- basis operator ----------------------------------------------------
 
-    /// Column `j` of the *working* matrix (structural/slack or artificial)
-    /// in original-row space, as parallel row-index and value slices.
-    fn column(&self, j: usize) -> (&[u32], &[f64]) {
-        if j >= self.art_base {
-            let k = j - self.art_base;
-            (&self.art_rows[k..=k], &self.art_signs[k..=k])
-        } else {
-            let col = &self.sf.cols[j];
-            (&col.rows, &col.vals)
-        }
-    }
-
-    /// Basis positions in the canonical factorization order, ascending
-    /// `(column nnz, column index)`, read off the standard form's ranking.
-    /// Artificials hold one entry each and have the highest indices, so the
-    /// basic ones go right after the last column with at most one entry.
-    /// `None` when a column fills two basis positions (a singular basis).
-    fn canonical_order(&self) -> Option<Vec<usize>> {
+    /// Write the basis positions in the canonical factorization order,
+    /// ascending `(column nnz, column index)`, read off the standard form's
+    /// ranking, into `ws.order`. Artificials hold one entry each and have
+    /// the highest indices, so the basic ones go right after the last
+    /// column with at most one entry. `false` when a column fills two basis
+    /// positions (a singular basis).
+    fn canonical_order(&mut self) -> bool {
         let ranked = &self.sf.nnz_order;
         let split = ranked.partition_point(|&j| self.sf.cols[j as usize].nnz() <= 1);
         let (low, high) = ranked.split_at(split);
-        let order: Vec<usize> = low
-            .iter()
-            .map(|&j| j as usize)
-            .chain(self.art_base..self.total_cols)
-            .chain(high.iter().map(|&j| j as usize))
-            .filter_map(|j| match self.state[j] {
-                ColState::Basic(r) => Some(r as usize),
-                _ => None,
-            })
-            .collect();
-        (order.len() == self.m).then_some(order)
+        let ws = &mut *self.ws;
+        ws.order.clear();
+        ws.order.extend(
+            low.iter()
+                .map(|&j| j as usize)
+                .chain(self.art_base..self.total_cols)
+                .chain(high.iter().map(|&j| j as usize))
+                .filter_map(|j| match ws.state[j] {
+                    ColState::Basic(r) => Some(r as usize),
+                    _ => None,
+                }),
+        );
+        ws.order.len() == self.m
     }
 
     /// Collapse the eta file into a fresh factorization of the current basis
     /// using the canonical column order. Returns `false` on a singular basis.
     fn refactorize(&mut self) -> bool {
-        let Some(order) = self.canonical_order() else {
+        if !self.canonical_order() {
             return false;
-        };
-        match LuFactors::build(order, |p| self.column(self.basis[p])) {
-            Some(f) => {
-                self.basis_op = Some(FactorizedBasis::new(f));
-                self.refactorizations += 1;
-                true
-            }
-            None => false,
         }
+        let (sf, art_base) = (self.sf, self.art_base);
+        let ws = &mut *self.ws;
+        let (arts, basis) = ((&ws.art_rows, &ws.art_signs), &ws.basis);
+        let col = |p: usize| working_column(sf, art_base, arts.0, arts.1, basis[p]);
+        if !ws.basis_op.refactorize(&ws.order, col) {
+            return false;
+        }
+        self.factorized = true;
+        self.refactorizations += 1;
+        true
     }
 
-    /// `w = B⁻¹ A_j` via the factorized operator (basis-position space).
-    fn ftran_col(&mut self, j: usize) -> Vec<f64> {
-        let mut b = vec![0.0; self.m];
-        let (rows, vals) = self.column(j);
+    /// `ws.w = B⁻¹ A_j` via the factorized operator (basis-position space).
+    fn ftran_col(&mut self, j: usize) {
+        assert!(self.factorized, "basis factorized before any ftran");
+        let (sf, art_base) = (self.sf, self.art_base);
+        let ws = &mut *self.ws;
+        zero(&mut ws.input, self.m);
+        let (rows, vals) = working_column(sf, art_base, &ws.art_rows, &ws.art_signs, j);
         for (&r, &a) in rows.iter().zip(vals) {
-            b[r as usize] = a;
+            ws.input[r as usize] = a;
         }
-        self.basis_op
-            .as_mut()
-            .expect("basis factorized before any ftran")
-            .ftran(b)
+        ws.w.resize(self.m, 0.0);
+        ws.basis_op.ftran(&mut ws.input, &mut ws.w);
     }
 
-    /// `y = c_Bᵀ B⁻¹` in original-row space.
-    fn btran_costs(&mut self) -> Vec<f64> {
-        let cb: Vec<f64> = self.basis.iter().map(|&j| self.costs[j]).collect();
-        self.basis_op
-            .as_mut()
-            .expect("basis factorized before any btran")
-            .btran(cb)
+    /// `ws.y = c_Bᵀ B⁻¹` in original-row space.
+    fn btran_costs(&mut self) {
+        assert!(self.factorized, "basis factorized before any btran");
+        let ws = &mut *self.ws;
+        ws.input.clear();
+        ws.input.extend(ws.basis.iter().map(|&j| ws.costs[j]));
+        ws.y.resize(self.m, 0.0);
+        ws.basis_op.btran(&mut ws.input, &mut ws.y);
     }
 
-    /// Row `r` of `B⁻¹` in original-row space (`ρ = B⁻ᵀ e_r`).
-    fn binv_row(&mut self, r: usize) -> Vec<f64> {
-        let mut e = vec![0.0; self.m];
-        e[r] = 1.0;
-        self.basis_op
-            .as_mut()
-            .expect("basis factorized before any btran")
-            .btran(e)
+    /// `ws.rho`: row `r` of `B⁻¹` in original-row space (`ρ = B⁻ᵀ e_r`).
+    fn binv_row(&mut self, r: usize) {
+        assert!(self.factorized, "basis factorized before any btran");
+        let ws = &mut *self.ws;
+        zero(&mut ws.input, self.m);
+        ws.input[r] = 1.0;
+        ws.rho.resize(self.m, 0.0);
+        ws.basis_op.btran(&mut ws.input, &mut ws.rho);
     }
 
     // ---- column helpers ----------------------------------------------------
@@ -711,11 +801,11 @@ impl<'a> RevisedSimplex<'a> {
     }
 
     fn nonbasic_value(&self, j: usize) -> f64 {
-        match self.state[j] {
+        match self.ws.state[j] {
             ColState::AtLower => self.col_lower(j),
             ColState::AtUpper => self.col_upper(j),
             ColState::FreeZero => 0.0,
-            ColState::Basic(r) => self.xb[r as usize],
+            ColState::Basic(r) => self.ws.xb[r as usize],
         }
     }
 
@@ -727,18 +817,27 @@ impl<'a> RevisedSimplex<'a> {
     fn col_dot(&self, y: &[f64], j: usize) -> f64 {
         if j >= self.art_base {
             let k = j - self.art_base;
-            y[self.art_rows[k] as usize] * self.art_signs[k]
+            y[self.ws.art_rows[k] as usize] * self.ws.art_signs[k]
         } else {
             self.sf.cols[j].iter().map(|(r, a)| y[r] * a).sum()
         }
     }
 
-    /// Recompute the cached reduced costs `d_j = c_j − c_Bᵀ B⁻¹ A_j`.
+    /// Whether pricing passes over column `j`: it is basic or fixed.
+    fn unpriced(&self, j: usize) -> bool {
+        matches!(self.ws.state[j], ColState::Basic(_)) || self.col_lower(j) >= self.col_upper(j)
+    }
+
+    /// Recompute the cached reduced costs `d_j = c_j − c_Bᵀ B⁻¹ A_j` of the
+    /// columns pricing reads. An unpriced column keeps a stale entry, which
+    /// `price_cached` never reads.
     fn recompute_reduced_costs(&mut self) {
-        let y = self.btran_costs();
-        self.dvec.resize(self.total_cols, 0.0);
+        self.btran_costs();
+        self.ws.dvec.resize(self.total_cols, 0.0);
         for j in 0..self.total_cols {
-            self.dvec[j] = self.costs[j] - self.col_dot(&y, j);
+            if !self.unpriced(j) {
+                self.ws.dvec[j] = self.ws.costs[j] - self.col_dot(&self.ws.y, j);
+            }
         }
     }
 
@@ -747,9 +846,7 @@ impl<'a> RevisedSimplex<'a> {
     fn iterate(&mut self) -> Result<IterEnd, SolveError> {
         loop {
             if self.pivots >= MAX_LP_PIVOTS {
-                return Err(SolveError::IterationLimit {
-                    limit: MAX_LP_PIVOTS,
-                });
+                return Err(engine_pivot_limit());
             }
             if self.pivots % 256 == 255 {
                 self.refresh_xb();
@@ -760,22 +857,22 @@ impl<'a> RevisedSimplex<'a> {
             let Some((j, dir)) = self.price_cached(bland) else {
                 return Ok(IterEnd::Optimal);
             };
-            let w = self.ftran_col(j);
-            match self.ratio_test(j, dir, &w, bland) {
+            self.ftran_col(j);
+            match self.ratio_test(j, dir, bland) {
                 RatioResult::Unbounded => return Ok(IterEnd::Unbounded),
                 RatioResult::BoundFlip { t } => {
-                    self.apply_bound_flip(j, dir, t, &w);
+                    self.apply_bound_flip(j, dir, t);
                     self.pivots += 1;
                     self.degenerate_run = 0;
                 }
                 RatioResult::Pivot { row, t, hit } => {
                     let enter_val = self.nonbasic_value(j) + dir * t;
-                    for (r, &wr) in w.iter().enumerate() {
+                    for (r, (xb, &wr)) in self.ws.xb.iter_mut().zip(&self.ws.w).enumerate() {
                         if r != row {
-                            self.xb[r] -= dir * t * wr;
+                            *xb -= dir * t * wr;
                         }
                     }
-                    self.pivot(j, row, &w, enter_val, hit)?;
+                    self.pivot(j, row, enter_val, hit)?;
                     self.pivots += 1;
                     if t <= 1e-12 {
                         self.degenerate_run += 1;
@@ -793,14 +890,11 @@ impl<'a> RevisedSimplex<'a> {
         let tol = self.numerics.dual_tol;
         let mut best: Option<(usize, f64, f64)> = None; // (col, dj, dir)
         for j in 0..self.total_cols {
-            let st = self.state[j];
-            if matches!(st, ColState::Basic(_)) {
+            if self.unpriced(j) {
                 continue;
             }
-            if self.col_lower(j) >= self.col_upper(j) {
-                continue;
-            }
-            let dj = self.dvec[j];
+            let st = self.ws.state[j];
+            let dj = self.ws.dvec[j];
             let dir = match st {
                 ColState::AtLower if dj < -tol => 1.0,
                 ColState::AtUpper if dj > tol => -1.0,
@@ -818,7 +912,10 @@ impl<'a> RevisedSimplex<'a> {
         best.map(|(j, _, dir)| (j, dir))
     }
 
-    fn ratio_test(&self, j: usize, dir: f64, w: &[f64], bland: bool) -> RatioResult {
+    /// The ratio test for entering column `j` moving in direction `dir`,
+    /// whose FTRAN image is `ws.w`.
+    fn ratio_test(&self, j: usize, dir: f64, bland: bool) -> RatioResult {
+        let w = &self.ws.w;
         let own_range = self.col_upper(j) - self.col_lower(j);
         let mut t_min = if own_range.is_finite() {
             own_range
@@ -829,11 +926,11 @@ impl<'a> RevisedSimplex<'a> {
 
         for r in 0..self.m {
             let rate = dir * w[r]; // xb[r] changes by -rate·t
-            let bcol = self.basis[r];
+            let bcol = self.ws.basis[r];
             if rate > PIVOT_TOL {
                 let lb = self.col_lower(bcol);
                 if lb.is_finite() {
-                    let limit = ((self.xb[r] - lb) / rate).max(0.0);
+                    let limit = ((self.ws.xb[r] - lb) / rate).max(0.0);
                     if self.better_ratio(limit, t_min, r, w, &choice, bland) {
                         t_min = limit;
                         choice = Some((r, limit, BoundHit::Lower));
@@ -842,7 +939,7 @@ impl<'a> RevisedSimplex<'a> {
             } else if rate < -PIVOT_TOL {
                 let ub = self.col_upper(bcol);
                 if ub.is_finite() {
-                    let limit = ((ub - self.xb[r]) / -rate).max(0.0);
+                    let limit = ((ub - self.ws.xb[r]) / -rate).max(0.0);
                     if self.better_ratio(limit, t_min, r, w, &choice, bland) {
                         t_min = limit;
                         choice = Some((r, limit, BoundHit::Upper));
@@ -883,7 +980,7 @@ impl<'a> RevisedSimplex<'a> {
             None => true,
             Some((cr, _, _)) => {
                 if bland {
-                    self.basis[r] < self.basis[*cr]
+                    self.ws.basis[r] < self.ws.basis[*cr]
                 } else {
                     w[r].abs() > w[*cr].abs()
                 }
@@ -891,42 +988,40 @@ impl<'a> RevisedSimplex<'a> {
         }
     }
 
-    fn apply_bound_flip(&mut self, j: usize, dir: f64, t: f64, w: &[f64]) {
-        for (xb, &wr) in self.xb.iter_mut().zip(w) {
+    fn apply_bound_flip(&mut self, j: usize, dir: f64, t: f64) {
+        for (xb, &wr) in self.ws.xb.iter_mut().zip(&self.ws.w) {
             *xb -= dir * t * wr;
         }
-        self.state[j] = match self.state[j] {
+        self.ws.state[j] = match self.ws.state[j] {
             ColState::AtLower => ColState::AtUpper,
             ColState::AtUpper => ColState::AtLower,
             other => other, // free variables never bound-flip with finite t
         };
     }
 
-    /// Commit a basis change: update states and values, append the eta, and
+    /// Commit a basis change: column `j`, whose FTRAN image is `ws.w`,
+    /// enters at `row`. Update states and values, append the eta, and
     /// refactorize once the eta file reaches the rung's `refactor_every`.
     fn pivot(
         &mut self,
         j: usize,
         row: usize,
-        w: &[f64],
         enter_val: f64,
         hit: BoundHit,
     ) -> Result<(), SolveError> {
-        let leaving = self.basis[row];
-        self.state[leaving] = match hit {
+        assert!(self.factorized, "basis factorized before any pivot");
+        let ws = &mut *self.ws;
+        let leaving = ws.basis[row];
+        ws.state[leaving] = match hit {
             BoundHit::Lower => ColState::AtLower,
             BoundHit::Upper => ColState::AtUpper,
         };
-        self.basis[row] = j;
-        self.state[j] = ColState::Basic(row as u32);
-        self.xb[row] = enter_val;
+        ws.basis[row] = j;
+        ws.state[j] = ColState::Basic(row as u32);
+        ws.xb[row] = enter_val;
 
-        let op = self
-            .basis_op
-            .as_mut()
-            .expect("basis factorized before any pivot");
-        op.push_eta(row, w);
-        if op.num_etas() as u64 >= self.numerics.refactor_every {
+        ws.basis_op.push_eta(row, &ws.w);
+        if ws.basis_op.num_etas() as u64 >= self.numerics.refactor_every {
             if !self.refactorize() {
                 return Err(SolveError::Numerical(
                     "basis refactorization failed (singular basis)".into(),
@@ -939,28 +1034,29 @@ impl<'a> RevisedSimplex<'a> {
 
     /// Recompute basic values `x_B = B⁻¹ (b − N x_N)` from scratch.
     fn refresh_xb(&mut self) {
-        let mut v = self.sf.rhs.clone();
+        assert!(self.factorized, "basis factorized before refresh");
+        let sf = self.sf;
+        self.ws.input.clear();
+        self.ws.input.extend_from_slice(&sf.rhs);
         for j in 0..self.total_cols {
-            if matches!(self.state[j], ColState::Basic(_)) {
+            if matches!(self.ws.state[j], ColState::Basic(_)) {
                 continue;
             }
             let x = self.nonbasic_value(j);
             if x != 0.0 {
+                let ws = &mut *self.ws;
                 if j >= self.art_base {
                     let k = j - self.art_base;
-                    v[self.art_rows[k] as usize] -= self.art_signs[k] * x;
+                    ws.input[ws.art_rows[k] as usize] -= ws.art_signs[k] * x;
                 } else {
-                    for (r, a) in self.sf.cols[j].iter() {
-                        v[r] -= a * x;
+                    for (r, a) in sf.cols[j].iter() {
+                        ws.input[r] -= a * x;
                     }
                 }
             }
         }
-        self.xb = self
-            .basis_op
-            .as_mut()
-            .expect("basis factorized before refresh")
-            .ftran(v);
+        let ws = &mut *self.ws;
+        ws.basis_op.ftran(&mut ws.input, &mut ws.xb);
     }
 
     fn extract_structural(&self) -> Vec<f64> {
@@ -970,6 +1066,39 @@ impl<'a> RevisedSimplex<'a> {
     }
 }
 
+/// The error of an LP that reached the engine's own pivot cap.
+fn engine_pivot_limit() -> SolveError {
+    SolveError::EngineLimit {
+        what: "simplex pivots per LP",
+        limit: MAX_LP_PIVOTS,
+    }
+}
+
+/// Column `j` of the working matrix: a column of `sf` or, from `art_base`
+/// on, the artificial column `art_base + k`, holding the single entry
+/// `art_signs[k]` in row `art_rows[k]`.
+fn working_column<'s>(
+    sf: &'s StandardForm,
+    art_base: usize,
+    art_rows: &'s [u32],
+    art_signs: &'s [f64],
+    j: usize,
+) -> (&'s [u32], &'s [f64]) {
+    if j >= art_base {
+        let k = j - art_base;
+        (&art_rows[k..=k], &art_signs[k..=k])
+    } else {
+        let col = &sf.cols[j];
+        (&col.rows, &col.vals)
+    }
+}
+
+/// Make `v` a zero vector of length `n`.
+fn zero(v: &mut Vec<f64>, n: usize) {
+    v.clear();
+    v.resize(n, 0.0);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -977,20 +1106,25 @@ mod tests {
 
     /// An engine with no deadline at rung 0 of the retry ladder, where
     /// every solve starts.
-    fn engine<'a>(sf: &'a StandardForm, budget: &'a Budget) -> RevisedSimplex<'a> {
-        RevisedSimplex::new(sf, budget, Numerics::at_rung(0), Deadline::unlimited())
+    fn engine<'a>(
+        sf: &'a StandardForm,
+        budget: &'a Budget,
+        ws: &'a mut LpWorkspace,
+    ) -> RevisedSimplex<'a> {
+        RevisedSimplex::new(sf, budget, Numerics::at_rung(0), Deadline::unlimited(), ws)
     }
 
     fn lp(model: &Model) -> LpOutcome {
         let sf = StandardForm::build(model, None);
-        engine(&sf, &Budget::unlimited())
+        engine(&sf, &Budget::unlimited(), &mut LpWorkspace::default())
             .solve()
             .expect("no iteration limit expected")
     }
 
     fn optimal_obj(model: &Model) -> f64 {
         let sf = StandardForm::build(model, None);
-        match engine(&sf, &Budget::unlimited()).solve().unwrap() {
+        let mut ws = LpWorkspace::default();
+        match engine(&sf, &Budget::unlimited(), &mut ws).solve().unwrap() {
             LpOutcome::Optimal { min_obj, .. } => sf.model_objective(min_obj),
             other => panic!("expected optimal, got {other:?}"),
         }
@@ -1142,7 +1276,8 @@ mod tests {
             ..Numerics::at_rung(0)
         };
         let budget = Budget::unlimited();
-        let mut sx = RevisedSimplex::new(&sf, &budget, numerics, Deadline::unlimited());
+        let mut ws = LpWorkspace::default();
+        let mut sx = RevisedSimplex::new(&sf, &budget, numerics, Deadline::unlimited(), &mut ws);
         match sx.solve().unwrap() {
             LpOutcome::Optimal { min_obj, .. } => {
                 assert!((sf.model_objective(min_obj) - 34.0).abs() < 1e-6);
@@ -1177,7 +1312,9 @@ mod tests {
                 refactor_every,
                 ..Numerics::at_rung(0)
             };
-            let mut sx = RevisedSimplex::new(&sf, &budget, numerics, Deadline::unlimited());
+            let mut ws = LpWorkspace::default();
+            let mut sx =
+                RevisedSimplex::new(&sf, &budget, numerics, Deadline::unlimited(), &mut ws);
             let out = sx.solve().unwrap();
             let LpOutcome::Optimal { values, min_obj } = out else {
                 panic!("expected optimal");
@@ -1196,10 +1333,21 @@ mod tests {
     /// The canonical order as `refactorize` used to derive it: basis
     /// positions sorted by `(column nnz, column index)`.
     fn sorted_order(sx: &RevisedSimplex<'_>) -> Vec<usize> {
-        let col_nnz = |j: usize| sx.column(j).0.len();
+        let ws = &sx.ws;
+        let col_nnz = |j: usize| {
+            working_column(sx.sf, sx.art_base, &ws.art_rows, &ws.art_signs, j)
+                .0
+                .len()
+        };
         let mut order: Vec<usize> = (0..sx.m).collect();
-        order.sort_by_key(|&r| (col_nnz(sx.basis[r]), sx.basis[r]));
+        order.sort_by_key(|&r| (col_nnz(ws.basis[r]), ws.basis[r]));
         order
+    }
+
+    /// The canonical order `refactorize` derives, or `None` for a singular
+    /// basis.
+    fn canonical(sx: &mut RevisedSimplex<'_>) -> Option<Vec<usize>> {
+        sx.canonical_order().then(|| sx.ws.order.clone())
     }
 
     #[test]
@@ -1218,10 +1366,11 @@ mod tests {
         m.set_objective(Sense::Minimize, x + y + z + w);
         let sf = StandardForm::build(&m, None);
         let budget = Budget::unlimited();
-        let mut sx = engine(&sf, &budget);
+        let mut ws = LpWorkspace::default();
+        let mut sx = engine(&sf, &budget, &mut ws);
         sx.init_phase1();
-        assert_eq!(sx.art_rows.len(), 2, "rows e and ge need artificials");
-        assert_eq!(sx.canonical_order(), Some(sorted_order(&sx)));
+        assert_eq!(sx.ws.art_rows.len(), 2, "rows e and ge need artificials");
+        assert_eq!(canonical(&mut sx), Some(sorted_order(&sx)));
         // Pivot structurals in, so the basis mixes structurals, slacks and
         // artificials, and compare again after every pivot.
         assert!(sx.refactorize());
@@ -1232,14 +1381,15 @@ mod tests {
             let Some((j, dir)) = sx.price_cached(false) else {
                 break;
             };
-            let col = sx.ftran_col(j);
-            let RatioResult::Pivot { row, t, hit } = sx.ratio_test(j, dir, &col, false) else {
+            sx.ftran_col(j);
+            let RatioResult::Pivot { row, t, hit } = sx.ratio_test(j, dir, false) else {
                 break;
             };
             let enter_val = sx.nonbasic_value(j) + dir * t;
-            sx.pivot(j, row, &col, enter_val, hit).unwrap();
-            assert_eq!(sx.canonical_order(), Some(sorted_order(&sx)));
-            let basic = |range: std::ops::Range<usize>| sx.basis.iter().any(|b| range.contains(b));
+            sx.pivot(j, row, enter_val, hit).unwrap();
+            assert_eq!(canonical(&mut sx), Some(sorted_order(&sx)));
+            let basic =
+                |range: std::ops::Range<usize>| sx.ws.basis.iter().any(|b| range.contains(b));
             if basic(0..sf.num_structural) && basic(sx.art_base..sx.total_cols) {
                 mixed += 1;
             }
@@ -1257,7 +1407,8 @@ mod tests {
         m.set_objective(Sense::Maximize, 3.0 * x + 2.0 * y);
         let budget = Budget::unlimited();
         let sf = StandardForm::build(&m, None);
-        let mut sx = engine(&sf, &budget);
+        let mut ws = LpWorkspace::default();
+        let mut sx = engine(&sf, &budget, &mut ws);
         assert!(matches!(sx.solve().unwrap(), LpOutcome::Optimal { .. }));
         let snap = sx.snapshot().expect("clean basis");
         assert!(snap.basis.iter().all(|&b| b < 2), "x and y end basic");
@@ -1270,9 +1421,37 @@ mod tests {
         let remapped = snap
             .remap(grown.num_structural, grown.num_rows)
             .expect("the model grew");
-        let mut warm = engine(&grown, &budget);
+        let mut ws = LpWorkspace::default();
+        let mut warm = engine(&grown, &budget, &mut ws);
         assert!(warm.install(&remapped));
-        assert_eq!(warm.canonical_order(), Some(sorted_order(&warm)));
+        assert_eq!(canonical(&mut warm), Some(sorted_order(&warm)));
+    }
+
+    #[test]
+    fn the_engine_pivot_cap_is_an_engine_limit_cold_and_warm() {
+        let mut m = Model::new("t");
+        let x = m.add_continuous("x", 0.0, 10.0);
+        let y = m.add_continuous("y", 0.0, 10.0);
+        m.add_constr("c1", x + y, Cmp::Le, 8.0).unwrap();
+        m.add_constr("c2", 2.0 * x + y, Cmp::Le, 12.0).unwrap();
+        m.set_objective(Sense::Maximize, 3.0 * x + 2.0 * y);
+        let budget = Budget::unlimited();
+        let sf = StandardForm::build(&m, None);
+        let mut ws = LpWorkspace::default();
+        let mut sx = engine(&sf, &budget, &mut ws);
+        assert!(matches!(sx.solve().unwrap(), LpOutcome::Optimal { .. }));
+        let snap = sx.snapshot().expect("clean basis");
+        let capped = SolveError::EngineLimit {
+            what: "simplex pivots per LP",
+            limit: MAX_LP_PIVOTS,
+        };
+
+        let mut cold = engine(&sf, &budget, &mut ws);
+        cold.pivots = MAX_LP_PIVOTS;
+        assert_eq!(cold.solve().unwrap_err(), capped);
+        let mut warm = engine(&sf, &budget, &mut ws);
+        warm.pivots = MAX_LP_PIVOTS;
+        assert_eq!(warm.solve_warm(&snap).unwrap_err(), capped);
     }
 
     #[test]
@@ -1287,7 +1466,8 @@ mod tests {
         m.set_objective(Sense::Maximize, 3.0 * x + 2.0 * y);
         let budget = Budget::unlimited();
         let sf = StandardForm::build(&m, None);
-        let mut sx = engine(&sf, &budget);
+        let mut ws = LpWorkspace::default();
+        let mut sx = engine(&sf, &budget, &mut ws);
         let first = sx.solve().unwrap();
         let LpOutcome::Optimal { values, .. } = &first else {
             panic!("expected optimal, got {first:?}");
@@ -1298,13 +1478,15 @@ mod tests {
         // Tighten x's upper bound below its optimal value.
         let lbs: Vec<f64> = vec![0.0, 0.0];
         let ubs: Vec<f64> = vec![(x0 - 1.0).max(0.0), 10.0];
-        let sf2 = sf.rebind(&lbs, &ubs);
-        let mut warm_sx = engine(&sf2, &budget);
+        let sf2 = sf.rebind(&lbs, &ubs, Default::default());
+        let mut warm_ws = LpWorkspace::default();
+        let mut warm_sx = engine(&sf2, &budget, &mut warm_ws);
         let warm = warm_sx
             .solve_warm(&snap)
             .unwrap()
             .expect("snapshot should install");
-        let mut cold_sx = engine(&sf2, &budget);
+        let mut cold_ws = LpWorkspace::default();
+        let mut cold_sx = engine(&sf2, &budget, &mut cold_ws);
         let cold = cold_sx.solve().unwrap();
         match (warm, cold) {
             (

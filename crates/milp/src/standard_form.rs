@@ -213,18 +213,22 @@ pub(crate) struct StandardForm {
     /// Every column index, ascending by `(nnz, column index)`: the ranking
     /// the canonical factorization order is read from. Shared like `cols`.
     pub nnz_order: Arc<Vec<u32>>,
+    /// Bounds per column: the only data a rebound form does not share.
     pub lower: Vec<f64>,
     pub upper: Vec<f64>,
-    pub rhs: Vec<f64>,
-    /// Minimization costs per column (slacks have zero cost).
-    pub obj: Vec<f64>,
+    /// Shared like `cols`.
+    pub rhs: Arc<Vec<f64>>,
+    /// Minimization costs per column (slacks have zero cost). Shared like
+    /// `cols`.
+    pub obj: Arc<Vec<f64>>,
     /// Constant to add to the minimized objective, *after* un-flipping the
     /// sense: `model_obj = sign * (min_obj) + offset` with `sign` below.
     pub obj_offset: f64,
     /// `+1` when the model minimizes, `-1` when it maximizes.
     pub obj_sign: f64,
-    /// Per-column equilibration factor (`x = col_scale · x'`).
-    pub col_scale: Vec<f64>,
+    /// Per-column equilibration factor (`x = col_scale · x'`). Shared like
+    /// `cols`.
+    pub col_scale: Arc<Vec<f64>>,
 }
 
 impl StandardForm {
@@ -287,21 +291,25 @@ impl StandardForm {
             cols: Arc::new(cols),
             lower,
             upper,
-            rhs,
-            obj,
+            rhs: Arc::new(rhs),
+            obj: Arc::new(obj),
             obj_offset: model.objective().constant(),
             obj_sign,
-            col_scale,
+            col_scale: Arc::new(col_scale),
         }
     }
 
-    /// Clone this form with new *structural* variable bounds (model space),
-    /// sharing the (already equilibrated) matrix. This is what
-    /// branch-and-bound uses per node: `O(n + m)` instead of rebuilding and
-    /// re-equilibrating the whole matrix.
-    pub fn rebind(&self, lbs: &[f64], ubs: &[f64]) -> StandardForm {
-        let mut lower = self.lower.clone();
-        let mut upper = self.upper.clone();
+    /// This form with new *structural* variable bounds (model space),
+    /// sharing everything else, the equilibrated matrix included. This is
+    /// what branch-and-bound uses per node: `O(n + m)` instead of
+    /// rebuilding and re-equilibrating the whole matrix. The bounds are
+    /// written into `bounds`, a pair of vectors whose contents do not
+    /// matter, so that a caller who hands them back
+    /// ([`StandardForm::into_bounds`]) allocates nothing per node.
+    pub fn rebind(&self, lbs: &[f64], ubs: &[f64], bounds: (Vec<f64>, Vec<f64>)) -> StandardForm {
+        let (mut lower, mut upper) = bounds;
+        lower.clone_from(&self.lower);
+        upper.clone_from(&self.upper);
         for j in 0..self.num_structural {
             lower[j] = lbs[j] / self.col_scale[j];
             upper[j] = ubs[j] / self.col_scale[j];
@@ -313,12 +321,17 @@ impl StandardForm {
             nnz_order: Arc::clone(&self.nnz_order),
             lower,
             upper,
-            rhs: self.rhs.clone(),
-            obj: self.obj.clone(),
+            rhs: Arc::clone(&self.rhs),
+            obj: Arc::clone(&self.obj),
             obj_offset: self.obj_offset,
             obj_sign: self.obj_sign,
-            col_scale: self.col_scale.clone(),
+            col_scale: Arc::clone(&self.col_scale),
         }
+    }
+
+    /// The bound vectors, for the next [`StandardForm::rebind`].
+    pub fn into_bounds(self) -> (Vec<f64>, Vec<f64>) {
+        (self.lower, self.upper)
     }
 
     /// Map a solver-space value of column `j` back to model space.
@@ -482,7 +495,7 @@ impl RecordedForm {
             .collect();
 
         // Final column factors: appended structurals go before the slacks.
-        let mut col_scale = sf.col_scale;
+        let mut col_scale = Arc::unwrap_or_clone(sf.col_scale);
         col_scale.splice(
             n0..n0,
             new_ext2
@@ -628,7 +641,7 @@ mod tests {
         assert_eq!((sf.lower[2], sf.upper[2]), (f64::NEG_INFINITY, 0.0));
         // slack of "eq"
         assert_eq!((sf.lower[3], sf.upper[3]), (0.0, 0.0));
-        assert_eq!(sf.rhs, vec![5.0, 1.0, 2.0]);
+        assert_eq!(*sf.rhs, vec![5.0, 1.0, 2.0]);
     }
 
     #[test]
@@ -663,8 +676,11 @@ mod tests {
         let sf = StandardForm::build(&m, None);
         // y and the two slacks hold one entry, x and z two: ties by index.
         assert_eq!(*sf.nnz_order, vec![1, 3, 4, 0, 2]);
-        let child = sf.rebind(&[0.0, 1.0, 0.0], &[1.0, 1.0, 1.0]);
+        let child = sf.rebind(&[0.0, 1.0, 0.0], &[1.0, 1.0, 1.0], Default::default());
         assert!(Arc::ptr_eq(&child.nnz_order, &sf.nnz_order));
+        assert!(Arc::ptr_eq(&child.rhs, &sf.rhs));
+        assert!(Arc::ptr_eq(&child.obj, &sf.obj));
+        assert!(Arc::ptr_eq(&child.col_scale, &sf.col_scale));
     }
 
     #[test]
