@@ -127,21 +127,6 @@ impl Contract {
         Contract::new(format!("{}∧{}", self.name, other.name), a, g)
     }
 
-    /// Quotient (residual) `self / part`: the weakest contract `C` such that
-    /// `part ⊗ C ⪯ self` — "what remains to be implemented" once `part` is
-    /// committed. Standard rule on saturated contracts:
-    /// `A = A_self ∧ sat(G_part)`, `G = sat(G_self) ∨ ¬A` (returned
-    /// saturated).
-    ///
-    /// This is the operator used to derive a missing subsystem's
-    /// specification from a system spec and the already-chosen components.
-    #[must_use]
-    pub fn quotient(&self, part: &Contract) -> Contract {
-        let a = self.assumptions.clone().and(part.saturated_guarantees());
-        let g = self.saturated_guarantees().or(a.clone().not());
-        Contract::new(format!("{}/{}", self.name, part.name), a, g)
-    }
-
     /// Whether an assignment is an allowed *implementation behaviour*:
     /// satisfies the saturated guarantee.
     #[must_use]
@@ -226,34 +211,6 @@ mod tests {
         // Environment allowed if either viewpoint's assumption holds.
         assert!(c.allows_environment(&[-5.0, 0.0], 1e-9)); // c2's A holds
         assert!(c.allows_environment(&[10.0, 0.0], 1e-9)); // c1's A holds
-    }
-
-    #[test]
-    fn quotient_characterizes_missing_part() {
-        // System: y ≤ 10. Part guarantees y ≤ 20 contributes nothing;
-        // the quotient must still demand y ≤ 10 wherever the part allows
-        // y > 10.
-        let y = v(0);
-        let system = Contract::new("sys", Pred::True, Pred::le(1.0 * y, 10.0));
-        let part = Contract::new("part", Pred::True, Pred::le(1.0 * y, 20.0));
-        let q = system.quotient(&part);
-        // A behaviour with y = 15 is allowed by the part but not the system:
-        // the quotient must forbid it.
-        assert!(!q.allows_implementation(&[15.0], 1e-9));
-        // y = 5 is fine.
-        assert!(q.allows_implementation(&[5.0], 1e-9));
-        // Fundamental property: part ⊗ quotient refines system pointwise on
-        // a sample grid (saturated-guarantee containment).
-        let composed = part.compose(&q);
-        for yv in [0.0, 5.0, 10.0, 15.0, 25.0] {
-            if composed.allows_implementation(&[yv], 1e-9) {
-                assert!(
-                    system.saturated_guarantees().eval(&[yv], 1e-9),
-                    "composition leaks behaviour y = {yv}"
-                );
-            }
-        }
-        assert_eq!(q.name(), "sys/part");
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! comparison into its (possibly strict) complement; strict inequalities are
 //! later encoded with a small ε margin.
 
-use contrarc_milp::{LinExpr, VarId};
-use std::collections::BTreeSet;
+use contrarc_milp::LinExpr;
 use std::fmt;
 
 /// Comparison operator of a predicate atom (a superset of the MILP
@@ -320,31 +319,6 @@ impl Pred {
             Pred::Implies(a, b) => !a.eval(values, tol) || b.eval(values, tol),
         }
     }
-
-    /// The set of variables mentioned anywhere in the predicate.
-    #[must_use]
-    pub fn free_vars(&self) -> BTreeSet<VarId> {
-        let mut out = BTreeSet::new();
-        self.collect_vars(&mut out);
-        out
-    }
-
-    fn collect_vars(&self, out: &mut BTreeSet<VarId>) {
-        match self {
-            Pred::True | Pred::False => {}
-            Pred::Atom(a) => out.extend(a.expr.iter().map(|(v, _)| v)),
-            Pred::And(children) | Pred::Or(children) => {
-                for c in children {
-                    c.collect_vars(out);
-                }
-            }
-            Pred::Not(inner) => inner.collect_vars(out),
-            Pred::Implies(a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
-            }
-        }
-    }
 }
 
 impl fmt::Display for Pred {
@@ -382,6 +356,7 @@ impl fmt::Display for Pred {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use contrarc_milp::VarId;
 
     fn v(i: usize) -> VarId {
         VarId::from_index(i)
@@ -499,16 +474,6 @@ mod tests {
                 assert_eq!(p.eval(s, 1e-9), n.eval(s, 1e-9), "pred {p} at {s:?}");
             }
         }
-    }
-
-    #[test]
-    fn free_vars_collected() {
-        let p = Pred::le(1.0 * v(0) + 2.0 * v(3), 1.0)
-            .and(Pred::ge(1.0 * v(1), 0.0))
-            .not();
-        let vars = p.free_vars();
-        assert_eq!(vars.len(), 3);
-        assert!(vars.contains(&v(3)));
     }
 
     #[test]

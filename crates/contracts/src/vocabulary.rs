@@ -125,11 +125,6 @@ impl Vocabulary {
         self.by_name.get(name).copied()
     }
 
-    /// Iterate over declared variable ids in declaration order.
-    pub fn var_ids(&self) -> impl Iterator<Item = VarId> + '_ {
-        (0..self.defs.len()).map(VarId::from_index)
-    }
-
     /// Instantiate every declared variable into a fresh [`Model`], in
     /// declaration order so contract [`VarId`]s remain valid.
     ///
@@ -185,7 +180,6 @@ mod tests {
         assert_eq!(voc.lookup("t"), Some(t));
         assert_eq!(voc.lookup("missing"), None);
         assert_eq!(voc.bounds(t), (1.0, 9.0));
-        assert_eq!(voc.var_ids().count(), 1);
         assert!(!voc.is_empty());
     }
 

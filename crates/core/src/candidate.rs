@@ -141,19 +141,6 @@ impl Architecture {
         self.remap.get(&template_node).copied()
     }
 
-    /// The selected implementation of a template node, if instantiated.
-    #[must_use]
-    pub fn implementation_of(&self, template_node: NodeId) -> Option<ImplId> {
-        self.node_for_template(template_node)
-            .map(|an| self.graph.node_weight(an).implementation)
-    }
-
-    /// Template edge ids of all selected edges.
-    #[must_use]
-    pub fn selected_template_edges(&self) -> Vec<EdgeId> {
-        self.graph.edges().map(|e| e.weight.template_edge).collect()
-    }
-
     /// Instantiated source nodes (architecture ids), per the template's type
     /// classification.
     #[must_use]
@@ -286,9 +273,7 @@ mod tests {
         for tn in p.template.node_ids() {
             let an = arch.node_for_template(tn).expect("all nodes instantiated");
             assert_eq!(arch.graph().node_weight(an).template_node, tn);
-            assert!(arch.implementation_of(tn).is_some());
         }
-        assert_eq!(arch.selected_template_edges().len(), 1);
     }
 
     #[test]

@@ -23,9 +23,7 @@ use crate::problem::Problem;
 use crate::refinement::{Violation, ViolationScope};
 use crate::template::TypeId;
 use crate::viewpoint::Viewpoint;
-use contrarc_graph::iso::{
-    subgraph_isomorphisms, subgraph_isomorphisms_orbits, Embedding, MatchMode,
-};
+use contrarc_graph::iso::{subgraph_isomorphisms, subgraph_isomorphisms_orbits, Embedding};
 use contrarc_graph::{Automorphisms, DiGraph, NodeId};
 use contrarc_milp::{Cmp, LinExpr, SolveError, VarId};
 use std::collections::BTreeSet;
@@ -185,19 +183,13 @@ pub fn apply_cuts(
     let embeddings: Vec<Embedding> = if iso_pruning {
         match sym {
             Some(aut) if !aut.is_trivial() => {
-                let found = subgraph_isomorphisms_orbits(
-                    &pattern,
-                    &target,
-                    MatchMode::Monomorphism,
-                    aut,
-                    |a, b| a == b,
-                );
+                let found = subgraph_isomorphisms_orbits(&pattern, &target, aut, |a, b| a == b);
                 contrarc_obs::metrics::counter_add("sym.orbits", found.orbits.len() as u64);
                 contrarc_obs::metrics::counter_add("sym.embeddings_enumerated", found.enumerated);
                 contrarc_obs::metrics::counter_add("sym.embeddings_total", found.total() as u64);
                 found.into_embeddings()
             }
-            _ => subgraph_isomorphisms(&pattern, &target, MatchMode::Monomorphism, |a, b| a == b),
+            _ => subgraph_isomorphisms(&pattern, &target, |a, b| a == b),
         }
     } else {
         // Identity embedding: each pattern node to its own template node.

@@ -726,25 +726,10 @@ impl<'p> Explorer<'p> {
         &self.stats
     }
 
-    /// Whether a terminal step has been taken (calling [`Explorer::step`]
-    /// again would panic). External drivers — e.g. a job server stepping the
-    /// loop with its own checkpoint cadence — use this to gate their loop.
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
     /// The exploration-wide budget (shared deadline and work counters).
     #[must_use]
     pub fn budget(&self) -> &Budget {
         &self.budget
-    }
-
-    /// The path refinement-verdict cache. Its counters are also
-    /// mirrored into [`ExplorationStats`] after every refinement phase.
-    #[must_use]
-    pub fn refinement_cache(&self) -> &RefinementCache {
-        &self.cache
     }
 
     /// The most recent candidate selected by the MILP (unverified unless the

@@ -1,42 +1,8 @@
 //! Human-readable reporting helpers for exploration results.
 
 use crate::candidate::Architecture;
-use crate::explorer::{Exploration, ExplorationStats};
 use crate::problem::Problem;
 use contrarc_graph::dot::to_dot;
-
-/// One row of a results table: a label plus the stats and cost of a run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunRow {
-    /// Row label (e.g. the template configuration, `"2,1,0"`).
-    pub label: String,
-    /// Size of the Problem-2 MILP.
-    pub vars: usize,
-    /// Constraint count of the Problem-2 MILP.
-    pub constraints: usize,
-    /// Wall-clock seconds.
-    pub time_secs: f64,
-    /// Lazy-loop iterations.
-    pub iterations: usize,
-    /// Optimal cost (`None` when infeasible).
-    pub cost: Option<f64>,
-}
-
-impl RunRow {
-    /// Build a row from an exploration outcome.
-    #[must_use]
-    pub fn from_exploration(label: impl Into<String>, e: &Exploration) -> Self {
-        let stats: &ExplorationStats = e.stats();
-        RunRow {
-            label: label.into(),
-            vars: stats.milp_vars,
-            constraints: stats.milp_constraints,
-            time_secs: stats.total_time,
-            iterations: stats.iterations,
-            cost: e.architecture().map(|a| a.cost()),
-        }
-    }
-}
 
 /// Render rows as an aligned text table with the given headers.
 ///
@@ -81,44 +47,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Describe an exploration outcome, including the architecture when found.
-#[must_use]
-pub fn describe_outcome(problem: &Problem, e: &Exploration) -> String {
-    match e {
-        Exploration::Optimal {
-            architecture,
-            stats,
-        } => {
-            format!("{}\n{}", architecture.describe(problem), stats)
-        }
-        Exploration::Infeasible { stats } => {
-            format!("no feasible architecture exists\n{stats}")
-        }
-        Exploration::Partial {
-            incumbent,
-            lower_bound,
-            cuts,
-            stats,
-            reason,
-        } => {
-            let mut out = format!("exploration stopped early: {reason}\n");
-            match incumbent {
-                Some(arch) => {
-                    out.push_str("best unverified candidate:\n");
-                    out.push_str(&arch.describe(problem));
-                    out.push('\n');
-                }
-                None => out.push_str("no candidate selected yet\n"),
-            }
-            if let Some(lb) = lower_bound {
-                out.push_str(&format!("proven cost lower bound: {lb}\n"));
-            }
-            out.push_str(&format!("{cuts} certificate cuts remain valid\n{stats}"));
-            out
-        }
-    }
-}
-
 /// Render a selected architecture as a Graphviz DOT graph: nodes are labeled
 /// `component : implementation`, edges with their assigned flow (when the
 /// flow viewpoint is active).
@@ -144,17 +72,6 @@ pub fn architecture_dot(problem: &Problem, arch: &Architecture) -> String {
             )
         },
         |e| e.weight.flow.map_or(String::new(), |f| format!("{f:.1}")),
-    )
-}
-
-/// Render the template (all candidate edges) as a Graphviz DOT graph.
-#[must_use]
-pub fn template_dot(problem: &Problem) -> String {
-    to_dot(
-        problem.template.graph(),
-        problem.template.name(),
-        |_, w| format!("{} : {}", w.name, problem.template.type_name(w.ty)),
-        |_| String::new(),
     )
 }
 
@@ -193,26 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn run_row_from_exploration() {
-        use crate::explorer::{Exploration, ExplorationStats};
-        let stats = ExplorationStats {
-            iterations: 4,
-            milp_vars: 10,
-            milp_constraints: 20,
-            total_time: 1.25,
-            ..ExplorationStats::default()
-        };
-        let infeasible = Exploration::Infeasible { stats };
-        let row = RunRow::from_exploration("cfg-x", &infeasible);
-        assert_eq!(row.label, "cfg-x");
-        assert_eq!(row.vars, 10);
-        assert_eq!(row.constraints, 20);
-        assert_eq!(row.iterations, 4);
-        assert_eq!(row.cost, None);
-        assert!((row.time_secs - 1.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn dot_exports_render() {
         use crate::attr::{Attrs, COST, FLOW_CONS, FLOW_GEN};
         use crate::encode::encode_problem2;
@@ -246,10 +143,6 @@ mod tests {
             ..SystemSpec::default()
         };
         let p = Problem::new(t, lib, spec);
-
-        let tdot = template_dot(&p);
-        assert!(tdot.contains("digraph"));
-        assert!(tdot.contains("S : src"));
 
         let enc = encode_problem2(&p).unwrap();
         let sol = enc

@@ -286,31 +286,6 @@ impl<N, E> DiGraph<N, E> {
     pub fn contains_edge(&self, src: NodeId, dst: NodeId) -> bool {
         self.find_edge(src, dst).is_some()
     }
-
-    /// Build the subgraph induced by `keep` (all kept nodes plus every edge
-    /// whose endpoints are both kept), cloning weights. Returns the subgraph
-    /// and the mapping `old NodeId → new NodeId` in `keep` order.
-    #[must_use]
-    pub fn induced_subgraph(&self, keep: &[NodeId]) -> (DiGraph<N, E>, Vec<(NodeId, NodeId)>)
-    where
-        N: Clone,
-        E: Clone,
-    {
-        let mut sub = DiGraph::new();
-        let mut remap = vec![None; self.nodes.len()];
-        let mut mapping = Vec::with_capacity(keep.len());
-        for &n in keep {
-            let new = sub.add_node(self.nodes[n.index()].clone());
-            remap[n.index()] = Some(new);
-            mapping.push((n, new));
-        }
-        for d in &self.edges {
-            if let (Some(s), Some(t)) = (remap[d.src.index()], remap[d.dst.index()]) {
-                sub.add_edge(s, t, d.weight.clone());
-            }
-        }
-        (sub, mapping)
-    }
 }
 
 impl<N: fmt::Debug, E> fmt::Display for DiGraph<N, E> {
@@ -398,19 +373,6 @@ mod tests {
         let n = g.add_node(1);
         *g.node_weight_mut(n) = 7;
         assert_eq!(*g.node_weight(n), 7);
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges() {
-        let (g, [a, b, _c, d]) = diamond();
-        let (sub, mapping) = g.induced_subgraph(&[a, b, d]);
-        assert_eq!(sub.num_nodes(), 3);
-        // Edges a->b and b->d survive; a->c and c->d drop.
-        assert_eq!(sub.num_edges(), 2);
-        assert_eq!(mapping.len(), 3);
-        let (old, new) = mapping[0];
-        assert_eq!(old, a);
-        assert_eq!(*sub.node_weight(new), "a");
     }
 
     #[test]

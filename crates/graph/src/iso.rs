@@ -1,32 +1,22 @@
-//! VF2-style subgraph isomorphism: enumerate all embeddings of a pattern
+//! VF2-style subgraph monomorphism: enumerate all embeddings of a pattern
 //! graph in a target graph.
 //!
-//! Two matching semantics are offered:
+//! An embedding is an injective, label-compatible node map under which every
+//! pattern edge maps to a target edge; extra target edges between mapped
+//! nodes are allowed. This is the semantics Algorithm 2 of the paper needs:
+//! an invalid *path* is also invalid when it occurs inside a denser
+//! architecture. Node compatibility is a caller-supplied predicate, used by
+//! ContrArc to require equal component *types*.
 //!
-//! * [`MatchMode::Monomorphism`] — every pattern edge must map to a target
-//!   edge (extra target edges between mapped nodes are allowed). This is the
-//!   semantics Algorithm 2 of the paper needs: an invalid *path* is also
-//!   invalid when it occurs inside a denser architecture.
-//! * [`MatchMode::Induced`] — additionally, target edges between mapped
-//!   nodes must exist in the pattern (classical induced subgraph
-//!   isomorphism, Definition 4 of the paper).
-//!
-//! Node compatibility is a caller-supplied predicate, used by ContrArc to
-//! require equal component *types*.
+//! Two enumerators return the same embedding set: the plain
+//! [`subgraph_isomorphisms`], and [`subgraph_isomorphisms_orbits`], which
+//! searches from one root image per orbit of the target's automorphism group
+//! and recovers the rest under the group's generators.
 
 use crate::canon::Automorphisms;
 use crate::digraph::{DiGraph, NodeId};
 use std::collections::BTreeSet;
 use std::fmt;
-
-/// Matching semantics for [`subgraph_isomorphisms`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MatchMode {
-    /// Pattern edges must exist in the target; extra target edges are fine.
-    Monomorphism,
-    /// Exact induced matching: edges and non-edges must agree.
-    Induced,
-}
 
 /// An injective mapping from pattern nodes to target nodes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -83,19 +73,32 @@ impl fmt::Display for Embedding {
     }
 }
 
-/// Enumerate all subgraph-isomorphic embeddings of `pattern` in `target`.
+/// Enumerate all subgraph-monomorphic embeddings of `pattern` in `target`.
 ///
 /// `compat(p_weight, t_weight)` decides whether a pattern node may map to a
-/// target node (ContrArc passes type equality). See [`MatchMode`] for edge
-/// semantics. Embeddings that differ only by which pattern node maps where
-/// within a symmetric pattern are reported separately, matching the behaviour
-/// of DotMotif used in the paper.
+/// target node (ContrArc passes type equality). Embeddings that differ only
+/// by which pattern node maps where within a symmetric pattern are reported
+/// separately, matching the behaviour of DotMotif used in the paper.
 #[must_use]
 pub fn subgraph_isomorphisms<N1, E1, N2, E2, F>(
     pattern: &DiGraph<N1, E1>,
     target: &DiGraph<N2, E2>,
-    mode: MatchMode,
     compat: F,
+) -> Vec<Embedding>
+where
+    F: Fn(&N1, &N2) -> bool,
+{
+    search(pattern, target, &compat, None)
+}
+
+/// The VF2 search behind both enumerators: every embedding, or with `aut`
+/// only those whose first-placed pattern node maps to an orbit-minimal
+/// target node. Adds to the `vf2.*` counters and closes a `vf2.search` span.
+fn search<N1, E1, N2, E2, F>(
+    pattern: &DiGraph<N1, E1>,
+    target: &DiGraph<N2, E2>,
+    compat: &F,
+    aut: Option<&Automorphisms>,
 ) -> Vec<Embedding>
 where
     F: Fn(&N1, &N2) -> bool,
@@ -113,49 +116,35 @@ where
         pattern_nodes = np,
         target_nodes = target.num_nodes(),
     );
-    let order = matching_order(pattern, target, &compat);
+    let order = matching_order(pattern, target, compat);
     let mut state = State {
         pattern,
         target,
-        mode,
-        compat: &compat,
+        compat,
         order: &order,
         map: vec![None; np],
         used: vec![false; target.num_nodes()],
         out: Vec::new(),
         max_depth: 0,
     };
-    state.extend(0);
-    record_search_metrics(&mut search_span, state.out.len(), state.max_depth);
-    state.out
-}
-
-/// Shared close-out for the plain and orbit-pruned enumerators: counters
-/// and the close-time span fields.
-fn record_search_metrics(span: &mut contrarc_obs::SpanGuard, embeddings: usize, max_depth: usize) {
-    contrarc_obs::metrics::counter_add("vf2.searches", 1);
-    contrarc_obs::metrics::counter_add("vf2.embeddings", embeddings as u64);
-    span.record("embeddings", embeddings);
-    span.record("max_depth", max_depth);
-}
-
-/// One target-automorphism orbit of embeddings: the orbit-minimal
-/// representative plus every member (representative included), members
-/// sorted by their target-index vectors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EmbeddingOrbit {
-    /// The lexicographically smallest member of the orbit.
-    pub representative: Embedding,
-    /// Every embedding in the orbit, representative included.
-    pub members: Vec<Embedding>,
-}
-
-impl EmbeddingOrbit {
-    /// Orbit size — the symmetry multiplier of the representative.
-    #[must_use]
-    pub fn multiplier(&self) -> usize {
-        self.members.len()
+    match aut {
+        None => state.extend(0),
+        Some(aut) => {
+            // The depth-0 candidates of the plain search (every target node,
+            // in id order), restricted to one representative per orbit.
+            let root = order[0];
+            for t in target.node_ids() {
+                if aut.orbit_rep(t.index()) == t.index() && state.feasible(root, t) {
+                    state.descend(1, root, t);
+                }
+            }
+        }
     }
+    contrarc_obs::metrics::counter_add("vf2.searches", 1);
+    contrarc_obs::metrics::counter_add("vf2.embeddings", state.out.len() as u64);
+    search_span.record("embeddings", state.out.len());
+    search_span.record("max_depth", state.max_depth);
+    state.out
 }
 
 /// Result of [`subgraph_isomorphisms_orbits`]: the embedding set grouped
@@ -163,8 +152,9 @@ impl EmbeddingOrbit {
 /// search actually enumerated (the saved work is `total() - enumerated`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrbitMatches {
-    /// Orbits in the order their first-found member was enumerated.
-    pub orbits: Vec<EmbeddingOrbit>,
+    /// Target-automorphism orbits in the order their first-found member was
+    /// enumerated, each listing its members sorted by target-index vector.
+    pub orbits: Vec<Vec<Embedding>>,
     /// Embeddings the pruned VF2 search enumerated (before orbit expansion).
     pub enumerated: u64,
 }
@@ -174,13 +164,13 @@ impl OrbitMatches {
     /// [`subgraph_isomorphisms`] would have enumerated.
     #[must_use]
     pub fn total(&self) -> usize {
-        self.orbits.iter().map(|o| o.members.len()).sum()
+        self.orbits.iter().map(Vec::len).sum()
     }
 
     /// Flatten every orbit's members into one embedding list.
     #[must_use]
     pub fn into_embeddings(self) -> Vec<Embedding> {
-        self.orbits.into_iter().flat_map(|o| o.members).collect()
+        self.orbits.into_iter().flatten().collect()
     }
 }
 
@@ -195,19 +185,20 @@ impl OrbitMatches {
 /// expansion is exact:
 ///
 /// * every generator image of an embedding is itself a valid embedding
-///   (generators preserve labels and the edge multiset, in both match
-///   modes), and
+///   (generators preserve labels and the edge multiset), and
 /// * every embedding is a generator-closure image of one whose root maps to
 ///   an orbit-minimal target node, because some group element carries its
 ///   root image to the orbit representative.
 ///
-/// With a trivial group this degrades to the plain enumeration with
-/// singleton orbits.
+/// With a trivial group this is the plain enumeration with singleton orbits.
+///
+/// # Panics
+///
+/// Panics if `aut` does not act on exactly the target's nodes.
 #[must_use]
 pub fn subgraph_isomorphisms_orbits<N1, E1, N2, E2, F>(
     pattern: &DiGraph<N1, E1>,
     target: &DiGraph<N2, E2>,
-    mode: MatchMode,
     aut: &Automorphisms,
     compat: F,
 ) -> OrbitMatches
@@ -219,82 +210,19 @@ where
         target.num_nodes(),
         "automorphism group must act on the target's node set"
     );
-    if aut.is_trivial() {
-        let found = subgraph_isomorphisms(pattern, target, mode, compat);
-        let enumerated = found.len() as u64;
-        let orbits = found
-            .into_iter()
-            .map(|e| EmbeddingOrbit {
-                representative: e.clone(),
-                members: vec![e],
-            })
-            .collect();
-        return OrbitMatches { orbits, enumerated };
-    }
-
-    let np = pattern.num_nodes();
-    if np == 0 {
-        let e = Embedding { map: Vec::new() };
-        return OrbitMatches {
-            orbits: vec![EmbeddingOrbit {
-                representative: e.clone(),
-                members: vec![e],
-            }],
-            enumerated: 1,
-        };
-    }
-    if np > target.num_nodes() {
-        return OrbitMatches {
-            orbits: Vec::new(),
-            enumerated: 0,
-        };
-    }
-
-    let mut search_span = contrarc_obs::span!(
-        "vf2.search",
-        pattern_nodes = np,
-        target_nodes = target.num_nodes(),
-    );
-    let order = matching_order(pattern, target, &compat);
-    let mut state = State {
-        pattern,
-        target,
-        mode,
-        compat: &compat,
-        order: &order,
-        map: vec![None; np],
-        used: vec![false; target.num_nodes()],
-        out: Vec::new(),
-        max_depth: 0,
-    };
-    // The depth-0 candidates of the plain search (every target node, in id
-    // order), restricted to one representative per target orbit.
-    let root = order[0];
-    for t in target.node_ids() {
-        if aut.orbit_rep(t.index()) == t.index() && state.feasible(root, t) {
-            state.map[root.index()] = Some(t);
-            state.used[t.index()] = true;
-            state.extend(1);
-            state.map[root.index()] = None;
-            state.used[t.index()] = false;
-        }
-    }
-    let (found, max_depth) = (state.out, state.max_depth);
+    let found = search(pattern, target, &compat, Some(aut));
     let enumerated = found.len() as u64;
-    record_search_metrics(&mut search_span, found.len(), max_depth);
 
-    // Serial expansion: close each found embedding under the generators.
-    // Two found embeddings can share an orbit (a group element may fix the
-    // orbit-minimal root while moving other images), so skip already-seen
-    // maps.
+    // Close each found embedding under the generators. Two found embeddings
+    // can share an orbit (a group element may fix the orbit-minimal root
+    // while moving other images), so skip already-seen maps.
     let mut seen: BTreeSet<Vec<usize>> = BTreeSet::new();
     let mut orbits = Vec::new();
     for emb in found {
         let key: Vec<usize> = emb.map.iter().map(|t| t.index()).collect();
-        if seen.contains(&key) {
+        if !seen.insert(key.clone()) {
             continue;
         }
-        seen.insert(key.clone());
         let mut members = vec![key];
         let mut i = 0;
         while i < members.len() {
@@ -307,61 +235,16 @@ where
             i += 1;
         }
         members.sort_unstable();
-        let to_emb = |m: &Vec<usize>| Embedding {
-            map: m.iter().map(|&t| NodeId::from_index(t)).collect(),
-        };
-        orbits.push(EmbeddingOrbit {
-            representative: to_emb(&members[0]),
-            members: members.iter().map(to_emb).collect(),
-        });
+        orbits.push(
+            members
+                .into_iter()
+                .map(|m| Embedding {
+                    map: m.into_iter().map(NodeId::from_index).collect(),
+                })
+                .collect(),
+        );
     }
     OrbitMatches { orbits, enumerated }
-}
-
-/// Whether `pattern` and `target` are isomorphic as directed graphs
-/// (same node count, same edge count, and an induced embedding exists).
-#[must_use]
-pub fn is_isomorphic<N1, E1, N2, E2, F>(a: &DiGraph<N1, E1>, b: &DiGraph<N2, E2>, compat: F) -> bool
-where
-    F: Fn(&N1, &N2) -> bool,
-{
-    a.num_nodes() == b.num_nodes()
-        && a.num_edges() == b.num_edges()
-        && first_isomorphism(a, b, MatchMode::Induced, compat).is_some()
-}
-
-/// Find one embedding (or `None`); cheaper than enumerating all of them.
-#[must_use]
-pub fn first_isomorphism<N1, E1, N2, E2, F>(
-    pattern: &DiGraph<N1, E1>,
-    target: &DiGraph<N2, E2>,
-    mode: MatchMode,
-    compat: F,
-) -> Option<Embedding>
-where
-    F: Fn(&N1, &N2) -> bool,
-{
-    let np = pattern.num_nodes();
-    if np == 0 {
-        return Some(Embedding { map: Vec::new() });
-    }
-    if np > target.num_nodes() {
-        return None;
-    }
-    let order = matching_order(pattern, target, &compat);
-    let mut state = State {
-        pattern,
-        target,
-        mode,
-        compat: &compat,
-        order: &order,
-        map: vec![None; np],
-        used: vec![false; target.num_nodes()],
-        out: Vec::new(),
-        max_depth: 0,
-    };
-    state.extend_first(0);
-    state.out.into_iter().next()
 }
 
 /// Order pattern nodes most-constrained-first: each step places the unplaced
@@ -427,7 +310,6 @@ where
 struct State<'a, N1, E1, N2, E2, F> {
     pattern: &'a DiGraph<N1, E1>,
     target: &'a DiGraph<N2, E2>,
-    mode: MatchMode,
     compat: &'a F,
     order: &'a [NodeId],
     map: Vec<Option<NodeId>>,
@@ -451,35 +333,18 @@ where
         let candidates = self.candidates(p);
         for t in candidates {
             if self.feasible(p, t) {
-                self.map[p.index()] = Some(t);
-                self.used[t.index()] = true;
-                self.extend(depth + 1);
-                self.map[p.index()] = None;
-                self.used[t.index()] = false;
+                self.descend(depth + 1, p, t);
             }
         }
     }
 
-    fn extend_first(&mut self, depth: usize) -> bool {
-        self.max_depth = self.max_depth.max(depth);
-        if depth == self.order.len() {
-            self.record();
-            return true;
-        }
-        let p = self.order[depth];
-        let candidates = self.candidates(p);
-        for t in candidates {
-            if self.feasible(p, t) {
-                self.map[p.index()] = Some(t);
-                self.used[t.index()] = true;
-                if self.extend_first(depth + 1) {
-                    return true;
-                }
-                self.map[p.index()] = None;
-                self.used[t.index()] = false;
-            }
-        }
-        false
+    /// Map `p` to `t`, search on from `depth`, then undo the mapping.
+    fn descend(&mut self, depth: usize, p: NodeId, t: NodeId) {
+        self.map[p.index()] = Some(t);
+        self.used[t.index()] = true;
+        self.extend(depth);
+        self.map[p.index()] = None;
+        self.used[t.index()] = false;
     }
 
     fn record(&mut self) {
@@ -516,7 +381,7 @@ where
         if !(self.compat)(self.pattern.node_weight(p), self.target.node_weight(t)) {
             return false;
         }
-        // Degree pruning (valid for both modes).
+        // Degree pruning.
         if self.pattern.out_degree(p) > self.target.out_degree(t)
             || self.pattern.in_degree(p) > self.target.in_degree(t)
         {
@@ -538,26 +403,7 @@ where
                 }
             }
         }
-        if self.mode == MatchMode::Induced {
-            // Target edges between t and mapped images must exist in the
-            // pattern too.
-            for (q, img) in self.mapped_pairs() {
-                if self.target.contains_edge(t, img) && !self.pattern.contains_edge(p, q) {
-                    return false;
-                }
-                if self.target.contains_edge(img, t) && !self.pattern.contains_edge(q, p) {
-                    return false;
-                }
-            }
-        }
         true
-    }
-
-    fn mapped_pairs(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.map
-            .iter()
-            .enumerate()
-            .filter_map(|(i, m)| m.map(|t| (NodeId::from_index(i), t)))
     }
 }
 
@@ -590,7 +436,7 @@ mod tests {
         tgt.add_edge(ids[1], ids[2], ());
         tgt.add_edge(ids[3], ids[4], ());
         tgt.add_edge(ids[4], ids[5], ());
-        let found = subgraph_isomorphisms(&pat, &tgt, MatchMode::Monomorphism, label_eq);
+        let found = subgraph_isomorphisms(&pat, &tgt, label_eq);
         assert_eq!(found.len(), 2);
     }
 
@@ -598,7 +444,7 @@ mod tests {
     fn labels_prune_matches() {
         let pat = path_graph(&["a", "b"]);
         let tgt = path_graph(&["a", "c"]);
-        let found = subgraph_isomorphisms(&pat, &tgt, MatchMode::Monomorphism, label_eq);
+        let found = subgraph_isomorphisms(&pat, &tgt, label_eq);
         assert!(found.is_empty());
     }
 
@@ -609,7 +455,7 @@ mod tests {
         let a = tgt.add_node("a");
         let b = tgt.add_node("b");
         tgt.add_edge(b, a, ()); // reversed
-        let found = subgraph_isomorphisms(&pat, &tgt, MatchMode::Monomorphism, label_eq);
+        let found = subgraph_isomorphisms(&pat, &tgt, label_eq);
         assert!(found.is_empty());
     }
 
@@ -621,10 +467,8 @@ mod tests {
         let b = tgt.add_node("b");
         tgt.add_edge(a, b, ());
         tgt.add_edge(b, a, ()); // extra back-edge
-        let mono = subgraph_isomorphisms(&pat, &tgt, MatchMode::Monomorphism, label_eq);
+        let mono = subgraph_isomorphisms(&pat, &tgt, label_eq);
         assert_eq!(mono.len(), 1);
-        let ind = subgraph_isomorphisms(&pat, &tgt, MatchMode::Induced, label_eq);
-        assert!(ind.is_empty(), "induced must reject the extra back-edge");
     }
 
     #[test]
@@ -637,7 +481,7 @@ mod tests {
         pat.add_edge(a, b, ());
         pat.add_edge(b, c, ());
         pat.add_edge(c, a, ());
-        let found = subgraph_isomorphisms(&pat, &pat, MatchMode::Monomorphism, |_, _| true);
+        let found = subgraph_isomorphisms(&pat, &pat, |_, _| true);
         assert_eq!(found.len(), 3);
     }
 
@@ -645,7 +489,7 @@ mod tests {
     fn empty_pattern_matches_once() {
         let pat: DiGraph<(), ()> = DiGraph::new();
         let tgt = path_graph(&["a"]);
-        let found = subgraph_isomorphisms(&pat, &tgt, MatchMode::Monomorphism, |_, _: &&str| true);
+        let found = subgraph_isomorphisms(&pat, &tgt, |_, _: &&str| true);
         assert_eq!(found.len(), 1);
         assert!(found[0].as_slice().is_empty());
     }
@@ -654,50 +498,19 @@ mod tests {
     fn pattern_larger_than_target() {
         let pat = path_graph(&["a", "b", "c"]);
         let tgt = path_graph(&["a", "b"]);
-        assert!(subgraph_isomorphisms(&pat, &tgt, MatchMode::Monomorphism, label_eq).is_empty());
+        assert!(subgraph_isomorphisms(&pat, &tgt, label_eq).is_empty());
     }
 
     #[test]
     fn embedding_accessors() {
         let pat = path_graph(&["a", "b"]);
         let tgt = path_graph(&["a", "b"]);
-        let found = subgraph_isomorphisms(&pat, &tgt, MatchMode::Monomorphism, label_eq);
+        let found = subgraph_isomorphisms(&pat, &tgt, label_eq);
         assert_eq!(found.len(), 1);
         let emb = &found[0];
         assert_eq!(emb.target(NodeId::from_index(0)).index(), 0);
         assert_eq!(emb.pairs().count(), 2);
         assert!(emb.to_string().contains("→"));
-    }
-
-    #[test]
-    fn is_isomorphic_checks_both_counts() {
-        let a = path_graph(&["x", "y"]);
-        let b = path_graph(&["x", "y"]);
-        assert!(is_isomorphic(&a, &b, label_eq));
-
-        let mut c = path_graph(&["x", "y"]);
-        c.add_node("z");
-        assert!(!is_isomorphic(&a, &c, label_eq), "different node counts");
-
-        let mut d = path_graph(&["x", "y"]);
-        let (n0, n1) = (NodeId::from_index(0), NodeId::from_index(1));
-        d.add_edge(n1, n0, ());
-        assert!(!is_isomorphic(&a, &d, label_eq), "different edge counts");
-    }
-
-    #[test]
-    fn first_isomorphism_short_circuits() {
-        let pat = path_graph(&["s", "m"]);
-        let mut tgt = DiGraph::new();
-        for _ in 0..4 {
-            let a = tgt.add_node("s");
-            let b = tgt.add_node("m");
-            tgt.add_edge(a, b, ());
-        }
-        let one = first_isomorphism(&pat, &tgt, MatchMode::Monomorphism, label_eq);
-        assert!(one.is_some());
-        let all = subgraph_isomorphisms(&pat, &tgt, MatchMode::Monomorphism, label_eq);
-        assert_eq!(all.len(), 4);
     }
 
     #[test]
@@ -710,7 +523,7 @@ mod tests {
         for _ in 0..3 {
             tgt.add_node("a");
         }
-        let found = subgraph_isomorphisms(&pat, &tgt, MatchMode::Monomorphism, label_eq);
+        let found = subgraph_isomorphisms(&pat, &tgt, label_eq);
         // Injective maps from 2 slots into 3 nodes: 3·2 = 6.
         assert_eq!(found.len(), 6);
     }
@@ -745,7 +558,7 @@ mod tests {
         // And the match set is unaffected: exactly the embeddings using the
         // one hub that feeds "r" (2 ways to place the two "s" spokes on that
         // hub's 4 spokes in order: 4·3 = 12).
-        let found = subgraph_isomorphisms(&pat, &tgt, MatchMode::Monomorphism, label_eq);
+        let found = subgraph_isomorphisms(&pat, &tgt, label_eq);
         assert_eq!(found.len(), 12);
     }
 
@@ -776,14 +589,13 @@ mod tests {
         }
         let aut = tgt_aut(&tgt);
         assert!(!aut.is_trivial());
-        let full = subgraph_isomorphisms(&pat, &tgt, MatchMode::Monomorphism, label_eq);
+        let full = subgraph_isomorphisms(&pat, &tgt, label_eq);
         assert_eq!(full.len(), 3);
-        let orbits =
-            subgraph_isomorphisms_orbits(&pat, &tgt, MatchMode::Monomorphism, &aut, label_eq);
+        let orbits = subgraph_isomorphisms_orbits(&pat, &tgt, &aut, label_eq);
         assert_eq!(orbits.enumerated, 1);
         assert_eq!(orbits.total(), 3);
         assert_eq!(orbits.orbits.len(), 1);
-        assert_eq!(orbits.orbits[0].multiplier(), 3);
+        assert_eq!(orbits.orbits[0].len(), 3);
         assert_eq!(emb_set(&orbits.into_embeddings()), emb_set(&full));
     }
 
@@ -800,10 +612,9 @@ mod tests {
         }
         let aut = tgt_aut(&tgt);
         assert!(!aut.is_trivial());
-        let full = subgraph_isomorphisms(&pat, &tgt, MatchMode::Monomorphism, label_eq);
+        let full = subgraph_isomorphisms(&pat, &tgt, label_eq);
         assert_eq!(full.len(), 2);
-        let orbits =
-            subgraph_isomorphisms_orbits(&pat, &tgt, MatchMode::Monomorphism, &aut, label_eq);
+        let orbits = subgraph_isomorphisms_orbits(&pat, &tgt, &aut, label_eq);
         assert_eq!(emb_set(&orbits.into_embeddings()), emb_set(&full));
     }
 
@@ -812,11 +623,10 @@ mod tests {
         let pat = path_graph(&["s", "m"]);
         let tgt = path_graph(&["s", "m"]);
         let aut = crate::canon::Automorphisms::identity(tgt.num_nodes());
-        let orbits =
-            subgraph_isomorphisms_orbits(&pat, &tgt, MatchMode::Monomorphism, &aut, label_eq);
+        let orbits = subgraph_isomorphisms_orbits(&pat, &tgt, &aut, label_eq);
         assert_eq!(orbits.enumerated, 1);
         assert_eq!(orbits.total(), 1);
-        assert_eq!(orbits.orbits[0].multiplier(), 1);
+        assert_eq!(orbits.orbits[0].len(), 1);
     }
 
     #[test]
@@ -831,9 +641,8 @@ mod tests {
             tgt.add_node("a");
         }
         let aut = tgt_aut(&tgt);
-        let full = subgraph_isomorphisms(&pat, &tgt, MatchMode::Monomorphism, label_eq);
-        let orbits =
-            subgraph_isomorphisms_orbits(&pat, &tgt, MatchMode::Monomorphism, &aut, label_eq);
+        let full = subgraph_isomorphisms(&pat, &tgt, label_eq);
+        let orbits = subgraph_isomorphisms_orbits(&pat, &tgt, &aut, label_eq);
         assert!(orbits.enumerated < full.len() as u64);
         assert_eq!(emb_set(&orbits.into_embeddings()), emb_set(&full));
     }
@@ -843,12 +652,10 @@ mod tests {
         let tgt = path_graph(&["a", "a"]);
         let aut = crate::canon::Automorphisms::identity(2);
         let empty: DiGraph<&str, ()> = DiGraph::new();
-        let found =
-            subgraph_isomorphisms_orbits(&empty, &tgt, MatchMode::Monomorphism, &aut, label_eq);
+        let found = subgraph_isomorphisms_orbits(&empty, &tgt, &aut, label_eq);
         assert_eq!(found.total(), 1);
         let big = path_graph(&["a", "a", "a"]);
-        let none =
-            subgraph_isomorphisms_orbits(&big, &tgt, MatchMode::Monomorphism, &aut, label_eq);
+        let none = subgraph_isomorphisms_orbits(&big, &tgt, &aut, label_eq);
         assert_eq!(none.total(), 0);
         assert_eq!(none.enumerated, 0);
     }
@@ -868,7 +675,7 @@ mod tests {
             let s = tgt.add_node("s");
             tgt.add_edge(thub, s, ());
         }
-        let found = subgraph_isomorphisms(&pat, &tgt, MatchMode::Monomorphism, label_eq);
+        let found = subgraph_isomorphisms(&pat, &tgt, label_eq);
         assert_eq!(found.len(), 6);
     }
 }

@@ -2,18 +2,19 @@
 //!
 //! Directed-graph substrate for the ContrArc architecture-exploration
 //! methodology: an arena-style digraph with typed node/edge weights
-//! ([`DiGraph`]), simple-path enumeration between node sets ([`paths`]), and
-//! a VF2-style subgraph-isomorphism engine that enumerates *all* embeddings
+//! ([`DiGraph`]), simple-path enumeration between node sets ([`paths`]), an
+//! acyclicity check ([`topo`]), label-aware automorphism groups ([`canon`]),
+//! and a VF2-style subgraph-matching engine that enumerates *all* embeddings
 //! of a pattern graph in a target graph ([`iso`]).
 //!
 //! The paper used DotMotif for subgraph matching; this crate replaces it with
 //! a self-contained implementation whose semantics are exactly what
 //! Algorithm 2 of the paper needs: injective, label-compatible node mappings
 //! under which every pattern edge maps to a target edge (a subgraph
-//! *monomorphism*; induced matching is available as an option).
+//! *monomorphism*).
 //!
 //! ```rust
-//! use contrarc_graph::{DiGraph, iso::{self, MatchMode}};
+//! use contrarc_graph::{DiGraph, iso};
 //!
 //! // Pattern: a 2-node chain of labels "a" -> "b".
 //! let mut pat = DiGraph::new();
@@ -30,7 +31,7 @@
 //! tgt.add_edge(t0, t1, ());
 //! tgt.add_edge(t2, t3, ());
 //!
-//! let found = iso::subgraph_isomorphisms(&pat, &tgt, MatchMode::Monomorphism, |p, t| p == t);
+//! let found = iso::subgraph_isomorphisms(&pat, &tgt, |p, t| p == t);
 //! assert_eq!(found.len(), 2);
 //! ```
 
@@ -46,4 +47,4 @@ pub mod topo;
 
 pub use canon::{automorphisms, Automorphisms};
 pub use digraph::{DiGraph, EdgeId, EdgeRef, NodeId};
-pub use iso::{Embedding, MatchMode};
+pub use iso::Embedding;

@@ -90,30 +90,6 @@ fn dfs<N, E>(
     on_path[node.index()] = false;
 }
 
-/// Nodes reachable from `starts` by forward edges (including the starts).
-#[must_use]
-pub fn reachable_from<N, E>(graph: &DiGraph<N, E>, starts: &[NodeId]) -> Vec<NodeId> {
-    let mut seen = vec![false; graph.num_nodes()];
-    let mut stack: Vec<NodeId> = Vec::new();
-    for &s in starts {
-        if !seen[s.index()] {
-            seen[s.index()] = true;
-            stack.push(s);
-        }
-    }
-    let mut order = Vec::new();
-    while let Some(n) = stack.pop() {
-        order.push(n);
-        for next in graph.successors(n) {
-            if !seen[next.index()] {
-                seen[next.index()] = true;
-                stack.push(next);
-            }
-        }
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,14 +187,5 @@ mod tests {
         let t = g.add_node(());
         let paths = all_simple_paths(&g, &[s], &[t], 100);
         assert!(paths.is_empty());
-    }
-
-    #[test]
-    fn reachability() {
-        let (g, ids) = two_lines();
-        let r = reachable_from(&g, &[ids[0]]);
-        assert_eq!(r.len(), 3);
-        assert!(r.contains(&ids[2]));
-        assert!(!r.contains(&ids[3]));
     }
 }

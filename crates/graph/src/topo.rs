@@ -1,29 +1,29 @@
-//! Topological ordering and cycle detection.
+//! Cycle detection.
 //!
-//! Architecture templates are expected to be layered DAGs; these utilities
-//! let the modeling layer validate that assumption and order computations.
+//! Architecture templates are expected to be DAGs; [`is_acyclic`] lets the
+//! modeling layer validate that assumption.
 
 use crate::digraph::{DiGraph, NodeId};
 
-/// A topological order of the graph's nodes, or `Err` with the nodes of some
-/// cycle when the graph is cyclic.
+/// Whether the graph contains no directed cycle (a self-loop counts as one).
+///
+/// Kahn's algorithm: repeatedly remove a node with no remaining in-edges;
+/// the graph is acyclic exactly when every node gets removed.
 ///
 /// ```rust
-/// use contrarc_graph::{DiGraph, topo::topological_sort};
+/// use contrarc_graph::{DiGraph, topo::is_acyclic};
 /// let mut g = DiGraph::new();
 /// let a = g.add_node(());
 /// let b = g.add_node(());
 /// let c = g.add_node(());
 /// g.add_edge(a, b, ());
 /// g.add_edge(b, c, ());
-/// let order = topological_sort(&g).unwrap();
-/// assert_eq!(order, vec![a, b, c]);
+/// assert!(is_acyclic(&g));
+/// g.add_edge(c, a, ());
+/// assert!(!is_acyclic(&g));
 /// ```
-///
-/// # Errors
-///
-/// Returns the node set of a strongly connected cycle when one exists.
-pub fn topological_sort<N, E>(graph: &DiGraph<N, E>) -> Result<Vec<NodeId>, Vec<NodeId>> {
+#[must_use]
+pub fn is_acyclic<N, E>(graph: &DiGraph<N, E>) -> bool {
     let n = graph.num_nodes();
     let mut indegree: Vec<usize> = (0..n)
         .map(|i| graph.in_degree(NodeId::from_index(i)))
@@ -32,9 +32,9 @@ pub fn topological_sort<N, E>(graph: &DiGraph<N, E>) -> Result<Vec<NodeId>, Vec<
         .map(NodeId::from_index)
         .filter(|&v| indegree[v.index()] == 0)
         .collect();
-    let mut order = Vec::with_capacity(n);
+    let mut removed = 0;
     while let Some(v) = queue.pop() {
-        order.push(v);
+        removed += 1;
         for s in graph.successors(v) {
             indegree[s.index()] -= 1;
             if indegree[s.index()] == 0 {
@@ -42,61 +42,12 @@ pub fn topological_sort<N, E>(graph: &DiGraph<N, E>) -> Result<Vec<NodeId>, Vec<
             }
         }
     }
-    if order.len() == n {
-        Ok(order)
-    } else {
-        // Remaining nodes all lie on or downstream of cycles; report those
-        // with nonzero in-degree as the offending set.
-        Err((0..n)
-            .map(NodeId::from_index)
-            .filter(|v| indegree[v.index()] > 0)
-            .collect())
-    }
-}
-
-/// Whether the graph contains no directed cycle.
-#[must_use]
-pub fn is_acyclic<N, E>(graph: &DiGraph<N, E>) -> bool {
-    topological_sort(graph).is_ok()
-}
-
-/// Longest path length (in edges) from any source, for layered-depth
-/// computations on DAGs. Returns `None` on cyclic graphs.
-#[must_use]
-pub fn longest_path_len<N, E>(graph: &DiGraph<N, E>) -> Option<usize> {
-    let order = topological_sort(graph).ok()?;
-    let mut depth = vec![0usize; graph.num_nodes()];
-    let mut max = 0;
-    for v in order {
-        for s in graph.successors(v) {
-            let nd = depth[v.index()] + 1;
-            if nd > depth[s.index()] {
-                depth[s.index()] = nd;
-                max = max.max(nd);
-            }
-        }
-    }
-    Some(max)
+    removed == n
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn orders_respect_edges() {
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let nodes: Vec<_> = (0..5).map(|_| g.add_node(())).collect();
-        g.add_edge(nodes[0], nodes[2], ());
-        g.add_edge(nodes[1], nodes[2], ());
-        g.add_edge(nodes[2], nodes[3], ());
-        g.add_edge(nodes[3], nodes[4], ());
-        let order = topological_sort(&g).unwrap();
-        let pos = |n: NodeId| order.iter().position(|&x| x == n).unwrap();
-        for e in g.edges() {
-            assert!(pos(e.src) < pos(e.dst));
-        }
-    }
 
     #[test]
     fn detects_cycles() {
@@ -106,10 +57,9 @@ mod tests {
         let c = g.add_node(());
         g.add_edge(a, b, ());
         g.add_edge(b, c, ());
+        assert!(is_acyclic(&g));
         g.add_edge(c, a, ());
         assert!(!is_acyclic(&g));
-        let cyc = topological_sort(&g).unwrap_err();
-        assert_eq!(cyc.len(), 3);
     }
 
     #[test]
@@ -119,21 +69,7 @@ mod tests {
         let mut g2: DiGraph<(), ()> = DiGraph::new();
         g2.add_node(());
         g2.add_node(());
-        assert_eq!(topological_sort(&g2).unwrap().len(), 2);
-        assert_eq!(longest_path_len(&g2), Some(0));
-    }
-
-    #[test]
-    fn longest_path_measures_depth() {
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let nodes: Vec<_> = (0..4).map(|_| g.add_node(())).collect();
-        g.add_edge(nodes[0], nodes[1], ());
-        g.add_edge(nodes[1], nodes[2], ());
-        g.add_edge(nodes[0], nodes[3], ());
-        assert_eq!(longest_path_len(&g), Some(2));
-        // Cycle → None.
-        g.add_edge(nodes[2], nodes[0], ());
-        assert_eq!(longest_path_len(&g), None);
+        assert!(is_acyclic(&g2));
     }
 
     #[test]

@@ -106,11 +106,13 @@ impl Ord for HeapEntry {
     }
 }
 
-/// Solve one node's LP relaxation under bounds `ws.lbs`/`ws.ubs` (with
-/// optional dual-simplex warm start) on workspace `ws`, charging pivots to
-/// the shared budget.
-fn eval_node(
+/// Solve one LP relaxation on workspace `ws` (with optional dual-simplex
+/// warm start), charging pivots to the shared budget and counting its
+/// refactorizations. The bounds are the node's, `ws.lbs`/`ws.ubs`, or with
+/// `fixed` the node's with every integer fixed, `ws.fixed_lbs`/`ws.fixed_ubs`.
+fn eval_lp(
     sf_root: &StandardForm,
+    fixed: bool,
     warm: Option<&BasisSnapshot>,
     opts: &SolveOptions,
     numerics: &Numerics,
@@ -118,7 +120,12 @@ fn eval_node(
     ws: &mut LpWorkspace,
 ) -> LpSolve {
     let mut lp_span = contrarc_obs::span!("milp.lp");
-    let sf = sf_root.rebind(&ws.lbs, &ws.ubs, mem::take(&mut ws.bounds));
+    let (lbs, ubs) = if fixed {
+        (&ws.fixed_lbs, &ws.fixed_ubs)
+    } else {
+        (&ws.lbs, &ws.ubs)
+    };
+    let sf = sf_root.rebind(lbs, ubs, mem::take(&mut ws.bounds));
     let solve = solve_lp(
         &LpRequest {
             sf: &sf,
@@ -131,6 +138,12 @@ fn eval_node(
     );
     ws.bounds = sf.into_bounds();
     lp_span.record("pivots", solve.pivots);
+    if solve.refactorizations > 0 {
+        contrarc_obs::metrics::counter_add("milp.refactorizations", solve.refactorizations);
+    }
+    if solve.refactor_reuses > 0 {
+        contrarc_obs::metrics::counter_add("milp.refactor_reuse", solve.refactor_reuses);
+    }
     solve
 }
 
@@ -274,8 +287,9 @@ pub(crate) fn solve_on(
         contrarc_obs::metrics::gauge_set("milp.frontier", heap.len() as i64);
 
         node.materialize(root_lbs, root_ubs, &mut ws.lbs, &mut ws.ubs);
-        let eval = eval_node(
+        let eval = eval_lp(
             sf_root,
+            false,
             node.warm.as_deref(),
             opts,
             numerics,
@@ -299,12 +313,6 @@ pub(crate) fn solve_on(
                 contrarc_obs::metrics::counter_add("milp.warm_start_cold_falls", 1);
             }
         }
-        if eval.refactorizations > 0 {
-            contrarc_obs::metrics::counter_add("milp.refactorizations", eval.refactorizations);
-        }
-        if eval.refactor_reuses > 0 {
-            contrarc_obs::metrics::counter_add("milp.refactor_reuse", eval.refactor_reuses);
-        }
         if node.depth == 0 {
             root_pivots = Some(eval.pivots);
         }
@@ -315,13 +323,9 @@ pub(crate) fn solve_on(
         }
         let (values, min_obj) = match lp {
             LpOutcome::Infeasible => continue,
+            // An unbounded child of a bounded root needs an integral
+            // recession direction; treat any unbounded node conservatively.
             LpOutcome::Unbounded => {
-                if node.depth == 0 {
-                    root_unbounded = true;
-                    break;
-                }
-                // A child cannot be unbounded if the root was bounded unless
-                // the recession direction is integral; treat conservatively.
                 root_unbounded = true;
                 break;
             }
@@ -334,145 +338,83 @@ pub(crate) fn solve_on(
             }
         }
 
-        // Branching variable: most fractional integral variable.
-        let branch = most_fractional(&values, &int_vars, INT_TOL, &branch_weight);
-
-        match branch {
-            None => {
-                // Integral within tolerance. Near-integral values leak
-                // through big-M constraints (M·INT_TOL can exceed the
-                // constraint margin), so verify by fixing every integer to
-                // its rounded value and re-solving the LP exactly.
-                ws.fixed_lbs.clone_from(&ws.lbs);
-                ws.fixed_ubs.clone_from(&ws.ubs);
-                let mut exact = true;
-                for &vi in &int_vars {
-                    let r = values[vi].round().clamp(ws.lbs[vi], ws.ubs[vi]);
-                    if (values[vi] - r).abs() > 1e-12 {
-                        exact = false;
-                    }
-                    ws.fixed_lbs[vi] = r;
-                    ws.fixed_ubs[vi] = r;
+        // Split on the most fractional integral variable. A node integral
+        // within tolerance offers at most one candidate point instead: its
+        // LP point when every integer is exactly integral. Near-integral
+        // values leak through big-M constraints (M·INT_TOL can exceed the
+        // constraint margin), so otherwise the candidate is the point of the
+        // LP with every integer fixed to its rounded value, and the node
+        // still splits on its most nearly fractional variable, since the
+        // relaxation may admit better integer points nearby.
+        let mut split = most_fractional(&values, &int_vars, INT_TOL, &branch_weight);
+        let mut candidate = None;
+        if split.is_none() {
+            ws.fixed_lbs.clone_from(&ws.lbs);
+            ws.fixed_ubs.clone_from(&ws.ubs);
+            let mut exact = true;
+            for &vi in &int_vars {
+                let r = values[vi].round().clamp(ws.lbs[vi], ws.ubs[vi]);
+                if (values[vi] - r).abs() > 1e-12 {
+                    exact = false;
                 }
-                if exact {
-                    check_rows(model, &values)?;
-                    let objective = sf_root.model_objective(min_obj);
-                    contrarc_obs::event!("milp.incumbent", objective = objective);
-                    contrarc_obs::metrics::counter_add("milp.incumbents", 1);
-                    incumbent = Some((values, min_obj, objective));
-                    if node_snapshot.is_some() {
-                        warm_out = node_snapshot.clone();
+                ws.fixed_lbs[vi] = r;
+                ws.fixed_ubs[vi] = r;
+            }
+            if exact {
+                candidate = Some((values, min_obj, node_snapshot.clone()));
+            } else {
+                split = most_fractional(&values, &int_vars, 0.0, &branch_weight);
+                let fixed = eval_lp(sf_root, true, None, opts, numerics, deadline, &mut ws);
+                stats.simplex_iterations += fixed.pivots;
+                match fixed.result? {
+                    LpOutcome::Optimal {
+                        values: mut point,
+                        min_obj: fixed_obj,
+                    } => {
+                        for &vi in &int_vars {
+                            point[vi] = point[vi].round();
+                        }
+                        candidate = Some((point, fixed_obj, fixed.basis));
                     }
-                    if reached_floor(&incumbent) {
+                    // A phantom integral point: only the split remains.
+                    LpOutcome::Infeasible => {}
+                    LpOutcome::Unbounded => {
+                        root_unbounded = true;
                         break;
                     }
-                } else {
-                    let bounds = mem::take(&mut ws.bounds);
-                    let sf_fix = sf_root.rebind(&ws.fixed_lbs, &ws.fixed_ubs, bounds);
-                    let fixed = solve_lp(
-                        &LpRequest {
-                            sf: &sf_fix,
-                            opts,
-                            numerics,
-                            deadline,
-                            warm: None,
-                        },
-                        &mut ws,
-                    );
-                    stats.simplex_iterations += fixed.pivots;
-                    if fixed.refactorizations > 0 {
-                        contrarc_obs::metrics::counter_add(
-                            "milp.refactorizations",
-                            fixed.refactorizations,
-                        );
-                    }
-                    if fixed.refactor_reuses > 0 {
-                        contrarc_obs::metrics::counter_add(
-                            "milp.refactor_reuse",
-                            fixed.refactor_reuses,
-                        );
-                    }
-                    ws.bounds = sf_fix.into_bounds();
-                    let fixed_basis = fixed.basis;
-                    match fixed.result? {
-                        LpOutcome::Optimal {
-                            values: fvals,
-                            min_obj: fobj,
-                        } => {
-                            if incumbent
-                                .as_ref()
-                                .is_none_or(|(_, inc, _)| fobj < *inc - ABS_GAP)
-                            {
-                                let mut vals = fvals;
-                                for &vi in &int_vars {
-                                    vals[vi] = vals[vi].round();
-                                }
-                                check_rows(model, &vals)?;
-                                let objective = sf_root.model_objective(fobj);
-                                contrarc_obs::event!("milp.incumbent", objective = objective);
-                                contrarc_obs::metrics::counter_add("milp.incumbents", 1);
-                                incumbent = Some((vals, fobj, objective));
-                                if fixed_basis.is_some() {
-                                    warm_out = fixed_basis.clone();
-                                }
-                                if reached_floor(&incumbent) {
-                                    break;
-                                }
-                            }
-                            // The relaxation bound may still admit better
-                            // integer points nearby; branch on the most
-                            // nearly-fractional variable to keep exploring.
-                            if let Some((vi, x)) =
-                                most_fractional(&values, &int_vars, 0.0, &branch_weight)
-                            {
-                                push_children(
-                                    &mut heap,
-                                    &node,
-                                    (&ws.lbs, &ws.ubs),
-                                    vi,
-                                    x,
-                                    min_obj,
-                                    &node_snapshot,
-                                    &mut next_seq,
-                                );
-                            }
-                        }
-                        LpOutcome::Infeasible => {
-                            // Phantom integral point: branch to split it.
-                            if let Some((vi, x)) =
-                                most_fractional(&values, &int_vars, 0.0, &branch_weight)
-                            {
-                                push_children(
-                                    &mut heap,
-                                    &node,
-                                    (&ws.lbs, &ws.ubs),
-                                    vi,
-                                    x,
-                                    min_obj,
-                                    &node_snapshot,
-                                    &mut next_seq,
-                                );
-                            }
-                        }
-                        LpOutcome::Unbounded => {
-                            root_unbounded = true;
-                            break;
-                        }
-                    }
                 }
             }
-            Some((vi, x)) => {
-                push_children(
-                    &mut heap,
-                    &node,
-                    (&ws.lbs, &ws.ubs),
-                    vi,
-                    x,
-                    min_obj,
-                    &node_snapshot,
-                    &mut next_seq,
-                );
+        }
+
+        if let Some((point, cand_obj, basis)) = candidate {
+            if incumbent
+                .as_ref()
+                .is_none_or(|(_, inc, _)| cand_obj < *inc - ABS_GAP)
+            {
+                check_rows(model, &point)?;
+                let objective = sf_root.model_objective(cand_obj);
+                contrarc_obs::event!("milp.incumbent", objective = objective);
+                contrarc_obs::metrics::counter_add("milp.incumbents", 1);
+                incumbent = Some((point, cand_obj, objective));
+                if basis.is_some() {
+                    warm_out = basis;
+                }
+                if reached_floor(&incumbent) {
+                    break;
+                }
             }
+        }
+        if let Some((vi, x)) = split {
+            push_children(
+                &mut heap,
+                &node,
+                (&ws.lbs, &ws.ubs),
+                vi,
+                x,
+                min_obj,
+                &node_snapshot,
+                &mut next_seq,
+            );
         }
     }
 
@@ -860,6 +802,31 @@ mod tests {
                 warm.objective()
             );
         }
+    }
+
+    #[test]
+    fn near_integral_relaxation_is_re_solved_with_integers_fixed() {
+        // max x − 0.001·y s.t. x ≤ 0.1, x ≤ 1e6·y: the relaxation sets
+        // y = 1e-7, integral within INT_TOL but not exactly. Fixing y = 0
+        // gives the first incumbent, x = 0; the split's up child y = 1 then
+        // gives the optimum. Accepting the near-integral point itself would
+        // return y = 1e-7, and not splitting after the fixed LP would stop
+        // at x = 0.
+        let mut m = Model::new("near-integral");
+        let x = m.add_continuous("x", 0.0, 1e6);
+        let y = m.add_binary("y");
+        m.add_constr("cap", 1.0 * x, Cmp::Le, 0.1).unwrap();
+        m.add_constr("link", 1.0 * x - 1e6 * y, Cmp::Le, 0.0)
+            .unwrap();
+        m.set_objective(Sense::Maximize, 1.0 * x - 0.001 * y);
+        let sol = solve_default(&m).expect_optimal().unwrap();
+        assert_eq!(sol.value(y), 1.0);
+        assert!((sol.value(x) - 0.1).abs() <= 1e-9, "x = {}", sol.value(x));
+        assert!(
+            (sol.objective() - 0.099).abs() <= 1e-9,
+            "objective {}",
+            sol.objective()
+        );
     }
 
     #[test]

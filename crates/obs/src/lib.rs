@@ -292,12 +292,6 @@ impl SpanGuard {
         SpanGuard { active: None }
     }
 
-    /// Whether this guard represents a live span.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.active.is_some()
-    }
-
     /// Attach a field to the eventual close event (e.g. a result computed
     /// while the span was open). No-op on a disabled guard.
     pub fn record(&mut self, key: &'static str, value: impl Into<Value>) {

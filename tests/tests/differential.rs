@@ -9,15 +9,30 @@
 //! - the exploration with the symmetry layer off;
 //! - the monolithic baseline (`baseline::solve_monolithic`), warm and cold.
 //!
+//! Three metamorphic runs explore a changed problem whose optimum is known
+//! from the original's:
+//!
+//! - "relabelled": the template nodes are added in reverse order and the
+//!   library is reversed, so the node and implementation ids change, and
+//!   with them the order of the embeddings and of the cuts;
+//! - "costlier twins": every implementation gets a copy that costs 1 more,
+//!   so no optimum may select a copy;
+//! - "doubled costs": every cost is doubled, and the optimum, halved, must
+//!   match.
+//!
 //! The population has the `synth-pop` benchmark workload's nine strata:
 //! three template shapes, each at three latency slacks. Each stratum gets six
 //! problems, on generator seeds far from the ones `synth-pop` uses (its
 //! seed `s` generates seeds `270·s` to `270·s + 269`). Each shape is one
-//! test, about 3 s in the test profile.
+//! test, about 2 s in the test profile.
 
+use contrarc::attr::COST;
 use contrarc::baseline::solve_monolithic;
 use contrarc::synth::{generate, SynthConfig};
-use contrarc::{explore, Exploration, ExplorerConfig, Problem, SymmetryConfig};
+use contrarc::{
+    explore, Exploration, ExplorerConfig, Implementation, Library, Problem, SymmetryConfig,
+    Template, TypeId,
+};
 use contrarc_milp::SolveOptions;
 
 const SLACKS: [f64; 3] = [0.8, 0.9, 1.0];
@@ -60,6 +75,93 @@ fn baseline_with(p: &Problem, warm_start: bool) -> Option<f64> {
     )
 }
 
+/// Name suffix of a costlier twin.
+const TWIN: &str = "'";
+
+/// `p` with its template nodes added in reverse order and its library
+/// reversed.
+fn relabelled(p: &Problem) -> Problem {
+    let t = &p.template;
+    let mut template = Template::new(t.name());
+    for ty in (0..t.num_types()).map(TypeId::from_index) {
+        template.add_type(t.type_name(ty), t.type_config(ty).clone());
+    }
+    let mut new_id = vec![None; t.num_nodes()];
+    for n in t.node_ids().collect::<Vec<_>>().into_iter().rev() {
+        let node = t.node(n);
+        let id = template.add_node(node.name.clone(), node.ty);
+        template.set_required(id, node.required);
+        template.set_weight(id, node.weight);
+        new_id[n.index()] = Some(id);
+    }
+    for (_, a, b) in t.candidate_edges() {
+        template.add_candidate_edge(new_id[a.index()].unwrap(), new_id[b.index()].unwrap());
+    }
+    let mut library = Library::new();
+    for (_, imp) in p.library.iter().collect::<Vec<_>>().into_iter().rev() {
+        library.add(imp.name.clone(), imp.ty, imp.attrs.clone());
+    }
+    Problem::new(template, library, p.spec.clone())
+}
+
+/// `p` with its library rebuilt by `add`, called on each implementation in
+/// order.
+fn with_library(p: &Problem, mut add: impl FnMut(&mut Library, &Implementation)) -> Problem {
+    let mut library = Library::new();
+    for (_, imp) in p.library.iter() {
+        add(&mut library, imp);
+    }
+    Problem::new(p.template.clone(), library, p.spec.clone())
+}
+
+/// `p` with every implementation followed by a twin that costs 1 more.
+fn costlier_twins(p: &Problem) -> Problem {
+    with_library(p, |library, imp| {
+        library.add(imp.name.clone(), imp.ty, imp.attrs.clone());
+        let cost = imp.attrs.get(COST) + 1.0;
+        let twin = imp.attrs.clone().with(COST, cost);
+        library.add(format!("{}{TWIN}", imp.name), imp.ty, twin);
+    })
+}
+
+/// `p` with every implementation's cost doubled.
+fn doubled_costs(p: &Problem) -> Problem {
+    with_library(p, |library, imp| {
+        let cost = 2.0 * imp.attrs.get(COST);
+        library.add(imp.name.clone(), imp.ty, imp.attrs.clone().with(COST, cost));
+    })
+}
+
+/// The metamorphic runs' optima, each mapped back to `p`'s.
+fn metamorphic(p: &Problem) -> [(&'static str, Option<f64>); 3] {
+    let complete = ExplorerConfig::complete();
+    let twins = costlier_twins(p);
+    let twin_optimum = match explore(&twins, &complete) {
+        Ok(Exploration::Optimal { architecture, .. }) => {
+            for (_, node) in architecture.graph().nodes() {
+                let name = &twins.library.implementation(node.implementation).name;
+                assert!(
+                    !name.ends_with(TWIN),
+                    "costlier twins: the optimum selects {name}"
+                );
+            }
+            Some(architecture.cost())
+        }
+        other => verdict(other, "costlier twins"),
+    };
+    [
+        (
+            "relabelled",
+            verdict(explore(&relabelled(p), &complete), "relabelled"),
+        ),
+        ("costlier twins", twin_optimum),
+        (
+            "doubled costs",
+            verdict(explore(&doubled_costs(p), &complete), "doubled costs").map(|c| c / 2.0),
+        ),
+    ]
+}
+
 fn agree(a: Option<f64>, b: Option<f64>) -> bool {
     match (a, b) {
         (Some(a), Some(b)) => (a - b).abs() <= 1e-9,
@@ -68,7 +170,7 @@ fn agree(a: Option<f64>, b: Option<f64>) -> bool {
     }
 }
 
-/// Run every problem of one template shape, at every slack, seven ways.
+/// Run every problem of one template shape, at every slack, ten ways.
 fn assert_runs_agree(shape_index: u64, (layers, width, impls_per_type): (usize, usize, usize)) {
     let explorations = explorations();
     let mut optima = 0;
@@ -90,7 +192,8 @@ fn assert_runs_agree(shape_index: u64, (layers, width, impls_per_type): (usize, 
                 .chain([
                     ("warm baseline", baseline_with(&p, true)),
                     ("cold baseline", baseline_with(&p, false)),
-                ]);
+                ])
+                .chain(metamorphic(&p));
             for (run, got) in runs {
                 assert!(
                     agree(got, reference),
