@@ -1,5 +1,6 @@
 //! Assume-guarantee contracts and their algebra.
 
+use crate::nnf::Nnf;
 use crate::pred::Pred;
 use std::fmt;
 
@@ -97,6 +98,8 @@ impl Contract {
     /// `G = ∧ᵢ sat(Gᵢ)` — equivalent to folding binary composition but with
     /// formulas that stay linear in the number of contracts, which keeps the
     /// MILP encodings of refinement queries small.
+    /// [`RefinementChecker::check`](crate::RefinementChecker::check) applies
+    /// the same rules to borrowed contracts without building the composite.
     #[must_use]
     pub fn compose_all<'a, I: IntoIterator<Item = &'a Contract>>(contracts: I) -> Contract {
         let contracts: Vec<&Contract> = contracts.into_iter().collect();
@@ -139,6 +142,47 @@ impl Contract {
     #[must_use]
     pub fn allows_environment(&self, values: &[f64], tol: f64) -> bool {
         self.assumptions.eval(values, tol)
+    }
+}
+
+/// The composition `⊗ᵢ Cᵢ` of borrowed contracts, read part by part in
+/// negation normal form by [`Contract::compose_all`]'s rules: none composes
+/// to ⊤, one to itself, several by the flat n-ary rule. Each part's NNF
+/// equals the NNF of the same part of `compose_all`'s contract, so a query
+/// built from these encodes as one built from the composite would.
+pub(crate) struct Composition<'c, 'a>(pub(crate) &'c [&'a Contract]);
+
+impl<'a> Composition<'_, 'a> {
+    /// `A`, or `¬A` when `neg`.
+    pub(crate) fn assumptions(&self, neg: bool) -> Nnf<'a> {
+        match self.0 {
+            [] => Nnf::Const(!neg),
+            [only] => Nnf::of(&only.assumptions, neg),
+            // A = (∧ᵢ Aᵢ) ∨ ¬G
+            many => {
+                let all = Nnf::junction(!neg, many.iter().map(|c| Nnf::of(&c.assumptions, neg)));
+                Nnf::junction(neg, [all, self.guarantees(!neg)])
+            }
+        }
+    }
+
+    /// `G`, or `¬G` when `neg`.
+    pub(crate) fn guarantees(&self, neg: bool) -> Nnf<'a> {
+        match self.0 {
+            [] => Nnf::Const(!neg),
+            [only] => Nnf::of(&only.guarantees, neg),
+            // G = ∧ᵢ sat(Gᵢ)
+            many => Nnf::junction(
+                !neg,
+                many.iter()
+                    .map(|c| Composition(std::slice::from_ref(c)).saturated(neg)),
+            ),
+        }
+    }
+
+    /// The saturated guarantee `G ∨ ¬A`, or `¬G ∧ A` when `neg`.
+    pub(crate) fn saturated(&self, neg: bool) -> Nnf<'a> {
+        Nnf::junction(neg, [self.guarantees(neg), self.assumptions(!neg)])
     }
 }
 

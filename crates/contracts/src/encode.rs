@@ -1,14 +1,19 @@
 //! Encoding predicates into MILP constraints.
 //!
-//! The encoder first normalizes to NNF, then walks the formula: conjunctions
-//! become plain constraint lists; disjunctions introduce selector binaries
-//! (`Σ y ≥ 1`) whose branches are encoded as big-M guarded constraints.
-//! Strict inequalities (which only arise from negation) are relaxed by a
-//! configurable ε margin, the standard finite-precision treatment.
+//! The encoder walks a predicate's negation normal form, borrowed from the
+//! predicate itself ([`Nnf`]): conjunctions become plain constraint lists;
+//! disjunctions introduce selector binaries (`Σ y ≥ 1`) whose branches are
+//! encoded as big-M guarded constraints. Strict inequalities (which only
+//! arise from negation) are relaxed by a configurable ε margin, the
+//! standard finite-precision treatment.
+//!
+//! Generated rows and selectors are unnamed: nothing reads their names, and
+//! a row is identified by its index in the model.
 
-use crate::pred::{Atom, AtomCmp, Pred};
+use crate::nnf::Nnf;
+use crate::pred::{AtomCmp, Pred};
 use contrarc_milp::encode as menc;
-use contrarc_milp::{Cmp, Model, SolveError, VarId};
+use contrarc_milp::{Cmp, LinExpr, Model, SolveError, VarId};
 
 /// Encoding parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,131 +37,98 @@ impl Default for EncodeOptions {
 /// Assert `pred` in `model`: add constraints satisfied exactly by the
 /// assignments where the predicate holds (up to big-M/ε precision).
 ///
-/// `tag` prefixes generated constraint and selector names for diagnostics.
+/// Rows are appended in the order the predicate's negation normal form
+/// lists its atoms, each disjunction's selector binaries and its `Σ y`
+/// row before its branches.
 ///
 /// # Errors
 ///
 /// Returns [`SolveError::InvalidModel`] when a disjunctive branch mentions a
 /// variable without finite bounds (no sound big-M exists) or when the
 /// predicate mentions variables missing from `model`.
-pub fn assert_pred(
-    model: &mut Model,
-    pred: &Pred,
-    tag: &str,
-    opts: &EncodeOptions,
-) -> Result<(), SolveError> {
-    let nnf = pred.nnf();
-    let mut fresh = 0u32;
-    encode(model, &nnf, None, tag, &mut fresh, opts)
+pub fn assert_pred(model: &mut Model, pred: &Pred, opts: &EncodeOptions) -> Result<(), SolveError> {
+    encode(model, &Nnf::of(pred, false), None, opts)
 }
 
-fn encode(
+/// Assert a formula already in negation normal form, as [`assert_pred`]
+/// asserts the predicate it normalizes.
+pub(crate) fn encode(
     model: &mut Model,
-    pred: &Pred,
+    nnf: &Nnf<'_>,
     guard: Option<VarId>,
-    tag: &str,
-    fresh: &mut u32,
     opts: &EncodeOptions,
 ) -> Result<(), SolveError> {
-    match pred {
-        Pred::True => Ok(()),
-        Pred::False => {
+    match nnf {
+        Nnf::Const(true) => {}
+        Nnf::Const(false) => {
             match guard {
                 // Unconditionally false: 0 ≥ 1.
-                None => {
-                    model.add_constr(
-                        format!("{tag}.false"),
-                        contrarc_milp::LinExpr::new(),
-                        Cmp::Ge,
-                        1.0,
-                    )?;
-                }
+                None => model.add_constr("", LinExpr::new(), Cmp::Ge, 1.0)?,
                 // Guard must be off.
-                Some(g) => {
-                    model.add_constr(
-                        format!("{tag}.false"),
-                        contrarc_milp::LinExpr::var(g),
-                        Cmp::Le,
-                        0.0,
-                    )?;
-                }
-            }
-            Ok(())
+                Some(g) => model.add_constr("", LinExpr::var(g), Cmp::Le, 0.0)?,
+            };
         }
-        Pred::Atom(a) => encode_atom(model, a, guard, tag, fresh, opts),
-        Pred::And(children) => {
+        Nnf::Atom { expr, cmp, rhs } => encode_atom(model, expr, *cmp, *rhs, guard, opts)?,
+        Nnf::And(children) => {
             for c in children {
-                encode(model, c, guard, tag, fresh, opts)?;
+                encode(model, c, guard, opts)?;
             }
-            Ok(())
         }
-        Pred::Or(children) => {
-            let mut selectors = Vec::with_capacity(children.len());
+        Nnf::Or(children) => {
+            // One selector per branch, added consecutively.
+            let first = model.num_vars();
             for _ in children {
-                let y = model.add_binary(format!("{tag}.y{}", *fresh));
-                *fresh += 1;
-                selectors.push(y);
+                model.add_binary("");
             }
+            let selectors = (first..first + children.len()).map(VarId::from_index);
             // At least one branch taken — relative to the guard if present.
-            let sum = contrarc_milp::LinExpr::sum(selectors.iter().copied());
+            let mut sum = LinExpr::sum(selectors.clone());
             match guard {
-                None => {
-                    model.add_constr(format!("{tag}.or{}", *fresh), sum, Cmp::Ge, 1.0)?;
-                }
+                None => model.add_constr("", sum, Cmp::Ge, 1.0)?,
+                // Σy ≥ g.
                 Some(g) => {
-                    // Σy ≥ g.
-                    model.add_constr(
-                        format!("{tag}.or{}", *fresh),
-                        sum - contrarc_milp::LinExpr::var(g),
-                        Cmp::Ge,
-                        0.0,
-                    )?;
+                    sum.add_term(g, -1.0);
+                    model.add_constr("", sum, Cmp::Ge, 0.0)?
                 }
+            };
+            for (y, c) in selectors.zip(children) {
+                encode(model, c, Some(y), opts)?;
             }
-            *fresh += 1;
-            for (y, c) in selectors.into_iter().zip(children) {
-                encode(model, c, Some(y), tag, fresh, opts)?;
-            }
-            Ok(())
         }
-        Pred::Not(_) | Pred::Implies(_, _) => Err(SolveError::InvalidModel(
-            "encoder expects NNF input (assert_pred normalizes automatically)".into(),
-        )),
     }
+    Ok(())
 }
 
 fn encode_atom(
     model: &mut Model,
-    atom: &Atom,
+    expr: &LinExpr,
+    cmp: AtomCmp,
+    rhs: f64,
     guard: Option<VarId>,
-    tag: &str,
-    fresh: &mut u32,
     opts: &EncodeOptions,
 ) -> Result<(), SolveError> {
-    let name = format!("{tag}.a{}", *fresh);
-    *fresh += 1;
-    let (cmp, rhs) = match atom.cmp {
-        AtomCmp::Le => (Cmp::Le, atom.rhs),
-        AtomCmp::Ge => (Cmp::Ge, atom.rhs),
-        AtomCmp::Eq => (Cmp::Eq, atom.rhs),
-        AtomCmp::Lt => (Cmp::Le, atom.rhs - opts.eps),
-        AtomCmp::Gt => (Cmp::Ge, atom.rhs + opts.eps),
+    let (cmp, rhs) = match cmp {
+        AtomCmp::Le => (Cmp::Le, rhs),
+        AtomCmp::Ge => (Cmp::Ge, rhs),
+        AtomCmp::Eq => (Cmp::Eq, rhs),
+        AtomCmp::Lt => (Cmp::Le, rhs - opts.eps),
+        AtomCmp::Gt => (Cmp::Ge, rhs + opts.eps),
     };
-    match guard {
-        None => {
-            model.add_constr(name, atom.expr.clone(), cmp, rhs)?;
+    match (guard, cmp) {
+        (None, cmp) => {
+            model.add_constr("", expr.clone(), cmp, rhs)?;
         }
-        Some(g) => match cmp {
-            Cmp::Le => {
-                menc::implies_le(model, name, g, atom.expr.clone(), rhs)?;
-            }
-            Cmp::Ge => {
-                menc::implies_ge(model, name, g, atom.expr.clone(), rhs)?;
-            }
-            Cmp::Eq => {
-                menc::implies_eq(model, name, g, atom.expr.clone(), rhs)?;
-            }
-        },
+        (Some(g), Cmp::Le) => {
+            menc::implies_le(model, "", g, expr.clone(), rhs)?;
+        }
+        (Some(g), Cmp::Ge) => {
+            menc::implies_ge(model, "", g, expr.clone(), rhs)?;
+        }
+        // `implies_eq`'s two rows, without the names it derives for them.
+        (Some(g), Cmp::Eq) => {
+            menc::implies_le(model, "", g, expr.clone(), rhs)?;
+            menc::implies_ge(model, "", g, expr.clone(), rhs)?;
+        }
     }
     Ok(())
 }
@@ -169,7 +141,7 @@ mod tests {
 
     fn feasible(voc: &Vocabulary, pred: &Pred) -> bool {
         let mut model = voc.instantiate("q").unwrap();
-        assert_pred(&mut model, pred, "p", &EncodeOptions::default()).unwrap();
+        assert_pred(&mut model, pred, &EncodeOptions::default()).unwrap();
         model.solve(&SolveOptions::default()).unwrap().is_feasible()
     }
 
@@ -232,7 +204,7 @@ mod tests {
             .and(Pred::eq(1.0 * y, 5.0))
             .and(Pred::le(1.0 * x + 1.0 * y, 7.0));
         let mut model = voc.instantiate("q").unwrap();
-        assert_pred(&mut model, &p, "p", &EncodeOptions::default()).unwrap();
+        assert_pred(&mut model, &p, &EncodeOptions::default()).unwrap();
         model.set_objective(Sense::Maximize, LinExpr::var(x));
         let sol = model
             .solve(&SolveOptions::default())
@@ -253,7 +225,7 @@ mod tests {
             .and(Pred::ge(1.0 * y, 9.0))
             .or(Pred::le(1.0 * x, 1.0).and(Pred::le(1.0 * y, 1.0)));
         let mut model = voc.instantiate("q").unwrap();
-        assert_pred(&mut model, &p, "p", &EncodeOptions::default()).unwrap();
+        assert_pred(&mut model, &p, &EncodeOptions::default()).unwrap();
         model.set_objective(Sense::Minimize, x + y);
         let sol = model
             .solve(&SolveOptions::default())
@@ -263,7 +235,7 @@ mod tests {
         assert!(sol.objective() <= 2.0 + 1e-6);
         // And maximize → both at least 9 each.
         let mut model = voc.instantiate("q2").unwrap();
-        assert_pred(&mut model, &p, "p", &EncodeOptions::default()).unwrap();
+        assert_pred(&mut model, &p, &EncodeOptions::default()).unwrap();
         model.set_objective(Sense::Maximize, x + y);
         let sol = model
             .solve(&SolveOptions::default())
@@ -279,7 +251,7 @@ mod tests {
         let x = voc.add_continuous("x", 0.0, f64::INFINITY);
         let p = Pred::le(1.0 * x, 1.0).or(Pred::le(1.0 * x, 2.0));
         let mut model = voc.instantiate("q").unwrap();
-        let err = assert_pred(&mut model, &p, "p", &EncodeOptions::default());
+        let err = assert_pred(&mut model, &p, &EncodeOptions::default());
         assert!(
             err.is_err(),
             "guarded ≤ over an unbounded variable must be refused"
@@ -301,7 +273,7 @@ mod tests {
         // false ∨ (x ≥ 3): must take the right branch.
         let p = Pred::False.or(Pred::ge(1.0 * x, 3.0));
         let mut model = voc.instantiate("q").unwrap();
-        assert_pred(&mut model, &p, "p", &EncodeOptions::default()).unwrap();
+        assert_pred(&mut model, &p, &EncodeOptions::default()).unwrap();
         model.set_objective(Sense::Minimize, LinExpr::var(x));
         let sol = model
             .solve(&SolveOptions::default())

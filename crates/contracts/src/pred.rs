@@ -2,10 +2,12 @@
 //!
 //! A [`Pred`] is a boolean combination of linear atoms `expr ⋈ rhs` over the
 //! variables of a [`Vocabulary`](crate::Vocabulary). Negation is supported
-//! and is pushed down to the atoms by [`Pred::nnf`], where it flips the
-//! comparison into its (possibly strict) complement; strict inequalities are
-//! later encoded with a small ε margin.
+//! and is pushed down to the atoms in negation normal form ([`Pred::nnf`]),
+//! where it flips the comparison into its (possibly strict) complement;
+//! strict inequalities are later encoded with a small ε margin. The encoder
+//! normalizes a borrowed view of the predicate, so encoding copies no atom.
 
+use crate::nnf::Nnf;
 use contrarc_milp::LinExpr;
 use std::fmt;
 
@@ -238,66 +240,14 @@ impl Pred {
     }
 
     /// Negation normal form: negations pushed to atoms (with comparison
-    /// complementing), implications expanded, constants folded.
+    /// complementing), implications expanded, constants folded, nested
+    /// junctions of one kind flattened.
+    ///
+    /// The encoder works on a borrowed form of the same normalization and
+    /// never calls this; it is the owned copy of that form.
     #[must_use]
     pub fn nnf(&self) -> Pred {
-        self.nnf_inner(false)
-    }
-
-    fn nnf_inner(&self, neg: bool) -> Pred {
-        match self {
-            Pred::True => {
-                if neg {
-                    Pred::False
-                } else {
-                    Pred::True
-                }
-            }
-            Pred::False => {
-                if neg {
-                    Pred::True
-                } else {
-                    Pred::False
-                }
-            }
-            Pred::Atom(a) => {
-                if !neg {
-                    return Pred::Atom(a.clone());
-                }
-                match a.cmp {
-                    AtomCmp::Eq => Pred::Or(vec![
-                        Pred::atom(a.expr.clone(), AtomCmp::Lt, a.rhs),
-                        Pred::atom(a.expr.clone(), AtomCmp::Gt, a.rhs),
-                    ]),
-                    cmp => Pred::atom(a.expr.clone(), cmp.complement(), a.rhs),
-                }
-            }
-            Pred::And(children) => {
-                let kids: Vec<Pred> = children.iter().map(|c| c.nnf_inner(neg)).collect();
-                if neg {
-                    Pred::any(kids)
-                } else {
-                    Pred::all(kids)
-                }
-            }
-            Pred::Or(children) => {
-                let kids: Vec<Pred> = children.iter().map(|c| c.nnf_inner(neg)).collect();
-                if neg {
-                    Pred::all(kids)
-                } else {
-                    Pred::any(kids)
-                }
-            }
-            Pred::Not(inner) => inner.nnf_inner(!neg),
-            Pred::Implies(a, b) => {
-                // a → b ≡ ¬a ∨ b ; negated: a ∧ ¬b.
-                if neg {
-                    a.nnf_inner(false).and(b.nnf_inner(true))
-                } else {
-                    a.nnf_inner(true).or(b.nnf_inner(false))
-                }
-            }
-        }
+        Nnf::of(self, false).to_pred()
     }
 
     /// Evaluate under an assignment (`values[v.index()]`), with `tol` as the

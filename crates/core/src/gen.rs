@@ -292,14 +292,6 @@ pub fn build_flow_model(problem: &Problem, arch: &Architecture) -> CheckModel {
     }
 }
 
-impl CheckModel {
-    /// The composition `⊗ C_i` of all component contracts in the model.
-    #[must_use]
-    pub fn composition(&self) -> Contract {
-        Contract::compose_all(&self.component_contracts)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,7 +383,7 @@ mod tests {
         let r = checker
             .check(
                 &model.vocabulary,
-                &model.composition(),
+                &model.component_contracts,
                 &model.system_contract,
             )
             .unwrap();
@@ -408,7 +400,7 @@ mod tests {
         let r = checker
             .check(
                 &model.vocabulary,
-                &model.composition(),
+                &model.component_contracts,
                 &model.system_contract,
             )
             .unwrap();
@@ -426,7 +418,7 @@ mod tests {
         assert!(checker
             .check(
                 &model.vocabulary,
-                &model.composition(),
+                &model.component_contracts,
                 &model.system_contract
             )
             .unwrap()
@@ -438,7 +430,7 @@ mod tests {
         assert!(!checker
             .check(
                 &model2.vocabulary,
-                &model2.composition(),
+                &model2.component_contracts,
                 &model2.system_contract
             )
             .unwrap()
@@ -453,7 +445,7 @@ mod tests {
         assert!(checker
             .check(
                 &model.vocabulary,
-                &model.composition(),
+                &model.component_contracts,
                 &model.system_contract
             )
             .unwrap()
@@ -469,7 +461,7 @@ mod tests {
         assert!(!checker
             .check(
                 &model2.vocabulary,
-                &model2.composition(),
+                &model2.component_contracts,
                 &model2.system_contract
             )
             .unwrap()

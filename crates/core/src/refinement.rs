@@ -309,8 +309,11 @@ fn check_paths(
 }
 
 fn refines(model: &CheckModel, checker: &RefinementChecker) -> Result<bool, SolveError> {
-    let composition = model.composition();
-    let r = checker.check(&model.vocabulary, &composition, &model.system_contract)?;
+    let r = checker.check(
+        &model.vocabulary,
+        &model.component_contracts,
+        &model.system_contract,
+    )?;
     Ok(r.holds())
 }
 

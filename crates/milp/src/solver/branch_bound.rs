@@ -473,14 +473,19 @@ const ROW_TOL: f64 = 1e-6;
 /// optimal misses a model row by far more than its feasibility tolerance. A violating
 /// incumbent is reported as a numerical failure, so the solver's retry
 /// ladder re-solves with safer settings instead of returning an infeasible
-/// "optimum".
+/// "optimum". The error names the row by its index, and by its name too
+/// when it has one.
 fn check_rows(model: &Model, values: &[f64]) -> Result<(), SolveError> {
-    for c in model.constrs() {
+    for (i, c) in model.constrs().enumerate() {
         let violation = c.violation(values);
         if violation > ROW_TOL * (1.0 + c.rhs.abs()) {
+            let name = if c.name.is_empty() {
+                String::new()
+            } else {
+                format!(" `{}`", c.name)
+            };
             return Err(SolveError::Numerical(format!(
-                "incumbent violates row `{}` by {violation:e}",
-                c.name
+                "incumbent violates row {i}{name} by {violation:e}"
             )));
         }
     }
@@ -839,6 +844,21 @@ mod tests {
         // No objective.
         let out = solve_default(&m);
         assert!(out.is_feasible());
+    }
+
+    #[test]
+    fn row_check_names_a_violated_row_by_index() {
+        let mut m = Model::new("rows");
+        let x = m.add_continuous("x", 0.0, 10.0);
+        m.add_constr("cap", LinExpr::var(x), Cmp::Le, 4.0).unwrap();
+        m.add_constr("", LinExpr::var(x), Cmp::Ge, 2.0).unwrap();
+        assert_eq!(check_rows(&m, &[3.0]), Ok(()));
+        let msg = |point: f64| match check_rows(&m, &[point]) {
+            Err(SolveError::Numerical(msg)) => msg,
+            other => panic!("expected a numerical error, got {other:?}"),
+        };
+        assert_eq!(msg(5.0), "incumbent violates row 0 `cap` by 1e0");
+        assert_eq!(msg(1.5), "incumbent violates row 1 by 5e-1");
     }
 
     /// A knapsack that requires branching.

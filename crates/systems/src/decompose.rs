@@ -114,7 +114,7 @@ pub fn explore_decomposed(
             let holds = checker
                 .check(
                     &model.vocabulary,
-                    &model.composition(),
+                    &model.component_contracts,
                     &model.system_contract,
                 )
                 .map(|r| r.holds())

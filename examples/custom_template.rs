@@ -97,11 +97,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let three_consumer = Contract::new("3×imu-consumer", Pred::True, Pred::ge(1.0 * supply, 120.0));
     let demand = Contract::new("fcc-demand", Pred::True, Pred::ge(1.0 * supply, 100.0));
     let checker = RefinementChecker::new();
-    let refinement = checker.check(&voc, &three_consumer, &demand)?;
+    let refinement = checker.check(&voc, [&three_consumer], &demand)?;
     println!("\nthree consumer sensors refine the demand contract: {refinement}");
 
     let one_consumer = Contract::new("1×imu-consumer", Pred::True, Pred::ge(1.0 * supply, 40.0));
-    let refinement = checker.check(&voc, &one_consumer, &demand)?;
+    let refinement = checker.check(&voc, [&one_consumer], &demand)?;
     println!("a single consumer sensor: {refinement}");
     Ok(())
 }

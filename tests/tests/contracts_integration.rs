@@ -85,7 +85,7 @@ proptest! {
         let cc = to_contract("c", c, x, y);
         let ccp = to_contract("cp", cp, x, y);
         let checker = RefinementChecker::new();
-        let got = checker.check(&voc, &cc, &ccp).unwrap().holds();
+        let got = checker.check(&voc, [&cc], &ccp).unwrap().holds();
         let want = interval_refines(c, cp, (0.0, 10.0));
         prop_assert_eq!(got, want, "c = {:?}, c' = {:?}", c, cp);
     }
@@ -105,8 +105,8 @@ fn composition_is_commutative_for_refinement() {
     let ab = c1.compose(&c2);
     let ba = c2.compose(&c1);
     let checker = RefinementChecker::new();
-    assert!(checker.check(&voc, &ab, &ba).unwrap().holds());
-    assert!(checker.check(&voc, &ba, &ab).unwrap().holds());
+    assert!(checker.check(&voc, [&ab], &ba).unwrap().holds());
+    assert!(checker.check(&voc, [&ba], &ab).unwrap().holds());
 }
 
 #[test]
@@ -119,10 +119,10 @@ fn composition_is_monotone_under_refinement() {
     let weak = Contract::new("w", Pred::True, Pred::le(1.0 * x, 6.0));
     let other = Contract::new("o", Pred::True, Pred::le(1.0 * y, 4.0));
     let checker = RefinementChecker::new();
-    assert!(checker.check(&voc, &strong, &weak).unwrap().holds());
+    assert!(checker.check(&voc, [&strong], &weak).unwrap().holds());
     let lhs = strong.compose(&other);
     let rhs = weak.compose(&other);
-    assert!(checker.check(&voc, &lhs, &rhs).unwrap().holds());
+    assert!(checker.check(&voc, [&lhs], &rhs).unwrap().holds());
 }
 
 #[test]
@@ -134,8 +134,8 @@ fn conjunction_refines_both_viewpoints() {
     let power = Contract::new("p", Pred::True, Pred::le(1.0 * pow, 50.0));
     let both = timing.conjoin(&power);
     let checker = RefinementChecker::new();
-    assert!(checker.check(&voc, &both, &timing).unwrap().holds());
-    assert!(checker.check(&voc, &both, &power).unwrap().holds());
+    assert!(checker.check(&voc, [&both], &timing).unwrap().holds());
+    assert!(checker.check(&voc, [&both], &power).unwrap().holds());
     // The conjunction is strictly stronger than either side alone.
-    assert!(!checker.check(&voc, &timing, &both).unwrap().holds());
+    assert!(!checker.check(&voc, [&timing], &both).unwrap().holds());
 }
