@@ -97,9 +97,12 @@ impl Contract {
     /// Uses the flat n-ary rule `A = (∧ᵢ Aᵢ) ∨ ¬(∧ᵢ sat(Gᵢ))`,
     /// `G = ∧ᵢ sat(Gᵢ)` — equivalent to folding binary composition but with
     /// formulas that stay linear in the number of contracts, which keeps the
-    /// MILP encodings of refinement queries small.
+    /// MILP encodings of refinement queries small. The composite of two or
+    /// more contracts is saturated already: its `¬A = ¬(∧ᵢ Aᵢ) ∧ G` lies
+    /// inside `G`, so `sat(G) = G ∨ ¬A = G`.
     /// [`RefinementChecker::check`](crate::RefinementChecker::check) applies
-    /// the same rules to borrowed contracts without building the composite.
+    /// the same rules to borrowed contracts without building the composite,
+    /// and encodes that `sat(G)` as `G`.
     #[must_use]
     pub fn compose_all<'a, I: IntoIterator<Item = &'a Contract>>(contracts: I) -> Contract {
         let contracts: Vec<&Contract> = contracts.into_iter().collect();
@@ -147,9 +150,10 @@ impl Contract {
 
 /// The composition `⊗ᵢ Cᵢ` of borrowed contracts, read part by part in
 /// negation normal form by [`Contract::compose_all`]'s rules: none composes
-/// to ⊤, one to itself, several by the flat n-ary rule. Each part's NNF
-/// equals the NNF of the same part of `compose_all`'s contract, so a query
-/// built from these encodes as one built from the composite would.
+/// to ⊤, one to itself, several by the flat n-ary rule. The assumptions and
+/// guarantees equal the NNFs of the composite's, so a query built from them
+/// encodes as one built from the composite would; the saturated guarantee
+/// of several components is `G` alone (see [`Composition::saturated`]).
 pub(crate) struct Composition<'c, 'a>(pub(crate) &'c [&'a Contract]);
 
 impl<'a> Composition<'_, 'a> {
@@ -180,9 +184,14 @@ impl<'a> Composition<'_, 'a> {
         }
     }
 
-    /// The saturated guarantee `G ∨ ¬A`, or `¬G ∧ A` when `neg`.
+    /// The saturated guarantee `G ∨ ¬A`, or `¬G ∧ A` when `neg`. Several
+    /// components saturate to `G` itself (`¬G` when `neg`): their
+    /// `¬A = ¬(∧ᵢ Aᵢ) ∧ G` lies inside `G`.
     pub(crate) fn saturated(&self, neg: bool) -> Nnf<'a> {
-        Nnf::junction(neg, [self.guarantees(neg), self.assumptions(!neg)])
+        match self.0 {
+            [_, _, ..] => self.guarantees(neg),
+            _ => Nnf::junction(neg, [self.guarantees(neg), self.assumptions(!neg)]),
+        }
     }
 }
 

@@ -124,7 +124,7 @@ fn encode_atom(
         (Some(g), Cmp::Ge) => {
             menc::implies_ge(model, "", g, expr.clone(), rhs)?;
         }
-        // `implies_eq`'s two rows, without the names it derives for them.
+        // A guarded `=` is a guarded `≤` and a guarded `≥`.
         (Some(g), Cmp::Eq) => {
             menc::implies_le(model, "", g, expr.clone(), rhs)?;
             menc::implies_ge(model, "", g, expr.clone(), rhs)?;
@@ -137,7 +137,7 @@ fn encode_atom(
 mod tests {
     use super::*;
     use crate::vocabulary::Vocabulary;
-    use contrarc_milp::{LinExpr, Sense, SolveOptions};
+    use contrarc_milp::{LinExpr, Outcome, Sense, SolveOptions};
 
     fn feasible(voc: &Vocabulary, pred: &Pred) -> bool {
         let mut model = voc.instantiate("q").unwrap();
@@ -264,6 +264,20 @@ mod tests {
         let _x = voc.add_continuous("x", 0.0, 1.0);
         assert!(feasible(&voc, &Pred::True));
         assert!(!feasible(&voc, &Pred::False));
+    }
+
+    /// `false` is the row `0 ≥ 1`, which presolve decides: no node is
+    /// solved.
+    #[test]
+    fn false_is_infeasible_without_a_node() {
+        let mut voc = Vocabulary::new();
+        let _x = voc.add_continuous("x", 0.0, 1.0);
+        let mut model = voc.instantiate("q").unwrap();
+        assert_pred(&mut model, &Pred::False, &EncodeOptions::default()).unwrap();
+        assert_eq!(model.num_constrs(), 1);
+        let outcome = model.solve(&SolveOptions::default()).unwrap();
+        assert!(matches!(outcome, Outcome::Infeasible { .. }), "{outcome}");
+        assert_eq!(outcome.stats().nodes, 0);
     }
 
     #[test]

@@ -14,9 +14,14 @@
 //! [`RefinementChecker::check`] takes `C` as the composition of its
 //! components and builds both queries in negation normal form straight from
 //! the borrowed contracts, by [`Contract::compose_all`]'s rules: it clones
-//! no contract and no predicate, and each query model is, variable for
-//! variable and row for row, the model of the query built from the
-//! composite contract.
+//! no contract and no predicate. The assumption query's model is, variable
+//! for variable and row for row, the model of the query built from the
+//! composite contract, and so is the guarantee query's for one component or
+//! none. For two or more, the guarantee query is `G ∧ ¬sat(G')`: the
+//! composite's `sat(G)` is `G` (see [`Contract::compose_all`]), so it is
+//! encoded once instead of as `G ∨ (¬∧ᵢAᵢ ∧ G)`, with the same verdicts.
+//! A query whose normal form is constant `false` is UNSAT without a solve:
+//! the assumption query of components that all assume `true` is one.
 //!
 //! *Note.* The paper's Section IV-B prints the transposed conditions
 //! (`A_c ∧ ¬A_s`, `G_s ∧ ¬G_c`); we implement the standard definition from
@@ -165,7 +170,10 @@ impl RefinementChecker {
     /// replace `spec`? One component is checked as itself and none as the
     /// unconstrained contract ⊤, following [`Contract::compose_all`], whose
     /// rules the two queries are built by, straight from the borrowed
-    /// contracts.
+    /// contracts. Two or more components enter the guarantee query as their
+    /// composite guarantee `G`, which equals its saturation. A query that
+    /// normalizes to `false` is UNSAT, so its condition holds, without a
+    /// solve.
     ///
     /// # Errors
     ///
@@ -194,8 +202,12 @@ impl RefinementChecker {
     }
 
     /// A satisfying assignment of `query`'s vocabulary variables, if any:
-    /// the query model's own selector binaries are left out.
+    /// the query model's own selector binaries are left out. A query whose
+    /// normal form is constant `false` has none, and builds no model.
     fn witness(&self, voc: &Vocabulary, query: &Nnf<'_>) -> Result<Option<Vec<f64>>, SolveError> {
+        if matches!(query, Nnf::Const(false)) {
+            return Ok(None);
+        }
         let outcome = query_model(voc, query, &self.encode_options)?.solve(&self.solve_options)?;
         Ok(outcome.solution().map(|s| s.values()[..voc.len()].to_vec()))
     }
@@ -242,7 +254,7 @@ mod tests {
     use crate::encode::assert_pred;
     use crate::nnf::reference_nnf;
     use crate::pred::AtomCmp;
-    use contrarc_milp::{Cmp, LinExpr, VarType};
+    use contrarc_milp::{Budget, Cmp, LinExpr, VarType};
 
     fn voc_x() -> (Vocabulary, contrarc_milp::VarId) {
         let mut voc = Vocabulary::new();
@@ -337,6 +349,20 @@ mod tests {
             .satisfiable(&voc, &Pred::ge(1.0 * x, 4.0).and(Pred::le(1.0 * x, 3.0)))
             .unwrap()
             .is_none());
+    }
+
+    /// A query that normalizes to `false` is UNSAT without a model: even a
+    /// budget of no branch-and-bound node decides it.
+    #[test]
+    fn constant_false_queries_are_unsat_without_a_solve() {
+        let (voc, x) = voc_x();
+        let checker = RefinementChecker::new();
+        assert_eq!(checker.satisfiable(&voc, &Pred::False).unwrap(), None);
+        let no_nodes = SolveOptions::default().with_budget(Budget::unlimited().with_node_limit(0));
+        let starved = RefinementChecker::with_options(no_nodes, EncodeOptions::default());
+        let falsified = Pred::le(1.0 * x, 3.0).and(Pred::False.or(Pred::False));
+        assert_eq!(starved.satisfiable(&voc, &falsified).unwrap(), None);
+        assert!(starved.satisfiable(&voc, &Pred::le(1.0 * x, 3.0)).is_err());
     }
 
     #[test]
@@ -550,12 +576,15 @@ mod tests {
     /// as the owned queries built through `Contract::compose_all` encode,
     /// their NNFs materialize to the recursive reference NNF, and `check`
     /// reaches the verdict and witness bits of solving the owned queries.
+    /// The owned guarantee query of two or more components is
+    /// `G ∧ ¬sat(G')`; the composite's `sat(G) ∧ ¬sat(G')`, which encodes
+    /// `G` twice, must reach the same verdict.
     #[test]
     fn borrowed_queries_encode_as_the_owned_queries() {
         let opts = EncodeOptions::default();
         let checker = RefinementChecker::new();
         let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
-        let (mut rows, mut holds, mut fails) = (0, 0, 0);
+        let (mut rows, mut holds, mut fails, mut constant) = (0, 0, 0, 0);
         for case in 0..600 {
             let voc = random_vocabulary(&mut rng);
             let vars = voc.len() as u64;
@@ -577,20 +606,28 @@ mod tests {
             }
 
             let composite = Contract::compose_all(parts.iter().copied());
+            let sat_g = match count {
+                0 | 1 => composite.saturated_guarantees(),
+                _ => composite.guarantees().clone(),
+            };
             let owned = [
                 spec.assumptions()
                     .clone()
                     .and(composite.assumptions().clone().not()),
-                composite
-                    .saturated_guarantees()
-                    .and(spec.saturated_guarantees().not()),
+                sat_g.and(spec.saturated_guarantees().not()),
             ];
+            let doubled = composite
+                .saturated_guarantees()
+                .and(spec.saturated_guarantees().not());
             let borrowed = [
                 assumption_query(&parts, &spec),
                 guarantee_query(&parts, &spec),
             ];
             for (owned, borrowed) in owned.iter().zip(&borrowed) {
                 assert_eq!(borrowed.to_pred(), reference_nnf(owned), "case {case}");
+                if matches!(borrowed, Nnf::Const(false)) {
+                    constant += 1;
+                }
                 let mut want = voc.instantiate("owned").unwrap();
                 assert_pred(&mut want, owned, &opts).unwrap();
                 let got = query_model(&voc, borrowed, &opts).unwrap();
@@ -618,16 +655,59 @@ mod tests {
                     .map(|(k, w)| (*k, w.iter().map(|v| v.to_bits()).collect::<Vec<_>>()))
             });
             assert_eq!(got, want, "case {case}");
+            let oracle = solve(&owned[0]).and_then(|w| match w {
+                Some(_) => Ok(Some(RefinementFailure::Assumptions)),
+                None => Ok(solve(&doubled)?.map(|_| RefinementFailure::Guarantees)),
+            });
+            let verdict = got.clone().map(|f| f.map(|(k, _)| k));
+            assert_eq!(verdict, oracle, "case {case}");
             match &got {
                 Ok(None) => holds += 1,
                 Ok(Some(_)) => fails += 1,
                 Err(_) => {}
             }
         }
-        // The draws reach both verdicts and models of some size.
+        // The draws reach both verdicts, constant-false queries and models
+        // of some size.
         assert!(
-            rows > 5_000 && holds > 100 && fails > 100,
-            "{rows} rows, {holds} holding and {fails} failing checks"
+            rows > 5_000 && holds > 100 && fails > 100 && constant > 100,
+            "{rows} rows, {holds} holding and {fails} failing checks, \
+             {constant} constant-false queries"
+        );
+    }
+
+    /// A composite of two or more contracts is saturated already: its
+    /// `sat(G) = G ∨ ¬A` and its `G` agree at every point, those outside
+    /// its assumptions included.
+    #[test]
+    fn a_composite_guarantee_equals_its_saturation() {
+        let mut rng = Rng(0x2545_f491_4f6c_dd1d);
+        let (mut inside, mut outside) = (0, 0);
+        for case in 0..400 {
+            let voc = random_vocabulary(&mut rng);
+            let vars = voc.len() as u64;
+            let components: Vec<Contract> = (0..2 + rng.below(4))
+                .map(|i| random_contract(&mut rng, vars, &format!("c{i}")))
+                .collect();
+            let composite = Contract::compose_all(&components);
+            let (g, sat) = (composite.guarantees(), composite.saturated_guarantees());
+            for _ in 0..25 {
+                let point: Vec<f64> = (0..vars).map(|_| rng.quarter(-6.0, 6.0)).collect();
+                assert_eq!(
+                    sat.eval(&point, 1e-9),
+                    g.eval(&point, 1e-9),
+                    "case {case} at {point:?}"
+                );
+                if composite.assumptions().eval(&point, 1e-9) {
+                    inside += 1;
+                } else {
+                    outside += 1;
+                }
+            }
+        }
+        assert!(
+            inside > 1_000 && outside > 1_000,
+            "{inside} in, {outside} out"
         );
     }
 }

@@ -78,25 +78,6 @@ pub fn implies_ge(
     model.add_constr(name, lhs, Cmp::Ge, rhs - big_m)
 }
 
-/// Add `guard = 1 → expr = rhs` (two guarded inequalities).
-///
-/// # Errors
-///
-/// Returns [`SolveError::InvalidModel`] when `expr` is unbounded in either
-/// direction or `guard` is not binary.
-pub fn implies_eq(
-    model: &mut Model,
-    name: impl Into<String>,
-    guard: VarId,
-    expr: LinExpr,
-    rhs: f64,
-) -> Result<(ConstrId, ConstrId), SolveError> {
-    let name = name.into();
-    let le = implies_le(model, format!("{name}.le"), guard, expr.clone(), rhs)?;
-    let ge = implies_ge(model, format!("{name}.ge"), guard, expr, rhs)?;
-    Ok((le, ge))
-}
-
 /// Add the pair of implications `indicator = 1 ↔ Σ vars ≥ 1` for binary
 /// `vars` — the "instantiated iff connected" link from the interconnection
 /// contract. Encoded as `indicator ≤ Σ vars` and `vars[i] ≤ indicator ∀i`.
@@ -203,19 +184,6 @@ mod tests {
         let g = m.add_continuous("g", 0.0, 1.0);
         let x = m.add_continuous("x", 0.0, 1.0);
         assert!(implies_le(&mut m, "bad", g, LinExpr::var(x), 0.0).is_err());
-    }
-
-    #[test]
-    fn implies_eq_pins_value() {
-        let mut m = Model::new("t");
-        let g = m.add_binary("g");
-        let x = m.add_continuous("x", 0.0, 10.0);
-        implies_eq(&mut m, "pin", g, LinExpr::var(x), 4.0).unwrap();
-        m.add_constr("force", LinExpr::var(g), Cmp::Ge, 1.0)
-            .unwrap();
-        m.set_objective(Sense::Maximize, 1.0 * x);
-        let sol = solve(&m).expect_optimal().unwrap();
-        assert!((sol.value(x) - 4.0).abs() < 1e-6);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use crate::constraint::{Cmp, Constraint};
 use crate::model::Model;
+use crate::solver::ROW_TOL;
 
 const MAX_ROUNDS: usize = 16;
 const TIGHTEN_EPS: f64 = 1e-9;
@@ -29,15 +30,16 @@ pub(crate) struct Record {
     round_ends: Vec<usize>,
 }
 
-/// Root bounds for branch-and-bound: model bounds with integral bounds
-/// rounded inward, then (when `presolve_enabled`) activity-tightened. `None`
-/// when the model is proven infeasible outright.
+/// The bounds [`root_bounds_recorded`] returns, without its record.
 #[cfg(test)]
 pub(crate) fn root_bounds(model: &Model, presolve_enabled: bool) -> Option<Bounds> {
     root_bounds_recorded(model, presolve_enabled).map(|(bounds, _)| bounds)
 }
 
-/// [`root_bounds`] together with the record of its run, for [`extend`].
+/// Root bounds for branch-and-bound: model bounds with integral bounds
+/// rounded inward, then (when `presolve_enabled`) activity-tightened. `None`
+/// when the model is proven infeasible outright. Returned together with the
+/// record of the run, for [`extend`].
 pub(crate) fn root_bounds_recorded(
     model: &Model,
     presolve_enabled: bool,
@@ -148,6 +150,12 @@ fn propagate(
     ubs: &mut [f64],
     writes: &mut Vec<(u32, f64)>,
 ) -> bool {
+    // A row without terms, `0 ⋈ rhs`, holds or fails outright: it fails
+    // when it misses its right-hand side by more than the incumbent row
+    // check allows, and writes no bound either way.
+    if c.expr.num_terms() == 0 {
+        return c.violation(&[]) <= ROW_TOL * (1.0 + c.rhs.abs());
+    }
     // Treat `=` as both `≤` and `≥`.
     let dirs: &[Cmp] = match c.cmp {
         Cmp::Le => &[Cmp::Le],
@@ -240,7 +248,7 @@ fn slot(i: usize, side: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Cmp, Model};
+    use crate::{Cmp, LinExpr, Model};
 
     #[test]
     fn tightens_simple_sum() {
@@ -341,6 +349,38 @@ mod tests {
         m.add_constr("cut", 1.0 * x, Cmp::Ge, 15.0).unwrap();
         assert_eq!(extend(record, &m), None);
         assert_eq!(root_bounds(&m, true), None);
+    }
+
+    #[test]
+    fn a_row_without_terms_is_decided_outright() {
+        let with_row = |cmp, rhs| {
+            let mut m = Model::new("p");
+            m.add_continuous("x", 0.0, 1.0);
+            m.add_constr("c", LinExpr::new(), cmp, rhs).unwrap();
+            m
+        };
+        // 0 ≥ 1, 0 ≤ −1 and 0 = 1 fail; 0 ≤ 1 and 0 = 0 hold.
+        for (cmp, rhs) in [(Cmp::Ge, 1.0), (Cmp::Le, -1.0), (Cmp::Eq, 1.0)] {
+            assert_eq!(
+                root_bounds(&with_row(cmp, rhs), true),
+                None,
+                "0 {cmp} {rhs}"
+            );
+        }
+        for (cmp, rhs) in [(Cmp::Le, 1.0), (Cmp::Eq, 0.0)] {
+            let bounds = root_bounds(&with_row(cmp, rhs), true);
+            assert_eq!(bounds, Some((vec![0.0], vec![1.0])), "0 {cmp} {rhs}");
+        }
+        // Within the row tolerance, `0 = 1e-9` holds.
+        assert!(root_bounds(&with_row(Cmp::Eq, 1e-9), true).is_some());
+        // An appended failing row sends a carried run to a full one.
+        let m = with_row(Cmp::Le, 1.0);
+        let (_, record) = root_bounds_recorded(&m, true).expect("feasible");
+        let mut grown = m.clone();
+        grown
+            .add_constr("false", LinExpr::new(), Cmp::Ge, 1.0)
+            .unwrap();
+        assert_eq!(extend(record, &grown), None);
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl Solution {
 ///
 /// `Outcome` separates *answers* (optimal/infeasible/unbounded) from *errors*
 /// (limits, numerical failures), which are carried by
-/// [`SolveError`](crate::SolveError) instead.
+/// [`SolveError`] instead.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Outcome {
     /// Optimal solution found.

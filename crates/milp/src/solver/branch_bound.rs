@@ -463,9 +463,10 @@ fn most_fractional(
     best
 }
 
-/// Relative tolerance of the incumbent row check: a row may miss its
-/// right-hand side by at most `ROW_TOL · (1 + |rhs|)` in model units.
-const ROW_TOL: f64 = 1e-6;
+/// Relative tolerance of the incumbent row check, and of presolve's verdict
+/// on a row without terms: a row may miss its right-hand side by at most
+/// `ROW_TOL · (1 + |rhs|)` in model units.
+pub(crate) const ROW_TOL: f64 = 1e-6;
 
 /// Check an incumbent against the model's own (unscaled) rows. The simplex
 /// judges feasibility on the equilibrated standard form with its own

@@ -15,6 +15,7 @@ mod setup;
 mod simplex;
 
 pub(crate) use backend::{BasisSnapshot, LpOutcome};
+pub(crate) use branch_bound::ROW_TOL;
 pub(crate) use revised::LpWorkspace;
 
 use crate::error::SolveError;

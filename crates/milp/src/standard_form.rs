@@ -1,4 +1,4 @@
-//! Conversion of a [`Model`](crate::Model) into the equality standard form
+//! Conversion of a [`Model`] into the equality standard form
 //! consumed by the simplex method.
 //!
 //! Every constraint `aᵀx ⋛ b` becomes a row `aᵀx + s = b` with a slack
@@ -232,9 +232,7 @@ pub(crate) struct StandardForm {
 }
 
 impl StandardForm {
-    /// Build the standard form of a model, optionally overriding variable
-    /// bounds (used by branch-and-bound, which tightens integer bounds per
-    /// node without mutating the shared model).
+    /// The form [`RecordedForm::build`] builds, without its record.
     #[cfg(test)]
     pub fn build(model: &Model, bound_override: Option<(&[f64], &[f64])>) -> StandardForm {
         RecordedForm::build(model, bound_override).sf
@@ -359,7 +357,10 @@ pub(crate) struct RecordedForm {
 }
 
 impl RecordedForm {
-    /// [`StandardForm::build`], keeping the equilibration's record.
+    /// Build the standard form of a model, optionally overriding variable
+    /// bounds (used by branch-and-bound, which tightens integer bounds per
+    /// node without mutating the shared model), keeping the equilibration's
+    /// record.
     pub fn build(model: &Model, bound_override: Option<(&[f64], &[f64])>) -> RecordedForm {
         let n = model.num_vars();
         let m = model.num_constrs();

@@ -44,24 +44,27 @@ fn setup_counts(p: &Problem) -> (usize, [u64; 4]) {
 
 #[test]
 fn epn_selections_extend_their_setup() {
-    // EPN (1,0,0): 43 selections and 172 refinement queries. Each query is
-    // a new model, so it presolves afresh, and 89 of them get past presolve
-    // to build a form. Of the 42 selections after the first, 39 reuse the
-    // presolve run (3 appended cut batches write a bound in some round) and
-    // 40 extend the form (2 batches move an existing column's factor).
+    // EPN (1,0,0): 43 selections and 172 refinement queries, 43 of which
+    // (each path check's assumption query) normalize to `false` and are not
+    // solved. Each of the other 129 is a new model, so it presolves afresh,
+    // and 46 of them get past presolve to build a form. Of the 42 selections
+    // after the first, 39 reuse the presolve run (3 appended cut batches
+    // write a bound in some round) and 40 extend the form (2 batches move an
+    // existing column's factor).
     let p = epn::build(&EpnConfig::default());
     let (iterations, counts) = setup_counts(&p);
     assert_eq!(iterations, 43);
-    assert_eq!(counts, [39, 4 + 172, 40, 3 + 89]);
+    assert_eq!(counts, [39, 4 + 129, 40, 3 + 46]);
 }
 
 #[test]
 fn six_parallel_rpl_lines_extend_their_setup() {
-    // Seven selections and 28 refinement queries, 14 of which get past
-    // presolve to build a form. Every selection after the first reuses the
-    // presolve run; 5 of the 6 extend the form.
+    // Seven selections and 28 refinement queries, 7 of which normalize to
+    // `false` and are not solved. Of the 21 solved, 7 get past presolve to
+    // build a form. Every selection after the first reuses the presolve
+    // run; 5 of the 6 extend the form.
     let p = rpl::build_parallel(&RplConfig::default(), 6);
     let (iterations, counts) = setup_counts(&p);
     assert_eq!(iterations, 7);
-    assert_eq!(counts, [6, 1 + 28, 5, 2 + 14]);
+    assert_eq!(counts, [6, 1 + 21, 5, 2 + 7]);
 }

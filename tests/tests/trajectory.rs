@@ -63,29 +63,29 @@ fn expected(optimum: f64, iterations: usize, cuts: usize, pivots: u64, nodes: u6
 #[test]
 fn epn_default_trajectory_is_pinned() {
     let p = epn::build(&EpnConfig::default());
-    assert_eq!(trajectory(&p, COLD), expected(42.0, 43, 45, 4_920, 325));
-    assert_eq!(trajectory(&p, WARM), expected(42.0, 43, 45, 1_067, 333));
+    assert_eq!(trajectory(&p, COLD), expected(42.0, 43, 45, 4_920, 282));
+    assert_eq!(trajectory(&p, WARM), expected(42.0, 43, 45, 1_067, 290));
 }
 
 #[test]
 fn rpl_both_lines_trajectory_is_pinned() {
     let p = rpl::build(&RplConfig::default(), RplLines::Both);
-    assert_eq!(trajectory(&p, COLD), expected(32.0, 7, 24, 1_048, 56));
-    assert_eq!(trajectory(&p, WARM), expected(32.0, 7, 24, 205, 58));
+    assert_eq!(trajectory(&p, COLD), expected(32.0, 7, 24, 1_048, 49));
+    assert_eq!(trajectory(&p, WARM), expected(32.0, 7, 24, 205, 51));
 }
 
 #[test]
 fn rpl_three_parallel_lines_trajectory_is_pinned() {
     let p = rpl::build_parallel(&RplConfig::default(), 3);
-    assert_eq!(trajectory(&p, COLD), expected(48.0, 7, 54, 2_263, 69));
-    assert_eq!(trajectory(&p, WARM), expected(48.0, 7, 54, 269, 71));
+    assert_eq!(trajectory(&p, COLD), expected(48.0, 7, 54, 2_263, 62));
+    assert_eq!(trajectory(&p, WARM), expected(48.0, 7, 54, 269, 64));
 }
 
 #[test]
 fn rpl_six_parallel_lines_trajectory_is_pinned() {
     let p = rpl::build_parallel(&RplConfig::default(), 6);
-    assert_eq!(trajectory(&p, COLD), expected(96.0, 7, 216, 19_351, 206));
-    assert_eq!(trajectory(&p, WARM), expected(96.0, 7, 216, 711, 208));
+    assert_eq!(trajectory(&p, COLD), expected(96.0, 7, 216, 19_351, 199));
+    assert_eq!(trajectory(&p, WARM), expected(96.0, 7, 216, 711, 201));
     // The benchmark's `sym-dive-2t` configuration. `threads` is ignored: the
     // exploration runs on one thread whatever it says.
     let two_threads = ExplorerConfig {
@@ -94,6 +94,6 @@ fn rpl_six_parallel_lines_trajectory_is_pinned() {
     };
     assert_eq!(
         trajectory_with(&p, two_threads),
-        expected(96.0, 7, 216, 711, 208)
+        expected(96.0, 7, 216, 711, 201)
     );
 }
