@@ -18,7 +18,7 @@
 use crate::attr;
 use crate::candidate::Architecture;
 use crate::encode::encode_problem2;
-use crate::explorer::{Exploration, ExplorationStats, ExploreError};
+use crate::exploration::{Exploration, ExplorationStats, ExploreError};
 use crate::problem::Problem;
 use contrarc_milp::{Cmp, LinExpr, SolveOptions};
 use std::time::Instant;
@@ -197,10 +197,10 @@ pub fn solve_monolithic(
 mod tests {
     use super::*;
     use crate::attr::{Attrs, COST, FLOW_CONS, FLOW_GEN, LATENCY, THROUGHPUT};
-    use crate::explorer::{explore, ExplorerConfig};
     use crate::problem::{FlowSpec, SystemSpec, TimingSpec};
     use crate::template::{Template, TypeConfig};
     use crate::Library;
+    use crate::{explore, ExplorerConfig};
 
     fn lines_problem(max_latency: f64) -> Problem {
         let mut t = Template::new("two");

@@ -36,8 +36,6 @@ pub struct ArchEdge {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Architecture {
     graph: DiGraph<ArchNode, ArchEdge>,
-    /// Template node → architecture node.
-    remap: BTreeMap<NodeId, NodeId>,
     cost: f64,
 }
 
@@ -108,7 +106,7 @@ impl Architecture {
                     * problem.library.attr(w.implementation, crate::attr::COST)
             })
             .sum();
-        Architecture { graph, remap, cost }
+        Architecture { graph, cost }
     }
 
     /// The architecture graph (instantiated nodes, selected edges).
@@ -133,12 +131,6 @@ impl Architecture {
     #[must_use]
     pub fn num_edges(&self) -> usize {
         self.graph.num_edges()
-    }
-
-    /// Architecture node instantiating a template node, if instantiated.
-    #[must_use]
-    pub fn node_for_template(&self, template_node: NodeId) -> Option<NodeId> {
-        self.remap.get(&template_node).copied()
     }
 
     /// Instantiated source nodes (architecture ids), per the template's type
@@ -264,16 +256,6 @@ mod tests {
         assert!((arch.cost() - 5.0).abs() < 1e-6);
         assert_eq!(arch.source_nodes(&p).len(), 1);
         assert_eq!(arch.sink_nodes(&p).len(), 1);
-    }
-
-    #[test]
-    fn template_mapping_roundtrip() {
-        let (p, enc, sol) = solved_chain();
-        let arch = Architecture::decode(&p, &enc, &sol);
-        for tn in p.template.node_ids() {
-            let an = arch.node_for_template(tn).expect("all nodes instantiated");
-            assert_eq!(arch.graph().node_weight(an).template_node, tn);
-        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::attr;
 use crate::library::ImplId;
 use crate::problem::Problem;
 use crate::sym::SymmetryConfig;
-use contrarc_graph::{EdgeId, NodeId};
+use contrarc_graph::NodeId;
 use contrarc_milp::encode as menc;
 use contrarc_milp::{Cmp, LinExpr, Model, Sense, SolveError, VarId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -33,7 +33,8 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct Encoding {
     /// The MILP (objective: minimize weighted cost).
     pub model: Model,
-    /// `e_{i,j}` per candidate edge, indexed by [`EdgeId::index`].
+    /// `e_{i,j}` per candidate edge, indexed by
+    /// [`EdgeId::index`](contrarc_graph::EdgeId::index).
     pub edge_vars: Vec<VarId>,
     /// `m_{i,x}` per node, indexed by [`NodeId::index`].
     pub map_vars: Vec<Vec<(ImplId, VarId)>>,
@@ -48,12 +49,6 @@ pub struct Encoding {
 }
 
 impl Encoding {
-    /// The selection variable of a candidate edge.
-    #[must_use]
-    pub fn edge_var(&self, e: EdgeId) -> VarId {
-        self.edge_vars[e.index()]
-    }
-
     /// The mapping variable `m_{i,x}`, if `x` implements `i`'s type.
     #[must_use]
     pub fn map_var(&self, node: NodeId, imp: ImplId) -> Option<VarId> {
@@ -61,12 +56,6 @@ impl Encoding {
             .iter()
             .find(|(i, _)| *i == imp)
             .map(|(_, v)| *v)
-    }
-
-    /// The instantiation indicator `β_i`.
-    #[must_use]
-    pub fn beta_var(&self, node: NodeId) -> VarId {
-        self.beta_vars[node.index()]
     }
 }
 
@@ -903,9 +892,6 @@ mod tests {
         let p = chain_problem();
         let enc = encode_problem2(&p).unwrap();
         let n0 = p.template.node_ids().next().unwrap();
-        let first_edge = p.template.candidate_edges().next().unwrap().0;
-        let _ = enc.edge_var(first_edge);
-        let _ = enc.beta_var(n0);
         let src_t = p.template.type_by_name("src").unwrap();
         let s_impl = p.library.impls_of_type(src_t)[0];
         assert!(enc.map_var(n0, s_impl).is_some());

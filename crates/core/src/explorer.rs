@@ -3,372 +3,15 @@
 
 use crate::candidate::Architecture;
 use crate::certificate::{apply_cuts, CutConfig};
-use crate::checkpoint::{fingerprint, AuxVarRecord, CutRecord, ExplorerCheckpoint};
+use crate::checkpoint::{fingerprint, ExplorerCheckpoint};
 use crate::encode::encode_problem2_sym;
+use crate::exploration::{Exploration, ExplorationStats, ExploreError, ExplorerConfig, StopReason};
 use crate::problem::Problem;
 use crate::refinement::{check_candidate_all_cached, RefinementCache, RefinementConfig};
-use crate::sym::SymmetryConfig;
 use contrarc_contracts::{EncodeOptions, RefinementChecker};
 use contrarc_graph::Automorphisms;
-use contrarc_milp::{Budget, Deadline, LinExpr, SolveError, SolveOptions, VarDef, VarId};
-use std::error::Error;
-use std::fmt;
+use contrarc_milp::{Budget, Deadline, SolveError};
 use std::time::Instant;
-
-/// Configuration of the exploration loop. The two booleans reproduce the
-/// paper's Table II ablations:
-///
-/// | paper mode                | `iso_pruning` | `compositional` |
-/// |---------------------------|---------------|-----------------|
-/// | "only subgraph isomorphism" | `true`      | `false`         |
-/// | "only decomposition"        | `false`     | `true`          |
-/// | "Complete"                  | `true`      | `true`          |
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExplorerConfig {
-    /// Generalize each infeasibility certificate to every isomorphic
-    /// embedding (Algorithm 2). When off, only the violating candidate
-    /// sub-architecture itself is excluded per iteration.
-    pub iso_pruning: bool,
-    /// Check path-specific viewpoints per source→sink path (Algorithm 1).
-    pub compositional: bool,
-    /// Widen certificate cuts to the dominated implementation set `ℒ_g⁺`
-    /// (the `ImplementationSearch` step of Algorithm 2). Disabling this is
-    /// an extra ablation beyond the paper's two, useful for quantifying how
-    /// much of the pruning power comes from dominance versus isomorphism.
-    pub dominance_widening: bool,
-    /// Iteration cap for the lazy loop.
-    pub max_iterations: usize,
-    /// Optional wall-clock budget for the whole exploration, counted from
-    /// the start of [`Explorer::new`] (encoding and automorphism search
-    /// included).
-    pub time_limit_secs: Option<f64>,
-    /// MILP solver options (shared by candidate selection and refinement
-    /// queries).
-    pub solve_options: SolveOptions,
-    /// Cap on path enumeration during compositional checking. A candidate
-    /// with that many paths, all of which hold, has its timing checked
-    /// monolithically.
-    pub max_paths: usize,
-    /// Symmetry-aware exploration knobs: orbit-pruned certificate matching
-    /// and orbit-based symmetry-breaking rows in the Problem-2 MILP. Both
-    /// default on; either can be disabled independently, and the optimum is
-    /// bit-identical either way. The checkpoint fingerprint hashes the
-    /// model the loop solves, so `milp_rows` changes it wherever the
-    /// template has symmetry rows to add: a checkpoint resumes only under
-    /// the `milp_rows` setting that wrote it. `orbit_pruning` changes
-    /// neither the model nor the cut set and may differ on resume.
-    pub symmetry: SymmetryConfig,
-    /// Ignored: the exploration runs on one thread. Kept only because the
-    /// exploration benchmark still sets it; it will be removed, together
-    /// with `contrarc-par`, in the next change to the benchmark.
-    pub threads: usize,
-}
-
-impl Default for ExplorerConfig {
-    fn default() -> Self {
-        ExplorerConfig {
-            iso_pruning: true,
-            compositional: true,
-            dominance_widening: true,
-            max_iterations: 10_000,
-            time_limit_secs: None,
-            solve_options: SolveOptions::default(),
-            max_paths: 100_000,
-            symmetry: SymmetryConfig::default(),
-            threads: 0,
-        }
-    }
-}
-
-impl ExplorerConfig {
-    /// The paper's "Complete" mode (both techniques on) — the default.
-    #[must_use]
-    pub fn complete() -> Self {
-        Self::default()
-    }
-
-    /// The paper's "only subgraph isomorphism" ablation.
-    #[must_use]
-    pub fn only_iso() -> Self {
-        ExplorerConfig {
-            compositional: false,
-            ..Self::default()
-        }
-    }
-
-    /// The paper's "only decomposition" ablation.
-    #[must_use]
-    pub fn only_decomposition() -> Self {
-        ExplorerConfig {
-            iso_pruning: false,
-            ..Self::default()
-        }
-    }
-}
-
-/// Statistics of one exploration run (the measurements behind Fig. 5 and
-/// Table II of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ExplorationStats {
-    /// Lazy-loop iterations (MILP solve + refinement check rounds).
-    pub iterations: usize,
-    /// Certificate cuts added across all iterations.
-    pub cuts_added: usize,
-    /// Variables in the initial Problem-2 MILP.
-    pub milp_vars: usize,
-    /// Constraints in the initial Problem-2 MILP.
-    pub milp_constraints: usize,
-    /// Seconds spent in candidate-selection MILP solves.
-    pub milp_time: f64,
-    /// Seconds spent in refinement checking.
-    pub refine_time: f64,
-    /// Seconds spent generating certificates.
-    pub cert_time: f64,
-    /// Total wall-clock seconds, counted from the start of
-    /// [`Explorer::new`].
-    pub total_time: f64,
-    /// Path timing checks answered by the refinement-verdict cache.
-    pub cache_hits: u64,
-    /// Path timing checks that had to be solved fresh (and were then
-    /// cached).
-    pub cache_misses: u64,
-}
-
-impl fmt::Display for ExplorationStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // No `..`: a new field fails to compile here until it is shown.
-        let ExplorationStats {
-            iterations,
-            cuts_added,
-            milp_vars,
-            milp_constraints,
-            milp_time,
-            refine_time,
-            cert_time,
-            total_time,
-            cache_hits,
-            cache_misses,
-        } = self;
-        write!(
-            f,
-            "iterations={iterations} cuts_added={cuts_added} milp_vars={milp_vars} \
-             milp_constraints={milp_constraints} milp_time={milp_time:.3} \
-             refine_time={refine_time:.3} cert_time={cert_time:.3} \
-             total_time={total_time:.3} cache_hits={cache_hits} cache_misses={cache_misses}"
-        )
-    }
-}
-
-/// Why an exploration stopped before reaching an optimum or an
-/// infeasibility proof.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum StopReason {
-    /// The lazy-loop iteration cap ([`ExplorerConfig::max_iterations`]) was
-    /// reached.
-    IterationLimit {
-        /// The configured cap.
-        limit: usize,
-    },
-    /// The shared wall-clock deadline expired.
-    TimeLimit {
-        /// The nominal budget in seconds (0 when unknown).
-        limit_secs: f64,
-    },
-    /// The cumulative branch-and-bound node budget was exhausted.
-    NodeLimit {
-        /// The configured node allowance.
-        limit: u64,
-    },
-    /// The cumulative simplex pivot budget was exhausted.
-    PivotLimit {
-        /// The configured pivot allowance.
-        limit: u64,
-    },
-    /// The exploration was cancelled by an external request (e.g. a job
-    /// server draining or a client abandoning the job). The incumbent and
-    /// lower bound harvested at the cancellation point remain valid.
-    Cancelled,
-}
-
-impl StopReason {
-    /// The stop reason corresponding to a budget-exhaustion solver error, or
-    /// `None` when the error is a genuine failure that should propagate. A
-    /// solver that reached one of its own caps
-    /// ([`SolveError::EngineLimit`]) failed: no budget of the caller's ran
-    /// out.
-    #[must_use]
-    pub fn from_solve_error(e: &SolveError) -> Option<StopReason> {
-        match e {
-            SolveError::TimeLimit { limit_secs } => Some(StopReason::TimeLimit {
-                limit_secs: *limit_secs,
-            }),
-            SolveError::IterationLimit { limit } => Some(StopReason::PivotLimit { limit: *limit }),
-            SolveError::NodeLimit { limit } => Some(StopReason::NodeLimit { limit: *limit }),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for StopReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StopReason::IterationLimit { limit } => {
-                write!(f, "iteration cap of {limit} reached")
-            }
-            StopReason::TimeLimit { limit_secs } => {
-                write!(f, "wall-clock budget of {limit_secs} s exhausted")
-            }
-            StopReason::NodeLimit { limit } => {
-                write!(f, "branch-and-bound node budget of {limit} exhausted")
-            }
-            StopReason::PivotLimit { limit } => {
-                write!(f, "simplex pivot budget of {limit} exhausted")
-            }
-            StopReason::Cancelled => write!(f, "cancelled by request"),
-        }
-    }
-}
-
-/// Result of an exploration.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Exploration {
-    /// The optimal architecture satisfying all system-level contracts.
-    Optimal {
-        /// The selected architecture `ℳ`.
-        architecture: Architecture,
-        /// Run statistics.
-        stats: ExplorationStats,
-    },
-    /// No architecture satisfies the requirements.
-    Infeasible {
-        /// Run statistics.
-        stats: ExplorationStats,
-    },
-    /// The budget ran out before the loop converged: everything learned so
-    /// far, instead of an error. The exploration can be continued from a
-    /// [`Explorer::checkpoint`] taken before the run.
-    Partial {
-        /// The most recent candidate selected by the MILP. It satisfies every
-        /// certificate cut accumulated so far but has **not** been verified
-        /// against the system-level contracts; `None` when the budget expired
-        /// before the first candidate was decoded.
-        incumbent: Option<Architecture>,
-        /// A proven lower bound on the optimal cost (the last MILP optimum;
-        /// cuts only remove infeasible architectures, so no feasible
-        /// architecture can cost less).
-        lower_bound: Option<f64>,
-        /// Certificate cuts accumulated before the interruption (these remain
-        /// valid for any continuation of the search).
-        cuts: usize,
-        /// Run statistics.
-        stats: ExplorationStats,
-        /// Which budget ran out.
-        reason: StopReason,
-    },
-}
-
-impl Exploration {
-    /// Run statistics regardless of outcome.
-    #[must_use]
-    pub fn stats(&self) -> &ExplorationStats {
-        match self {
-            Exploration::Optimal { stats, .. }
-            | Exploration::Infeasible { stats }
-            | Exploration::Partial { stats, .. } => stats,
-        }
-    }
-
-    /// The optimal architecture, if one was found **and verified**.
-    #[must_use]
-    pub fn architecture(&self) -> Option<&Architecture> {
-        match self {
-            Exploration::Optimal { architecture, .. } => Some(architecture),
-            Exploration::Infeasible { .. } | Exploration::Partial { .. } => None,
-        }
-    }
-
-    /// The best candidate available: the verified optimum, or on a partial
-    /// run the unverified incumbent.
-    #[must_use]
-    pub fn incumbent(&self) -> Option<&Architecture> {
-        match self {
-            Exploration::Optimal { architecture, .. } => Some(architecture),
-            Exploration::Partial { incumbent, .. } => incumbent.as_ref(),
-            Exploration::Infeasible { .. } => None,
-        }
-    }
-
-    /// A proven lower bound on the optimal cost, when one is known.
-    #[must_use]
-    pub fn lower_bound(&self) -> Option<f64> {
-        match self {
-            Exploration::Optimal { architecture, .. } => Some(architecture.cost()),
-            Exploration::Partial { lower_bound, .. } => *lower_bound,
-            Exploration::Infeasible { .. } => None,
-        }
-    }
-
-    /// Whether the run stopped early on an exhausted budget.
-    #[must_use]
-    pub fn is_partial(&self) -> bool {
-        matches!(self, Exploration::Partial { .. })
-    }
-}
-
-/// Errors of the exploration loop.
-///
-/// Exhausted iteration/time budgets are **not** errors: they surface as
-/// [`Exploration::Partial`] (or [`Step::Exhausted`]).
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum ExploreError {
-    /// An underlying MILP/encoding failure.
-    Solve(SolveError),
-    /// A checkpoint was taken from a different problem or configuration than
-    /// the one it is being resumed against.
-    CheckpointMismatch {
-        /// Fingerprint recorded in the checkpoint.
-        expected: u64,
-        /// Fingerprint of the problem/config being resumed.
-        found: u64,
-    },
-    /// A checkpoint is internally inconsistent (e.g. a cut referencing a
-    /// variable the encoding does not have).
-    CheckpointInvalid(String),
-    /// Checkpoint text failed to parse (truncated, garbage, or otherwise
-    /// malformed input that never became an [`ExplorerCheckpoint`]).
-    CheckpointParse(crate::checkpoint::CheckpointParseError),
-}
-
-impl fmt::Display for ExploreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExploreError::Solve(e) => write!(f, "exploration failed: {e}"),
-            ExploreError::CheckpointMismatch { expected, found } => write!(
-                f,
-                "checkpoint fingerprint {expected:016x} does not match problem/config {found:016x}"
-            ),
-            ExploreError::CheckpointInvalid(msg) => write!(f, "invalid checkpoint: {msg}"),
-            ExploreError::CheckpointParse(e) => write!(f, "unreadable checkpoint: {e}"),
-        }
-    }
-}
-
-impl Error for ExploreError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            ExploreError::Solve(e) => Some(e),
-            ExploreError::CheckpointParse(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<SolveError> for ExploreError {
-    fn from(e: SolveError) -> Self {
-        ExploreError::Solve(e)
-    }
-}
 
 /// Run the ContrArc exploration: select candidates with the Problem-2 MILP,
 /// verify system contracts by refinement, prune with isomorphism
@@ -411,9 +54,8 @@ pub enum Step {
     /// requirements.
     Infeasible,
     /// A budget (iterations, wall clock, nodes, or pivots) ran out. The
-    /// explorer is finished; harvest the incumbent and lower bound from
-    /// [`Explorer::incumbent`] / [`Explorer::lower_bound`], or resume later
-    /// from a previously taken checkpoint.
+    /// explorer is finished; [`Explorer::conclude`] harvests the incumbent
+    /// and lower bound, and a previously taken checkpoint resumes the run.
     Exhausted(StopReason),
 }
 
@@ -448,6 +90,9 @@ pub struct Explorer<'p> {
     enc: crate::encode::Encoding,
     checker: RefinementChecker,
     ref_config: RefinementConfig,
+    /// Counters so far. `milp_vars` and `milp_constraints` size the freshly
+    /// encoded model: later variables are auxiliary cut variables and later
+    /// rows are certificate cuts.
     stats: ExplorationStats,
     cut_seq: u32,
     cost_floor: Option<f64>,
@@ -461,21 +106,13 @@ pub struct Explorer<'p> {
     budget: Budget,
     /// Last candidate decoded from the MILP (unverified until optimal).
     incumbent: Option<Architecture>,
-    /// Variables in the freshly encoded model; later ones are auxiliary cut
-    /// variables.
-    baseline_vars: usize,
-    /// Constraints in the freshly encoded model, symmetry rows included;
-    /// rows beyond this index are certificate cuts.
-    baseline_constrs: usize,
     /// FNV-1a fingerprint of the freshly encoded model + pruning
     /// configuration, used to validate checkpoints.
     fingerprint: u64,
-    /// Path refinement-verdict cache, shared by every iteration.
+    /// Path refinement-verdict cache, shared by every iteration. It restarts
+    /// empty on resume, so each step adds its own hits and misses to
+    /// `stats`.
     cache: RefinementCache,
-    /// Cache counters restored from a checkpoint; the stats report
-    /// `prior + cache counters` (the cache itself restarts empty on resume).
-    prior_cache_hits: u64,
-    prior_cache_misses: u64,
     /// Optimal basis of the previous candidate-selection solve, dual-simplex
     /// warm-started into the next one (cuts only ever append rows/columns).
     /// Always `None` with `solve_options.warm_start` off. In-memory
@@ -512,12 +149,6 @@ impl<'p> Explorer<'p> {
         } else {
             None
         };
-        let model_stats = enc.model.stats();
-        let stats = ExplorationStats {
-            milp_vars: model_stats.num_vars,
-            milp_constraints: model_stats.num_constraints,
-            ..ExplorationStats::default()
-        };
         // One budget for the whole exploration: the config's time limit
         // becomes an *absolute* deadline counted from `start`, shared
         // (together with the node and pivot counters) by every
@@ -537,19 +168,19 @@ impl<'p> Explorer<'p> {
             max_paths: config.max_paths,
             ..RefinementConfig::default()
         };
-        let baseline_vars = enc.model.num_vars();
-        let baseline_constrs = enc.model.num_constrs();
         let fingerprint = fingerprint(&enc.model, &problem.spec, &config);
         Ok(Explorer {
             problem,
             config,
+            stats: ExplorationStats {
+                milp_vars: enc.model.num_vars(),
+                milp_constraints: enc.model.num_constrs(),
+                total_time: start.elapsed().as_secs_f64(),
+                ..ExplorationStats::default()
+            },
             enc,
             checker,
             ref_config,
-            stats: ExplorationStats {
-                total_time: start.elapsed().as_secs_f64(),
-                ..stats
-            },
             cut_seq: 0,
             cost_floor: None,
             start,
@@ -557,12 +188,8 @@ impl<'p> Explorer<'p> {
             finished: false,
             budget,
             incumbent: None,
-            baseline_vars,
-            baseline_constrs,
             fingerprint,
             cache: RefinementCache::new(),
-            prior_cache_hits: 0,
-            prior_cache_misses: 0,
             warm: None,
             sym,
         })
@@ -585,65 +212,18 @@ impl<'p> Explorer<'p> {
     /// # Errors
     ///
     /// [`ExploreError::CheckpointMismatch`] when the fingerprint disagrees,
-    /// [`ExploreError::CheckpointInvalid`] when the cut records do not fit
-    /// the encoding, or [`ExploreError::Solve`] when the problem fails
-    /// validation.
+    /// [`ExploreError::CheckpointInvalid`] when the records do not fit the
+    /// encoding or no run could have written them, or
+    /// [`ExploreError::Solve`] when the problem fails validation.
     pub fn resume(
         problem: &'p Problem,
         config: ExplorerConfig,
         checkpoint: &ExplorerCheckpoint,
     ) -> Result<Self, ExploreError> {
         let mut ex = Explorer::new(problem, config)?;
-        if ex.fingerprint != checkpoint.fingerprint {
-            return Err(ExploreError::CheckpointMismatch {
-                expected: checkpoint.fingerprint,
-                found: ex.fingerprint,
-            });
-        }
-        if ex.baseline_constrs != checkpoint.baseline_constrs
-            || ex.baseline_vars != checkpoint.baseline_vars
-        {
-            return Err(ExploreError::CheckpointInvalid(format!(
-                "baseline has {} vars / {} constraints, checkpoint recorded {} / {}",
-                ex.baseline_vars,
-                ex.baseline_constrs,
-                checkpoint.baseline_vars,
-                checkpoint.baseline_constrs
-            )));
-        }
-        for aux in &checkpoint.aux_vars {
-            if aux.lb.is_nan() || aux.ub.is_nan() || aux.lb > aux.ub {
-                return Err(ExploreError::CheckpointInvalid(format!(
-                    "auxiliary variable '{}' has malformed bounds",
-                    aux.name
-                )));
-            }
-            ex.enc
-                .model
-                .add_var(VarDef::new(aux.name.clone(), aux.ty, aux.lb, aux.ub));
-        }
-        let num_vars = ex.enc.model.num_vars();
-        for cut in &checkpoint.cuts {
-            if cut.terms.iter().any(|&(i, _)| i >= num_vars) {
-                return Err(ExploreError::CheckpointInvalid(format!(
-                    "cut '{}' references a variable outside the encoding",
-                    cut.name
-                )));
-            }
-            let expr =
-                LinExpr::weighted_sum(cut.terms.iter().map(|&(i, c)| (VarId::from_index(i), c)));
-            ex.enc
-                .model
-                .add_constr(cut.name.clone(), expr, cut.cmp, cut.rhs)?;
-        }
-        let fresh_vars = ex.stats.milp_vars;
-        let fresh_constrs = ex.stats.milp_constraints;
+        checkpoint.replay(ex.fingerprint, &mut ex.enc.model)?;
         ex.stats = checkpoint.stats;
-        ex.stats.milp_vars = fresh_vars;
-        ex.stats.milp_constraints = fresh_constrs;
         ex.prior_secs = checkpoint.stats.total_time;
-        ex.prior_cache_hits = checkpoint.stats.cache_hits;
-        ex.prior_cache_misses = checkpoint.stats.cache_misses;
         ex.cut_seq = checkpoint.cut_seq;
         ex.cost_floor = checkpoint.cost_floor;
         ex.budget
@@ -653,10 +233,10 @@ impl<'p> Explorer<'p> {
 
     /// [`Explorer::resume`] from serialized checkpoint text (the format of
     /// [`ExplorerCheckpoint::to_text`]), folding parse failures into the
-    /// structured error space: truncated, garbage, or fingerprint-mismatched
-    /// input returns an [`ExploreError`] — never a panic, and never a
-    /// silently misparsed checkpoint (the text format is length-prefixed and
-    /// validated record by record).
+    /// structured error space: truncated, garbage, corrupted or
+    /// fingerprint-mismatched input returns an [`ExploreError`] — never a
+    /// panic, and never a silently misparsed checkpoint (the text format is
+    /// length-prefixed, validated record by record, and checksummed).
     ///
     /// # Errors
     ///
@@ -680,44 +260,17 @@ impl<'p> Explorer<'p> {
     /// it from the replayed cuts.
     #[must_use]
     pub fn checkpoint(&self) -> ExplorerCheckpoint {
-        let cuts = self
-            .enc
-            .model
-            .constrs()
-            .skip(self.baseline_constrs)
-            .map(|c| CutRecord {
-                name: c.name.clone(),
-                cmp: c.cmp,
-                rhs: c.rhs,
-                terms: c.expr.iter().map(|(v, coeff)| (v.index(), coeff)).collect(),
-            })
-            .collect();
-        let aux_vars = self
-            .enc
-            .model
-            .vars()
-            .skip(self.baseline_vars)
-            .map(|(_, def)| AuxVarRecord {
-                name: def.name.clone(),
-                ty: def.ty,
-                lb: def.lb,
-                ub: def.ub,
-            })
-            .collect();
-        let mut stats = self.stats;
-        stats.total_time = self.prior_secs + self.start.elapsed().as_secs_f64();
-        ExplorerCheckpoint {
-            fingerprint: self.fingerprint,
-            baseline_vars: self.baseline_vars,
-            baseline_constrs: self.baseline_constrs,
-            cut_seq: self.cut_seq,
-            cost_floor: self.cost_floor,
-            nodes_used: self.budget.nodes_used(),
-            pivots_used: self.budget.pivots_used(),
-            stats,
-            aux_vars,
-            cuts,
-        }
+        ExplorerCheckpoint::capture(
+            &self.enc.model,
+            self.fingerprint,
+            self.cut_seq,
+            self.cost_floor,
+            &self.budget,
+            ExplorationStats {
+                total_time: self.elapsed_total(),
+                ..self.stats
+            },
+        )
     }
 
     /// Statistics accumulated so far.
@@ -751,18 +304,19 @@ impl<'p> Explorer<'p> {
         self.prior_secs + self.start.elapsed().as_secs_f64()
     }
 
-    /// Finish the exploration on an exhausted budget.
-    fn exhaust(&mut self, reason: StopReason) -> Step {
+    /// End the exploration with the terminal step `last`: stop the clock and
+    /// refuse further steps.
+    fn finish(&mut self, last: Step) -> Step {
         self.stats.total_time = self.elapsed_total();
         self.finished = true;
-        Step::Exhausted(reason)
+        last
     }
 
     /// Degrade a solver error gracefully when it is a budget exhaustion;
     /// propagate anything else.
     fn exhaust_or_err(&mut self, e: SolveError) -> Result<Step, ExploreError> {
         match StopReason::from_solve_error(&e) {
-            Some(reason) => Ok(self.exhaust(reason)),
+            Some(reason) => Ok(self.finish(Step::Exhausted(reason))),
             None => Err(e.into()),
         }
     }
@@ -784,15 +338,13 @@ impl<'p> Explorer<'p> {
     pub fn step(&mut self) -> Result<Step, ExploreError> {
         assert!(!self.finished, "exploration already finished");
         if self.stats.iterations >= self.config.max_iterations {
-            return Ok(self.exhaust(StopReason::IterationLimit {
-                limit: self.config.max_iterations,
-            }));
+            let limit = self.config.max_iterations;
+            return Ok(self.finish(Step::Exhausted(StopReason::IterationLimit { limit })));
         }
         let deadline = self.budget.deadline();
         if deadline.expired() {
-            return Ok(self.exhaust(StopReason::TimeLimit {
-                limit_secs: deadline.nominal_secs().unwrap_or(0.0),
-            }));
+            let limit_secs = deadline.nominal_secs().unwrap_or(0.0);
+            return Ok(self.finish(Step::Exhausted(StopReason::TimeLimit { limit_secs })));
         }
         self.stats.iterations += 1;
         let mut iter_span = contrarc_obs::span!("explore.iteration", iter = self.stats.iterations);
@@ -808,7 +360,7 @@ impl<'p> Explorer<'p> {
         let outcome = {
             let _select_span = contrarc_obs::span!(
                 "explore.select",
-                cuts = self.enc.model.num_constrs() - self.baseline_constrs,
+                cuts = self.enc.model.num_constrs() - self.stats.milp_constraints,
             );
             // Dual-simplex warm start from the previous iteration's optimal
             // basis when warm starts are on: each iteration only appends cut
@@ -826,10 +378,8 @@ impl<'p> Explorer<'p> {
         };
 
         let Some(solution) = outcome.solution() else {
-            self.stats.total_time = self.elapsed_total();
-            self.finished = true;
             iter_span.record("outcome", "infeasible");
-            return Ok(Step::Infeasible);
+            return Ok(self.finish(Step::Infeasible));
         };
         self.cost_floor = Some(solution.objective());
         let arch = Architecture::decode(self.problem, &self.enc, solution);
@@ -839,6 +389,7 @@ impl<'p> Explorer<'p> {
         // Problem 3: refinement verification (path verdicts memoized by the
         // path's label sequence).
         let t1 = Instant::now();
+        let (hits, misses) = (self.cache.hits(), self.cache.misses());
         let violations = {
             let _refine_span = contrarc_obs::span!("explore.refine");
             check_candidate_all_cached(
@@ -850,8 +401,8 @@ impl<'p> Explorer<'p> {
             )
         };
         self.stats.refine_time += t1.elapsed().as_secs_f64();
-        self.stats.cache_hits = self.prior_cache_hits + self.cache.hits();
-        self.stats.cache_misses = self.prior_cache_misses + self.cache.misses();
+        self.stats.cache_hits += self.cache.hits() - hits;
+        self.stats.cache_misses += self.cache.misses() - misses;
         contrarc_obs::metrics::gauge_set("refine.cache_entries", self.cache.len() as i64);
         let violations = match violations {
             Ok(v) => v,
@@ -859,10 +410,8 @@ impl<'p> Explorer<'p> {
         };
 
         if violations.is_empty() {
-            self.stats.total_time = self.elapsed_total();
-            self.finished = true;
             iter_span.record("outcome", "optimal");
-            return Ok(Step::Optimal(arch));
+            return Ok(self.finish(Step::Optimal(arch)));
         }
 
         // Problem 4: certificate generation.
@@ -899,7 +448,7 @@ impl<'p> Explorer<'p> {
         contrarc_obs::metrics::counter_add("explore.cuts", added as u64);
         contrarc_obs::metrics::gauge_set(
             "explore.cut_pool",
-            (self.enc.model.num_constrs() - self.baseline_constrs) as i64,
+            (self.enc.model.num_constrs() - self.stats.milp_constraints) as i64,
         );
         iter_span.record("outcome", "pruned");
         iter_span.record("cuts", added);
@@ -914,6 +463,33 @@ impl<'p> Explorer<'p> {
         })
     }
 
+    /// The outcome of an exploration whose last step was `last`, or `None`
+    /// when `last` is [`Step::Pruned`] and the loop goes on.
+    ///
+    /// [`Step::Exhausted`] becomes [`Exploration::Partial`] with the
+    /// incumbent and lower bound as they stand, so a caller that stops the
+    /// loop itself (on a cancellation, say) reports the same way with
+    /// `Step::Exhausted(StopReason::Cancelled)`.
+    #[must_use]
+    pub fn conclude(&self, last: Step) -> Option<Exploration> {
+        let stats = self.stats;
+        match last {
+            Step::Pruned { .. } => None,
+            Step::Optimal(architecture) => Some(Exploration::Optimal {
+                architecture,
+                stats,
+            }),
+            Step::Infeasible => Some(Exploration::Infeasible { stats }),
+            Step::Exhausted(reason) => Some(Exploration::Partial {
+                incumbent: self.incumbent.clone(),
+                lower_bound: self.cost_floor,
+                cuts: stats.cuts_added,
+                stats,
+                reason,
+            }),
+        }
+    }
+
     /// Drive the loop to completion (or budget exhaustion, which yields
     /// [`Exploration::Partial`] rather than an error).
     ///
@@ -922,42 +498,27 @@ impl<'p> Explorer<'p> {
     /// Returns [`ExploreError`] on solver failures.
     pub fn run(mut self) -> Result<Exploration, ExploreError> {
         loop {
-            match self.step()? {
-                Step::Pruned { .. } => {}
-                Step::Optimal(architecture) => {
-                    return Ok(Exploration::Optimal {
-                        architecture,
-                        stats: self.stats,
-                    });
-                }
-                Step::Infeasible => {
-                    return Ok(Exploration::Infeasible { stats: self.stats });
-                }
-                Step::Exhausted(reason) => {
-                    return Ok(Exploration::Partial {
-                        incumbent: self.incumbent.take(),
-                        lower_bound: self.cost_floor,
-                        cuts: self.stats.cuts_added,
-                        stats: self.stats,
-                        reason,
-                    });
-                }
+            let last = self.step()?;
+            if let Some(done) = self.conclude(last) {
+                return Ok(done);
             }
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::attr::{Attrs, COST, FLOW_CONS, FLOW_GEN, LATENCY, THROUGHPUT};
     use crate::problem::{FlowSpec, SystemSpec, TimingSpec};
+    use crate::sym::SymmetryConfig;
     use crate::template::{Template, TypeConfig};
     use crate::Library;
 
     /// Two parallel lines; cheap machines are too slow for the latency
-    /// budget, forcing at least one pruning iteration.
-    fn lines_problem(max_latency: f64) -> Problem {
+    /// budget, forcing at least one pruning iteration. The checkpoint tests
+    /// run on it too.
+    pub(crate) fn lines_problem(max_latency: f64) -> Problem {
         let mut t = Template::new("two");
         let src_t = t.add_type("src", TypeConfig::source());
         let mach_t = t.add_type("mach", TypeConfig::bounded(2, 2));
@@ -1166,80 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_resume_reaches_same_optimum() {
-        let p = lines_problem(15.0);
-        let full = explore(&p, &ExplorerConfig::complete()).unwrap();
-        let full_cost = full.architecture().unwrap().cost();
-        let full_iters = full.stats().iterations;
-        assert!(full_iters >= 2, "problem must need pruning for this test");
-
-        // Interrupt after one iteration, checkpoint, resume, finish.
-        let mut ex = Explorer::new(
-            &p,
-            ExplorerConfig {
-                max_iterations: 1,
-                ..ExplorerConfig::complete()
-            },
-        )
-        .unwrap();
-        loop {
-            match ex.step().unwrap() {
-                Step::Pruned { .. } => {}
-                Step::Exhausted(_) => break,
-                s => panic!("expected exhaustion first, got {s:?}"),
-            }
-        }
-        let ckpt = ex.checkpoint();
-        assert!(!ckpt.cuts.is_empty());
-        assert_eq!(ckpt.stats.iterations, 1);
-
-        let resumed = Explorer::resume(&p, ExplorerConfig::complete(), &ckpt).unwrap();
-        let result = resumed.run().unwrap();
-        let arch = result.architecture().expect("resumed run must converge");
-        assert!((arch.cost() - full_cost).abs() < 1e-6);
-        // The resumed run continues the iteration count instead of starting
-        // over, and together the two halves match the uninterrupted run.
-        assert_eq!(result.stats().iterations, full_iters);
-    }
-
-    #[test]
-    fn checkpoint_rejects_different_problem() {
-        let p15 = lines_problem(15.0);
-        let p50 = lines_problem(50.0);
-        let ex = Explorer::new(&p15, ExplorerConfig::complete()).unwrap();
-        let ckpt = ex.checkpoint();
-        let err = Explorer::resume(&p50, ExplorerConfig::complete(), &ckpt).unwrap_err();
-        assert!(matches!(err, ExploreError::CheckpointMismatch { .. }));
-    }
-
-    #[test]
-    fn checkpoint_rejects_different_pruning_config() {
-        let p = lines_problem(15.0);
-        let ex = Explorer::new(&p, ExplorerConfig::complete()).unwrap();
-        let ckpt = ex.checkpoint();
-        let err = Explorer::resume(&p, ExplorerConfig::only_iso(), &ckpt).unwrap_err();
-        assert!(matches!(err, ExploreError::CheckpointMismatch { .. }));
-
-        // Symmetry rows change the model the loop solves, so a checkpoint
-        // written with them resumes only with them, and the reverse.
-        let on = ExplorerConfig::complete();
-        let off = ExplorerConfig {
-            symmetry: SymmetryConfig::off(),
-            ..ExplorerConfig::complete()
-        };
-        let written = [&on, &off].map(|config| {
-            let mut ex = Explorer::new(&p, config.clone()).unwrap();
-            let _ = ex.step().unwrap();
-            ex.checkpoint()
-        });
-        assert!(written[0].baseline_constrs > written[1].baseline_constrs);
-        for (ckpt, config) in written.iter().zip([off, on]) {
-            let err = Explorer::resume(&p, config, ckpt).unwrap_err();
-            assert!(matches!(err, ExploreError::CheckpointMismatch { .. }));
-        }
-    }
-
-    #[test]
     fn symmetry_off_matches_default_optimum() {
         let p = lines_problem(15.0);
         let on = explore(&p, &ExplorerConfig::complete()).unwrap();
@@ -1264,25 +751,6 @@ mod tests {
             on.stats().cuts_added,
             off.stats().cuts_added
         );
-    }
-
-    #[test]
-    fn resume_may_raise_budget_knobs() {
-        // Budget knobs (iteration caps, time limits) are not fingerprinted:
-        // raising them is the whole point of resuming.
-        let p = lines_problem(15.0);
-        let config = ExplorerConfig {
-            max_iterations: 1,
-            ..ExplorerConfig::complete()
-        };
-        let ex = Explorer::new(&p, config).unwrap();
-        let ckpt = ex.checkpoint();
-        let raised = ExplorerConfig {
-            max_iterations: 99,
-            time_limit_secs: Some(3600.0),
-            ..ExplorerConfig::complete()
-        };
-        assert!(Explorer::resume(&p, raised, &ckpt).is_ok());
     }
 
     #[test]
@@ -1312,6 +780,34 @@ mod tests {
     }
 
     #[test]
+    fn conclude_reports_each_terminal_step() {
+        let p = lines_problem(15.0);
+        let mut ex = Explorer::new(&p, ExplorerConfig::complete()).unwrap();
+        let first = ex.step().unwrap();
+        assert!(matches!(first, Step::Pruned { .. }));
+        assert_eq!(ex.conclude(first), None);
+        // A caller that stops the loop itself reports what was learned.
+        let Some(Exploration::Partial {
+            incumbent,
+            lower_bound,
+            cuts,
+            stats,
+            reason: StopReason::Cancelled,
+        }) = ex.conclude(Step::Exhausted(StopReason::Cancelled))
+        else {
+            panic!("a stopped loop concludes Partial");
+        };
+        assert_eq!(incumbent.as_ref(), ex.incumbent());
+        assert_eq!(lower_bound, ex.lower_bound());
+        assert_eq!((cuts, stats), (ex.stats().cuts_added, *ex.stats()));
+        assert!(cuts > 0);
+        assert_eq!(
+            ex.conclude(Step::Infeasible),
+            Some(Exploration::Infeasible { stats })
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "already finished")]
     fn step_after_finish_panics() {
         let p = lines_problem(50.0);
@@ -1328,231 +824,5 @@ mod tests {
         assert!(text.contains("iterations"));
         assert!(result.stats().milp_vars > 0);
         assert!(result.stats().milp_constraints > 0);
-    }
-
-    /// Every `StopReason` variant, for exhaustiveness-style tests. Extending
-    /// the enum must extend this list (the match below fails to compile
-    /// otherwise).
-    fn all_stop_reasons() -> Vec<StopReason> {
-        let variants = vec![
-            StopReason::IterationLimit { limit: 7 },
-            StopReason::TimeLimit {
-                limit_secs: 0.1 + 0.2, // not exactly representable
-            },
-            StopReason::NodeLimit { limit: 9 },
-            StopReason::PivotLimit { limit: 11 },
-            StopReason::Cancelled,
-        ];
-        for v in &variants {
-            // Force a compile error here when a new variant is missing above.
-            match v {
-                StopReason::IterationLimit { .. }
-                | StopReason::TimeLimit { .. }
-                | StopReason::NodeLimit { .. }
-                | StopReason::PivotLimit { .. }
-                | StopReason::Cancelled => {}
-            }
-        }
-        variants
-    }
-
-    #[test]
-    fn stop_reason_display_is_distinct_and_nonempty_for_every_variant() {
-        let texts: Vec<String> = all_stop_reasons().iter().map(ToString::to_string).collect();
-        for (i, t) in texts.iter().enumerate() {
-            assert!(!t.is_empty());
-            for u in &texts[i + 1..] {
-                assert_ne!(t, u, "two variants render identically");
-            }
-        }
-        assert!(texts[0].contains("iteration cap"));
-        assert!(texts[1].contains("wall-clock"));
-        assert!(texts[2].contains("node budget"));
-        assert!(texts[3].contains("pivot budget"));
-        assert!(texts[4].contains("cancelled"));
-    }
-
-    #[test]
-    fn from_solve_error_maps_budget_exhaustion_and_nothing_else() {
-        let cases = vec![
-            (
-                SolveError::TimeLimit { limit_secs: 2.5 },
-                Some(StopReason::TimeLimit { limit_secs: 2.5 }),
-            ),
-            (
-                SolveError::IterationLimit { limit: 3 },
-                Some(StopReason::PivotLimit { limit: 3 }),
-            ),
-            (
-                SolveError::NodeLimit { limit: 4 },
-                Some(StopReason::NodeLimit { limit: 4 }),
-            ),
-            (SolveError::InvalidModel("x".into()), None),
-            (SolveError::Numerical("y".into()), None),
-            // The solver's own caps are failures, not a caller's budget.
-            (
-                SolveError::EngineLimit {
-                    what: "simplex pivots per LP",
-                    limit: 500_000,
-                },
-                None,
-            ),
-        ];
-        for (e, expected) in cases {
-            assert_eq!(StopReason::from_solve_error(&e), expected, "{e}");
-        }
-    }
-
-    #[test]
-    fn resume_from_text_round_trips_a_real_checkpoint() {
-        let p = lines_problem(15.0);
-        let mut ex = Explorer::new(
-            &p,
-            ExplorerConfig {
-                max_iterations: 1,
-                ..ExplorerConfig::complete()
-            },
-        )
-        .unwrap();
-        while !matches!(ex.step().unwrap(), Step::Exhausted(_)) {}
-        let text = ex.checkpoint().to_text();
-        let resumed = Explorer::resume_from_text(&p, ExplorerConfig::complete(), &text).unwrap();
-        let result = resumed.run().unwrap();
-        assert!(result.architecture().is_some());
-    }
-
-    #[test]
-    fn resume_from_text_rejects_every_corruption_mode_structurally() {
-        let p = lines_problem(15.0);
-        let ex = Explorer::new(&p, ExplorerConfig::complete()).unwrap();
-        let good = ex.checkpoint().to_text();
-
-        // Truncation at every byte boundary that removes content (cutting
-        // only the trailing newline leaves a complete document): never a
-        // panic, never a silent misparse — every other prefix must error.
-        for cut in 0..good.trim_end().len() {
-            let truncated = &good[..cut];
-            let err = Explorer::resume_from_text(&p, ExplorerConfig::complete(), truncated)
-                .expect_err("truncated checkpoint accepted");
-            assert!(
-                matches!(err, ExploreError::CheckpointParse(_)),
-                "byte {cut}: unexpected error {err:?}"
-            );
-        }
-
-        // Garbage.
-        for garbage in [
-            "",
-            "not a checkpoint",
-            "\0\0\0\0",
-            "contrarc-checkpoint v999\n",
-        ] {
-            let err = Explorer::resume_from_text(&p, ExplorerConfig::complete(), garbage)
-                .expect_err("garbage accepted");
-            assert!(matches!(err, ExploreError::CheckpointParse(_)));
-        }
-
-        // Fingerprint mismatch: a checkpoint of a different problem.
-        let other = lines_problem(50.0);
-        let other_text = Explorer::new(&other, ExplorerConfig::complete())
-            .unwrap()
-            .checkpoint()
-            .to_text();
-        let err = Explorer::resume_from_text(&p, ExplorerConfig::complete(), &other_text)
-            .expect_err("mismatched checkpoint accepted");
-        assert!(matches!(err, ExploreError::CheckpointMismatch { .. }));
-
-        // Hostile record counts must not pre-allocate unboundedly.
-        for (from, to) in [
-            ("aux_vars 0", "aux_vars 987654321987654321"),
-            ("cuts 0", "cuts 987654321987654321"),
-        ] {
-            let hostile = good.replace(from, to);
-            if hostile == good {
-                continue;
-            }
-            let err = Explorer::resume_from_text(&p, ExplorerConfig::complete(), &hostile)
-                .expect_err("hostile count accepted");
-            assert!(matches!(err, ExploreError::CheckpointParse(_)));
-        }
-    }
-
-    /// A fresh explorer of `p` and its checkpoint text, carrying stats that
-    /// a lossy float format would change.
-    fn awkward_checkpoint(p: &Problem) -> (Explorer<'_>, ExplorationStats, String) {
-        let ex = Explorer::new(p, ExplorerConfig::complete()).unwrap();
-        let stats = ExplorationStats {
-            iterations: 17,
-            cuts_added: 5,
-            milp_vars: 120,
-            milp_constraints: 240,
-            milp_time: 0.1 + 0.2, // not exactly representable
-            refine_time: f64::MIN_POSITIVE,
-            cert_time: -0.0,
-            total_time: 123.456_789,
-            cache_hits: u64::MAX,
-            cache_misses: 3,
-        };
-        let text = ExplorerCheckpoint {
-            stats,
-            ..ex.checkpoint()
-        }
-        .to_text();
-        (ex, stats, text)
-    }
-
-    #[test]
-    fn stats_line_round_trip_is_exact() {
-        // A resume takes every stats field from the text bit for bit, except
-        // the model sizes, which it reads off the rebuilt model.
-        let p = lines_problem(15.0);
-        let (fresh, stats, text) = awkward_checkpoint(&p);
-        let resumed = Explorer::resume_from_text(&p, ExplorerConfig::complete(), &text).unwrap();
-        let expected = ExplorationStats {
-            milp_vars: fresh.stats().milp_vars,
-            milp_constraints: fresh.stats().milp_constraints,
-            ..stats
-        };
-        assert_eq!(*resumed.stats(), expected);
-        // Bit-exactness beyond PartialEq (−0.0 == 0.0 under PartialEq).
-        assert_eq!(
-            resumed.stats().cert_time.to_bits(),
-            stats.cert_time.to_bits()
-        );
-    }
-
-    #[test]
-    fn stats_line_rejects_malformed_input() {
-        let p = lines_problem(15.0);
-        let (_, _, text) = awkward_checkpoint(&p);
-        let good = text.lines().nth(6).unwrap();
-        assert!(good.starts_with("stats 17 "));
-        let mangled = good.replacen("17", "seventeen", 1);
-        for bad in ["stats ", "stats 1 2 3", mangled.as_str()] {
-            let err = Explorer::resume_from_text(
-                &p,
-                ExplorerConfig::complete(),
-                &text.replacen(good, bad, 1),
-            )
-            .expect_err("malformed stats line accepted");
-            assert!(
-                matches!(err, ExploreError::CheckpointParse(ref e) if e.line == 7),
-                "{err}"
-            );
-        }
-    }
-
-    #[test]
-    fn display_names_every_field() {
-        let stats = ExplorationStats {
-            iterations: 17,
-            total_time: 123.456_789,
-            ..ExplorationStats::default()
-        };
-        assert_eq!(
-            stats.to_string(),
-            "iterations=17 cuts_added=0 milp_vars=0 milp_constraints=0 milp_time=0.000 \
-             refine_time=0.000 cert_time=0.000 total_time=123.457 cache_hits=0 cache_misses=0"
-        );
     }
 }

@@ -80,6 +80,7 @@ mod candidate;
 pub mod certificate;
 pub mod checkpoint;
 pub mod encode;
+mod exploration;
 mod explorer;
 pub mod gen;
 mod library;
@@ -93,10 +94,8 @@ mod viewpoint;
 
 pub use candidate::{ArchEdge, ArchNode, Architecture};
 pub use checkpoint::{AuxVarRecord, CheckpointParseError, CutRecord, ExplorerCheckpoint};
-pub use explorer::{
-    explore, Exploration, ExplorationStats, ExploreError, Explorer, ExplorerConfig, Step,
-    StopReason,
-};
+pub use exploration::{Exploration, ExplorationStats, ExploreError, ExplorerConfig, StopReason};
+pub use explorer::{explore, Explorer, Step};
 pub use library::{ImplId, Implementation, Library};
 pub use problem::{FlowSpec, Problem, SystemSpec, TimingSpec};
 pub use refinement::{RefinementCache, RefinementConfig, Violation, ViolationScope};

@@ -20,13 +20,6 @@ pub enum Viewpoint {
 }
 
 impl Viewpoint {
-    /// Whether Algorithm 1 checks this viewpoint per source→sink path
-    /// (`𝐝_p`) rather than on the whole architecture (`𝐝_o`).
-    #[must_use]
-    pub fn is_path_specific(self) -> bool {
-        matches!(self, Viewpoint::Timing)
-    }
-
     /// All viewpoints, in checking order.
     #[must_use]
     pub fn all() -> [Viewpoint; 3] {
@@ -51,13 +44,6 @@ impl fmt::Display for Viewpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn path_specificity() {
-        assert!(Viewpoint::Timing.is_path_specific());
-        assert!(!Viewpoint::Flow.is_path_specific());
-        assert!(!Viewpoint::Interconnection.is_path_specific());
-    }
 
     #[test]
     fn display_and_all() {

@@ -91,9 +91,7 @@ pub struct EdgeRef<'a, E> {
 /// let mut g = DiGraph::new();
 /// let a = g.add_node("src");
 /// let b = g.add_node("sink");
-/// let e = g.add_edge(a, b, 3.5);
-/// assert_eq!(g.edge_endpoints(e), (a, b));
-/// assert_eq!(*g.edge_weight(e), 3.5);
+/// g.add_edge(a, b, 3.5);
 /// assert_eq!(g.out_degree(a), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -178,27 +176,6 @@ impl<N, E> DiGraph<N, E> {
     /// Panics if `n` does not belong to this graph.
     pub fn node_weight_mut(&mut self, n: NodeId) -> &mut N {
         &mut self.nodes[n.index()]
-    }
-
-    /// Weight of an edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` does not belong to this graph.
-    #[must_use]
-    pub fn edge_weight(&self, e: EdgeId) -> &E {
-        &self.edges[e.index()].weight
-    }
-
-    /// `(source, target)` endpoints of an edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` does not belong to this graph.
-    #[must_use]
-    pub fn edge_endpoints(&self, e: EdgeId) -> (NodeId, NodeId) {
-        let d = &self.edges[e.index()];
-        (d.src, d.dst)
     }
 
     /// Iterate over all node handles in insertion order.
@@ -351,9 +328,8 @@ mod tests {
         assert!(g.contains_edge(a, b));
         assert!(!g.contains_edge(b, a));
         assert!(!g.contains_edge(a, d));
-        let e = g.find_edge(a, b).unwrap();
-        assert_eq!(g.edge_endpoints(e), (a, b));
-        assert_eq!(*g.edge_weight(e), 1);
+        assert!(g.find_edge(a, b).is_some());
+        assert!(g.find_edge(b, a).is_none());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Compiled only with the `fault-injection` cargo feature. A [`ChaosConfig`]
 //! derives, from a seed, a fixed schedule of worker failures: which attempts
 //! of which jobs panic, after how many exploration steps, and whether the
-//! checkpoint write immediately preceding the panic is truncated mid-write.
+//! checkpoint write immediately preceding the panic is torn — cut in half,
+//! or changed by one flipped bit.
 //! The schedule is a pure function of `(seed, job, attempt)`, so a chaos run
 //! is exactly reproducible — and because every injected failure strikes
 //! before the final permitted attempt, every job still completes, with a
@@ -19,15 +20,17 @@ pub struct ChaosConfig {
     /// and at most this many times; must stay **below** the server's
     /// `max_attempts` so the final attempt always runs clean.
     pub max_panics: u32,
-    /// Also truncate (on a seeded coin flip) the checkpoint written right
-    /// before an injected panic, simulating a crash mid-write. The recovery
-    /// path must then fall back to the previous checkpoint or to scratch.
+    /// Also tear (on a seeded coin flip) the checkpoint written right before
+    /// an injected panic, simulating a crash mid-write: the same seeded
+    /// schedule either halves the text or flips one bit of one ASCII byte
+    /// in place. The recovery path must then reject the torn slot and fall
+    /// back to the previous checkpoint or to scratch.
     pub truncate_checkpoints: bool,
 }
 
 impl ChaosConfig {
-    /// A schedule with up to 2 panicking attempts per job and checkpoint
-    /// truncation enabled.
+    /// A schedule with up to 2 panicking attempts per job and torn
+    /// checkpoint writes enabled.
     #[must_use]
     pub fn new(seed: u64) -> Self {
         ChaosConfig {
@@ -44,15 +47,16 @@ pub(crate) struct AttemptChaos {
     /// Panic after this many exploration steps of the attempt (1-based);
     /// `None` means the attempt runs clean.
     pub panic_after_steps: Option<u64>,
-    /// Truncate the checkpoint written at the panic step (instead of the
-    /// good text), simulating a torn write.
-    pub truncate_before_panic: bool,
+    /// Tear the checkpoint written at the panic step (instead of writing
+    /// the good text), by the seeded draw [`torn_write`] takes; `None`
+    /// writes it intact.
+    pub tear_before_panic: Option<u64>,
 }
 
 impl AttemptChaos {
     pub(crate) const CLEAN: AttemptChaos = AttemptChaos {
         panic_after_steps: None,
-        truncate_before_panic: false,
+        tear_before_panic: None,
     };
 }
 
@@ -92,23 +96,29 @@ pub(crate) fn plan_attempt(
         return AttemptChaos::CLEAN;
     }
     let panic_after_steps = 1 + mix(cfg.seed, job, u64::from(attempt), 0x02) % 3;
-    let truncate =
-        cfg.truncate_checkpoints && mix(cfg.seed, job, u64::from(attempt), 0x03) & 1 == 0;
+    let tear = mix(cfg.seed, job, u64::from(attempt), 0x03);
     AttemptChaos {
         panic_after_steps: Some(panic_after_steps),
-        truncate_before_panic: truncate,
+        tear_before_panic: (cfg.truncate_checkpoints && tear & 1 == 0).then_some(tear >> 1),
     }
 }
 
-/// Truncate checkpoint text as a torn write would: keep the first half of
-/// the bytes. The checkpoint format is length-prefixed (counts precede
-/// records), so a half-length prefix never parses as a valid checkpoint.
-pub(crate) fn torn_write(text: &str) -> String {
-    let mut cut = text.len() / 2;
-    while cut > 0 && !text.is_char_boundary(cut) {
-        cut -= 1;
+/// Tear checkpoint text as a crash mid-write would. An even `draw` keeps the
+/// first half of the bytes; an odd one flips the low bit of a drawn byte,
+/// which keeps the ASCII text ASCII. Neither parses: counts precede records,
+/// and the closing checksum line covers every byte before it.
+pub(crate) fn torn_write(text: &str, draw: u64) -> String {
+    if draw & 1 == 0 {
+        let mut cut = text.len() / 2;
+        while cut > 0 && !text.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        return text[..cut].to_string();
     }
-    text[..cut].to_string()
+    let mut bytes = text.as_bytes().to_vec();
+    let i = ((draw >> 1) % bytes.len() as u64) as usize;
+    bytes[i] ^= 1;
+    String::from_utf8(bytes).expect("checkpoint text is ASCII")
 }
 
 #[cfg(test)]
@@ -159,7 +169,23 @@ mod tests {
     #[test]
     fn torn_write_halves_at_a_char_boundary() {
         let text = "0123456789";
-        assert_eq!(torn_write(text), "01234");
-        assert!(torn_write("é").is_empty());
+        assert_eq!(torn_write(text, 0), "01234");
+        assert!(torn_write("é", 0).is_empty());
+    }
+
+    #[test]
+    fn torn_write_flips_one_bit_in_place() {
+        let text = "checksum 0123456789abcdef";
+        let mut flipped = std::collections::BTreeSet::new();
+        for draw in (1..200).step_by(2) {
+            let torn = torn_write(text, draw);
+            let changed: Vec<usize> = (0..text.len())
+                .filter(|&i| text.as_bytes()[i] != torn.as_bytes()[i])
+                .collect();
+            assert_eq!(torn.len(), text.len());
+            assert!(matches!(changed[..], [i] if text.as_bytes()[i] ^ torn.as_bytes()[i] == 1));
+            flipped.insert(changed[0]);
+        }
+        assert_eq!(flipped.len(), text.len(), "every byte can be drawn");
     }
 }

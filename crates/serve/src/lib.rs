@@ -58,4 +58,4 @@ mod chaos;
 #[cfg(feature = "fault-injection")]
 pub use chaos::ChaosConfig;
 pub use job::{AdmissionError, IncumbentCallback, IncumbentEvent, JobId, JobSpec, JobStatus};
-pub use server::{JobConfig, JobServer, ServerConfig};
+pub use server::{JobServer, ServerConfig};

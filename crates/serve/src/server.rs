@@ -22,7 +22,7 @@
 
 use crate::job::{AdmissionError, IncumbentEvent, JobId, JobSpec, JobStatus};
 use crate::trace::{Field, TraceSink};
-use contrarc::{Exploration, ExploreError, Explorer, ExplorerConfig, Step, StopReason};
+use contrarc::{Exploration, ExploreError, Explorer, Step, StopReason};
 use contrarc_obs::metrics::{counter_add, gauge_add, gauge_set, snapshot};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -579,11 +579,15 @@ fn run_attempt(inner: &Inner, claim: &Claim) -> Result<Exploration, ExploreError
 
     let mut steps: u64 = 0;
     loop {
-        if inner.shutdown.load(Ordering::Acquire) || claim.cancel.load(Ordering::Acquire) {
-            return Ok(harvest_cancelled(&explorer));
-        }
-        let step = explorer.step()?;
-        steps += 1;
+        let stopped =
+            inner.shutdown.load(Ordering::Acquire) || claim.cancel.load(Ordering::Acquire);
+        let step = if stopped {
+            // Graceful degradation: everything learned so far.
+            Step::Exhausted(StopReason::Cancelled)
+        } else {
+            steps += 1;
+            explorer.step()?
+        };
         match &step {
             Step::Pruned { candidate, .. } => {
                 fire_incumbent(inner, id, spec, &explorer, candidate.cost(), false);
@@ -593,34 +597,14 @@ fn run_attempt(inner: &Inner, claim: &Claim) -> Result<Exploration, ExploreError
             }
             Step::Infeasible | Step::Exhausted(_) => {}
         }
-        match step {
-            Step::Optimal(architecture) => {
-                return Ok(Exploration::Optimal {
-                    architecture,
-                    stats: *explorer.stats(),
-                });
-            }
-            Step::Infeasible => {
-                return Ok(Exploration::Infeasible {
-                    stats: *explorer.stats(),
-                });
-            }
-            Step::Exhausted(reason) => {
-                return Ok(Exploration::Partial {
-                    incumbent: explorer.incumbent().cloned(),
-                    lower_bound: explorer.lower_bound(),
-                    cuts: explorer.stats().cuts_added,
-                    stats: *explorer.stats(),
-                    reason,
-                });
-            }
-            Step::Pruned { .. } => {}
+        if let Some(done) = explorer.conclude(step) {
+            return Ok(done);
         }
 
         #[cfg(feature = "fault-injection")]
         if chaos.panic_after_steps == Some(steps) {
-            if chaos.truncate_before_panic {
-                let torn = crate::chaos::torn_write(&explorer.checkpoint().to_text());
+            if let Some(draw) = chaos.tear_before_panic {
+                let torn = crate::chaos::torn_write(&explorer.checkpoint().to_text(), draw);
                 lock(&claim.ckpt).store(torn);
                 counter_add("serve.checkpoints.written", 1);
                 inner.trace.emit(
@@ -680,18 +664,6 @@ fn resolve_start<'p>(
         Explorer::new(&spec.problem, spec.config.clone())?,
         "scratch",
     ))
-}
-
-/// Build the graceful-degradation result for a cancelled (or shutting-down)
-/// attempt: everything learned so far, tagged [`StopReason::Cancelled`].
-fn harvest_cancelled(explorer: &Explorer<'_>) -> Exploration {
-    Exploration::Partial {
-        incumbent: explorer.incumbent().cloned(),
-        lower_bound: explorer.lower_bound(),
-        cuts: explorer.stats().cuts_added,
-        stats: *explorer.stats(),
-        reason: StopReason::Cancelled,
-    }
 }
 
 fn fire_incumbent(
@@ -840,10 +812,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         "opaque panic payload".to_string()
     }
 }
-
-/// `ExplorerConfig` is part of `JobSpec`; re-exported here so job
-/// construction needs only this crate in scope.
-pub type JobConfig = ExplorerConfig;
 
 #[cfg(test)]
 mod tests {

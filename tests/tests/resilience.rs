@@ -4,11 +4,12 @@
 //! injected solver failures.
 
 use contrarc::{
-    explore, Exploration, Explorer, ExplorerCheckpoint, ExplorerConfig, Step, StopReason,
+    explore, Exploration, ExploreError, Explorer, ExplorerCheckpoint, ExplorerConfig, Problem,
+    Step, StopReason,
 };
 use contrarc_milp::Budget;
 use contrarc_systems::epn::{build as build_epn, EpnConfig};
-use contrarc_systems::rpl::{build as build_rpl, RplConfig, RplLines};
+use contrarc_systems::rpl::{build as build_rpl, build_parallel, RplConfig, RplLines};
 
 /// A single RPL line with a latency budget tight enough to force pruning
 /// iterations (the cheapest machines are too slow).
@@ -166,6 +167,110 @@ fn checkpoint_resume_reaches_same_optimum_on_rpl() {
 #[test]
 fn checkpoint_resume_reaches_same_optimum_on_epn() {
     assert_resume_matches_full(&build_epn(&EpnConfig::default()));
+}
+
+/// Checkpoint after every pruning step, resume from the text in a new
+/// explorer, and finish: every resumed run must end as the uninterrupted
+/// one does, the optimum bit for bit and the loop's counters exactly
+/// (pivots and the cut order may differ, since the first solve after a
+/// resume is cold). Returns the number of boundaries tried.
+fn assert_resumes_identically_at_every_boundary(p: &Problem) -> usize {
+    let full = explore(p, &ExplorerConfig::complete()).unwrap();
+    let optimum = full.architecture().expect("feasible").cost();
+    let counters =
+        |s: &contrarc::ExplorationStats| (s.iterations, s.cuts_added, s.cache_hits, s.cache_misses);
+    let mut ex = Explorer::new(p, ExplorerConfig::complete()).unwrap();
+    let mut boundaries = 0;
+    while let Step::Pruned { .. } = ex.step().unwrap() {
+        boundaries += 1;
+        let text = ex.checkpoint().to_text();
+        let resumed = Explorer::resume_from_text(p, ExplorerConfig::complete(), &text)
+            .unwrap()
+            .run()
+            .unwrap();
+        let arch = resumed.architecture().expect("resumed run must converge");
+        assert_eq!(
+            arch.cost().to_bits(),
+            optimum.to_bits(),
+            "boundary {boundaries}"
+        );
+        assert_eq!(
+            counters(resumed.stats()),
+            counters(full.stats()),
+            "boundary {boundaries}: iterations, cuts, cache hits and misses"
+        );
+    }
+    boundaries
+}
+
+#[test]
+fn resume_at_every_iteration_boundary_matches_the_uninterrupted_run() {
+    assert_eq!(
+        assert_resumes_identically_at_every_boundary(&build_epn(&EpnConfig::default())),
+        42
+    );
+    assert_eq!(
+        assert_resumes_identically_at_every_boundary(&build_parallel(&RplConfig::default(), 6)),
+        6
+    );
+}
+
+#[test]
+fn checkpoint_text_changed_after_writing_never_resumes() {
+    // EPN (1,0,0) after three iterations, whose cuts include a whole-scope
+    // cut with its auxiliary binary `cut0[y]`.
+    let p = build_epn(&EpnConfig::default());
+    let mut ex = Explorer::new(&p, ExplorerConfig::complete()).unwrap();
+    for _ in 0..3 {
+        assert!(matches!(ex.step().unwrap(), Step::Pruned { .. }));
+    }
+    let text = ex.checkpoint().to_text();
+    let resume = |text: &str| Explorer::resume_from_text(&p, ExplorerConfig::complete(), text);
+    assert!(resume(&text).is_ok());
+
+    // One flipped bit anywhere, the checksum line included.
+    let mut bytes = text.clone().into_bytes();
+    for i in 0..bytes.len() {
+        bytes[i] ^= 1;
+        let changed = String::from_utf8(bytes.clone()).expect("ASCII text");
+        assert!(
+            matches!(resume(&changed), Err(ExploreError::CheckpointParse(_))),
+            "byte {i} flipped was not rejected"
+        );
+        bytes[i] ^= 1;
+    }
+
+    // Whole fields changed so that, resumed, the run would end infeasible
+    // instead of at 42: the block row of the first whole-scope cut loosened
+    // to −1, or its binary `cut0[y]` bounded to [2, 3].
+    let edit = |record: &str, fields: &[(usize, f64)]| -> String {
+        let mut found = false;
+        let changed = text
+            .lines()
+            .map(|line| match line.split_once('\t') {
+                Some((head, name)) if name == record => {
+                    found = true;
+                    let mut tok: Vec<String> = head.split(' ').map(String::from).collect();
+                    for &(i, v) in fields {
+                        tok[i] = format!("{:016x}", v.to_bits());
+                    }
+                    format!("{}\t{name}\n", tok.join(" "))
+                }
+                _ => format!("{line}\n"),
+            })
+            .collect();
+        assert!(found, "no record {record}");
+        changed
+    };
+    for changed in [
+        edit("cut0[block]", &[(1, -1.0)]),
+        edit("cut0[y]", &[(1, 2.0), (2, 3.0)]),
+    ] {
+        assert!(matches!(
+            resume(&changed),
+            Err(ExploreError::CheckpointParse(_))
+        ));
+    }
 }
 
 fn assert_time_invariant(stats: &contrarc::ExplorationStats) {
