@@ -253,10 +253,9 @@ pub enum Exploration {
         /// cuts only remove infeasible architectures, so no feasible
         /// architecture can cost less).
         lower_bound: Option<f64>,
-        /// Certificate cuts accumulated before the interruption (these remain
-        /// valid for any continuation of the search).
-        cuts: usize,
-        /// Run statistics.
+        /// Run statistics, `cuts_added` among them: the certificate cuts
+        /// accumulated before the interruption, which remain valid for any
+        /// continuation of the search.
         stats: ExplorationStats,
         /// Which budget ran out.
         reason: StopReason,

@@ -128,8 +128,9 @@ pub(crate) struct LpSolve {
     pub warm_used: bool,
     /// Basis refactorizations performed during this solve.
     pub refactorizations: u64,
-    /// Optimal finishes that reused the current factorization instead of
-    /// rebuilding it (eta file already empty at canonicalization time).
+    /// Factorizations taken instead of rebuilt: at a warm install whose
+    /// basis one of the workspace's slots factors, and at a finish whose eta
+    /// file is empty.
     pub refactor_reuses: u64,
 }
 
@@ -311,6 +312,23 @@ mod tests {
         assert_eq!(
             outcome.expect_optimal().unwrap().objective().to_bits(),
             reference.expect_optimal().unwrap().objective().to_bits()
+        );
+    }
+
+    #[test]
+    fn a_warm_solve_of_the_singular_repair_finds_the_cold_optimum() {
+        // At the default refactorization cadence the dual repair succeeds,
+        // and the primal cleanup prices the last pivots through the eta
+        // file; only the fresh pricing at the finish sees the column that
+        // still prices out.
+        let (m, snap, _) = singular_repair();
+        let (outcome, _) = Solver::new(SolveOptions::default())
+            .solve_with_state(&m, Some(&WarmStart::from_basis(snap)))
+            .unwrap();
+        let objective = outcome.expect_optimal().unwrap().objective();
+        assert!(
+            (objective + 3.125).abs() <= 1e-9,
+            "warm optimum {objective}, cold −3.125"
         );
     }
 

@@ -502,7 +502,8 @@ mod tests {
     /// Every solve of the oracle's 400 models and of the bit-identity test's
     /// MILPs, at every rung with warm starts off and on, reports the same
     /// bits on a reused workspace poisoned with NaN as on a fresh one: a
-    /// workspace carries capacity, never values.
+    /// workspace carries values only under keys, and poisoned keys match
+    /// no form.
     #[test]
     fn a_poisoned_reused_workspace_changes_no_bit() {
         let models = (0..200)
@@ -531,6 +532,34 @@ mod tests {
         // workspace on to, start from an empty one.
         assert_eq!(solves, 425 * 8);
         assert_eq!(poisoned, solves - 2, "workspaces that held buffers");
+    }
+
+    /// Taking factors, basic values and reduced costs from the workspace's
+    /// slots changes no bit: each seeded MILP, at every rung and warm
+    /// started, reports the same optimum, nodes, pivots and handed-on basis
+    /// as with the reuse off; most branch, and each of those takes slots.
+    #[test]
+    fn reusing_the_slots_changes_no_bit() {
+        let (mut solves, mut branched, mut fewer) = (0, 0, 0);
+        for seed in 0..25 {
+            let m = random_milp(seed);
+            for rung in 0..=Numerics::TOP_RUNG {
+                let ((reused, with), _) = solve_on(&m, rung, true, LpWorkspace::default());
+                let mut off = LpWorkspace::default();
+                off.reuse_off = true;
+                let ((recomputed, without), _) = solve_on(&m, rung, true, off);
+                assert_eq!(reused, recomputed, "{} rung={rung}", m.name());
+                let (_, _, nodes, _, _) = reused.expect("every seeded MILP solves");
+                solves += 1;
+                branched += usize::from(nodes > 1);
+                fewer += usize::from(with < without);
+            }
+        }
+        assert!(
+            branched * 4 >= solves * 3,
+            "{branched} of {solves} solves branch"
+        );
+        assert_eq!(fewer, branched, "branching solves that took a slot");
     }
 
     /// Warm-started and cold solves agree bit-for-bit on the final

@@ -39,6 +39,19 @@
 //! a branch-and-bound solve's LP workspace, so the node LPs of one solve,
 //! and the selections of a cut loop, reuse the same arrays.
 //!
+//! # Keyed slots
+//!
+//! Both sets of factors, the current one and the spare, are [`Slot`]s keyed
+//! by what they factorize: the identity of the standard form whose columns
+//! they hold and the column at each basis position. A slot also keeps
+//! [`SlotValues`], what the engine computed on its factors while the eta
+//! file was empty. An engine that installs a basis one of the slots already
+//! factors takes that slot ([`FactorizedBasis::take`]) instead of
+//! refactorizing, and may take its values; since the factors are a pure
+//! function of the key, both are, bit for bit, what recomputing them gives.
+//! So the operator carries values from one LP to the next, but only under
+//! keys that make them equal to a recomputation.
+//!
 //! # Arithmetic
 //!
 //! The sparse kernels perform exactly the floating-point operations of the
@@ -397,16 +410,74 @@ pub(crate) fn poison<T: Clone>(v: &mut Vec<T>, x: T) -> usize {
     v.len()
 }
 
+/// The form identity of a key no install matches: that of factors left
+/// half built by a failed build, or of a basis holding a column no standard
+/// form has (an artificial). Standard forms number their identities from 1.
+pub(crate) const NO_FORM: u64 = 0;
+
+/// What an engine computed on a slot's factors while the eta file was
+/// empty. Each part is valid for the slot's key only while its flag is set.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SlotValues {
+    /// `xb` and `col_values` hold a computation.
+    pub(crate) has_xb: bool,
+    /// The basic values `x_B = B⁻¹ (b − N x_N)`, by basis position,
+    pub(crate) xb: Vec<f64>,
+    /// computed from these column values, of which the nonbasic ones count.
+    pub(crate) col_values: Vec<f64>,
+    /// `d` holds a pricing.
+    pub(crate) has_d: bool,
+    /// The phase-2 reduced costs `c_j − c_Bᵀ B⁻¹ A_j` of the nonbasic
+    /// unfixed columns; zero for the basic ones and NaN for the fixed ones,
+    /// which the pricing skipped.
+    pub(crate) d: Vec<f64>,
+}
+
+/// A set of LU factors keyed by what it factorizes, with the values computed
+/// on it.
+#[derive(Debug, Clone, Default)]
+struct Slot {
+    lu: LuFactors,
+    /// The identity of the standard form whose columns were factorized, or
+    /// [`NO_FORM`].
+    form: u64,
+    /// The column at each basis position.
+    basis: Vec<usize>,
+    values: SlotValues,
+}
+
+impl Slot {
+    /// Whether these factors factorize `basis` of form `form`.
+    fn factors(&self, form: u64, basis: &[usize]) -> bool {
+        form != NO_FORM && self.form == form && self.basis == basis
+    }
+
+    /// [`LuFactors::poison`], with a key no form matches and poisoned
+    /// values marked present.
+    #[cfg(test)]
+    fn poison(&mut self) -> usize {
+        self.form = NO_FORM;
+        let values = &mut self.values;
+        values.has_xb = true;
+        values.has_d = true;
+        self.lu.poison()
+            + poison(&mut self.basis, usize::MAX)
+            + poison(&mut values.xb, f64::NAN)
+            + poison(&mut values.col_values, f64::NAN)
+            + poison(&mut values.d, f64::NAN)
+    }
+}
+
 /// A factorized basis plus its eta file: the complete `B⁻¹` operator of the
 /// revised simplex between two refactorizations, with every buffer its
 /// refactorizations and solves reuse. An empty one (the default) holds no
 /// operator until its first [`refactorize`](FactorizedBasis::refactorize).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FactorizedBasis {
-    factor: LuFactors,
+    factor: Slot,
     /// The factors the next refactorization fills, swapped in when it
-    /// succeeds.
-    spare: LuFactors,
+    /// succeeds: until then, those the last one swapped out.
+    spare: Slot,
     build: BuildScratch,
     etas: EtaFile,
     /// Scratch of the LU solves.
@@ -415,20 +486,60 @@ pub(crate) struct FactorizedBasis {
 
 impl FactorizedBasis {
     /// Factorize a basis, as [`LuFactors`] describes its `order` and `col`,
-    /// and empty the eta file. Returns `false` on a singular basis, leaving
-    /// the operator as it was.
+    /// and empty the eta file; key the factors by `form` and `basis`, the
+    /// column at each basis position, with no values. Returns `false` on a
+    /// singular basis, leaving the operator as it was.
     pub(crate) fn refactorize<'c>(
         &mut self,
+        form: u64,
+        basis: &[usize],
         order: &[usize],
         col: impl Fn(usize) -> (&'c [u32], &'c [f64]),
     ) -> bool {
-        if !self.spare.build(order, col, &mut self.build) {
+        let spare = &mut self.spare;
+        if !spare.lu.build(order, col, &mut self.build) {
+            spare.form = NO_FORM;
             return false;
         }
+        spare.form = form;
+        spare.basis.clear();
+        spare.basis.extend_from_slice(basis);
+        spare.values.has_xb = false;
+        spare.values.has_d = false;
         mem::swap(&mut self.factor, &mut self.spare);
         self.etas.clear();
         self.scratch.resize(order.len(), 0.0);
         true
+    }
+
+    /// Make the slot that factors `basis` of form `form` current, the spare
+    /// swapped in if it is that one, and empty the eta file; `false`, with
+    /// nothing changed, when neither slot does.
+    pub(crate) fn take(&mut self, form: u64, basis: &[usize]) -> bool {
+        if !self.factor.factors(form, basis) {
+            if !self.spare.factors(form, basis) {
+                return false;
+            }
+            mem::swap(&mut self.factor, &mut self.spare);
+        }
+        self.etas.clear();
+        self.scratch.resize(basis.len(), 0.0);
+        true
+    }
+
+    /// The current slot's values, while the eta file is empty and the slot
+    /// is keyed: then the operator is the factors the values belong to.
+    pub(crate) fn values(&self) -> Option<&SlotValues> {
+        self.fresh().then_some(&self.factor.values)
+    }
+
+    /// [`values`](FactorizedBasis::values), to record a computation in.
+    pub(crate) fn values_mut(&mut self) -> Option<&mut SlotValues> {
+        self.fresh().then_some(&mut self.factor.values)
+    }
+
+    fn fresh(&self) -> bool {
+        self.etas.etas.is_empty() && self.factor.form != NO_FORM
     }
 
     /// Etas accumulated since the factorization was built.
@@ -458,7 +569,7 @@ impl FactorizedBasis {
     /// basis position. Consumes `b` as scratch; writes every position of
     /// `out`. Both have length `m`.
     pub(crate) fn ftran(&mut self, b: &mut [f64], out: &mut [f64]) {
-        self.factor.solve(b, &mut self.scratch, out);
+        self.factor.lu.solve(b, &mut self.scratch, out);
         for eta in &self.etas.etas {
             let t = out[eta.pos] / eta.pivot;
             for &(i, wi) in self.etas.entries(eta) {
@@ -479,12 +590,13 @@ impl FactorizedBasis {
             }
             c[eta.pos] = (c[eta.pos] - dot) / eta.pivot;
         }
-        self.factor.solve_transposed(c, &mut self.scratch, out);
+        self.factor.lu.solve_transposed(c, &mut self.scratch, out);
     }
 
-    /// Fill every buffer, the current and the spare factors included, to
-    /// its capacity with values no solve leaves; returns how many entries
-    /// that wrote.
+    /// Fill every buffer, the current and the spare slot included, to its
+    /// capacity with values no solve leaves, and key both slots so that no
+    /// form matches them, their values marked present; returns how many
+    /// entries that wrote.
     #[cfg(test)]
     pub(crate) fn poison(&mut self) -> usize {
         let BuildScratch {
@@ -558,7 +670,10 @@ mod tests {
     fn operator(f: LuFactors) -> FactorizedBasis {
         FactorizedBasis {
             scratch: vec![0.0; f.m],
-            factor: f,
+            factor: Slot {
+                lu: f,
+                ..Slot::default()
+            },
             ..FactorizedBasis::default()
         }
     }
@@ -1159,11 +1274,12 @@ mod tests {
                 let order = random_order(&mut rng, &cols);
                 let split = split(&cols);
                 reused.poison();
-                let reused_ok = reused.refactorize(&order, |p| (&split[p].0, &split[p].1));
+                let reused_ok =
+                    reused.refactorize(NO_FORM, &[], &order, |p| (&split[p].0, &split[p].1));
                 let fresh = assert_builds_agree(&cols, &order, &case);
                 assert_eq!(reused_ok, fresh.is_some(), "{case}: reused verdict");
                 if let Some(fresh) = &fresh {
-                    assert_same_lu(&reused.factor, fresh, &case);
+                    assert_same_lu(&reused.factor.lu, fresh, &case);
                 }
                 match fresh {
                     None => singular += 1,
@@ -1180,6 +1296,53 @@ mod tests {
         assert!(singular >= 10, "only {singular} singular bases");
         assert!(cancelled >= 10, "only {cancelled} exact cancellations");
         assert!(mixed >= 10, "only {mixed} columns past the prefix mix");
+    }
+
+    #[test]
+    fn a_slot_is_taken_only_under_its_own_form_and_basis() {
+        // Basis positions 0 and 1 hold columns 7 and 3; the spare gets the
+        // first factors when the second build swaps them out.
+        let split = split(&dense_cols(&[&[2.0, 1.0], &[1.0, 3.0]]));
+        let col = |p: usize| (&split[p].0[..], &split[p].1[..]);
+        let mut op = FactorizedBasis::default();
+        assert!(op.refactorize(5, &[7, 3], &[0, 1], col));
+        op.values_mut().expect("a keyed slot, no etas").has_d = true;
+        assert!(op.refactorize(6, &[7, 3], &[0, 1], col));
+        assert!(!op.values().unwrap().has_d, "a build keeps no values");
+        op.push_eta(0, &[1.0, 0.5]);
+        assert!(op.values().is_none(), "values belong to empty eta files");
+
+        // Another form, a basis differing in one position, the positions
+        // swapped, or no form: nothing is taken and nothing changes.
+        for (form, basis) in [(4, [7, 3]), (5, [7, 2]), (5, [3, 7]), (NO_FORM, [7, 3])] {
+            assert!(!op.take(form, &basis), "form {form}, basis {basis:?}");
+            assert_eq!(op.num_etas(), 1);
+        }
+        // The spare's key swaps it in, with its values; the current slot's
+        // key empties the eta file.
+        assert!(op.take(5, &[7, 3]));
+        assert_eq!(op.num_etas(), 0);
+        assert!(op.values().unwrap().has_d);
+        assert!(op.take(6, &[7, 3]), "the swapped-out slot is the spare");
+        assert!(!op.values().unwrap().has_d);
+
+        // A failed build leaves the operator and unkeys the spare.
+        let singular = split_singular();
+        let singular_col = |p: usize| (&singular[p].0[..], &singular[p].1[..]);
+        assert!(!op.refactorize(8, &[1, 2], &[0, 1], singular_col));
+        assert!(!op.take(5, &[7, 3]), "the half-built spare held form 5");
+        assert!(!op.take(8, &[1, 2]));
+        assert!(op.take(6, &[7, 3]));
+
+        // Poisoned slots match no form.
+        op.poison();
+        assert!(!op.take(6, &[7, 3]));
+        assert!(!op.take(5, &[7, 3]));
+    }
+
+    /// A singular 2 × 2 basis.
+    fn split_singular() -> Vec<(Vec<u32>, Vec<f64>)> {
+        split(&dense_cols(&[&[1.0, 2.0], &[2.0, 4.0]]))
     }
 
     #[test]

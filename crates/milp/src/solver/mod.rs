@@ -47,8 +47,11 @@ use std::sync::{Arc, Mutex, PoisonError};
 ///   of the state starts without them.
 ///
 /// The root setup and the buffers change only the work: a solve that
-/// extends the setup is, bit for bit, the solve that would rebuild it, and
-/// the buffers carry capacity, not values.
+/// extends the setup is, bit for bit, the solve that would rebuild it. The
+/// buffers carry values keyed by standard form and basis (LU factors, and
+/// the basic values and reduced costs computed on them), and a solve takes
+/// them only where they equal a recomputation; an extended or rebuilt form
+/// is a new form, so the next solve recomputes them.
 #[derive(Debug)]
 pub struct WarmStart {
     pub(crate) snap: Arc<BasisSnapshot>,

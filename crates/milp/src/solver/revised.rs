@@ -23,15 +23,27 @@
 //! values, costs, reduced costs, the FTRAN/BTRAN inputs and outputs, the
 //! canonical order and the basis operator — in an [`LpWorkspace`] it
 //! borrows, so an LP allocates only what outlives it: the solution vector
-//! and the basis snapshot. Each pivot recomputes the reduced costs of the
-//! columns pricing reads, the nonbasic unfixed ones, with one BTRAN and a
-//! dot product per such column.
+//! and the basis snapshot. Each primal pivot recomputes the reduced costs
+//! of the columns pricing reads, the nonbasic unfixed ones, with one BTRAN
+//! and a dot product per such column. Each dual pivot computes the pivot
+//! row `α_j = ρᵀA_j` of those columns from one BTRAN of `e_r` and updates
+//! the reduced costs along it (Koberstein, "The dual simplex method,
+//! techniques for a fast and stable implementation", Paderborn 2005).
+//!
+//! A warm start installs its parent's optimal basis, which the workspace's
+//! operator usually still factors: in its current slot when the parent was
+//! the previous LP, in its spare when a sibling came between. The install
+//! then takes the factors, and with them the basic values and reduced costs
+//! the parent's finish computed on them (see the `factor` module), instead
+//! of a refactorization, a FTRAN and a BTRAN.
 //!
 //! # Determinism
 //!
-//! A workspace carries capacity, never values: an engine writes every
-//! buffer before reading it, so the workspace a previous solve left behind
-//! changes no bit.
+//! A workspace carries values only under keys that make them equal to a
+//! recomputation: factors and reduced costs keyed by the standard form's
+//! identity and the basis, basic values by those and the nonbasic values.
+//! An engine writes every other buffer before reading it, so the workspace
+//! a previous solve left behind changes no bit.
 //!
 //! Refactorization processes basis columns in a canonical order — ascending
 //! `(nonzero count, column index)` — so the factors depend only on the *set*
@@ -39,7 +51,9 @@
 //! recomputes the basic values from scratch before extracting the solution
 //! (`finalize_canonical`), which makes the reported values a pure function
 //! of `(basis, nonbasic states, standard form)` rather than of the eta
-//! history that reached the basis. Cold-solve bits are defined by that
+//! history that reached the basis. It then prices once on the fresh
+//! factors, so no column the eta file's rounding priced as optimal is left
+//! to price out. Cold-solve bits are defined by that
 //! finish, and a warm-started solve that lands on the same optimal basis as
 //! a cold solve reports bit-identical values. On an LP with several optimal
 //! bases the dual repair of a warm start may land on a different one than
@@ -51,7 +65,7 @@
 use crate::error::SolveError;
 use crate::solver::backend::{BasisSnapshot, LpOutcome};
 use crate::solver::budget::{Budget, Deadline};
-use crate::solver::factor::FactorizedBasis;
+use crate::solver::factor::{FactorizedBasis, NO_FORM};
 use crate::solver::Numerics;
 use crate::standard_form::StandardForm;
 
@@ -70,6 +84,19 @@ enum ColState {
     AtUpper,
     /// Free variable resting at zero.
     FreeZero,
+}
+
+impl ColState {
+    /// The value of a column in this state between bounds `lb` and `ub`; a
+    /// basic one's is read from `xb`.
+    fn value(self, lb: f64, ub: f64, xb: &[f64]) -> f64 {
+        match self {
+            ColState::AtLower => lb,
+            ColState::AtUpper => ub,
+            ColState::FreeZero => 0.0,
+            ColState::Basic(r) => xb[r as usize],
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,10 +132,12 @@ enum DualEnd {
 /// branch-and-bound run so that node LPs allocate nothing but what outlives
 /// them.
 ///
-/// A workspace carries capacity, never values: every buffer is zero-filled
-/// or fully overwritten before it is read, so a solve on a reused workspace
-/// is bit for bit a solve on a fresh one (`LpWorkspace::poison` tests
-/// this).
+/// A workspace carries values keyed by form and basis: the basis operator's
+/// two sets of factors, each with the basic values and reduced costs
+/// computed on it. An engine takes them only where they equal a
+/// recomputation, and zero-fills or fully overwrites every other buffer
+/// before reading it, so a solve on a reused workspace is bit for bit a
+/// solve on a fresh one (`LpWorkspace::poison` tests this).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LpWorkspace {
     /// A node's structural bounds in model space, written by
@@ -121,7 +150,8 @@ pub(crate) struct LpWorkspace {
     /// The bound vectors [`StandardForm::rebind`] fills.
     pub(crate) bounds: (Vec<f64>, Vec<f64>),
     /// The basis operator: LU factors, a spare set the next
-    /// refactorization fills, the build's scratch and the eta file.
+    /// refactorization fills, each keyed with its values, the build's
+    /// scratch and the eta file.
     basis_op: FactorizedBasis,
     /// Artificial column `art_base + k` holds the single entry
     /// `art_signs[k]` (`±1`) in row `art_rows[k]`.
@@ -132,9 +162,11 @@ pub(crate) struct LpWorkspace {
     xb: Vec<f64>,
     /// Current phase costs per column.
     costs: Vec<f64>,
-    /// Cached reduced costs per column, recomputed each pivot for the
-    /// columns pricing reads.
+    /// Reduced costs per column: recomputed at each primal pivot for the
+    /// columns pricing reads, updated at each dual pivot.
     dvec: Vec<f64>,
+    /// The dual pivot row `α_j = ρᵀA_j`, zero for the unpriced columns.
+    alpha: Vec<f64>,
     /// The canonical factorization order.
     order: Vec<usize>,
     /// The input of the next FTRAN or BTRAN, which consumes it.
@@ -145,6 +177,10 @@ pub(crate) struct LpWorkspace {
     y: Vec<f64>,
     /// A row of `B⁻¹`, by row.
     rho: Vec<f64>,
+    /// Refactorize at every install, taking nothing from the operator's
+    /// slots: the reference the reuse is tested against.
+    #[cfg(test)]
+    pub(crate) reuse_off: bool,
 }
 
 impl LpWorkspace {
@@ -164,6 +200,7 @@ impl LpWorkspace {
             &mut self.xb,
             &mut self.costs,
             &mut self.dvec,
+            &mut self.alpha,
             &mut self.input,
             &mut self.w,
             &mut self.y,
@@ -206,7 +243,8 @@ pub(crate) struct RevisedSimplex<'a> {
     charged: u64,
     /// Basis refactorizations performed so far.
     pub refactorizations: u64,
-    /// Optimal finishes that reused the current factorization (see
+    /// Factorizations taken instead of rebuilt: an install whose basis a
+    /// slot already factors, and a finish whose eta file is empty (see
     /// `finalize_canonical`).
     pub refactor_reuses: u64,
 }
@@ -292,7 +330,7 @@ impl<'a> RevisedSimplex<'a> {
         }
         if self.phase1_needed() {
             self.set_phase1_costs();
-            self.iterate()?;
+            self.iterate(false)?;
             let infeas: f64 = self.phase1_objective();
             if !infeas.is_finite() {
                 return Err(SolveError::Numerical(
@@ -305,12 +343,10 @@ impl<'a> RevisedSimplex<'a> {
             self.expel_artificials()?;
         }
         self.set_phase2_costs();
-        match self.iterate()? {
-            IterEnd::Optimal => {}
-            IterEnd::Unbounded => return Ok(LpOutcome::Unbounded),
+        if self.iterate(false)? == IterEnd::Unbounded {
+            return Ok(LpOutcome::Unbounded);
         }
-        self.finalize_canonical();
-        let out = self.finish_optimal();
+        let out = self.finish()?;
         if let LpOutcome::Optimal { min_obj, .. } = &out {
             if !min_obj.is_finite() {
                 return Err(SolveError::Numerical(
@@ -338,12 +374,29 @@ impl<'a> RevisedSimplex<'a> {
             DualEnd::Infeasible => return Ok(Some(LpOutcome::Infeasible)),
             DualEnd::LostDualFeasibility => return Ok(None),
         }
-        match self.iterate()? {
-            IterEnd::Optimal => {
-                self.finalize_canonical();
-                Ok(Some(self.finish_optimal()))
-            }
+        match self.iterate(true)? {
+            IterEnd::Optimal => Ok(Some(self.finish()?)),
             IterEnd::Unbounded => Ok(Some(LpOutcome::Unbounded)),
+        }
+    }
+
+    /// Finish an LP the primal pivots left optimal: canonicalize (see
+    /// `finalize_canonical`), then price every column once on the fresh
+    /// factors, which the slot keeps for the children's installs. A column
+    /// that prices out there, hidden before by the eta file's rounding,
+    /// resumes the primal pivots, and the LP finishes again.
+    fn finish(&mut self) -> Result<LpOutcome, SolveError> {
+        loop {
+            self.finalize_canonical();
+            self.price();
+            // Any column that prices out will do: Bland's rule takes the
+            // first.
+            if self.price_cached(true).is_none() {
+                return Ok(self.finish_optimal());
+            }
+            if self.iterate(true)? == IterEnd::Unbounded {
+                return Ok(LpOutcome::Unbounded);
+            }
         }
     }
 
@@ -394,10 +447,36 @@ impl<'a> RevisedSimplex<'a> {
         })
     }
 
-    /// Install a snapshot: set states, factorize the snapshot basis, and
-    /// recompute basic values. Returns `false` when the snapshot does not fit
-    /// this standard form or its basis matrix is singular.
+    /// Install a snapshot: set the states, then take the factors, basic
+    /// values and reduced costs of its basis from the slot that holds them,
+    /// computing what cannot be taken. Returns `false` when the snapshot
+    /// does not fit this standard form or its basis matrix is singular.
     fn install(&mut self, snap: &BasisSnapshot) -> bool {
+        if !self.install_states(snap) {
+            return false;
+        }
+        self.set_phase2_costs();
+        if self.take_factors() {
+            self.refactor_reuses += 1;
+            if !self.take_xb() {
+                self.refresh_xb();
+            }
+            if !self.take_reduced_costs() {
+                self.price();
+            }
+            return true;
+        }
+        if !self.refactorize() {
+            return false;
+        }
+        self.refresh_xb();
+        self.price();
+        true
+    }
+
+    /// Set the basis and column states of a snapshot; `false` when it does
+    /// not fit this standard form.
+    fn install_states(&mut self, snap: &BasisSnapshot) -> bool {
         if snap.basis.len() != self.m || snap.state.len() != self.sf.num_cols() {
             return false;
         }
@@ -436,16 +515,65 @@ impl<'a> RevisedSimplex<'a> {
                 _ => {}
             }
         }
-        if !self.refactorize() {
-            return false;
-        }
-        self.set_phase2_costs();
-        self.refresh_xb();
         true
     }
 
-    /// Dual simplex: from a (nominally) dual-feasible basis, pivot until the
-    /// basic values are within bounds or the LP is proven infeasible.
+    /// Make current the operator's slot that factors this engine's basis;
+    /// `false` when neither does.
+    fn take_factors(&mut self) -> bool {
+        #[cfg(test)]
+        if self.ws.reuse_off {
+            return false;
+        }
+        let ws = &mut *self.ws;
+        if !ws.basis_op.take(self.sf.id, &ws.basis) {
+            return false;
+        }
+        self.factorized = true;
+        true
+    }
+
+    /// Take the current slot's basic values if every nonbasic column has
+    /// the value they were computed from.
+    fn take_xb(&mut self) -> bool {
+        let sf = self.sf;
+        let ws = &mut *self.ws;
+        let Some(values) = ws.basis_op.values().filter(|v| v.has_xb) else {
+            return false;
+        };
+        let same = ws
+            .state
+            .iter()
+            .zip(&values.col_values)
+            .enumerate()
+            .all(|(j, (&s, &v))| {
+                matches!(s, ColState::Basic(_)) || s.value(sf.lower[j], sf.upper[j], &ws.xb) == v
+            });
+        if same {
+            ws.xb.copy_from_slice(&values.xb);
+        }
+        same
+    }
+
+    /// Take the current slot's reduced costs, which depend on the basis and
+    /// the costs alone, if they price every column this engine prices.
+    fn take_reduced_costs(&mut self) -> bool {
+        let Some(values) = self.ws.basis_op.values().filter(|v| v.has_d) else {
+            return false;
+        };
+        if (0..self.total_cols).any(|j| !self.unpriced(j) && values.d[j].is_nan()) {
+            return false;
+        }
+        self.ws.dvec.clone_from(&values.d);
+        true
+    }
+
+    /// Dual simplex: from a (nominally) dual-feasible basis whose reduced
+    /// costs `ws.dvec` holds for every priced column, pivot until the basic
+    /// values are within bounds or the LP is proven infeasible. A pivot on
+    /// row `r` with entering column `q` updates the reduced costs instead
+    /// of pricing anew: with `α_j = ρᵀA_j` and `θ = d_q / α_q`, `d_j −= θ·α_j`,
+    /// `d_q = 0` and the leaving column's is `−θ`.
     fn dual_iterate(&mut self) -> Result<DualEnd, SolveError> {
         let budget = 4 * (self.m as u64) + 64;
         let mut used = 0u64;
@@ -480,16 +608,18 @@ impl<'a> RevisedSimplex<'a> {
                 return Ok(DualEnd::PrimalFeasible);
             };
 
-            self.btran_costs();
             self.binv_row(row);
 
             // Entering column: dual ratio test among eligible nonbasics.
+            self.ws.alpha.resize(self.total_cols, 0.0);
             let mut best: Option<(usize, f64, f64)> = None; // (col, ratio, |alpha|)
             for j in 0..self.total_cols {
                 if self.unpriced(j) {
+                    self.ws.alpha[j] = 0.0;
                     continue;
                 }
                 let alpha = self.col_dot(&self.ws.rho, j);
+                self.ws.alpha[j] = alpha;
                 if alpha.abs() <= PIVOT_TOL {
                     continue;
                 }
@@ -504,8 +634,7 @@ impl<'a> RevisedSimplex<'a> {
                 if !eligible {
                     continue;
                 }
-                let dj = self.ws.costs[j] - self.col_dot(&self.ws.y, j);
-                let ratio = dj.abs() / alpha.abs();
+                let ratio = self.ws.dvec[j].abs() / alpha.abs();
                 match best {
                     None => best = Some((j, ratio, alpha.abs())),
                     Some((_, br, balpha)) => {
@@ -547,6 +676,13 @@ impl<'a> RevisedSimplex<'a> {
                     *xb -= t * wr;
                 }
             }
+            let ws = &mut *self.ws;
+            let theta = ws.dvec[enter] / ws.alpha[enter];
+            for (d, &a) in ws.dvec.iter_mut().zip(&ws.alpha) {
+                *d -= theta * a;
+            }
+            ws.dvec[enter] = 0.0;
+            ws.dvec[leaving_col] = -theta;
             self.pivot(enter, row, enter_val, hit)?;
             self.pivots += 1;
             if self.pivots % 64 == 63 {
@@ -727,7 +863,9 @@ impl<'a> RevisedSimplex<'a> {
     }
 
     /// Collapse the eta file into a fresh factorization of the current basis
-    /// using the canonical column order. Returns `false` on a singular basis.
+    /// using the canonical column order, keyed by the form and the basis
+    /// unless an artificial column is basic. Returns `false` on a singular
+    /// basis.
     fn refactorize(&mut self) -> bool {
         if !self.canonical_order() {
             return false;
@@ -735,8 +873,13 @@ impl<'a> RevisedSimplex<'a> {
         let (sf, art_base) = (self.sf, self.art_base);
         let ws = &mut *self.ws;
         let (arts, basis) = ((&ws.art_rows, &ws.art_signs), &ws.basis);
+        let form = if basis.iter().any(|&j| j >= art_base) {
+            NO_FORM
+        } else {
+            sf.id
+        };
         let col = |p: usize| working_column(sf, art_base, arts.0, arts.1, basis[p]);
-        if !ws.basis_op.refactorize(&ws.order, col) {
+        if !ws.basis_op.refactorize(form, basis, &ws.order, col) {
             return false;
         }
         self.factorized = true;
@@ -801,12 +944,7 @@ impl<'a> RevisedSimplex<'a> {
     }
 
     fn nonbasic_value(&self, j: usize) -> f64 {
-        match self.ws.state[j] {
-            ColState::AtLower => self.col_lower(j),
-            ColState::AtUpper => self.col_upper(j),
-            ColState::FreeZero => 0.0,
-            ColState::Basic(r) => self.ws.xb[r as usize],
-        }
+        self.ws.state[j].value(self.col_lower(j), self.col_upper(j), &self.ws.xb)
     }
 
     fn col_value(&self, j: usize) -> f64 {
@@ -828,22 +966,35 @@ impl<'a> RevisedSimplex<'a> {
         matches!(self.ws.state[j], ColState::Basic(_)) || self.col_lower(j) >= self.col_upper(j)
     }
 
-    /// Recompute the cached reduced costs `d_j = c_j − c_Bᵀ B⁻¹ A_j` of the
-    /// columns pricing reads. An unpriced column keeps a stale entry, which
-    /// `price_cached` never reads.
-    fn recompute_reduced_costs(&mut self) {
+    /// Price the columns pricing reads: `d_j = c_j − c_Bᵀ B⁻¹ A_j` for the
+    /// nonbasic unfixed ones. A basic column's entry is zero, and a fixed
+    /// one's NaN, for "not priced". Phase-2 prices on an empty eta file are
+    /// kept with the slot.
+    fn price(&mut self) {
         self.btran_costs();
         self.ws.dvec.resize(self.total_cols, 0.0);
         for j in 0..self.total_cols {
-            if !self.unpriced(j) {
-                self.ws.dvec[j] = self.ws.costs[j] - self.col_dot(&self.ws.y, j);
+            self.ws.dvec[j] = match self.ws.state[j] {
+                ColState::Basic(_) => 0.0,
+                _ if self.col_lower(j) >= self.col_upper(j) => f64::NAN,
+                _ => self.ws.costs[j] - self.col_dot(&self.ws.y, j),
+            };
+        }
+        if self.art_fixed {
+            let ws = &mut *self.ws;
+            if let Some(values) = ws.basis_op.values_mut() {
+                values.d.clear();
+                values.d.extend_from_slice(&ws.dvec[..self.sf.num_cols()]);
+                values.has_d = true;
             }
         }
     }
 
     // ---- main loop ---------------------------------------------------------
 
-    fn iterate(&mut self) -> Result<IterEnd, SolveError> {
+    /// Primal simplex pivots until no column prices out. With `priced`, the
+    /// first pricing reads the reduced costs `ws.dvec` holds.
+    fn iterate(&mut self, mut priced: bool) -> Result<IterEnd, SolveError> {
         loop {
             if self.pivots >= MAX_LP_PIVOTS {
                 return Err(engine_pivot_limit());
@@ -852,7 +1003,10 @@ impl<'a> RevisedSimplex<'a> {
                 self.refresh_xb();
                 self.check_budget()?;
             }
-            self.recompute_reduced_costs();
+            if !priced {
+                self.price();
+            }
+            priced = false;
             let bland = self.numerics.force_bland || self.degenerate_run >= BLAND_TRIGGER;
             let Some((j, dir)) = self.price_cached(bland) else {
                 return Ok(IterEnd::Optimal);
@@ -1032,7 +1186,8 @@ impl<'a> RevisedSimplex<'a> {
         Ok(())
     }
 
-    /// Recompute basic values `x_B = B⁻¹ (b − N x_N)` from scratch.
+    /// Recompute basic values `x_B = B⁻¹ (b − N x_N)` from scratch; on an
+    /// empty eta file, keep them with the slot.
     fn refresh_xb(&mut self) {
         assert!(self.factorized, "basis factorized before refresh");
         let sf = self.sf;
@@ -1057,6 +1212,19 @@ impl<'a> RevisedSimplex<'a> {
         }
         let ws = &mut *self.ws;
         ws.basis_op.ftran(&mut ws.input, &mut ws.xb);
+        // A nonbasic artificial rests at its lower bound, zero, so these
+        // are the values an install, which has no artificials, computes.
+        if let Some(values) = ws.basis_op.values_mut() {
+            values.xb.clone_from(&ws.xb);
+            values.col_values.clear();
+            values.col_values.extend(
+                ws.state[..sf.num_cols()]
+                    .iter()
+                    .enumerate()
+                    .map(|(j, s)| s.value(sf.lower[j], sf.upper[j], &ws.xb)),
+            );
+            values.has_xb = true;
+        }
     }
 
     fn extract_structural(&self) -> Vec<f64> {
@@ -1102,6 +1270,7 @@ fn zero(v: &mut Vec<f64>, n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::standard_form::RecordedForm;
     use crate::{Cmp, Model, Sense};
 
     /// An engine with no deadline at rung 0 of the retry ladder, where
@@ -1377,7 +1546,7 @@ mod tests {
         sx.set_phase1_costs();
         let mut mixed = 0;
         for _ in 0..3 {
-            sx.recompute_reduced_costs();
+            sx.price();
             let Some((j, dir)) = sx.price_cached(false) else {
                 break;
             };
@@ -1452,6 +1621,107 @@ mod tests {
         let mut warm = engine(&sf, &budget, &mut ws);
         warm.pivots = MAX_LP_PIVOTS;
         assert_eq!(warm.solve_warm(&snap).unwrap_err(), capped);
+    }
+
+    /// `max 3x + 2y + 2z` over `x, y ∈ [0, 10]`, `z ∈ [1, 3]` under
+    /// `x + y + z ≤ 10` and `2x + y ≤ 12`: x and y end basic, z nonbasic
+    /// at its upper bound, where its value enters `x_B`.
+    fn upper_bound_model() -> Model {
+        let mut m = Model::new("t");
+        let x = m.add_continuous("x", 0.0, 10.0);
+        let y = m.add_continuous("y", 0.0, 10.0);
+        let z = m.add_continuous("z", 1.0, 3.0);
+        m.add_constr("c1", x + y + z, Cmp::Le, 10.0).unwrap();
+        m.add_constr("c2", 2.0 * x + y, Cmp::Le, 12.0).unwrap();
+        m.set_objective(Sense::Maximize, 3.0 * x + 2.0 * y + 2.0 * z);
+        m
+    }
+
+    /// Solve `sf` cold on `ws`, which then holds the factors of the optimal
+    /// basis with the values the finish computed on them; returns that basis.
+    fn solve_into(sf: &StandardForm, ws: &mut LpWorkspace) -> BasisSnapshot {
+        let budget = Budget::unlimited();
+        let mut sx = engine(sf, &budget, ws);
+        assert!(matches!(sx.solve().unwrap(), LpOutcome::Optimal { .. }));
+        sx.snapshot().expect("clean basis")
+    }
+
+    /// The `(refactorizations, refactor_reuses)` of installing `snap` on
+    /// `sf` from `ws`.
+    fn install_work(sf: &StandardForm, ws: &mut LpWorkspace, snap: &BasisSnapshot) -> (u64, u64) {
+        let budget = Budget::unlimited();
+        let mut sx = engine(sf, &budget, ws);
+        assert!(sx.install(snap));
+        (sx.refactorizations, sx.refactor_reuses)
+    }
+
+    #[test]
+    fn an_install_takes_a_slot_only_under_its_form_and_basis() {
+        let mut m = upper_bound_model();
+        let form = RecordedForm::build(&m, None);
+        let mut ws = LpWorkspace::default();
+        let snap = solve_into(&form.sf, &mut ws);
+        let taken = (0, 1);
+        let built = (1, 0);
+
+        // A child's bounds keep the form: its parent's basis is taken.
+        let child = form
+            .sf
+            .rebind(&[1.0, 0.0, 1.0], &[10.0, 10.0, 3.0], Default::default());
+        assert_eq!(install_work(&child, &mut ws, &snap), taken);
+        // The same columns under a rebuilt form, another identity: built.
+        let rebuilt = StandardForm::build(&m, None);
+        assert_eq!(install_work(&rebuilt, &mut ws, &snap), built);
+        // The parent's slot is now the spare, and is taken again.
+        assert_eq!(install_work(&child, &mut ws, &snap), taken);
+
+        // A basis that differs in one position, z for y: built.
+        let (y, z) = (1, 2);
+        let pos = snap.basis.iter().position(|&b| b == y).expect("y basic");
+        let mut other = snap.clone();
+        other.basis[pos] = z;
+        other.state[y as usize] = 0;
+        other.state[z as usize] = 3;
+        assert_eq!(install_work(&form.sf, &mut ws, &other), built);
+        assert_eq!(install_work(&form.sf, &mut ws, &snap), taken);
+
+        // The model extended by one cut row: a new form, never an old slot.
+        let x = crate::VarId::from_index(0);
+        m.add_constr("cut", 1.0 * x, Cmp::Le, 4.0).unwrap();
+        let (lbs, ubs): (Vec<f64>, Vec<f64>) = m.vars().map(|(_, d)| (d.lb, d.ub)).unzip();
+        let grown = form.extend(&m, &lbs, &ubs).expect("no factor moves");
+        let remapped = snap
+            .remap(grown.sf.num_structural, grown.sf.num_rows)
+            .expect("the model grew");
+        assert_eq!(install_work(&grown.sf, &mut ws, &remapped), built);
+    }
+
+    #[test]
+    fn basic_values_are_taken_only_from_the_same_nonbasic_values() {
+        let sf = StandardForm::build(&upper_bound_model(), None);
+        let mut ws = LpWorkspace::default();
+        let snap = solve_into(&sf, &mut ws);
+        assert_eq!(snap.state[2], 1, "z ends at its upper bound");
+        let budget = Budget::unlimited();
+
+        // The lower bound of basic x moves, which x_B does not read: the
+        // slot's x_B is a fresh refresh's, bit for bit.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let child = sf.rebind(&[1.0, 0.0, 1.0], &[10.0, 10.0, 3.0], Default::default());
+        let mut sx = engine(&child, &budget, &mut ws);
+        assert!(sx.install_states(&snap) && sx.take_factors());
+        assert!(sx.take_xb());
+        let taken = bits(&sx.ws.xb);
+        sx.ws.xb.fill(f64::NAN);
+        sx.refresh_xb();
+        assert_eq!(taken, bits(&sx.ws.xb));
+
+        // z's upper bound moves, and with it one nonbasic value: x_B is
+        // recomputed.
+        let moved = sf.rebind(&[0.0, 0.0, 1.0], &[10.0, 10.0, 2.5], Default::default());
+        let mut sx = engine(&moved, &budget, &mut ws);
+        assert!(sx.install_states(&snap) && sx.take_factors());
+        assert!(!sx.take_xb());
     }
 
     #[test]

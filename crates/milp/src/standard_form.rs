@@ -14,10 +14,19 @@
 //! a model grown by appended rows and columns (the exploration cut loop) can
 //! be extended instead of rebuilt whenever that gives the rebuild's result
 //! bit for bit.
+//!
+//! Every build and every extension gives its form a fresh identity, which
+//! [`StandardForm::rebind`] keeps: the LP engine keys what it computed from
+//! a form's matrix and costs by it.
 
 use crate::constraint::Cmp;
 use crate::model::{Model, Sense};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The identity the next built or extended form takes. Identities start at
+/// 1, so no form has identity 0.
+static NEXT_FORM_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A sparse column: parallel row-index / value arrays.
 #[derive(Debug, Clone, Default)]
@@ -229,6 +238,11 @@ pub(crate) struct StandardForm {
     /// Per-column equilibration factor (`x = col_scale · x'`). Shared like
     /// `cols`.
     pub col_scale: Arc<Vec<f64>>,
+    /// Fresh for every build and extension, kept by
+    /// [`StandardForm::rebind`]: two forms with one identity have the same
+    /// columns, right-hand sides and costs. It is a counter, not an address,
+    /// since an extension may reuse its predecessor's allocations.
+    pub id: u64,
 }
 
 impl StandardForm {
@@ -294,6 +308,7 @@ impl StandardForm {
             obj_offset: model.objective().constant(),
             obj_sign,
             col_scale: Arc::new(col_scale),
+            id: NEXT_FORM_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -324,6 +339,7 @@ impl StandardForm {
             obj_offset: self.obj_offset,
             obj_sign: self.obj_sign,
             col_scale: Arc::clone(&self.col_scale),
+            id: self.id,
         }
     }
 
@@ -678,6 +694,7 @@ mod tests {
         // y and the two slacks hold one entry, x and z two: ties by index.
         assert_eq!(*sf.nnz_order, vec![1, 3, 4, 0, 2]);
         let child = sf.rebind(&[0.0, 1.0, 0.0], &[1.0, 1.0, 1.0], Default::default());
+        assert_eq!(child.id, sf.id, "a rebound form keeps its identity");
         assert!(Arc::ptr_eq(&child.nnz_order, &sf.nnz_order));
         assert!(Arc::ptr_eq(&child.rhs, &sf.rhs));
         assert!(Arc::ptr_eq(&child.obj, &sf.obj));
@@ -738,8 +755,12 @@ mod tests {
         m.add_constr("cut1", 1.0 * y - 2.0 * z, Cmp::Ge, -1.0)
             .unwrap();
         let (lbs, ubs) = bounds(&m);
+        let id = form.sf.id;
         let grown = form.extend(&m, &lbs, &ubs).expect("no factor moves");
-        grown.assert_bit_identical(&RecordedForm::build(&m, Some((&lbs, &ubs))), "grown");
+        let rebuilt = RecordedForm::build(&m, Some((&lbs, &ubs)));
+        grown.assert_bit_identical(&rebuilt, "grown");
+        // Equal forms, yet each build and extension is a form of its own.
+        assert!(id != grown.sf.id && grown.sf.id != rebuilt.sf.id);
         // The slacks moved behind the new structural.
         assert_eq!(grown.sf.num_structural, 3);
         assert_eq!(grown.sf.cols[3].rows, vec![0]);

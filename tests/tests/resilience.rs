@@ -34,7 +34,6 @@ fn tiny_iteration_budget_returns_partial_with_cuts() {
     let Exploration::Partial {
         incumbent,
         lower_bound,
-        cuts,
         stats,
         reason,
     } = result
@@ -43,13 +42,37 @@ fn tiny_iteration_budget_returns_partial_with_cuts() {
     };
     assert!(matches!(reason, StopReason::IterationLimit { limit: 1 }));
     assert!(
-        cuts > 0,
+        stats.cuts_added > 0,
         "the first rejected candidate must leave cuts behind"
     );
-    assert_eq!(stats.cuts_added, cuts);
     let inc = incumbent.expect("iteration 1 selects a candidate");
     let lb = lower_bound.expect("iteration 1 proves a floor");
     assert!(lb <= inc.cost() + 1e-9);
+}
+
+/// A caller that stops an exploration before it finishes, as the job server
+/// does on a cancellation, reports the time its steps took.
+#[test]
+fn a_cancelled_exploration_reports_the_time_its_steps_took() {
+    let p = build_epn(&EpnConfig::table2(1, 0, 0));
+    let mut ex = Explorer::new(&p, ExplorerConfig::complete()).unwrap();
+    for _ in 0..3 {
+        assert!(matches!(ex.step().unwrap(), Step::Pruned { .. }));
+    }
+    let Some(Exploration::Partial {
+        stats,
+        reason: StopReason::Cancelled,
+        ..
+    }) = ex.conclude(Step::Exhausted(StopReason::Cancelled))
+    else {
+        panic!("a stopped loop concludes Partial");
+    };
+    let steps = stats.milp_time + stats.refine_time + stats.cert_time;
+    assert!(
+        stats.total_time >= steps,
+        "total_time {} leaves out steps that took {steps}",
+        stats.total_time
+    );
 }
 
 #[test]
